@@ -129,24 +129,28 @@ def decode_label(blob: bytes, allocator: TagAllocator) -> Label:
     return Label(tags)
 
 
-class OpenMode(enum.Flag):
-    READ = enum.auto()
-    WRITE = enum.auto()
-    APPEND = enum.auto()
-    CREATE = enum.auto()
+class OpenMode:
+    """Open-file mode bits.  A mode is a plain ``int``:
+    ``OpenMode.READ | OpenMode.WRITE``."""
+
+    READ = 1
+    WRITE = 2
+    APPEND = 4
+    CREATE = 8
+
+    _TABLE = {
+        "r": READ,
+        "w": WRITE | CREATE,
+        "a": WRITE | APPEND | CREATE,
+        "r+": READ | WRITE,
+        "w+": READ | WRITE | CREATE,
+    }
 
     @classmethod
-    def parse(cls, mode: str) -> "OpenMode":
-        table = {
-            "r": cls.READ,
-            "w": cls.WRITE | cls.CREATE,
-            "a": cls.WRITE | cls.APPEND | cls.CREATE,
-            "r+": cls.READ | cls.WRITE,
-            "w+": cls.READ | cls.WRITE | cls.CREATE,
-        }
+    def parse(cls, mode: str) -> int:
         try:
-            return table[mode]
-        except KeyError:
+            return cls._TABLE[mode]
+        except (KeyError, TypeError):
             raise SyscallError(EINVAL, f"bad open mode {mode!r}") from None
 
 
@@ -155,7 +159,7 @@ class File:
     offset + mode.  File-descriptor-level hooks (``file_permission``) take
     these, inode-level hooks take :class:`Inode`."""
 
-    def __init__(self, inode: Inode, mode: OpenMode) -> None:
+    def __init__(self, inode: Inode, mode: int) -> None:
         self.inode = inode
         self.mode = mode
         self.offset = 0

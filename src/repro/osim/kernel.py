@@ -21,6 +21,7 @@ POSIX subset used by lmbench and the applications: ``open``, ``read``,
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from collections import Counter
 from typing import Iterable, Optional, Sequence
@@ -66,10 +67,29 @@ from .task import (
 TCB_TAG = Tag(0, "tcb")
 
 
+def call_syscall(fn, task: Task, args: tuple) -> object:
+    """``fn(task, *args)``, where a call of the wrong arity fails with
+    ``EINVAL`` like any other bad syscall argument instead of letting a
+    ``TypeError`` escape to whoever drives the caller.  A well-formed call
+    pays only the ``try``: the signature is consulted after a failure, to
+    tell a wrong arity (raised before the body runs) from a ``TypeError``
+    raised inside the body, which propagates."""
+    try:
+        return fn(task, *args)
+    except TypeError:
+        try:
+            inspect.signature(fn).bind(task, *args)
+        except TypeError:
+            raise SyscallError(
+                EINVAL, f"{fn.__name__} takes different arguments"
+            ) from None
+        raise
+
+
 class Mapping:
     """A simulated memory mapping, for the lmbench mmap / prot-fault rows."""
 
-    def __init__(self, file: File, mask: Mask) -> None:
+    def __init__(self, file: File, mask: int) -> None:
         self.file = file
         self.mask = mask
         self.valid = True
@@ -755,7 +775,7 @@ class Kernel:
         self._count("open")
         self._require_alive(task)
         flags = OpenMode.parse(mode)
-        chain_op = ("open", flags.value)
+        chain_op = ("open", flags)
         inode = self.hookchain.lookup_path(chain_op, task, path)
         if inode is None:
             observed = self._walk_checked(task, path)
@@ -773,11 +793,9 @@ class Kernel:
                 inode = Inode(InodeType.REGULAR, labels)
                 self._journaled_link(parent, name, inode)  # type: ignore[arg-type]
                 created = True
-            mask = Mask(0)
-            if flags & OpenMode.READ:
-                mask |= Mask.READ
-            if flags & OpenMode.WRITE:
-                mask |= Mask.WRITE
+            mask = (Mask.READ if flags & OpenMode.READ else 0) | (
+                Mask.WRITE if flags & OpenMode.WRITE else 0
+            )
             self.security.inode_permission(task, inode, mask)
             # Only existing-file opens are bakeable: a chain that created
             # would have run inode_create, and the existing-file case is
@@ -907,13 +925,16 @@ class Kernel:
         "writev",
         "lseek",
     )
+    #: Every opcode a batch entry may name.
+    SUBMIT_OPS = frozenset(("read", "write", *SUBMIT_GENERIC_OPS))
 
     def sys_submit(self, task: Task, sqes: Sequence[Sqe]) -> list[Cqe]:
         """Submit a batch of syscall descriptors; get a completion list.
 
         Semantics are io_uring's: entries execute in order, each entry
-        completes with a result or an errno, and a failure does not abort
-        the batch.  The security record — audit entries, denial counters,
+        completes with a result or an errno (``EINVAL`` for an entry of
+        the wrong arity), and a failure does not abort the batch.  The
+        security record — audit entries, denial counters,
         LSM hook counts, per-opcode syscall counts — is byte-identical to
         issuing the same calls sequentially (property-tested); only the
         *overhead* differs:
@@ -969,7 +990,13 @@ class Kernel:
                     continue
             try:
                 if op == "read":
-                    fd, count = (sqe.args + (-1,))[:2]
+                    args = sqe.args
+                    if len(args) == 2:
+                        fd, count = args
+                    elif len(args) == 1:
+                        fd, count = args[0], -1
+                    else:
+                        raise SyscallError(EINVAL, "read takes (fd[, count])")
                     counts["read"] += 1
                     if defer:
                         self.deferred_work += batch_work["read"]
@@ -1003,7 +1030,10 @@ class Kernel:
                         else:
                             result = fs_read(file, count)
                 elif op == "write":
-                    fd, data = sqe.args
+                    args = sqe.args
+                    if len(args) != 2:
+                        raise SyscallError(EINVAL, "write takes (fd, data)")
+                    fd, data = args
                     counts["write"] += 1
                     if defer:
                         self.deferred_work += batch_work["write"]
@@ -1036,10 +1066,11 @@ class Kernel:
                             result = len(data)
                         else:
                             result = fs_write(file, data)
-                elif op in self._submit_generic:
-                    if op == "close":
-                        fd_memo.pop(sqe.args[0], None)
-                    result = self._submit_generic[op](task, *sqe.args)
+                elif type(op) is str and op in self._submit_generic:
+                    args = sqe.args
+                    if op == "close" and args:
+                        fd_memo.pop(args[0], None)
+                    result = call_syscall(self._submit_generic[op], task, args)
                 else:
                     raise SyscallError(
                         EINVAL, f"op {op!r} is not batchable via sys_submit"
@@ -1228,7 +1259,7 @@ class Kernel:
 
     # -- memory (lmbench rows) ----------------------------------------------------------
 
-    def sys_mmap(self, task: Task, fd: int, mask: Mask = Mask.READ) -> Mapping:
+    def sys_mmap(self, task: Task, fd: int, mask: int = Mask.READ) -> Mapping:
         self._count("mmap")
         self._require_alive(task)
         file = task.lookup_fd(fd)

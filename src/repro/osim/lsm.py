@@ -24,7 +24,6 @@ Python-time delta between the two modules over identical syscall mixes.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -35,17 +34,17 @@ if TYPE_CHECKING:
     from .task import Task
 
 
-class Mask(enum.Flag):
-    """Access mask bits, after Linux's MAY_READ/MAY_WRITE/MAY_EXEC."""
+class Mask:
+    """Access mask bits, after Linux's MAY_READ/MAY_WRITE/MAY_EXEC.  A
+    mask is a plain ``int``: ``Mask.READ | Mask.EXEC``."""
 
-    READ = enum.auto()
-    WRITE = enum.auto()
-    EXEC = enum.auto()
+    READ = 1
+    WRITE = 2
+    EXEC = 4
 
 
-#: Precombined masks for the hot permission hooks.  ``enum.Flag.__or__``
-#: goes through a class-level lookup on every call; the hooks fire once
-#: per syscall, so the combinations are built once here instead.
+#: Mask bits under which data flows from the object to the task, and
+#: from the task to the object.
 _READ_LIKE = Mask.READ | Mask.EXEC
 _WRITE_LIKE = Mask.WRITE
 
@@ -69,10 +68,10 @@ class SecurityModule:
 
     # -- inode / file hooks ---------------------------------------------------
 
-    def inode_permission(self, task: "Task", inode: "Inode", mask: Mask) -> None:
+    def inode_permission(self, task: "Task", inode: "Inode", mask: int) -> None:
         self.hook_calls["inode_permission"] += 1
 
-    def file_permission(self, task: "Task", file: "File", mask: Mask) -> None:
+    def file_permission(self, task: "Task", file: "File", mask: int) -> None:
         self.hook_calls["file_permission"] += 1
 
     def inode_create(
@@ -115,7 +114,7 @@ class SecurityModule:
 
     # -- memory hooks (for the lmbench mmap/prot-fault rows) -----------------------
 
-    def mmap_file(self, task: "Task", file: "File", mask: Mask) -> None:
+    def mmap_file(self, task: "Task", file: "File", mask: int) -> None:
         self.hook_calls["mmap_file"] += 1
 
     def reset_counters(self) -> None:
@@ -159,16 +158,16 @@ class LaminarSecurityModule(SecurityModule):
 
     # -- inode / file ------------------------------------------------------------
 
-    def inode_permission(self, task: "Task", inode: "Inode", mask: Mask) -> None:
+    def inode_permission(self, task: "Task", inode: "Inode", mask: int) -> None:
         self.hook_calls["inode_permission"] += 1
         self._check_object_access(task, inode, mask, "inode_permission")
 
-    def file_permission(self, task: "Task", file: "File", mask: Mask) -> None:
+    def file_permission(self, task: "Task", file: "File", mask: int) -> None:
         self.hook_calls["file_permission"] += 1
         self._check_object_access(task, file.inode, mask, "file_permission")
 
     def _check_object_access(
-        self, task: "Task", inode: "Inode", mask: Mask, hook: str
+        self, task: "Task", inode: "Inode", mask: int, hook: str
     ) -> None:
         labels = task.labels
         if mask & _READ_LIKE:
@@ -287,7 +286,7 @@ class LaminarSecurityModule(SecurityModule):
                 f"{task.name}{task.labels!r} may not receive on {socket!r}",
             )
 
-    def mmap_file(self, task: "Task", file: "File", mask: Mask) -> None:
+    def mmap_file(self, task: "Task", file: "File", mask: int) -> None:
         self.hook_calls["mmap_file"] += 1
         self._check_object_access(task, file.inode, mask, "mmap_file")
 
@@ -328,7 +327,7 @@ class LeakySecurityModule(LaminarSecurityModule):
             return True
         return ok
 
-    def _leaky_object_access(self, call, mask: Mask) -> None:
+    def _leaky_object_access(self, call, mask: int) -> None:
         from .task import SyscallError
 
         try:
@@ -344,7 +343,7 @@ class LeakySecurityModule(LaminarSecurityModule):
                 return
             raise
 
-    def inode_permission(self, task: "Task", inode: "Inode", mask: Mask) -> None:
+    def inode_permission(self, task: "Task", inode: "Inode", mask: int) -> None:
         self._leaky_object_access(
             lambda: super(LeakySecurityModule, self).inode_permission(
                 task, inode, mask
@@ -352,7 +351,7 @@ class LeakySecurityModule(LaminarSecurityModule):
             mask,
         )
 
-    def file_permission(self, task: "Task", file: "File", mask: Mask) -> None:
+    def file_permission(self, task: "Task", file: "File", mask: int) -> None:
         self._leaky_object_access(
             lambda: super(LeakySecurityModule, self).file_permission(
                 task, file, mask

@@ -79,7 +79,7 @@ class Pipe:
         #: bench harness, which play the role of an omniscient observer.
         #: O(1) state: a counter, never a log of the dropped payloads.
         self.dropped = 0
-        #: Write-activity counter for the scheduler's wait queues.  Bumped
+        #: Write-activity counter for the scheduler's wake scan.  Bumped
         #: on *every* write attempt and on close, independent of the label
         #: verdict, so parking/wakeup behavior cannot encode a check.
         self.version = 0

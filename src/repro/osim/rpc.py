@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..core import fastpath
-from .kernel import Cqe, Kernel, Sqe
+from .kernel import Cqe, Kernel, Sqe, call_syscall
 from .task import EINVAL, SyscallError
 
 if TYPE_CHECKING:
@@ -322,11 +322,11 @@ class ShardServer:
         cqes: list[Cqe] = []
         for sqe in sqes:
             kernel._extra_work(hop)
-            fn = getattr(kernel, f"sys_{sqe.op}", None)
             try:
-                if fn is None:
+                if type(sqe.op) is not str or sqe.op not in kernel.SUBMIT_OPS:
                     raise SyscallError(EINVAL, f"op {sqe.op!r} is not batchable")
-                result = fn(task, *sqe.args)
+                fn = getattr(kernel, f"sys_{sqe.op}")
+                result = call_syscall(fn, task, sqe.args)
             except SyscallError as exc:
                 cqes.append(Cqe(sqe.op, None, exc.errno))
             else:

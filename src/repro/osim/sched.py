@@ -50,7 +50,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from ..core import CapabilitySet, LabelPair
-from .task import SyscallError, Task
+from .kernel import call_syscall
+from .task import EINVAL, SyscallError, Task
 
 if TYPE_CHECKING:
     from .kernel import Cqe, Kernel, Sqe
@@ -225,9 +226,11 @@ class Scheduler:
         order."""
         still_parked: list[_Thread] = []
         for thread in self._parked:
-            signaled = any(
-                signum in _FATAL_SIGNALS
-                for signum, _ in thread.task.pending_signals
+            # This scan runs before every step, over every parked thread,
+            # and almost none of them has a signal pending.
+            signals = thread.task.pending_signals
+            signaled = bool(signals) and any(
+                signum in _FATAL_SIGNALS for signum, _ in signals
             )
             if signaled or thread.wait_obj.version != thread.seen_version:
                 if self.trace is not None:
@@ -280,7 +283,10 @@ class Scheduler:
     # -- op dispatch ---------------------------------------------------------
 
     def _dispatch(self, thread: _Thread, op: tuple) -> None:
-        kind, a, b = op
+        try:
+            kind, a, b = op
+        except (TypeError, ValueError):
+            kind = None
         if kind == "read_blocking":
             self._do_read_blocking(thread, op, a, b)
         elif kind == "recv_blocking":
@@ -294,7 +300,7 @@ class Scheduler:
         elif kind == "yield":
             self._runq.append(thread)
         else:
-            thread.throw_exc = TypeError(f"unknown scheduler op {kind!r}")
+            thread.throw_exc = SyscallError(EINVAL, f"bad scheduler op {op!r}")
             self._runq.append(thread)
 
     def _complete(self, thread: _Thread, fn, *args) -> object:
@@ -318,10 +324,10 @@ class Scheduler:
     def _do_syscall(self, thread: _Thread, name: str, args: tuple) -> None:
         fn = getattr(self.kernel, f"sys_{name}", None)
         if fn is None:
-            thread.throw_exc = SyscallError(22, f"no such syscall {name!r}")
+            thread.throw_exc = SyscallError(EINVAL, f"no such syscall {name!r}")
             self._runq.append(thread)
             return
-        self._complete(thread, fn, thread.task, *args)
+        self._complete(thread, call_syscall, fn, thread.task, args)
 
     def _do_fork(self, thread: _Thread, body, caps_subset) -> None:
         try:

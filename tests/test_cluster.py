@@ -18,6 +18,7 @@ from repro.osim import (
     Cluster,
     ClusterRequest,
     EACCES,
+    EINVAL,
     LaminarSecurityModule,
     ShardSpec,
     Sqe,
@@ -26,7 +27,7 @@ from repro.osim import (
     render_audit,
     replay_single,
 )
-from repro.osim.rpc import CapSync, SyncAck
+from repro.osim.rpc import CapSync, ShardRequest, SyncAck
 
 
 class DenialWorld:
@@ -150,6 +151,32 @@ class TestAuditParity:
         single, _ = replay_single(world, trace)
         plain = single.kernel.fs.resolve("/tmp/d/plain")
         assert bytes(plain.data) == b"0123456789"
+
+
+class TestMalformedRequests:
+    """Both mediation modes accept the same opcodes and fail a bad entry
+    alone: a control-plane op or a wrong-arity entry off the wire
+    completes with EINVAL, and the shard serves the rest of the batch."""
+
+    @pytest.mark.parametrize("mediation", ["laminar", "flume"])
+    @pytest.mark.parametrize(
+        "bad",
+        [Sqe("exit"), Sqe("exit", 0), Sqe("read"), Sqe("lseek", 1), Sqe(["read"], 1)],
+        ids=repr,
+    )
+    def test_bad_entry_fails_alone(self, world, mediation, bad):
+        world.ensure_built()
+        server = boot_shard(world, ShardSpec(0, "edge"), mediation=mediation)
+        fd = world.fds["owner_plain"]
+        good = (Sqe("lseek", fd, 0), Sqe("read", fd, 4))
+        resp = server.execute(ShardRequest(1, "owner", (bad,) + good))
+        assert [c.errno for c in resp.cqes] == [EINVAL, 0, 0]
+        assert resp.cqes[2].result == b"0123"
+        assert server.tasks["owner"].alive
+        assert "exit" not in server.kernel.syscall_counts
+        # The shard keeps serving.
+        again = server.execute(ShardRequest(2, "owner", good))
+        assert again.cqes[1].result == b"0123"
 
 
 class TestTrafficMerge:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Label, LabelPair, Tag, TagAllocator
 from repro.osim import (
+    EINVAL,
     File,
     Filesystem,
     Inode,
@@ -163,3 +164,8 @@ class TestOpenMode:
     def test_bad_mode(self):
         with pytest.raises(SyscallError):
             OpenMode.parse("rw+x")
+
+    def test_unhashable_mode_is_einval(self):
+        with pytest.raises(SyscallError) as e:
+            OpenMode.parse(["r"])
+        assert e.value.errno == EINVAL

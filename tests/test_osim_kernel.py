@@ -9,8 +9,10 @@ from repro.core import (
     Label,
     LabelPair,
     LabelType,
+    fastpath,
 )
 from repro.osim import (
+    EACCES,
     Kernel,
     LaminarSecurityModule,
     Mask,
@@ -303,6 +305,88 @@ class TestMemorySyscalls:
         k.sys_set_task_label(task, LabelType.SECRECY, Label.of(tag))
         with pytest.raises(SyscallError):
             k.fault_protection(task, mapping)
+
+
+class TestAccessDirection:
+    """Open modes and mmap masks reach the LSM as the right direction of
+    flow: every writing mode is a write (denied down), every reading mode
+    a read (denied up).  Two cases: a task tainted with ``t`` against an
+    unlabeled file, and an unlabeled task against a ``{t}`` file."""
+
+    MODES = ("r", "w", "a", "r+", "w+")
+    DENIED = {
+        "write-down": {"w", "a", "r+", "w+"},
+        "read-up": {"r", "r+", "w+"},
+    }
+
+    @staticmethod
+    def _world(case):
+        kernel = Kernel(LaminarSecurityModule())
+        owner = kernel.spawn_task("owner")
+        tag, _ = kernel.sys_alloc_tag(owner, "t")
+        secret = LabelPair(Label.of(tag))
+        kernel.sys_mkdir(owner, "/tmp/dir")
+        if case == "write-down":
+            fd = kernel.sys_creat(owner, "/tmp/dir/f")
+            actor = kernel.spawn_task("actor", labels=secret)
+        else:
+            fd = kernel.sys_create_file_labeled(owner, "/tmp/dir/f", secret)
+            actor = kernel.spawn_task("actor")
+        kernel.sys_close(owner, fd)
+        return kernel, actor
+
+    @staticmethod
+    def _chain_hits():
+        return fastpath.counters.snapshot()["hookchain_hits"]
+
+    def _assert_one_denial(self, kernel, before, hook, verb):
+        entries = kernel.audit.denials()[before:]
+        assert len(entries) == 1
+        assert entries[0].principal == hook
+        assert f"may not {verb}" in entries[0].detail
+
+    @pytest.mark.parametrize("case", ["write-down", "read-up"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_open_mode_direction(self, case, mode):
+        kernel, actor = self._world(case)
+        # First bake the open chain of a mode this case allows: the chain
+        # is keyed on the mode bits and must never answer for another mode.
+        warm = "r" if case == "write-down" else "w"
+        for _ in range(9):
+            kernel.sys_close(actor, kernel.sys_open(actor, "/tmp/dir/f", warm))
+        hits = self._chain_hits()
+        assert hits >= 1
+        before = len(kernel.audit.denials())
+        if mode in self.DENIED[case]:
+            with pytest.raises(SyscallError) as e:
+                kernel.sys_open(actor, "/tmp/dir/f", mode)
+            assert e.value.errno == EACCES
+            verb = "write" if case == "write-down" else "read"
+            self._assert_one_denial(kernel, before, "inode_permission", verb)
+        else:
+            # Nine times: the chain for this mode bakes and replays.
+            for _ in range(9):
+                kernel.sys_close(actor, kernel.sys_open(actor, "/tmp/dir/f", mode))
+            assert len(kernel.audit.denials()) == before
+            assert self._chain_hits() > hits
+
+    @pytest.mark.parametrize("case", ["write-down", "read-up"])
+    @pytest.mark.parametrize("mask", ["READ", "WRITE"])
+    def test_mmap_mask_direction(self, case, mask):
+        kernel, actor = self._world(case)
+        fd = kernel.sys_open(actor, "/tmp/dir/f", "r" if case == "write-down" else "w")
+        bits = getattr(Mask, mask)
+        before = len(kernel.audit.denials())
+        if (case == "write-down") == (mask == "WRITE"):
+            with pytest.raises(SyscallError) as e:
+                kernel.sys_mmap(actor, fd, bits)
+            assert e.value.errno == EACCES
+            self._assert_one_denial(kernel, before, "mmap_file", mask.lower())
+        else:
+            mapping = kernel.sys_mmap(actor, fd, bits)
+            kernel.fault_protection(actor, mapping)
+            assert mapping.mask == bits
+            assert len(kernel.audit.denials()) == before
 
 
 class TestVanillaModuleAllowsEverything:

@@ -5,10 +5,13 @@ hook counts)."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Label, LabelPair
 from repro.osim import (
+    EINVAL,
     Kernel,
     LaminarSecurityModule,
     SIGKILL,
@@ -422,3 +425,189 @@ class TestSchedulerHygiene:
         sched = Scheduler(kernel)
         with pytest.raises(TypeError, match="generator"):
             sched.spawn(lambda task: 42)
+
+
+class TestMalformedOps:
+    """A task that yields a malformed op gets ``EINVAL`` thrown into its
+    own generator; the scheduler and every other task carry on."""
+
+    BAD_OPS = [
+        syscall("read"),  # too few arguments
+        syscall("lseek", 3, 0, 0),  # too many
+        syscall("open"),
+        ("teleport", None, None),  # unknown kind
+        ("syscall", "read"),  # not an (kind, a, b) triple
+        42,
+    ]
+
+    @pytest.mark.parametrize(
+        "op",
+        BAD_OPS,
+        ids=["read-0", "lseek-3", "open-0", "unknown-kind", "pair", "int"],
+    )
+    def test_bad_op_fails_only_its_task(self, kernel, op):
+        caught, got = [], []
+
+        def bad(task):
+            try:
+                yield op
+            except SyscallError as exc:
+                caught.append(exc.errno)
+
+        def good(task):
+            fd = yield syscall("open", "/tmp/good", "w+")
+            yield syscall("write", fd, b"ok")
+            yield syscall("lseek", fd, 0)
+            got.append((yield syscall("read", fd)))
+
+        sched = Scheduler(kernel)
+        bad_task = sched.spawn(bad)
+        good_task = sched.spawn(good)
+        assert sched.run() == []
+        assert caught == [EINVAL]
+        assert got == [b"ok"]
+        assert not bad_task.alive and bad_task.exit_code == 0
+        assert not good_task.alive and good_task.exit_code == 0
+        # The bad op reached no syscall body.
+        assert kernel.syscall_counts["read"] == 1
+        assert kernel.syscall_counts["open"] == 1
+        assert kernel.syscall_counts["lseek"] == 1
+
+
+def _trace(spec: str) -> list[tuple[str, str]]:
+    """``"run:R0 park:R0"`` -> ``[("run", "R0"), ("park", "R0")]``."""
+    return [tuple(item.split(":")) for item in spec.split()]
+
+
+class TestWakeRule:
+    """One wake pass over several parked readers.  Three readers park on
+    three distinct pipes (R0, R1, R2, in that order); a driver D acts in
+    its second step, then writes once to every pipe in one batch."""
+
+    @staticmethod
+    def _scenario(action):
+        kernel = Kernel(LaminarSecurityModule())
+        setup = kernel.spawn_task("plumber")
+        driver = kernel.spawn_task("driver")
+        readers, rfds, wfds = [], [], []
+        for i in range(3):
+            rfd, wfd = kernel.sys_pipe(setup)
+            reader = kernel.spawn_task(f"reader{i}")
+            rfds.append(kernel.share_fd(setup, rfd, reader))
+            wfds.append(kernel.share_fd(setup, wfd, driver))
+            kernel.sys_close(setup, rfd)
+            kernel.sys_close(setup, wfd)
+            readers.append(reader)
+        got = {}
+
+        def read_body(i):
+            def body(task):
+                got[i] = yield read_blocking(rfds[i])
+
+            return body
+
+        def drive(task):
+            yield yield_()
+            yield from action(readers, wfds)
+            yield submit([Sqe("write", fd, b"m%d" % i) for i, fd in enumerate(wfds)])
+
+        sched = Scheduler(kernel, trace=True)
+        for i, reader in enumerate(readers):
+            sched.spawn(read_body(i), task=reader)
+        sched.spawn(drive, task=driver)
+        syscalls = Counter(kernel.syscall_counts)
+        hooks = Counter(kernel.security.hook_calls)
+        stuck = sched.run()
+        roles = {reader.tid: f"R{i}" for i, reader in enumerate(readers)}
+        roles[driver.tid] = "D"
+        return {
+            "stuck": stuck,
+            "trace": [(event, roles[tid]) for event, tid in sched.trace],
+            "steps": sched.steps,
+            "syscalls": dict(Counter(kernel.syscall_counts) - syscalls),
+            "hooks": dict(Counter(kernel.security.hook_calls) - hooks),
+            "got": got,
+            "exit_codes": [reader.exit_code for reader in readers],
+        }
+
+    @staticmethod
+    def _idle(readers, wfds):
+        yield yield_()
+
+    BASELINE_TRACE = _trace(
+        "run:R0 park:R0 run:R1 park:R1 run:R2 park:R2 run:D run:D run:D "
+        "wake:R0 wake:R1 wake:R2 run:D exit:D run:R0 run:R1 run:R2 "
+        "run:R0 exit:R0 run:R1 exit:R1 run:R2 exit:R2"
+    )
+
+    def test_baseline(self):
+        result = self._scenario(self._idle)
+        assert result == {
+            "stuck": [],
+            "trace": self.BASELINE_TRACE,
+            "steps": 13,
+            "syscalls": {"read": 6, "submit": 1, "write": 3, "exit": 4},
+            "hooks": {"pipe_read": 6, "pipe_write": 3},
+            "got": {0: b"m0", 1: b"m1", 2: b"m2"},
+            "exit_codes": [0, 0, 0],
+        }
+
+    def test_non_fatal_signal_to_parked_reader_changes_nothing(self):
+        """Signal 1 stays pending on a parked reader for the rest of the
+        run; it neither wakes nor kills it, so the schedule is the one
+        without the signal.  Only the kill call itself is counted."""
+
+        def hup_middle(readers, wfds):
+            yield syscall("kill", readers[1].tid, 1)
+
+        idle = self._scenario(self._idle)
+        hup = self._scenario(hup_middle)
+        assert hup["trace"] == idle["trace"] == self.BASELINE_TRACE
+        assert hup["steps"] == idle["steps"]
+        assert hup["got"] == idle["got"]
+        assert hup["exit_codes"] == [0, 0, 0]
+        assert hup["syscalls"] == {**idle["syscalls"], "kill": 1}
+        assert hup["hooks"] == {**idle["hooks"], "task_kill": 1}
+
+    def test_fatal_signal_wakes_and_kills_only_its_target(self):
+        def kill_middle(readers, wfds):
+            yield syscall("kill", readers[1].tid, SIGKILL)
+
+        result = self._scenario(kill_middle)
+        assert result == {
+            "stuck": [],
+            "trace": _trace(
+                "run:R0 park:R0 run:R1 park:R1 run:R2 park:R2 run:D run:D "
+                "wake:R1 run:D wake:R0 wake:R2 killed:R1 run:D exit:D "
+                "run:R0 run:R2 run:R0 exit:R0 run:R2 exit:R2"
+            ),
+            "steps": 12,
+            # R1 never re-reads; its death is one more exit.
+            "syscalls": {"read": 5, "kill": 1, "submit": 1, "write": 3, "exit": 4},
+            "hooks": {"pipe_read": 5, "task_kill": 1, "pipe_write": 3},
+            "got": {0: b"m0", 2: b"m2"},
+            "exit_codes": [0, 128 + SIGKILL, 0],
+        }
+
+    def test_two_writes_in_one_step_wake_in_park_order(self):
+        """The third pipe is written before the first, in one batch; the
+        next wake pass still wakes R0 before R2 (park order), and R1,
+        whose pipe nobody touched, stays parked until the final batch."""
+
+        def write_third_then_first(readers, wfds):
+            yield submit([Sqe("write", wfds[2], b"x2"), Sqe("write", wfds[0], b"x0")])
+
+        result = self._scenario(write_third_then_first)
+        assert result == {
+            "stuck": [],
+            "trace": _trace(
+                "run:R0 park:R0 run:R1 park:R1 run:R2 park:R2 run:D run:D "
+                "wake:R0 wake:R2 run:D wake:R1 run:R0 run:R2 run:D exit:D "
+                "run:R1 run:R0 exit:R0 run:R2 exit:R2 run:R1 exit:R1"
+            ),
+            "steps": 13,
+            "syscalls": {"read": 6, "submit": 2, "write": 5, "exit": 4},
+            "hooks": {"pipe_read": 6, "pipe_write": 5},
+            "got": {0: b"x0", 1: b"m1", 2: b"x2"},
+            "exit_codes": [0, 0, 0],
+        }

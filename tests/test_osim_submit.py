@@ -30,6 +30,7 @@ from repro.osim import (
     SyscallError,
 )
 from repro.osim.filesystem import Inode
+from repro.osim.kernel import call_syscall
 
 
 def fresh_kernel() -> Kernel:
@@ -69,7 +70,7 @@ def run_sequential(kernel: Kernel, task, ops) -> list[Cqe]:
         try:
             if fn is None:
                 raise SyscallError(EINVAL, f"op {op!r} is not batchable")
-            result = fn(task, *args)
+            result = call_syscall(fn, task, args)
         except SyscallError as exc:
             cqes.append(Cqe(op, None, exc.errno))
         else:
@@ -128,6 +129,12 @@ def _ops_strategy():
             st.tuples(st.just("close"), st.tuples(fd)),
             st.tuples(st.just("unlink"), st.tuples(st.just("/tmp/eq/new"))),
             st.tuples(st.just("frobnicate"), st.tuples()),  # not batchable
+            # Wrong arity: EINVAL, sequential or batched.
+            st.tuples(st.just("read"), st.tuples()),
+            st.tuples(st.just("write"), st.tuples(fd)),
+            st.tuples(st.just("close"), st.tuples()),
+            st.tuples(st.just("lseek"), st.tuples(fd)),
+            st.tuples(st.just("open"), st.tuples()),
         ),
         min_size=1,
         max_size=24,
@@ -249,6 +256,66 @@ class TestSubmitBasics:
             kernel.SYSCALL_WORK["read"] - kernel.SYSCALL_ENTRY_WORK
         )
         assert kernel._batch_work["close"] == 0  # mostly crossing cost
+
+
+class TestMalformedEntries:
+    """An entry of the wrong arity (one decoded off the wire, say)
+    completes with EINVAL, leaves no other trace, and the batch goes on:
+    the io_uring contract holds for bad input too."""
+
+    MALFORMED = [
+        ("read", ()),
+        ("read", ("fd", 1, 2)),
+        ("write", ("fd",)),
+        ("close", ()),
+        ("lseek", ("fd",)),
+        ("open", ()),
+    ]
+
+    @staticmethod
+    def _run(bad=None):
+        """One fresh kernel running ``[bad] + valid`` (or just ``valid``),
+        where ``"fd"`` in the bad entry's arguments stands for an open fd."""
+        kernel = fresh_kernel()
+        task = kernel.spawn_task("t")
+        fd = kernel.sys_open(task, "/tmp/m", "w+")
+        sqes = [Sqe("write", fd, b"ok"), Sqe("lseek", fd, 0), Sqe("read", fd)]
+        if bad is not None:
+            op, args = bad
+            sqes.insert(0, Sqe(op, *(fd if a == "fd" else a for a in args)))
+        return kernel.sys_submit(task, sqes), observables(kernel)
+
+    @pytest.mark.parametrize(
+        "op,args", MALFORMED, ids=[f"{op}{len(a)}" for op, a in MALFORMED]
+    )
+    def test_bad_entry_fails_alone(self, op, args):
+        clean_cqes, clean = self._run()
+        cqes, seen = self._run((op, args))
+        assert cqes[0] == Cqe(op, None, EINVAL)
+        assert cqes[1:] == clean_cqes
+        assert clean_cqes[2].result == b"ok"
+        assert seen == clean
+
+    @pytest.mark.parametrize(
+        "op,args", MALFORMED, ids=[f"{op}{len(a)}" for op, a in MALFORMED]
+    )
+    def test_sequential_call_agrees(self, kernel, op, args):
+        task = kernel.spawn_task("t")
+        fd = kernel.sys_open(task, "/tmp/m", "w+")
+        args = tuple(fd if a == "fd" else a for a in args)
+        before = dict(kernel.syscall_counts)
+        with pytest.raises(SyscallError) as e:
+            call_syscall(getattr(kernel, f"sys_{op}"), task, args)
+        assert e.value.errno == EINVAL
+        assert dict(kernel.syscall_counts) == before
+
+    def test_type_error_inside_a_body_is_not_masked(self, kernel):
+        def sys_broken(task, fd):
+            raise TypeError("bug in the body")
+
+        task = kernel.spawn_task("t")
+        with pytest.raises(TypeError, match="bug in the body"):
+            call_syscall(sys_broken, task, (3,))
 
 
 class TestVectoredIO:
