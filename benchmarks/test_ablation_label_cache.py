@@ -3,7 +3,8 @@
 The fast-path layers (:mod:`repro.core.fastpath`) exploit label
 immutability: hash-consed ``Label`` construction, a bounded flow-verdict
 cache keyed on label pairs, a per-thread barrier cache guarded by the
-label epoch, and precomputed interpreter dispatch tables.  This ablation
+label epoch, precomputed interpreter dispatch tables, the kernel's
+path-walk cache and compiled LSM hook chains.  This ablation
 runs one deterministic workload mix — the Fig. 8 interpreter workloads, a
 labeled security-region IR loop, and an lmbench-style OS mix with denied
 opens and silently-dropped pipe traffic — under every cache configuration
@@ -18,8 +19,8 @@ and demonstrates three things:
   materializations) strictly drops versus all-off;
 * **time reduction** — median wall-clock for the mix strictly drops.
 
-Each of the four switches is also measured solo, quantifying the
-contribution of every layer.  Machine-readable results land in
+Every switch is also measured solo, quantifying the contribution of
+every layer.  Machine-readable results land in
 ``BENCH_label_cache.json`` at the repository root.
 """
 
@@ -49,13 +50,14 @@ pytestmark = pytest.mark.bench
 REPO_ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_label_cache.json"
 
-SWITCHES = ("label_interning", "flow_verdict_cache",
-            "thread_barrier_cache", "dispatch_table")
+#: Every cache layer :class:`~repro.core.fastpath.FastPathFlags` defines,
+#: so a layer added there is switched off in "all_off" automatically.
+SWITCHES = tuple(fastpath.all_on())
 
 #: Every measured configuration: the two endpoints plus each layer solo.
 CONFIGS: dict[str, dict[str, bool]] = {
-    "all_on": {name: True for name in SWITCHES},
-    "all_off": {name: False for name in SWITCHES},
+    "all_on": fastpath.all_on(),
+    "all_off": fastpath.all_off(),
 }
 for _solo in SWITCHES:
     CONFIGS[f"only_{_solo}"] = {name: name == _solo for name in SWITCHES}

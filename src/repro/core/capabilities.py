@@ -23,8 +23,17 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import fastpath
 from .labels import Label
 from .tags import Tag
+
+#: ``Cp+`` tag set -> its label (:meth:`CapabilitySet.plus_tags`), filled
+#: only while ``label_interning`` is on and flushed with the label caches,
+#: so a memoized label is always the canonical one.
+_PLUS_MEMO: dict[frozenset, Label] = {}
+_PLUS_MEMO_BOUND = 1 << 12
+
+fastpath.register_cache(_PLUS_MEMO.clear)
 
 
 class CapType(enum.Enum):
@@ -64,21 +73,39 @@ class CapabilitySet:
     drop/grant produces a new set, so save/restore at region boundaries is a
     pointer swap (Section 4.4's "the VM restores the labels and capabilities
     it had just before it entered the region").
+
+    The set is stored as the two tag sets the model defines, ``Cp+`` and
+    ``Cp-``, so the rule checks are set tests on tags: ``can_add_all(L)``
+    is ``L ⊆ Cp+`` and ``is_subset_of`` is two subset tests.  Iteration,
+    ``repr`` and ``__reduce__`` still go through :class:`Capability`
+    objects in ``Capability.sort_key`` order.
     """
 
-    __slots__ = ("_caps", "_hash")
+    __slots__ = ("_plus", "_minus", "_hash")
 
     EMPTY: "CapabilitySet"
 
     def __init__(self, caps: Iterable[Capability] = ()) -> None:
-        caps = frozenset(caps)
+        plus: list[Tag] = []
+        minus: list[Tag] = []
         for cap in caps:
             if not isinstance(cap, Capability):
                 raise TypeError(
                     f"capability sets contain Capabilities, not {type(cap).__name__}"
                 )
-        self._caps = caps
-        self._hash = hash(caps)
+            (plus if cap.kind is CapType.PLUS else minus).append(cap.tag)
+        self._plus = frozenset(plus)
+        self._minus = frozenset(minus)
+        self._hash = hash((self._plus, self._minus))
+
+    @classmethod
+    def _from_sets(cls, plus: frozenset, minus: frozenset) -> "CapabilitySet":
+        """Trusted constructor from the two tag sets."""
+        self = object.__new__(cls)
+        self._plus = plus
+        self._minus = minus
+        self._hash = hash((plus, minus))
+        return self
 
     # -- factories --------------------------------------------------------
 
@@ -86,100 +113,127 @@ class CapabilitySet:
     def dual(cls, *tags: Tag) -> "CapabilitySet":
         """Both ``t+`` and ``t-`` for every tag — what ``alloc_tag`` grants
         the allocating principal (the owner of the tag)."""
-        caps = []
-        for tag in tags:
-            caps.append(Capability(tag, CapType.PLUS))
-            caps.append(Capability(tag, CapType.MINUS))
-        return cls(caps)
+        both = frozenset(tags)
+        return cls._from_sets(both, both)
 
     @classmethod
     def plus(cls, *tags: Tag) -> "CapabilitySet":
-        return cls(Capability(t, CapType.PLUS) for t in tags)
+        return cls._from_sets(frozenset(tags), frozenset())
 
     @classmethod
     def minus(cls, *tags: Tag) -> "CapabilitySet":
-        return cls(Capability(t, CapType.MINUS) for t in tags)
+        return cls._from_sets(frozenset(), frozenset(tags))
 
     # -- queries ----------------------------------------------------------
 
     def can_add(self, tag: Tag) -> bool:
         """True iff the set holds ``tag+`` (classify/endorse)."""
-        return Capability(tag, CapType.PLUS) in self._caps
+        return tag in self._plus
 
     def can_remove(self, tag: Tag) -> bool:
         """True iff the set holds ``tag-`` (declassify/un-endorse)."""
-        return Capability(tag, CapType.MINUS) in self._caps
+        return tag in self._minus
 
     def can_add_all(self, label: Label) -> bool:
-        return all(self.can_add(tag) for tag in label)
+        return label._frozen <= self._plus
 
     def can_remove_all(self, label: Label) -> bool:
-        return all(self.can_remove(tag) for tag in label)
+        return label._frozen <= self._minus
 
     def plus_tags(self) -> Label:
-        """``Cp+`` as a label: the set of tags this principal may add."""
-        return Label._from_normalized(
-            tuple(sorted(c.tag for c in self._caps if c.kind is CapType.PLUS))
-        )
+        """``Cp+`` as a label: the set of tags this principal may add.
+
+        Memoized per tag set (sets are immutable), flushed with the label
+        caches so the result stays the canonical label.
+        """
+        plus = self._plus
+        memoize = fastpath.flags.label_interning
+        if memoize:
+            cached = _PLUS_MEMO.get(plus)
+            if cached is not None:
+                return cached
+        label = Label._from_normalized(tuple(sorted(plus)))
+        if memoize:
+            if len(_PLUS_MEMO) >= _PLUS_MEMO_BOUND:
+                _PLUS_MEMO.clear()
+            _PLUS_MEMO[plus] = label
+        return label
 
     def minus_tags(self) -> Label:
         """``Cp-`` as a label: the set of tags this principal may remove."""
-        return Label._from_normalized(
-            tuple(sorted(c.tag for c in self._caps if c.kind is CapType.MINUS))
-        )
+        return Label._from_normalized(tuple(sorted(self._minus)))
 
     def is_subset_of(self, other: "CapabilitySet") -> bool:
-        return self._caps <= other._caps
+        return self._plus <= other._plus and self._minus <= other._minus
 
     # -- algebra ----------------------------------------------------------
 
     def union(self, other: "CapabilitySet") -> "CapabilitySet":
-        if self._caps >= other._caps:
+        if other.is_subset_of(self):
             return self
-        if other._caps >= self._caps:
+        if self.is_subset_of(other):
             return other
-        return CapabilitySet(self._caps | other._caps)
+        return CapabilitySet._from_sets(
+            self._plus | other._plus, self._minus | other._minus
+        )
 
     def intersection(self, other: "CapabilitySet") -> "CapabilitySet":
-        return CapabilitySet(self._caps & other._caps)
+        return CapabilitySet._from_sets(
+            self._plus & other._plus, self._minus & other._minus
+        )
 
     def with_capability(self, cap: Capability) -> "CapabilitySet":
-        if cap in self._caps:
+        if cap in self:
             return self
-        return CapabilitySet(self._caps | {cap})
+        if cap.kind is CapType.PLUS:
+            return CapabilitySet._from_sets(self._plus | {cap.tag}, self._minus)
+        return CapabilitySet._from_sets(self._plus, self._minus | {cap.tag})
 
     def without(self, tag: Tag, kind: CapType) -> "CapabilitySet":
         """Drop ``tag``'s plus, minus, or both capabilities."""
-        if kind is CapType.BOTH:
-            doomed = {Capability(tag, CapType.PLUS), Capability(tag, CapType.MINUS)}
-        else:
-            doomed = {Capability(tag, kind)}
-        return CapabilitySet(self._caps - doomed)
+        plus, minus = self._plus, self._minus
+        if kind is not CapType.MINUS:
+            plus = plus - {tag}
+        if kind is not CapType.PLUS:
+            minus = minus - {tag}
+        return CapabilitySet._from_sets(plus, minus)
 
     def without_all(self, other: "CapabilitySet") -> "CapabilitySet":
-        return CapabilitySet(self._caps - other._caps)
+        return CapabilitySet._from_sets(
+            self._plus - other._plus, self._minus - other._minus
+        )
 
     # -- dunder -------------------------------------------------------------
 
+    def _sorted(self) -> list[Capability]:
+        caps = [Capability(t, CapType.PLUS) for t in self._plus]
+        caps += [Capability(t, CapType.MINUS) for t in self._minus]
+        caps.sort(key=Capability.sort_key)
+        return caps
+
     def __iter__(self) -> Iterator[Capability]:
-        return iter(sorted(self._caps, key=Capability.sort_key))
+        return iter(self._sorted())
 
     def __len__(self) -> int:
-        return len(self._caps)
+        return len(self._plus) + len(self._minus)
 
     def __contains__(self, cap: Capability) -> bool:
-        return cap in self._caps
+        if not isinstance(cap, Capability):
+            return False
+        if cap.kind is CapType.PLUS:
+            return cap.tag in self._plus
+        return cap.tag in self._minus
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CapabilitySet):
             return NotImplemented
-        return self._caps == other._caps
+        return self._plus == other._plus and self._minus == other._minus
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ",".join(repr(c) for c in sorted(self._caps, key=Capability.sort_key))
+        inner = ",".join(repr(c) for c in self._sorted())
         return f"C({inner})"
 
     def __reduce__(self):
@@ -188,7 +242,7 @@ class CapabilitySet:
         # __init__ re-derives ``_hash`` on the receiving side.  Sorting
         # makes the wire bytes canonical, so capability-store replication
         # frames are deterministic across shards.
-        return (CapabilitySet, (tuple(sorted(self._caps, key=Capability.sort_key)),))
+        return (CapabilitySet, (tuple(self._sorted()),))
 
 
 CapabilitySet.EMPTY = CapabilitySet()

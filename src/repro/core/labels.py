@@ -17,11 +17,14 @@ immutability one step further: construction is *hash-consed* (one canonical
 ``Label`` instance per tag-set, see :mod:`repro.core.fastpath`), so the
 common case of ``==`` and ``is_subset_of`` is a pointer comparison, and
 ``union``/``difference`` results are memoized — sound precisely because a
-label can never change after construction.  A :class:`Label` keeps both the
-sorted tuple (ordering, iteration, repr) and a ``frozenset`` built once at
-construction (subset tests without per-call materialization), is hashable,
-and exposes only set-algebraic operations so applications can use labels
-without observing raw tag values (avoiding a covert channel).
+label can never change after construction.  :class:`LabelPair` is
+hash-consed on top of that, so region entries and barriers that build the
+same (secrecy, integrity) pair share one object.  A :class:`Label` keeps
+both the sorted tuple (ordering, iteration, repr) and a ``frozenset``
+built once at construction (subset tests without per-call
+materialization), is hashable, and exposes only set-algebraic operations
+so applications can use labels without observing raw tag values
+(avoiding a covert channel).
 """
 
 from __future__ import annotations
@@ -46,14 +49,22 @@ _UNION_MEMO: dict[tuple, "Label"] = {}
 _DIFF_MEMO: dict[tuple, "Label"] = {}
 _MEMO_BOUND = 1 << 12
 
+#: Hash-cons table for :class:`LabelPair`: (id(secrecy), id(integrity)) ->
+#: canonical pair, under the same bound and flag as ``_INTERN``.
+_PAIR_INTERN: dict[tuple, "LabelPair"] = {}
+
 
 def _clear_label_caches() -> None:
     _INTERN.clear()
     _UNION_MEMO.clear()
     _DIFF_MEMO.clear()
-    # Keep the canonical empty label canonical across flushes.
+    _PAIR_INTERN.clear()
+    # Keep the canonical empty label and pair canonical across flushes.
     if getattr(Label, "EMPTY", None) is not None:
         _INTERN[()] = Label.EMPTY
+    if getattr(LabelPair, "EMPTY", None) is not None:
+        empty = Label.EMPTY
+        _PAIR_INTERN[(id(empty), id(empty))] = LabelPair.EMPTY
 
 
 fastpath.register_cache(_clear_label_caches)
@@ -302,25 +313,45 @@ class LabelPair:
     """A (secrecy, integrity) pair, written ``{S(s), I(i)}`` in the paper.
 
     Every principal and data object carries one of these.  The pair is
-    immutable, like its component labels, and caches its hash at
-    construction — pairs are dictionary keys in the flow-verdict caches, so
-    hashing is on the barrier hot path.
+    immutable, like its component labels, and hash-consed the same way:
+    while ``label_interning`` is on, construction returns the one
+    canonical pair for its two component labels, so the pairs that key
+    the flow-verdict caches and the tier-2 code cache meet as the same
+    object and every dict probe ends at an identity compare.  Value
+    ``__eq__``/``__hash__`` stay as the fallback (interning off, or past
+    the table bound).  The hash and ``is_empty`` are computed once, at
+    construction: pairs key hot dicts, and every ``new`` tests emptiness.
     """
 
-    __slots__ = ("secrecy", "integrity", "_hash")
+    __slots__ = ("secrecy", "integrity", "is_empty", "_hash")
 
     EMPTY: "LabelPair"
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         secrecy: Label = Label.EMPTY,
         integrity: Label = Label.EMPTY,
-    ) -> None:
+    ) -> "LabelPair":
+        # Keyed on component identity: the table holds each canonical
+        # pair, which holds its labels, so a live label's id can only
+        # ever name that label.
+        interning = fastpath.flags.label_interning
+        if interning:
+            key = (id(secrecy), id(integrity))
+            cached = _PAIR_INTERN.get(key)
+            if cached is not None:
+                return cached
         if not isinstance(secrecy, Label) or not isinstance(integrity, Label):
             raise TypeError("LabelPair components must be Labels")
-        object.__setattr__(self, "secrecy", secrecy)
-        object.__setattr__(self, "integrity", integrity)
-        object.__setattr__(self, "_hash", hash((secrecy, integrity)))
+        self = object.__new__(cls)
+        setter = object.__setattr__
+        setter(self, "secrecy", secrecy)
+        setter(self, "integrity", integrity)
+        setter(self, "is_empty", not secrecy._tags and not integrity._tags)
+        setter(self, "_hash", hash((secrecy, integrity)))
+        if interning and len(_PAIR_INTERN) < _INTERN_BOUND:
+            _PAIR_INTERN[key] = self
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LabelPair is immutable")
@@ -335,10 +366,6 @@ class LabelPair:
             return LabelPair(label, self.integrity)
         return LabelPair(self.secrecy, label)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.secrecy.is_empty and self.integrity.is_empty
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -350,9 +377,10 @@ class LabelPair:
         return self._hash
 
     def __reduce__(self):
-        # Same constructor-based protocol as Label: the default slots path
-        # would bypass ``__init__`` and then trip over the immutability
-        # guard in ``__setattr__`` when restoring state.
+        # Same constructor-based protocol as Label, for the same reason:
+        # the default slots protocol calls ``__new__(cls)``, which
+        # interning resolves to the shared ``LabelPair.EMPTY``, and would
+        # then overwrite that object's state.
         return (LabelPair, (self.secrecy, self.integrity))
 
     def __repr__(self) -> str:

@@ -18,6 +18,8 @@ certifier's central soundness claim via the two-run secret-swap oracle:
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import run_verify, swap_check
@@ -124,8 +126,8 @@ def region_program(draw) -> str:
 
 
 PLANTED_LEAK_TEMPLATE = (
-    open("tests/fixtures/planted_leak.ir")
-    .read()
+    Path("tests/fixtures/planted_leak.ir")
+    .read_text()
     .replace("const secret, 7777", f"const secret, {SECRET_PLACEHOLDER}")
 )
 

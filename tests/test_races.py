@@ -1,5 +1,7 @@
 """The lockset + happens-before label-race detector (repro.analysis.races)."""
 
+from pathlib import Path
+
 from repro.analysis import detect_races
 from repro.jit.parser import parse_program
 
@@ -10,12 +12,12 @@ def races_of(source: str):
 
 class TestFixtures:
     def test_label_race_fixture_is_lam007(self):
-        report = races_of(open("tests/fixtures/label_race.ir").read())
+        report = races_of(Path("tests/fixtures/label_race.ir").read_text())
         assert "LAM007" in {d.code for d in report.diagnostics}
         assert report.implicated
 
     def test_region_write_race_fixture_is_lam008(self):
-        report = races_of(open("tests/fixtures/region_write_race.ir").read())
+        report = races_of(Path("tests/fixtures/region_write_race.ir").read_text())
         codes = {d.code for d in report.diagnostics}
         assert "LAM008" in codes
         assert "LAM007" not in codes
@@ -248,7 +250,7 @@ class TestLocksets:
 
 class TestImplicatedMap:
     def test_implicated_carries_human_notes(self):
-        report = races_of(open("tests/fixtures/label_race.ir").read())
+        report = races_of(Path("tests/fixtures/label_race.ir").read_text())
         for method, notes in report.implicated.items():
             assert notes, method
             assert all(isinstance(n, str) for n in notes)

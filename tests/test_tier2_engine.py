@@ -179,11 +179,108 @@ def _reset_id_counters() -> None:
     ObjectHeader._oid_counter = itertools.count(1)
 
 
-def _observe(source, config=JITConfig.STATIC, policy=None, **compile_kw):
+#: ``mid`` is marked certified, so tier 2 compiles one context-free
+#: variant of it; ``main`` calls it outside any region and, through
+#: ``work``, inside a region on an object allocated there.  ``leaf`` is
+#: not certified, so each call from ``mid`` must be dispatched for the
+#: context ``mid`` actually runs in, not the one it was compiled in.
+CERT_CALLER_SRC = """
+class Box { val }
+
+method leaf(o) {
+entry:
+  getfield v, o, val
+  ret v
+}
+
+method mid(o) {
+entry:
+  call v, leaf, o
+  print v
+  ret v
+}
+
+region method work() secrecy(alpha) {
+entry:
+  new c, Box
+  const x, 7
+  putfield c, val, x
+  call v, mid, c
+  ret
+}
+
+method main() {
+entry:
+  new b, Box
+  const x, 5
+  putfield b, val, x
+  const r, 0
+  const j, 0
+  jmp outer
+outer:
+  const lim, 6
+  binop cond, lt, j, lim
+  br cond, obody, inner
+obody:
+  call r, mid, b
+  const one, 1
+  binop j, add, j, one
+  jmp outer
+inner:
+  const k, 0
+  jmp iloop
+iloop:
+  const lim2, 6
+  binop cond2, lt, k, lim2
+  br cond2, ibody, done
+ibody:
+  call _, work
+  const one2, 1
+  binop k, add, k, one2
+  jmp iloop
+done:
+  ret r
+}
+"""
+
+
+def _loop_chain_src(nblocks: int) -> str:
+    """``f(i, acc)`` with exactly ``nblocks`` blocks.  With two or more,
+    blocks ``h0..`` each loop on themselves (every one a loop header;
+    ``h0`` is the entry) and fall through to the next; ``done`` returns.
+    ``main`` calls ``f`` once and prints the result."""
+    if nblocks == 1:
+        body = "entry:\n  binop acc, add, acc, i\n  ret acc\n"
+    else:
+        loops = nblocks - 1
+        body = ""
+        for j in range(loops):
+            nxt = f"h{j + 1}" if j + 1 < loops else "done"
+            body += (
+                f"h{j}:\n"
+                f"  binop acc, add, acc, i\n"
+                f"  const one, 1\n"
+                f"  binop i, add, i, one\n"
+                f"  const lim, {3 * (j + 1)}\n"
+                f"  binop c, lt, i, lim\n"
+                f"  br c, h{j}, {nxt}\n"
+            )
+        body += "done:\n  ret acc\n"
+    return (
+        f"method f(i, acc) {{\n{body}}}\n\n"
+        "method main() {\nentry:\n  const i, 0\n  const acc, 0\n"
+        "  call r, f, i, acc\n  print r\n  ret r\n}\n"
+    )
+
+
+def _observe(source, config=JITConfig.STATIC, policy=None, certified=(),
+             spy=None, **compile_kw):
     """Compile and run on a fresh VM; return every cross-tier observable
-    plus the interpreter (for engine inspection)."""
+    plus the interpreter (for engine inspection).  ``certified`` marks
+    methods certified; ``spy(engine)`` runs before the program does."""
     _reset_id_counters()
     program, _ = Compiler(config, **compile_kw).compile(source)
+    program.certified_methods = frozenset(certified)
     kernel = Kernel(LaminarSecurityModule())
     vm = LaminarVM(kernel)
     if program.tags:
@@ -191,6 +288,8 @@ def _observe(source, config=JITConfig.STATIC, policy=None, **compile_kw):
             CapabilitySet.dual(*program.tags.values())
         )
     interp = Interpreter(program, vm, tier2=policy)
+    if spy is not None:
+        spy(interp._tier2)
     try:
         result = interp.run("main")
         exc = None
@@ -319,6 +418,108 @@ class TestDeoptAndClone:
         touch_keys = {k for (name, k) in hot["program"].tier2_cache
                       if name == "touch"}
         assert len(touch_keys) == 1, touch_keys
+
+
+class TestCompiledCallSites:
+    def test_certified_caller_dispatches_for_its_runtime_context(self):
+        # A certified variant runs in every context, so its call sites
+        # cannot use the key it was compiled under: inside the region,
+        # leaf must run for the region's labels, not outside-region code.
+        kw = dict(config=JITConfig.DYNAMIC, inline=False,
+                  certified=("mid",))
+        cold = _observe(CERT_CALLER_SRC, **kw)
+        hot = _observe(CERT_CALLER_SRC, policy=HOT, **kw)
+        for key in ("result", "exc", "output", "audit", "enforcement"):
+            assert cold[key] == hot[key], f"tier-2 diverged on {key}"
+        assert cold["output"] == (5,) * 6 + (7,) * 6
+        assert cold["stats"].label_checks > 0
+        assert ("mid", ("cert",)) in hot["program"].tier2_cache
+        assert hot["stats"].tier2_entries > 0
+
+    def test_compiled_callers_pass_their_context_to_callees(self):
+        # DUAL_CONTEXT_SRC calls touch from compiled code both inside the
+        # region and outside it: each side reaches its own variant.
+        cold = _observe(DUAL_CONTEXT_SRC, config=JITConfig.DYNAMIC,
+                        inline=False)
+        hot = _observe(DUAL_CONTEXT_SRC, config=JITConfig.DYNAMIC,
+                       inline=False, policy=HOT)
+        _equivalent(cold, hot)
+        engine = hot["interp"]._tier2
+        assert engine.profiles["touch"].invocations == 8 * 20 + 8
+        assert hot["stats"].tier2_entries == engine.entries
+
+    def test_arity_error_is_the_same_on_every_path(self):
+        program, _ = compile_source(LOOP_SRC, JITConfig.STATIC, inline=False)
+        vm = LaminarVM(Kernel(LaminarSecurityModule()))
+        message = "sum expects 1 args, got 0"
+        with pytest.raises(TypeError, match=message):
+            Interpreter(program, vm).run("sum")
+        interp = Interpreter(program, vm, tier2=HOT)
+        with pytest.raises(TypeError, match=message):
+            interp.run("sum")
+        # The dispatch core that compiled call sites use checks it too.
+        engine = interp._tier2
+        with pytest.raises(TypeError, match=message):
+            engine.dispatch(program.method("sum"), [], vm.current_thread,
+                            ("out",))
+        assert "sum" not in engine.profiles
+
+
+class TestBlockDispatch:
+    """The balanced dispatch tree reaches every block index, from the
+    method entry and from OSR at every loop header."""
+
+    @pytest.mark.parametrize("nblocks", [1, 2, 3, 17])
+    def test_entry_path_agrees(self, nblocks):
+        src = _loop_chain_src(nblocks)
+        eager = TierPolicy(invocation_threshold=1, backedge_threshold=10_000)
+        cold = _observe(src, inline=False)
+        hot = _observe(src, policy=eager, inline=False)
+        _equivalent(cold, hot)
+        assert len(hot["program"].method("f").blocks) == nblocks
+        assert ("f", ("out",)) in hot["program"].tier2_cache
+
+    @pytest.mark.parametrize("nblocks", [1, 2, 3, 17])
+    def test_osr_enters_at_every_loop_header(self, nblocks):
+        from repro.jit.tier2 import backedge_targets
+
+        src = _loop_chain_src(nblocks)
+        cold = _observe(src, inline=False)
+        headers = backedge_targets(cold["program"].method("f"))
+        assert len(headers) == nblocks - 1
+        entered: set = set()
+        threshold = 1
+        while entered != headers:
+            assert threshold <= 4 * nblocks, f"never entered {headers - entered}"
+            seen = []
+
+            def spy(engine, seen=seen):
+                enter = engine._enter
+
+                def record(compiled, thread, regs, entry):
+                    seen.append((compiled, entry))
+                    return enter(compiled, thread, regs, entry)
+
+                engine._enter = record
+
+            hot = _observe(src, spy=spy, inline=False, policy=TierPolicy(
+                invocation_threshold=10_000, backedge_threshold=threshold))
+            _equivalent(cold, hot)
+            for compiled, entry in seen:
+                labels = {i: l for l, i in compiled.entry_index.items()}
+                entered.add(labels[entry])
+            threshold += 1
+
+    def test_invalid_entry_index_is_rejected(self):
+        hot = _observe(_loop_chain_src(5), inline=False, policy=TierPolicy(
+            invocation_threshold=1, backedge_threshold=10_000))
+        compiled = hot["program"].tier2_cache[("f", ("out",))]
+        interp = hot["interp"]
+        for bad in (-1, 5, 6):
+            with pytest.raises(AssertionError,
+                               match="unknown tier-2 block index"):
+                compiled.fn(interp.ctx, interp.vm.current_thread,
+                            {"i": 0, "acc": 0}, bad)
 
 
 class TestGuardsAndInvalidation:

@@ -1,5 +1,7 @@
 """The security-type certifier (repro.analysis.typecheck)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -318,7 +320,7 @@ class TestLeaks:
 
 
 class TestRaceIntegration:
-    SRC = open("tests/fixtures/label_race.ir").read()
+    SRC = Path("tests/fixtures/label_race.ir").read_text()
 
     def test_race_implication_blocks_certificates(self):
         program = parse_program(self.SRC)
@@ -335,7 +337,7 @@ class TestRaceIntegration:
 
 
 class TestMachineChecker:
-    SRC = open("examples/labeled_pipeline.ir").read()
+    SRC = Path("examples/labeled_pipeline.ir").read_text()
 
     def test_real_example_certificates_check_out(self):
         program, result = certify(self.SRC)
