@@ -23,17 +23,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import fastpath
 from .labels import Label
 from .tags import Tag
-
-#: ``Cp+`` tag set -> its label (:meth:`CapabilitySet.plus_tags`), filled
-#: only while ``label_interning`` is on and flushed with the label caches,
-#: so a memoized label is always the canonical one.
-_PLUS_MEMO: dict[frozenset, Label] = {}
-_PLUS_MEMO_BOUND = 1 << 12
-
-fastpath.register_cache(_PLUS_MEMO.clear)
 
 
 class CapType(enum.Enum):
@@ -81,7 +72,7 @@ class CapabilitySet:
     objects in ``Capability.sort_key`` order.
     """
 
-    __slots__ = ("_plus", "_minus", "_hash")
+    __slots__ = ("_plus", "_minus", "_hash", "_plus_label")
 
     EMPTY: "CapabilitySet"
 
@@ -97,6 +88,7 @@ class CapabilitySet:
         self._plus = frozenset(plus)
         self._minus = frozenset(minus)
         self._hash = hash((self._plus, self._minus))
+        self._plus_label = None
 
     @classmethod
     def _from_sets(cls, plus: frozenset, minus: frozenset) -> "CapabilitySet":
@@ -105,6 +97,7 @@ class CapabilitySet:
         self._plus = plus
         self._minus = minus
         self._hash = hash((plus, minus))
+        self._plus_label = None
         return self
 
     # -- factories --------------------------------------------------------
@@ -142,21 +135,11 @@ class CapabilitySet:
 
     def plus_tags(self) -> Label:
         """``Cp+`` as a label: the set of tags this principal may add.
-
-        Memoized per tag set (sets are immutable), flushed with the label
-        caches so the result stays the canonical label.
-        """
-        plus = self._plus
-        memoize = fastpath.flags.label_interning
-        if memoize:
-            cached = _PLUS_MEMO.get(plus)
-            if cached is not None:
-                return cached
-        label = Label._from_normalized(tuple(sorted(plus)))
-        if memoize:
-            if len(_PLUS_MEMO) >= _PLUS_MEMO_BOUND:
-                _PLUS_MEMO.clear()
-            _PLUS_MEMO[plus] = label
+        Built once per set, on first use (the set is immutable)."""
+        label = self._plus_label
+        if label is None:
+            label = Label._from_normalized(tuple(sorted(self._plus)))
+            self._plus_label = label
         return label
 
     def minus_tags(self) -> Label:

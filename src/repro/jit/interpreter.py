@@ -314,12 +314,6 @@ def build_handler_table(method: Method, program: Program) -> dict[str, list]:
     return table
 
 
-def arity_error(method: Method, args: list[Any]) -> TypeError:
-    return TypeError(
-        f"{method.name} expects {len(method.params)} args, got {len(args)}"
-    )
-
-
 class Interpreter:
     """Executes one program on one VM."""
 
@@ -391,10 +385,12 @@ class Interpreter:
     # -- calls -------------------------------------------------------------------
 
     def _call(self, method: Method, args: list[Any]) -> Any:
+        if len(args) != len(method.params):
+            raise TypeError(
+                f"{method.name} expects {len(method.params)} args, got {len(args)}"
+            )
         if self._tier2 is not None:
             return self._tier2.call(method, args)
-        if len(args) != len(method.params):
-            raise arity_error(method, args)
         return self._call_cold(method, args)
 
     def _call_cold(self, method: Method, args: list[Any]) -> Any:

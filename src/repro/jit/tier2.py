@@ -9,7 +9,7 @@ engine over the mini-JIT IR:
 Tier 0/1 (:mod:`repro.jit.interpreter`)
     The switch loop and the per-method handler tables.  With a
     :class:`Tier2Engine` attached they also *profile*: method invocations
-    are counted at :meth:`Tier2Engine.dispatch`, back-edges at the jump
+    are counted at :meth:`Tier2Engine.call`, back-edges at the jump
     points of both dispatch loops.
 
 Tier 2 (this module)
@@ -17,33 +17,27 @@ Tier 2 (this module)
     once, cached on the :class:`~repro.jit.ir.Program`) with registers as
     Python locals, block dispatch as a ``while`` loop over a balanced
     comparison tree on the block index (ceil(log2 n) compares per jump),
-    call sites that enter the engine's dispatch core directly with the
-    caller's context key, and — the Laminar-specific part — the *static*
-    barrier variant for the label shape observed at compile time baked
-    straight into the code: in-region barriers call the verdict-cached
-    flow check against a baked-in :class:`~repro.core.labels.LabelPair`
-    constant, out-region barriers inline the labeled-space membership
-    test, and ``DYNAMIC`` flavors specialize to the guarded context while
-    still counting their dispatch (so
-    :class:`~repro.runtime.barriers.BarrierStats` stay byte-identical
-    across tiers).  Superinstruction fusion optionally collapses the hot
-    pairs ``getfield``+``binop``, ``binop``+``cjump`` and
-    ``aload``+``astore`` into single statements.
+    and — the Laminar-specific part — the *static* barrier variant for
+    the label shape observed at compile time baked straight into the
+    code: in-region barriers call the verdict-cached flow check against a
+    baked-in :class:`~repro.core.labels.LabelPair` constant, out-region
+    barriers inline the labeled-space membership test, and ``DYNAMIC``
+    flavors specialize to the guarded context while still counting their
+    dispatch (so :class:`~repro.runtime.barriers.BarrierStats` stay
+    byte-identical across tiers).  Superinstruction fusion optionally
+    collapses the hot pairs ``getfield``+``binop``, ``binop``+``cjump``
+    and ``aload``+``astore`` into single statements.
 
 Guards and deoptimization
     Compiled code is only entered through the code cache, and the cache
     key *is* the guard: ``("out",)``, ``("in", labels)``, or ``("region",
     labels)`` — looked up against the calling thread's actual region
-    context at every call (and at OSR points).  A compiled caller already
-    knows that context, since it runs only under its own key, so its call
-    sites pass it instead of re-deriving it; certified ``("cert",)``
-    variants run in every context and derive it from the thread at each
-    call.  A miss when a different variant exists is a *deopt*: the call
-    runs in the interpreter (never raising
-    :class:`~repro.jit.interpreter.StaleCompilationError` — that failure
-    mode belongs to the static prototype, not the tiered engine), and
-    after :attr:`TierPolicy.deopt_recompile_threshold` such misses the
-    engine materializes the opposite-context variant via
+    context at every call (and at OSR points).  A miss when a different
+    variant exists is a *deopt*: the call runs in the interpreter (never
+    raising :class:`~repro.jit.interpreter.StaleCompilationError` — that
+    failure mode belongs to the static prototype, not the tiered engine),
+    and after :attr:`TierPolicy.deopt_recompile_threshold` such misses
+    the engine materializes the opposite-context variant via
     :func:`repro.jit.cloning.clone_variant` — the paper's "a production
     implementation would use cloning" — and compiles it for the new
     shape.  Region-method bodies are compiled per observed in-region
@@ -69,7 +63,7 @@ from typing import Any, Callable, Optional
 from ..core import LabelPair, RegionViolation, fastpath
 from ..runtime.barriers import cached_check_flow
 from .cloning import clone_variant
-from .interpreter import _BINOPS, IRArray, IRObject, Interpreter, arity_error
+from .interpreter import _BINOPS, IRArray, IRObject, Interpreter
 from .ir import BarrierFlavor, Method, Opcode, Program, RegionSpec
 
 __all__ = [
@@ -94,16 +88,6 @@ _OUT_KEY = ("out",)
 #: build already deleted its barriers — so one guard-free variant serves
 #: all label shapes and contexts, and entry-guard deopts cannot happen.
 _CERT_KEY = ("cert",)
-
-
-def context_key(thread) -> tuple:
-    """The context key of a non-region, uncertified method called by
-    ``thread`` right now: ``("in", labels)`` inside a region, else
-    ``("out",)``."""
-    if thread.in_region:
-        return ("in", thread.labels)
-    return _OUT_KEY
-
 
 # -- code epoch ---------------------------------------------------------------
 
@@ -312,10 +296,6 @@ class _Codegen:
     (a STATIC_OUT barrier in in-region code still runs the out-variant,
     exactly as the interpreter executes it), while DYNAMIC flavors
     specialize to the context but keep counting their dispatch.
-    ``call_key`` is the context key the variant's call sites hand their
-    callees, or ``None`` when the variant runs in any context and its
-    call sites must derive the key from the thread (see
-    :meth:`Tier2Engine.dispatch`).
     """
 
     def __init__(
@@ -326,7 +306,6 @@ class _Codegen:
         thread_labels: LabelPair,
         fusion: bool,
         region_body: bool,
-        call_key: Optional[tuple],
     ) -> None:
         self.method = method
         self.program = program
@@ -342,7 +321,6 @@ class _Codegen:
             "_IRObject": IRObject,
             "_IRArray": IRArray,
         }
-        self.call_key = call_key
         self.prologue: set[str] = set()
         self.lines: list[str] = []
         self.pending = 0
@@ -548,17 +526,10 @@ class _Codegen:
             self.flush(1)
             self.emit(f"{R(ops[0])} = len({R(ops[1])}.items)")
         elif op is Opcode.CALL:
-            # Straight into the engine's dispatch core with this variant's
-            # context key: no re-derivation through the thread, except in
-            # context-free (certified) variants.
             self.flush(1)
-            self.prologue.update(("_dispatch", "_method"))
+            self.prologue.update(("_call", "_method"))
             args = ", ".join(R(a) for a in ops[2:])
-            if self.call_key is not None:
-                key = self.bind("_CK", self.call_key)
-            else:
-                key = self.bind("_ctxkey", context_key) + "(_thread)"
-            call = f"_dispatch(_method({ops[1]!r}), [{args}], _thread, {key})"
+            call = f"_call(_method({ops[1]!r}), [{args}])"
             if ops[0] is not None:
                 self.emit(f"{R(ops[0])} = {call}")
             else:
@@ -684,7 +655,7 @@ class _Codegen:
             "_statics": "ctx.statics",
             "_out": "ctx.output",
             "_labeled": "ctx.labeled",
-            "_dispatch": "ctx.interp._tier2.dispatch",
+            "_call": "ctx.interp._call",
             "_method": "ctx.program.method",
             "_slabels": "ctx.interp.static_labels",
         }
@@ -749,12 +720,10 @@ def compile_method(
     fusion: bool,
     region_body: bool,
     variant_name: str,
-    call_key: Optional[tuple],
 ) -> CompiledMethod:
     """Translate ``method`` to a compiled context variant (see module doc)."""
     gen = _Codegen(
-        method, program, in_region, thread_labels, fusion, region_body,
-        call_key,
+        method, program, in_region, thread_labels, fusion, region_body
     )
     source, glob = gen.generate()
     fn = bake_closure(source, glob, "_t2", f"<tier2:{variant_name}>")
@@ -811,38 +780,24 @@ class Tier2Engine:
     # -- profiling + dispatch ---------------------------------------------
 
     def call(self, method: Method, args: list) -> Any:
-        """A call from the interpreter: derive the context from the
-        current thread, then dispatch."""
-        thread = self.interp.vm.current_thread
-        return self.dispatch(method, args, thread, context_key(thread))
-
-    def dispatch(self, method: Method, args: list, thread, key: tuple) -> Any:
-        """The one dispatch core, for interpreter and compiled call sites.
-
-        ``key`` is the caller's context key.  A compiled caller passes the
-        key it was compiled for: a variant runs only under its own key
-        (the entry guard), and no IR instruction changes thread labels
-        inside a body.  Certified callers run in every context, so their
-        call sites derive the key from the thread instead.  Region callees
-        derive their own key after entering the region, and certified
-        callees always use the universal key.
-        """
-        if len(args) != len(method.params):
-            raise arity_error(method, args)
-        name = method.name
-        profile = self.profiles.get(name)
+        profile = self.profiles.get(method.name)
         if profile is None:
-            profile = self.profiles[name] = MethodProfile()
+            profile = self.profiles[method.name] = MethodProfile()
         profile.invocations += 1
         if method.is_region:
             return self._call_region(method, args, profile)
-        if name in self.program.certified_methods:
-            key = _CERT_KEY
-        compiled = self.cache.get((name, key))
+        thread = self.interp.vm.current_thread
+        if method.name in self.program.certified_methods:
+            key: tuple = _CERT_KEY
+        elif thread.in_region:
+            key = ("in", thread.labels)
+        else:
+            key = _OUT_KEY
+        compiled = self.cache.get((method.name, key))
         if compiled is None:
             compiled = self._maybe_compile(method, key, profile)
-            if compiled is None:
-                return self.interp._call_cold(method, args)
+        if compiled is None:
+            return self.interp._call_cold(method, args)
         return self._enter(
             compiled, thread, dict(zip(method.params, args)),
             compiled.entry_index[method.entry],
@@ -927,25 +882,20 @@ class Tier2Engine:
         if kind == "cert":
             # Certified method: barriers are already gone, so the code is
             # context-independent — one universal variant, no label-shape
-            # specialization and no entry guard to deopt on.  Its call
-            # sites derive their callees' context at run time.
+            # specialization and no entry guard to deopt on.
             src_method, in_region, labels = (
                 method, method.is_region, LabelPair.EMPTY
             )
-            call_key = None
         elif kind == "in":
             # The per-context clone of Section 5.1: materialized through
             # the cloning pass's machinery, compiled for the in-region
             # label shape that kept deopting.
             src_method = clone_variant(method, True)
             in_region, labels = True, key[1]
-            call_key = key
         elif kind == "region":
             src_method, in_region, labels = method, True, key[1]
-            call_key = ("in", labels)
         else:
             src_method, in_region, labels = method, False, LabelPair.EMPTY
-            call_key = _OUT_KEY
         try:
             compiled = compile_method(
                 src_method, self.program,
@@ -954,7 +904,6 @@ class Tier2Engine:
                 fusion=self.policy.fusion,
                 region_body=method.is_region,
                 variant_name=src_method.name,
-                call_key=call_key,
             )
         except Exception:
             # Codegen must never take execution down: mark and interpret.
@@ -1004,8 +953,10 @@ class Tier2Engine:
                 key: tuple = _CERT_KEY
             elif method.is_region:
                 key = ("region", thread.labels)
+            elif thread.in_region:
+                key = ("in", thread.labels)
             else:
-                key = context_key(thread)
+                key = _OUT_KEY
             compiled = self.cache.get((method.name, key))
             if compiled is None:
                 existing = self._variants.get(method.name)

@@ -175,6 +175,19 @@ class TestCapabilitySetModel:
             assert (Capability(tag, kind) in caps) == _has(model, tag, kind)
         assert "not a capability" not in caps
 
+    @given(models, st.booleans())
+    def test_plus_tags_outlive_a_cache_flush(self, model, interning):
+        # plus_tags() is kept on the set, so it may outlive the intern
+        # table that made it canonical; it must still equal Cp+ by value.
+        with fastpath.configured(label_interning=interning):
+            caps = _build(model)
+            caps.plus_tags()
+            fastpath.clear_caches()
+            expected = Label(t for t, k in model if k is CapType.PLUS)
+            assert caps.plus_tags() == expected
+            assert hash(caps.plus_tags()) == hash(expected)
+            assert expected.is_subset_of(caps.plus_tags())
+
     @given(models, models)
     def test_relations(self, a, b):
         x, y = _build(a), _build(b)
