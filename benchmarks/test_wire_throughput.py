@@ -1,22 +1,23 @@
-"""Wire throughput: the lamwire binary data plane vs pickle framing.
+"""Wire throughput: the lamwire binary data plane against a pickle yardstick.
 
-The cluster data plane (:mod:`repro.osim.lamwire`) replaces pickle
-frames with a schema'd binary codec: struct-packed headers, varint
-fields, per-connection value/batch dictionaries, an epoch-guarded label
-dictionary, and scatter-gather segment lists for large payloads.  This
-benchmark measures the data-plane claims:
+The cluster data plane (:mod:`repro.osim.lamwire`) is a schema'd binary
+codec: struct-packed headers, varint fields, per-connection value/batch
+dictionaries, an epoch-guarded label dictionary, and scatter-gather
+segment lists for large payloads.  This benchmark measures the
+data-plane claims:
 
 * **codec throughput** — encode+decode of a realistic DIFC request mix
   (fd batches, read-heavy batches, labeled socket batches) and its
-  response stream, binary vs pickle, *interleaved rep by rep* on the
-  same waves so the ratio is same-machine and same-moment.  The
-  acceptance floors: combined encode+decode at least 2x pickle, at
-  least 3x fewer bytes per request at steady state (dictionaries warm).
+  response stream, against ``pickle.dumps``/``pickle.loads`` of the same
+  waves framed the same way, *interleaved rep by rep* so the ratio is
+  same-machine and same-moment.  Pickle is the reference for the ratio,
+  not a wire.  The acceptance floors: combined encode+decode at least 2x
+  pickle, at least 3x fewer bytes per request at steady state
+  (dictionaries warm).
 * **parity** — the merged cluster audit and traffic records are
-  byte-identical to the single-kernel replay on BOTH wires at 1, 4,
-  and 8 workers, and identical across wires: the codec may change
-  bytes, never observables (denied ≡ empty included — the workload
-  carries real denials).
+  byte-identical to the single-kernel replay at 1, 4, and 8 workers:
+  the codec may change bytes, never observables (denied ≡ empty
+  included — the workload carries real denials).
 * **label dictionary** — repeated label pairs cost a 3-byte reference
   after the first send; a tag-allocator epoch bump forces definitions
   to be re-sent (the staleness guard) and decode still agrees.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 from pathlib import Path
 
@@ -44,15 +46,16 @@ from repro.core import CapabilitySet, Label, LabelPair
 from repro.core import fastpath
 from repro.core.tags import Tag, TagAllocator
 from repro.osim import (
+    BinaryWireCodec,
     Cluster,
     Cqe,
     ShardSpec,
     Sqe,
     boot_shard,
-    make_wire,
     render_audit,
 )
 from repro.osim.cluster import ClusterRequest
+from repro.osim.lamwire import HEADER
 from repro.osim.rpc import CapSync, ShardRequest, ShardResponse
 
 from conftest import publish
@@ -71,7 +74,25 @@ OPS_PER_REQUEST = 8
 PARITY_REQUESTS = 24 if SMOKE else 96
 PARITY_SHARDS = 2 if SMOKE else 8
 WORKER_SWEEP = (1, 2) if SMOKE else (1, 4, 8)
-WIRES = ("binary", "pickle")
+#: The codec arm and its pickle yardstick, timed alternately.
+ARMS = ("binary", "pickle")
+
+
+class PickleReference:
+    """``pickle.dumps``/``pickle.loads`` behind the codec's interface,
+    framed with the same length header: what the codec's speed and size
+    are measured against."""
+
+    def encode(self, message: object) -> bytes:
+        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        return HEADER.pack(len(payload)) + payload
+
+    def decode(self, frame: bytes) -> tuple[object, bytes]:
+        return pickle.loads(frame[HEADER.size :]), b""
+
+
+def _make_arm(arm: str):
+    return BinaryWireCodec() if arm == "binary" else PickleReference()
 
 
 # ------------------------------------------------------------ codec workload
@@ -160,14 +181,14 @@ def _response_waves() -> list[list]:
 
 def _codec_bench(req_waves: list, resp_waves: list) -> dict:
     """Interleaved best-of-N: each rep times every arm back to back on
-    the same waves, so the binary/pickle ratio never compares numbers
+    the same waves, so the codec/pickle ratio never compares numbers
     from different machine moments.  A warm pass first — steady-state
     bytes are the claim (dictionaries populated), and the lazy message
     registry must not be timed."""
     nreq = sum(len(w) for w in req_waves)
     arms = {}
-    for wire in WIRES:
-        enc, dec = make_wire(wire), make_wire(wire)
+    for wire in ARMS:
+        enc, dec = _make_arm(wire), _make_arm(wire)
         req_bytes = resp_bytes = 0
         for waves in (req_waves, resp_waves):
             for wave in waves:
@@ -194,7 +215,7 @@ def _codec_bench(req_waves: list, resp_waves: list) -> dict:
                       "resp_encode_ns", "resp_decode_ns")},
         }
     for _ in range(CODEC_REPS):
-        for wire in WIRES:
+        for wire in ARMS:
             arm = arms[wire]
             enc, dec, best = arm["enc"], arm["dec"], arm["best"]
             for label_enc, label_dec, waves in (
@@ -212,7 +233,7 @@ def _codec_bench(req_waves: list, resp_waves: list) -> dict:
                 best[label_enc] = min(best[label_enc], (t1 - t0) / nreq)
                 best[label_dec] = min(best[label_dec], (t2 - t1) / nreq)
     out = {}
-    for wire in WIRES:
+    for wire in ARMS:
         arm = arms[wire]
         out[wire] = {
             **{k: round(v, 1) for k, v in arm["best"].items()},
@@ -247,14 +268,13 @@ def _parity_trace(world: UserWorld) -> list[ClusterRequest]:
     return trace
 
 
-def _parity_run(world, trace, triples, wire: str, workers: int) -> dict:
+def _parity_run(world, trace, triples, workers: int) -> dict:
     cluster = Cluster(
         world,
         shards=PARITY_SHARDS,
         executor="same-process" if SMOKE else "multiprocess",
         workers=workers,
         defer_work=False,
-        wire=wire,
         seed=7,
     )
     acks = cluster.sync_caps(triples)
@@ -299,7 +319,7 @@ def results():
         2,
     )
 
-    # -- parity sweep: both wires x worker counts ------------------------
+    # -- parity sweep: worker counts -------------------------------------
     world = UserWorld(gateways=8, keys=16)
     trace = _parity_trace(world)
     taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
@@ -313,23 +333,15 @@ def results():
     reference = single.kernel.net.transmitted
 
     parity: dict = {}
-    merged_by_wire: dict = {}
     for workers in WORKER_SWEEP:
-        row: dict = {}
-        for wire in WIRES:
-            run = _parity_run(world, trace, triples, wire, workers)
-            row[wire] = {
+        run = _parity_run(world, trace, triples, workers)
+        parity[f"workers_{workers}"] = {
+            "binary": {
                 "audit_parity": run["audit"] == single_audit,
                 "traffic_parity": list(run["traffic"]) == list(reference)
                 and run["traffic"].total_messages == reference.total_messages,
             }
-            merged_by_wire[wire] = run
-        parity[f"workers_{workers}"] = row
-    parity["cross_wire_identical"] = (
-        merged_by_wire["binary"]["audit"] == merged_by_wire["pickle"]["audit"]
-        and list(merged_by_wire["binary"]["traffic"])
-        == list(merged_by_wire["pickle"]["traffic"])
-    )
+        }
     parity["audit_entries"] = len(single_audit)
     parity["denials"] = sum("denial" in line for line in single_audit)
     out["parity"] = parity
@@ -343,7 +355,7 @@ def results():
     allocator = TagAllocator(first=1000)
     zones = [allocator.alloc(f"wz{i}") for i in range(4)]
     pairs = [LabelPair(Label.of(t)) for t in zones]
-    enc, dec = make_wire("binary"), make_wire("binary")
+    enc, dec = BinaryWireCodec(), BinaryWireCodec()
     enc.bind_allocator(allocator)
     waves = [tuple(Sqe("socket", p, salt) for p in pairs) for salt in range(3)]
     counters = fastpath.counters
@@ -368,13 +380,13 @@ def results():
     # -- adaptive coalescing ----------------------------------------------
     co_world = UserWorld(gateways=8, keys=16)
     co_trace = build_trace(co_world, PARITY_REQUESTS, users=2_000, seed=11)
-    flat = Cluster(co_world, shards=2, wire="binary")
+    flat = Cluster(co_world, shards=2)
     flat.run_trace(co_trace)
     flat_audit = flat.merged_audit()
     # Scope the per-connection wire stats to the coalesced run alone
     # (the micro-bench arms above share the process-global counters).
     counters.reset()
-    coalesced = Cluster(co_world, shards=2, wire="binary")
+    coalesced = Cluster(co_world, shards=2)
     plan = coalesced_plan(co_trace, rate=200_000.0, seed=11)
     coalesced.run_trace(co_trace, **plan)
     stats = coalesced.wire_stats()
@@ -413,14 +425,12 @@ class TestWireBench:
         # committed ratio.  A run under this floor is broken, not noisy.
         assert results["speedup_encode_decode"] >= 1.6
 
-    def test_parity_all_wires_all_worker_counts(self, results):
+    def test_parity_all_worker_counts(self, results):
         parity = results["parity"]
         for workers in WORKER_SWEEP:
-            for wire in WIRES:
-                row = parity[f"workers_{workers}"][wire]
-                assert row["audit_parity"] is True, (workers, wire)
-                assert row["traffic_parity"] is True, (workers, wire)
-        assert parity["cross_wire_identical"] is True
+            row = parity[f"workers_{workers}"]["binary"]
+            assert row["audit_parity"] is True, workers
+            assert row["traffic_parity"] is True, workers
         # The parity workload was adversarial, not vacuous.
         assert parity["denials"] > 0
 
@@ -457,7 +467,7 @@ class TestWireBench:
             f"{'wire':>8} {'req enc':>9} {'req dec':>9} {'resp enc':>9} "
             f"{'resp dec':>9} {'B/req':>8} {'B/resp':>8}",
         ]
-        for wire in WIRES:
+        for wire in ARMS:
             row = codec[wire]
             lines.append(
                 f"{wire:>8} {row['req_encode_ns']:>7.0f}ns "
@@ -482,14 +492,13 @@ class TestWireBench:
             "parity: "
             + "  ".join(
                 f"w{w}:"
-                + "/".join(
+                + (
                     "ok"
-                    if results["parity"][f"workers_{w}"][wire]["audit_parity"]
-                    and results["parity"][f"workers_{w}"][wire][
+                    if results["parity"][f"workers_{w}"]["binary"]["audit_parity"]
+                    and results["parity"][f"workers_{w}"]["binary"][
                         "traffic_parity"
                     ]
                     else "FAIL"
-                    for wire in WIRES
                 )
                 for w in WORKER_SWEEP
             ),

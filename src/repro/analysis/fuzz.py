@@ -52,7 +52,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..core import Capability, CapType, Label, LabelPair, LabelType, fastpath
-from ..core.audit import AuditEntry, AuditKind
 from ..core.errors import IFCViolation
 from ..osim import Kernel
 from ..osim.faults import FaultPlan, KernelCrash
@@ -60,6 +59,7 @@ from ..osim.kernel import Sqe
 from ..osim.persistence import grant_persistent, login
 from ..osim.psched import GroupHandle, run_group
 from ..osim.recovery import check_recovery_invariants
+from ..osim.rpc import merge_audit
 from ..osim.sched import read_blocking, submit, syscall, yield_
 from ..osim.task import SyscallError, _ERRNO_NAMES
 from .secretswap import MODES, _reset_id_counters, collect_observables
@@ -763,23 +763,16 @@ def _merge_results(results) -> dict:
     order (the psched discipline: audit re-stamped 1..n, traffic in
     stamp order), plus the fuzz extensions: op logs, per-group public
     subtrees, scheduler traces, and coarse timing buckets."""
-    audit_items: list = []
     traffic: list = []
     denials: Counter = Counter()
     hooks: Counter = Counter()
     for r in results:
-        audit_items.extend(r.audit)
         traffic.extend(r.traffic)
         denials.update(dict(r.denials))
         hooks.update(dict(r.hooks))
     traffic.sort(key=lambda item: item[0][0])
     return {
-        "audit": tuple(
-            str(AuditEntry(seq, AuditKind(kind), subsystem, principal, detail))
-            for seq, (kind, subsystem, principal, detail) in enumerate(
-                audit_items, 1
-            )
-        ),
+        "audit": tuple(merge_audit(r.audit for r in results)),
         "traffic": tuple(payload for _, payload in traffic),
         "denials": tuple(sorted(denials.items())),
         "hooks": tuple(sorted(hooks.items())),

@@ -11,12 +11,13 @@ and persistent per-user capabilities with login (:mod:`.persistence`).
 The throughput layer lives in :mod:`.sched` (cooperative scheduler with
 label-oblivious blocking I/O), :meth:`.kernel.Kernel.sys_submit`
 (io_uring-style batched submission), :mod:`.psched` (parallel scheduler
-backend partitioning task groups across a fork worker pool), and
+backend partitioning task groups across the worker pool), and
 :mod:`.hookchain` (tier-2 compilation of hot LSM hook chains).  Scale-out
 lives in :mod:`.cluster` (sharded multi-kernel deployments behind a
-label-aware router), :mod:`.rpc` (the inter-shard message surface), and
-:mod:`.lamwire` (the zero-copy binary data plane: schema'd codec,
-per-connection label dictionaries, adaptive coalescing).
+label-aware router), :mod:`.pool` (the one worker pool both run on),
+:mod:`.rpc` (the inter-shard message surface, delta capture and merge),
+and :mod:`.lamwire` (the zero-copy binary data plane: closed-schema
+codec, per-connection label dictionaries, adaptive coalescing).
 """
 
 from .cluster import (
@@ -50,9 +51,7 @@ from .kernel import Cqe, Kernel, Mapping, Sqe, TCB_TAG
 from .lamwire import (
     AdaptiveCoalescer,
     BinaryWireCodec,
-    PickleWire,
-    WIRE_MODES,
-    make_wire,
+    WireError,
     request_size_hint,
 )
 from .recovery import (
@@ -85,7 +84,6 @@ from .psched import (
     GroupHandle,
     GroupResult,
     ParallelScheduler,
-    PschedWorkerReport,
     replay_cooperative,
     run_group,
 )
@@ -98,6 +96,7 @@ from .persistence import (
     revoke_by_relabel,
     store_user_capabilities,
 )
+from .pool import Pool, seed_worker_rng, worker_seed
 from .rpc import (
     CapSync,
     ShardRequest,
@@ -105,10 +104,6 @@ from .rpc import (
     ShardServer,
     TagSync,
     WorkerReport,
-    decode_frame,
-    encode_frame,
-    seed_worker_rng,
-    worker_seed,
 )
 from .sockets import DEFAULT_TRAFFIC_LOG_CAP, Network, Socket, TrafficLog
 from .task import (
@@ -176,9 +171,8 @@ __all__ = [
     "NullSecurityModule",
     "OpenMode",
     "ParallelScheduler",
-    "PickleWire",
     "Pipe",
-    "PschedWorkerReport",
+    "Pool",
     "RecoveryInvariantError",
     "RecoveryReport",
     "RoutingError",
@@ -198,17 +192,15 @@ __all__ = [
     "TagSync",
     "Task",
     "TrafficLog",
-    "WIRE_MODES",
+    "WireError",
     "WorkerReport",
     "XATTR_INTEGRITY",
     "XATTR_SECRECY",
     "boot_shard",
     "check_recovery_invariants",
     "decode_capabilities",
-    "decode_frame",
     "decode_label",
     "encode_capabilities",
-    "encode_frame",
     "encode_label",
     "fork",
     "freeze",
@@ -216,7 +208,6 @@ __all__ = [
     "load_user_capabilities",
     "login",
     "make_specs",
-    "make_wire",
     "read_blocking",
     "recover",
     "recv_blocking",

@@ -1,4 +1,4 @@
-"""Sharded multi-kernel cluster: executors, label-aware routing, merging.
+"""Sharded multi-kernel cluster: label-aware routing, replication, merging.
 
 One simulated :class:`~repro.osim.kernel.Kernel` is one machine.  This
 module scales the reproduction out the way the paper's data-lineage
@@ -17,15 +17,13 @@ image with its own LSM, filesystem, and audit log, fronted by a
   a denied request takes exactly the route and produces exactly the
   (empty) observable a successful one would: denied ≡ empty holds at the
   router, not just inside each kernel.
-* Two executors run the shards: :class:`SameProcessExecutor` (every
-  shard in this process, deterministic, for tests) and
-  :class:`MultiprocessExecutor` (each worker process hosts one or more
-  shards and sleeps off their simulated work, so service time overlaps
-  the way it would across machines).  Both move every message through
-  a wire codec — the binary lamwire data plane by default, legacy
-  pickle as the differential-testing fallback (``wire="pickle"``) — so
-  label encoding and the per-connection dictionaries are exercised
-  either way.
+* The shards run on the worker pool (:mod:`repro.osim.pool`): the
+  ``"same-process"`` executor hosts every shard in this process
+  (deterministic, for tests), ``"multiprocess"`` forks workers that each
+  host one or more shards and sleep off their simulated work, so service
+  time overlaps the way it would across machines.  Either way every
+  wave and reply crosses the binary lamwire codec, so label encoding and
+  the per-connection dictionaries are exercised.
 * The shared namespaces replicate by epoch-stamped frames —
   :meth:`Cluster.sync_tags` (interned-tag namespace) and
   :meth:`Cluster.sync_caps` (capability stores) — and every applied
@@ -51,29 +49,24 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from types import SimpleNamespace
+from typing import Optional, Sequence
 
 from ..core import LabelPair
 from ..core import fastpath
-from ..core.audit import AuditEntry, AuditKind
 from .kernel import Kernel
 from .lsm import LaminarSecurityModule
-from .lamwire import AdaptiveCoalescer, make_wire, request_size_hint
+from .lamwire import AdaptiveCoalescer, request_size_hint
+from .pool import Pool
 from .rpc import (
     CapSync,
     ShardRequest,
     ShardServer,
-    Shutdown,
     TagSync,
     WorkerReport,
-    seed_worker_rng,
-    worker_seed,
-    worker_serve,
+    merge_audit,
 )
 from .sockets import TrafficLog
-
-if TYPE_CHECKING:
-    from .task import Task
 
 #: Trust tiers and the most secrecy tags each may be asked to hold.
 #: ``None`` means unbounded (an edge shard is trusted with any user's raw
@@ -222,215 +215,12 @@ def render_audit(entries) -> list[str]:
     return [str(entry) for entry in entries]
 
 
-# --------------------------------------------------------------- executors
-
-
-class SameProcessExecutor:
-    """Every shard lives in the calling process.  Deterministic (no real
-    concurrency), but every wave still round-trips through the wire codec
-    so serialization — the label dictionary and batch dictionaries on the
-    binary wire, re-interning on pickle — is exercised.
-
-    One codec instance plays both endpoints: every encode is immediately
-    decoded from the same in-order stream, so the encoder dictionary and
-    the decoder dictionary stay in lockstep exactly as a connected pair
-    would."""
-
-    def __init__(
-        self,
-        servers: dict[int, ShardServer],
-        seed: int = 0,
-        wire: str = "binary",
-    ) -> None:
-        self.servers = servers
-        self.codec = make_wire(wire)
-        for server in servers.values():
-            self.codec.bind_allocator(server.kernel.tags)
-        # Derive (but do not install) worker 0's seed: this process is the
-        # caller's, and its RNG state is the caller's business; reseeding
-        # matters only in forked workers, which inherit parent state.
-        self.seed = worker_seed(seed, 0)
-
-    def submit_wave(self, wave: list) -> list:
-        codec = self.codec
-        decoded, _ = codec.decode(codec.encode(list(wave)))
-        replies = [self.servers[shard_id].handle(msg) for shard_id, msg in decoded]
-        return codec.decode(codec.encode(replies))[0]
-
-    def bump_label_epoch(self) -> None:
-        self.codec.bump_label_epoch()
-
-    def wire_stats(self) -> dict:
-        stats = self.codec.stats()
-        stats["connections"] = 1
-        return stats
-
-    def shutdown(self) -> list[WorkerReport]:
-        return [
-            WorkerReport(
-                worker_id=0,
-                fastpath_counters=fastpath.counters.snapshot(),
-                shards=tuple(
-                    self.servers[sid].report() for sid in sorted(self.servers)
-                ),
-                seed=self.seed,
-            )
-        ]
-
-
-def _cluster_worker_main(
-    conn, worker_id, specs, world, defer_work, work_ns, mediation, seed=0,
-    wire: str = "binary",
-) -> None:
-    """Entry point of a forked cluster worker: reseed this process's RNG
-    under the deterministic per-worker rule (fork inherits the parent's
-    RNG state, so unseeded workers would all share one stream whose
-    consumption depended on pre-fork parent activity), boot this worker's
-    shards, signal readiness (so the driver never times boot as
-    service), serve."""
-    wseed = seed_worker_rng(seed, worker_id)
-    servers = {
-        spec.shard_id: boot_shard(
-            world,
-            spec,
-            defer_work=defer_work,
-            work_ns=work_ns,
-            mediation=mediation,
-        )
-        for spec in specs
-    }
-    codec = make_wire(wire)
-    # The fork inherited the parent's process-global fastpath counter
-    # state, and boot just added the world build on top; zero it so the
-    # shutdown report covers only this worker's served requests (reports
-    # sum cleanly across the pool — same rule as the psched workers).
-    fastpath.counters.reset()
-    conn.send_bytes(codec.encode(("ready", sorted(servers))))
-    worker_serve(conn, worker_id, servers, seed=wseed, codec=codec)
-
-
-class MultiprocessExecutor:
-    """Each worker process hosts one or more shards (round-robin when
-    ``workers`` < shards) and serves waves over a pipe.
-
-    A wave is split into per-worker sub-waves, all sent before any reply
-    is awaited — every worker is busy at once, which is where the
-    near-linear scaling comes from: in ``defer_work`` mode each worker
-    *sleeps off* its shards' simulated work, and sleeps overlap across
-    processes regardless of host core count, exactly as service time
-    overlaps across real machines."""
-
-    def __init__(
-        self,
-        world,
-        specs: Sequence[ShardSpec],
-        *,
-        workers: Optional[int] = None,
-        defer_work: bool = True,
-        work_ns: float = 0.0,
-        mediation: str = "laminar",
-        seed: int = 0,
-        wire: str = "binary",
-    ) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        nworkers = max(1, min(workers or len(specs), len(specs)))
-        self.worker_of = {
-            spec.shard_id: i % nworkers for i, spec in enumerate(specs)
-        }
-        assignment: list[list[ShardSpec]] = [[] for _ in range(nworkers)]
-        for i, spec in enumerate(specs):
-            assignment[i % nworkers].append(spec)
-        self.conns = []
-        self.procs = []
-        #: One parent-side codec per connection: wire dictionaries are
-        #: per-connection state (the worker's decoder must see exactly the
-        #: definitions this encoder emitted, in order), so codecs can
-        #: never be shared across pipes.
-        self.codecs = []
-        for wid in range(nworkers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_cluster_worker_main,
-                args=(
-                    child_conn,
-                    wid,
-                    assignment[wid],
-                    world,
-                    defer_work,
-                    work_ns,
-                    mediation,
-                    seed,
-                    wire,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self.conns.append(parent_conn)
-            self.procs.append(proc)
-            self.codecs.append(make_wire(wire))
-        for wid, conn in enumerate(self.conns):
-            self.codecs[wid].decode(conn.recv_bytes())  # ready handshake
-        self._down = False
-
-    def submit_wave(self, wave: list) -> list:
-        by_worker: dict[int, list[tuple[int, int, object]]] = {}
-        for idx, (shard_id, msg) in enumerate(wave):
-            by_worker.setdefault(self.worker_of[shard_id], []).append(
-                (idx, shard_id, msg)
-            )
-        for wid, items in by_worker.items():
-            self.conns[wid].send_bytes(
-                self.codecs[wid].encode(
-                    [(shard_id, msg) for _, shard_id, msg in items]
-                )
-            )
-        results: list = [None] * len(wave)
-        for wid, items in by_worker.items():
-            replies, _ = self.codecs[wid].decode(self.conns[wid].recv_bytes())
-            for (idx, _, _), reply in zip(items, replies):
-                results[idx] = reply
-        return results
-
-    def bump_label_epoch(self) -> None:
-        for codec in self.codecs:
-            codec.bump_label_epoch()
-
-    def wire_stats(self) -> dict:
-        stats: dict = {"wire": self.codecs[0].name, "connections": len(self.codecs)}
-        for codec in self.codecs:
-            for key, value in codec.stats().items():
-                if key == "wire":
-                    continue
-                if key == "label_epoch":  # in lockstep, not additive
-                    stats[key] = max(stats.get(key, 0), value)
-                else:
-                    stats[key] = stats.get(key, 0) + value
-        return stats
-
-    def shutdown(self) -> list[WorkerReport]:
-        if self._down:
-            return []
-        self._down = True
-        reports = []
-        for wid, conn in enumerate(self.conns):
-            conn.send_bytes(self.codecs[wid].encode(Shutdown()))
-        for wid, conn in enumerate(self.conns):
-            report, _ = self.codecs[wid].decode(conn.recv_bytes())
-            reports.append(report)
-            conn.close()
-        for proc in self.procs:
-            proc.join(timeout=30)
-        return reports
-
-
 # ------------------------------------------------------------------ cluster
 
 
 class Cluster:
-    """The deployment object: router + executor + observable merging.
+    """The deployment object: router + replication + observable merging,
+    over a worker pool of shard hosts.
 
     ``world`` is any object with a ``build(kernel) -> dict[name, Task]``
     method; every shard (and the single-kernel parity replay) builds the
@@ -450,17 +240,14 @@ class Cluster:
         work_ns: float = 0.0,
         mediation: str = "laminar",
         seed: int = 0,
-        wire: str = "binary",
     ) -> None:
         self.world = world
         self.seed = seed
-        self.wire = make_wire(wire).name  # validate and normalize the name
         self.specs = make_specs(shards, topology)
         self.router = LabelAwareRouter(self.specs)
         self.responses: list = []
         self._next_seq = 1
         self._sync_epoch = 0
-        self._reports: Optional[list[WorkerReport]] = None
         #: Per-peer tag high-water mark: the allocator ``next_value`` as
         #: of the last TagSync the shard *applied*.  Entries below it are
         #: already replicated there and are not re-shipped.
@@ -474,8 +261,24 @@ class Cluster:
         self._logs_cache: Optional[tuple[int, list[TrafficLog]]] = None
         self.coalescer: Optional[AdaptiveCoalescer] = None
         if executor == "same-process":
+            hosts = 1
             defer = False if defer_work is None else defer_work
-            self.servers: Optional[dict[int, ShardServer]] = {
+        elif executor == "multiprocess":
+            hosts = max(1, min(workers or len(self.specs), len(self.specs)))
+            defer = True if defer_work is None else defer_work
+        else:
+            raise ValueError(f"unknown executor {executor!r}")
+        #: shard_id -> pool worker, round-robin over the specs.
+        self.worker_of = {
+            spec.shard_id: i % hosts for i, spec in enumerate(self.specs)
+        }
+
+        def boot(worker_id: int) -> SimpleNamespace:
+            """A worker's shard host: a request is a wave of ``(shard_id,
+            message)`` pairs, the reply the shards' answers in order —
+            waves amortize the IPC round trip the way ``sys_submit``
+            amortizes the user→kernel crossing."""
+            servers = {
                 spec.shard_id: boot_shard(
                     world,
                     spec,
@@ -484,25 +287,39 @@ class Cluster:
                     mediation=mediation,
                 )
                 for spec in self.specs
+                if self.worker_of[spec.shard_id] == worker_id
             }
-            self.executor = SameProcessExecutor(
-                self.servers, seed=seed, wire=wire
+            return SimpleNamespace(
+                servers=servers,
+                serve=lambda wave: [servers[sid].handle(m) for sid, m in wave],
+                report=lambda: tuple(servers[i].report() for i in sorted(servers)),
+                allocators=[server.kernel.tags for server in servers.values()],
             )
-        elif executor == "multiprocess":
-            defer = True if defer_work is None else defer_work
-            self.servers = None
-            self.executor = MultiprocessExecutor(
-                world,
-                self.specs,
-                workers=workers,
-                defer_work=defer,
-                work_ns=work_ns,
-                mediation=mediation,
-                seed=seed,
-                wire=wire,
-            )
-        else:
-            raise ValueError(f"unknown executor {executor!r}")
+
+        self.pool = Pool(boot, hosts, fork=executor == "multiprocess", seed=seed)
+        #: The shard servers, when they live in this process.
+        self.servers: Optional[dict[int, ShardServer]] = (
+            self.pool.host.servers if self.pool.host is not None else None
+        )
+
+    def submit_wave(self, wave: list) -> list:
+        """Send a wave of ``(shard_id, message)`` pairs to the shard hosts
+        and return the replies in wave order.  A wave for several workers
+        is split per worker, every sub-wave sent before any reply is
+        awaited — in ``defer_work`` mode each worker *sleeps off* its
+        shards' simulated work, and sleeps overlap across processes
+        regardless of host core count, exactly as service time overlaps
+        across real machines."""
+        if self.pool.size == 1:
+            return self.pool.scatter({0: wave})[0]
+        worker_of = self.worker_of
+        by_worker: dict[int, list] = {}
+        for pair in wave:
+            by_worker.setdefault(worker_of[pair[0]], []).append(pair)
+        replies = {
+            wid: iter(reply) for wid, reply in self.pool.scatter(by_worker).items()
+        }
+        return [next(replies[worker_of[shard_id]]) for shard_id, _ in wave]
 
     # -- request plane ------------------------------------------------------
 
@@ -560,7 +377,7 @@ class Cluster:
                 )
                 self._next_seq += 1
             start += count
-            responses.extend(self.executor.submit_wave(wave))
+            responses.extend(self.submit_wave(wave))
         self.responses.extend(responses)
         return responses
 
@@ -582,11 +399,11 @@ class Cluster:
             hwm = self._tag_hwm.get(spec.shard_id, 0)
             delta = tuple(e for e in entries if e[0] >= hwm)
             wave.append((spec.shard_id, TagSync(epoch, next_value, delta)))
-        acks = self.executor.submit_wave(wave)
+        acks = self.submit_wave(wave)
         for ack in acks:
             if ack.applied:
                 self._tag_hwm[ack.shard_id] = next_value
-        self.executor.bump_label_epoch()
+        self.pool.bump_label_epoch()
         return acks
 
     def sync_caps(self, principals) -> list:
@@ -610,7 +427,7 @@ class Cluster:
             )
             deltas[spec.shard_id] = delta
             wave.append((spec.shard_id, CapSync(self._sync_epoch, delta)))
-        acks = self.executor.submit_wave(wave)
+        acks = self.submit_wave(wave)
         for ack in acks:
             if ack.applied:
                 sent = self._cap_sent[ack.shard_id]
@@ -625,13 +442,9 @@ class Cluster:
         global-sequence order, re-stamp 1..n, render.  A pure function of
         the routed trace — byte-identical across executors and to the
         single-kernel replay of the same trace."""
-        items: list[tuple[str, str, str, str]] = []
-        for resp in sorted(self.responses, key=lambda r: r.seq):
-            items.extend(resp.audit)
-        return [
-            str(AuditEntry(seq, AuditKind(kind), subsystem, principal, detail))
-            for seq, (kind, subsystem, principal, detail) in enumerate(items, 1)
-        ]
+        return merge_audit(
+            r.audit for r in sorted(self.responses, key=lambda r: r.seq)
+        )
 
     def worker_logs(self) -> list[TrafficLog]:
         """Rebuild each shard's traffic log from the stamped deltas in its
@@ -661,7 +474,7 @@ class Cluster:
         direction is counted worker-side and lands in ``aggregate()``).
         Includes the coalescer's window statistics when a coalesced
         ``run_trace`` ran."""
-        stats = self.executor.wire_stats()
+        stats = self.pool.wire_stats()
         stats["requests"] = len(self.responses)
         counters = fastpath.counters
         stats["bytes_on_wire"] = counters.bytes_on_wire
@@ -679,9 +492,7 @@ class Cluster:
     # -- lifecycle / accounting ---------------------------------------------
 
     def shutdown(self) -> list[WorkerReport]:
-        if self._reports is None:
-            self._reports = self.executor.shutdown()
-        return self._reports
+        return self.pool.shutdown()
 
     def aggregate(self) -> dict:
         """Cross-worker totals: fastpath counters, per-opcode syscall

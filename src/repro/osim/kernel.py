@@ -122,7 +122,8 @@ class Sqe:
     def __reduce__(self):
         # Constructor-based: slots have no __dict__ for default pickling,
         # and re-entering __init__ lets label arguments re-intern on the
-        # receiving side (the cluster RPC framing pickles whole batches).
+        # receiving side.  (The cluster wire does not pickle: lamwire
+        # encodes entries field by field.)
         return (Sqe, (self.op, *self.args))
 
 

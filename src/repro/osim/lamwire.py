@@ -1,20 +1,21 @@
 """lamwire: the zero-copy binary data plane of the sharded cluster.
 
-PR 7's wire protocol (:mod:`repro.osim.rpc`) framed every message as
-``pickle.dumps(HIGHEST_PROTOCOL)``.  Pickle is a fine differential
-baseline — its memo already compresses repeated objects within a frame,
-and constructor-based ``__reduce__`` re-interns labels on the far side —
-but it still pays per-crossing costs the kernel's fast paths spent four
-PRs eliminating *inside* the machine: every label re-validates and
-re-interns on every hop, every frame re-ships strings the peer has seen
-a thousand times, and every large payload is copied through pickle's
-output buffer.  This module is the wire-level analogue of the in-kernel
+Every message that crosses a worker connection — cluster waves and
+replies, replication frames, parallel-scheduler group results, worker
+reports — is encoded by this module, and only by it.  A generic
+serializer would pay per-crossing costs the kernel's fast paths spent
+four PRs eliminating *inside* the machine: every label re-validated and
+re-interned on every hop, every frame re-shipping strings the peer has
+seen a thousand times, every large payload copied through an output
+buffer.  This module is the wire-level analogue of the in-kernel
 caches, built from three ideas:
 
 **Schema'd frames.**  Messages encode to type-tagged binary: varint
 integers (zigzag for sign), UTF-8 strings, struct-packed headers, and
-positional fields for the RPC dataclasses — no class names, no pickle
-opcodes, no protocol framing per object.  The two hot messages
+positional fields for the RPC dataclasses — no class names, no opcodes,
+no protocol framing per object.  The schema is closed: a value outside
+it raises :class:`WireError` at encode, so nothing but schema'd bytes
+ever reaches a decoder.  The two hot messages
 (:class:`~repro.osim.rpc.ShardRequest`,
 :class:`~repro.osim.rpc.ShardResponse`) have dedicated fixed-layout
 encoders and slot-direct decoders.
@@ -68,14 +69,13 @@ sequencing, and per-request observables are decided before batching, so
 a denied request coalesces exactly as the equivalent allowed request
 would (denied ≡ empty survives batching; see DESIGN.md §17).
 
-Both codecs count ``frames`` and ``bytes_on_wire`` into the process-wide
+The codec counts ``frames`` and ``bytes_on_wire`` into the process-wide
 :data:`repro.core.fastpath.counters` on encode (payload bytes, header
-excluded), so pickle-vs-binary ablations compare directly.
+excluded).
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -86,12 +86,12 @@ from ..core.labels import Label, LabelPair
 from ..core.tags import Tag
 from .kernel import Cqe, Sqe
 
-#: Frame header: one big-endian u32 payload length (same framing as the
-#: pickle wire, so transports treat both codecs identically).
+#: Frame header: one big-endian u32 payload length.
 HEADER = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
-#: Ceiling on a single frame's payload, shared with :mod:`repro.osim.rpc`.
+#: Ceiling on a single frame's payload (a corrupt header must not make a
+#: receiver try to allocate gigabytes).
 MAX_FRAME_PAYLOAD = 1 << 28
 
 #: Byte payloads at or past this size ship as scatter-gather segments —
@@ -128,7 +128,6 @@ T_LABEL = 16
 T_SQE = 17
 T_CQE = 18
 T_CAPSET = 19
-T_PICKLE = 20
 T_WAVE = 21
 T_RWAVE = 22
 T_MESSAGE_BASE = 32
@@ -140,6 +139,14 @@ _AG_OP = attrgetter("op")
 _AG_ARGS = attrgetter("args")
 _AG_RESULT = attrgetter("result")
 _AG_ERRNO = attrgetter("errno")
+
+
+class WireError(ValueError):
+    """A value outside the closed wire schema, refused at encode."""
+
+
+def _off_schema(obj) -> WireError:
+    return WireError(f"{obj!r:.80} is outside the wire schema")
 
 
 def _w_uvarint(buf: bytearray, n: int) -> None:
@@ -192,7 +199,7 @@ def _message_registry() -> tuple[dict, dict]:
             rpc.ShardReport,
             rpc.WorkerReport,
             psched.GroupResult,
-            psched.PschedWorkerReport,
+            rpc.WorkerFailed,
         )
         by_type: dict = {}
         by_tag: dict = {}
@@ -217,62 +224,6 @@ def _make_builder(cls, names):
         return obj
 
     return build
-
-
-# ------------------------------------------------------------ pickle wire
-
-
-class PickleWire:
-    """The fallback wire: PR 7's length-prefixed pickle frames, wrapped
-    in the codec interface so executors treat both wires uniformly and
-    both count ``frames``/``bytes_on_wire``.  Stateless — kept per
-    connection anyway so ``stats()`` has a uniform shape."""
-
-    name = "pickle"
-
-    def __init__(self) -> None:
-        self.pickle_fallbacks = 0
-        self.label_epoch = 0
-
-    def encode_segments(self, message: object) -> list:
-        return [self.encode(message)]
-
-    def encode(self, message: object) -> bytes:
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(payload) > MAX_FRAME_PAYLOAD:
-            raise ValueError(
-                f"frame payload of {len(payload)} bytes exceeds cap"
-            )
-        counters.frames += 1
-        counters.bytes_on_wire += len(payload)
-        return HEADER.pack(len(payload)) + payload
-
-    def decode(self, buf: bytes) -> tuple[object, bytes]:
-        if len(buf) < HEADER.size:
-            raise ValueError("short frame: missing header")
-        (length,) = HEADER.unpack_from(buf)
-        if length > MAX_FRAME_PAYLOAD:
-            raise ValueError(f"frame claims {length} payload bytes, over cap")
-        end = HEADER.size + length
-        if len(buf) < end:
-            raise ValueError(f"truncated frame: want {length} payload bytes")
-        return pickle.loads(buf[HEADER.size : end]), buf[end:]
-
-    def bind_allocator(self, allocator) -> None:  # interface parity
-        pass
-
-    def bump_label_epoch(self) -> None:
-        self.label_epoch += 1
-
-    def stats(self) -> dict:
-        return {
-            "wire": self.name,
-            "value_dict_entries": 0,
-            "decoded_value_entries": 0,
-            "label_dict_entries": 0,
-            "label_epoch": self.label_epoch,
-            "pickle_fallbacks": self.pickle_fallbacks,
-        }
 
 
 # ------------------------------------------------------------ binary wire
@@ -319,7 +270,6 @@ class BinaryWireCodec:
         #: :meth:`bump_label_epoch`).  Encoder entries remember the epoch
         #: they were defined under; a mismatch forces re-definition.
         self.label_epoch = 0
-        self.pickle_fallbacks = 0
         self._bound: list = []
         self._buf: Optional[bytearray] = None
         self._segments: Optional[list] = None
@@ -363,7 +313,6 @@ class BinaryWireCodec:
         dec[T_SQE] = self._dec_sqe
         dec[T_CQE] = self._dec_cqe
         dec[T_CAPSET] = self._dec_capset
-        dec[T_PICKLE] = self._dec_pickle
         dec[T_WAVE] = self._dec_wave
         dec[T_RWAVE] = self._dec_rwave
         self._dec = dec
@@ -413,9 +362,10 @@ class BinaryWireCodec:
         return b"".join(self.encode_segments(message))
 
     def decode(self, buf: bytes) -> tuple[object, bytes]:
-        """Decode one frame; returns ``(message, remainder)`` like the
-        pickle wire.  Frames MUST be decoded in the order the peer
-        encoded them — dictionary definitions are in-band."""
+        """Decode one frame; returns ``(message, remainder)`` so callers
+        can consume a concatenated stream frame by frame.  Frames MUST be
+        decoded in the order the peer encoded them — dictionary
+        definitions are in-band."""
         if len(buf) < HEADER.size:
             raise ValueError("short frame: missing header")
         (length,) = HEADER.unpack_from(buf)
@@ -439,7 +389,6 @@ class BinaryWireCodec:
             "decoded_value_entries": len(self._dvals),
             "label_dict_entries": len(self._elp),
             "label_epoch": self.label_epoch,
-            "pickle_fallbacks": self.pickle_fallbacks,
         }
 
     # -- hot-message specializations ------------------------------------
@@ -487,10 +436,7 @@ class BinaryWireCodec:
             and type(principal) is str
             and type(sqes) is tuple
         ):
-            # Off-schema instance (differential tests build these):
-            # the fixed layout can't carry it, pickle can.
-            self._enc_fallback(req)
-            return
+            raise _off_schema(req)
         buf = self._buf
         buf.append(self._req_tag)
         if seq < 0x80:
@@ -528,8 +474,7 @@ class BinaryWireCodec:
             and type(deferred) is int
             and 0 <= deferred
         ):
-            self._enc_fallback(resp)
-            return
+            raise _off_schema(resp)
         buf = self._buf
         buf.append(self._resp_tag)
         if seq < 0x80:
@@ -585,18 +530,7 @@ class BinaryWireCodec:
             for name in names:
                 enc_value(getattr(obj, name))
             return
-        self._enc_fallback(obj)
-
-    def _enc_fallback(self, obj) -> None:
-        # Anything outside the schema (fuzzers ship arbitrary objects,
-        # differential tests construct protocol-invalid messages) rides
-        # as an embedded pickle — correctness over compactness.
-        self.pickle_fallbacks += 1
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        buf = self._buf
-        buf.append(T_PICKLE)
-        _w_uvarint(buf, len(data))
-        buf += data
+        raise _off_schema(obj)
 
     def _enc_none(self, obj) -> None:
         self._buf.append(T_NONE)
@@ -1236,26 +1170,6 @@ class BinaryWireCodec:
             caps.append(Capability(Tag(value, name), kind))
             pos = end + 1
         return CapabilitySet(caps), pos
-
-    def _dec_pickle(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
-        end = pos + n
-        return pickle.loads(buf[pos:end]), end
-
-
-def make_wire(wire: str = "binary"):
-    """Build a wire codec by name (``"binary"`` or ``"pickle"``); codec
-    instances pass through, so call sites can accept either."""
-    if isinstance(wire, (PickleWire, BinaryWireCodec)):
-        return wire
-    if wire == "binary":
-        return BinaryWireCodec()
-    if wire == "pickle":
-        return PickleWire()
-    raise ValueError(f"unknown wire {wire!r}")
-
-
-WIRE_MODES = ("binary", "pickle")
 
 
 # ------------------------------------------------------ adaptive coalescer

@@ -1,12 +1,12 @@
-"""Parallel scheduler backend: task groups across a fork worker pool.
+"""Parallel scheduler backend: task groups across a worker pool.
 
 The PR 3 scheduler (:mod:`repro.osim.sched`) is cooperative and
 single-threaded; this module is the wall-clock-scale backend beneath it.
 The unit of parallelism is the **task group**: a set of tasks that share
 fds, pipes, and files only with each other (one user's server+client
-pair in the file-server workload).  Groups are partitioned across a
-``multiprocessing`` fork pool by ``group_index % workers`` — a pure
-function of the trace, never of verdicts or timing — and each group
+pair in the file-server workload).  Groups are partitioned across the
+worker pool (:mod:`repro.osim.pool`) by ``group_index % workers`` — a
+pure function of the trace, never of verdicts or timing — and each group
 runs to completion under an ordinary cooperative :class:`Scheduler`
 inside its worker, so the generator task API (and the park/wake
 discipline that keeps denied ≡ empty) is exactly the PR 3 code path.
@@ -21,18 +21,18 @@ reinvented:
   embed task names, labels, and inode numbers — therefore compare
   byte-for-byte across workers and against the single-process replay.
 * **Deterministic merge.**  Each group's audit and traffic deltas are
-  captured around its run and stamped with the group's global index
-  (the ``(stamp, worker, local)`` triples of
-  :class:`~repro.osim.sockets.TrafficLog`); the driver concatenates
-  deltas in global group order and re-stamps 1..n, exactly like
-  :meth:`repro.osim.cluster.Cluster.merged_audit`.  Because groups are
+  captured around its run by :func:`repro.osim.rpc.capture` and stamped
+  with the group's global index (the ``(stamp, worker, local)`` triples
+  of :class:`~repro.osim.sockets.TrafficLog`); the parent merges them in
+  global group order with :func:`repro.osim.rpc.merge_audit`, the merge
+  :meth:`repro.osim.cluster.Cluster.merged_audit` uses.  Because groups are
   fd-disjoint, a group's observables are independent of which other
   groups ran before it on the same kernel image — so the merged record
   is byte-identical to :func:`replay_cooperative` running every group
   sequentially on one kernel.
 * **Per-worker seeding.**  Forked workers inherit the parent's RNG
   state; each worker reseeds under the deterministic rule of
-  :func:`repro.osim.rpc.worker_seed`, so repeated runs are
+  :func:`repro.osim.pool.worker_seed`, so repeated runs are
   bit-reproducible.
 * **Overlapped service time.**  In ``defer_work`` mode each worker
   sleeps off its groups' simulated syscall work (``work_ns`` per
@@ -51,14 +51,15 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, Optional
 
-from ..core import fastpath
-from ..core.audit import AuditEntry, AuditKind
 from .kernel import Kernel
-from .lamwire import make_wire
 from .lsm import LaminarSecurityModule
-from .rpc import Shutdown, seed_worker_rng, worker_seed
+from .pool import Pool
+from .rpc import WorkerReport, capture, merge_audit
 from .sched import DEFAULT_MAX_STEPS, Scheduler
 
 
@@ -69,8 +70,9 @@ class GroupHandle:
 
     ``spawn(sched)`` admits the group's (already created) tasks and
     generator bodies to a cooperative scheduler; ``stats()`` returns a
-    small picklable dict of group-local outcome numbers (ops served,
-    pipe drops, bytes) read after the group ran."""
+    small dict of group-local outcome numbers (ops served, pipe drops,
+    bytes) read after the group ran; its values must fit the wire
+    schema."""
 
     name: str
     spawn: Callable[[Scheduler], None]
@@ -79,7 +81,7 @@ class GroupHandle:
 
 @dataclass(frozen=True)
 class GroupResult:
-    """Observables of one completed task group (picklable)."""
+    """Observables of one completed task group."""
 
     group: int
     worker: int
@@ -102,16 +104,6 @@ class GroupResult:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PschedWorkerReport:
-    """Final per-worker state, returned on shutdown."""
-
-    worker_id: int
-    seed: int
-    groups_run: tuple = ()
-    fastpath_counters: dict = field(default_factory=dict)
-
-
 def _counter_delta(after: Counter, before: dict) -> tuple:
     return tuple(
         sorted(
@@ -132,24 +124,16 @@ def run_group(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> GroupResult:
     """Run one group to completion under a cooperative scheduler and
-    capture its observable deltas.  Shared by the fork workers and the
-    sequential replay, so both sides' capture logic is one code path."""
+    capture its observable deltas.  Shared by every pool host and the
+    sequential replay, so all sides' capture logic is one code path."""
     sched = Scheduler(kernel, trace=trace)
     handle.spawn(sched)
-    log = kernel.net.transmitted
-    log.stamp = index + 1  # group's global index = the merge stamp
-    audit_entries = kernel.audit._entries
-    audit_before = len(audit_entries)
-    traffic_before = log.total_messages
     denials_before = dict(kernel.security.denials)
     hooks_before = dict(kernel.security.hook_calls)
-    stuck = sched.run(max_steps)
-    audit = tuple(
-        (e.kind.value, e.subsystem, e.principal, e.detail)
-        for e in audit_entries[audit_before:]
+    # The group's global index is the merge stamp.
+    stuck, audit, traffic, deferred = capture(
+        kernel, index + 1, sched.run, max_steps
     )
-    delta = log.total_messages - traffic_before
-    traffic = tuple(log.stamped_tail(delta)) if delta else ()
     return GroupResult(
         group=index,
         worker=worker,
@@ -160,7 +144,7 @@ def run_group(
         denials=_counter_delta(kernel.security.denials, denials_before),
         hooks=_counter_delta(kernel.security.hook_calls, hooks_before),
         stuck=tuple(t.tid for t in stuck),
-        deferred=kernel.drain_deferred_work(),
+        deferred=deferred,
         sched_trace=tuple(sched.trace) if sched.trace is not None else (),
         stats=dict(handle.stats()) if handle.stats is not None else {},
     )
@@ -181,55 +165,6 @@ def boot_world(world, *, worker_id: int = 0, defer_work: bool = False):
     return kernel, handles
 
 
-def _psched_worker_main(
-    conn, worker_id, indices, world, defer_work, work_ns, seed, trace,
-    wire: str = "binary",
-) -> None:
-    """Entry point of a forked scheduler worker: reseed deterministically,
-    build the full world, signal readiness, wait for "go", run the
-    assigned groups in global-index order, ship results, report."""
-    wseed = seed_worker_rng(seed, worker_id)
-    codec = make_wire(wire)
-    try:
-        kernel, handles = boot_world(
-            world, worker_id=worker_id, defer_work=defer_work
-        )
-        codec.bind_allocator(kernel.tags)
-        # The fork inherited the parent's process-global fastpath counter
-        # state; zero it so the shutdown report covers only this worker's
-        # assigned groups (reports sum cleanly across the pool).
-        fastpath.counters.reset()
-        conn.send_bytes(codec.encode(("ready", worker_id)))
-        codec.decode(conn.recv_bytes())  # "go" — the timing barrier
-        results = []
-        for index in indices:
-            result = run_group(
-                kernel, index, handles[index], worker=worker_id, trace=trace
-            )
-            if work_ns and result.deferred:
-                time.sleep(result.deferred * work_ns * 1e-9)
-            results.append(result)
-        conn.send_bytes(codec.encode(("results", results)))
-    except BaseException as exc:  # ship the failure; a silent EOF is opaque
-        conn.send_bytes(codec.encode(("error", repr(exc))))
-        raise
-    while True:
-        message, _ = codec.decode(conn.recv_bytes())
-        if isinstance(message, Shutdown):
-            conn.send_bytes(
-                codec.encode(
-                    PschedWorkerReport(
-                        worker_id=worker_id,
-                        seed=wseed,
-                        groups_run=tuple(indices),
-                        fastpath_counters=fastpath.counters.snapshot(),
-                    )
-                )
-            )
-            break
-    conn.close()
-
-
 class ParallelScheduler:
     """Run a group world across a worker pool with deterministic merge.
 
@@ -239,15 +174,17 @@ class ParallelScheduler:
 
     ``executor``:
 
-    * ``"fork"`` — one forked process per worker; workers build their
-      world during construction (excluded from the timed window), run
-      concurrently after a "go" barrier, and sleep off deferred
-      simulated work so service time overlaps across processes.
+    * ``"fork"`` — one forked pool worker per partition; workers build
+      their world during construction (excluded from the timed window),
+      run concurrently once :meth:`run` sends them ``max_steps``, and
+      sleep off deferred simulated work so service time overlaps across
+      processes.
     * ``"inline"`` — every group runs in this process on one kernel in
       global group order: the deterministic CI fallback *and* the
       single-threaded cooperative baseline (:func:`replay_cooperative`).
-      Results still round-trip through the wire codec, so pickling of
-      every observable is exercised identically.
+      The run request and its results still round-trip through the wire
+      codec, so the encoding of every observable is exercised
+      identically.
     """
 
     def __init__(
@@ -260,82 +197,45 @@ class ParallelScheduler:
         work_ns: float = 0.0,
         seed: int = 0,
         trace: bool = False,
-        wire: str = "binary",
     ) -> None:
         if executor not in ("fork", "inline"):
             raise ValueError(f"unknown executor {executor!r}")
         groups = int(world.group_count)
-        self.world = world
         self.workers = max(1, min(workers, groups)) if groups else 1
-        self.executor = executor
-        self.defer_work = defer_work
-        self.work_ns = work_ns
-        self.seed = seed
-        self.trace = trace
-        self.wire = wire
-        #: Parent-side codecs, one per worker pipe (wire dictionaries are
-        #: per-connection); ``_codec`` doubles as the inline round-trip
-        #: codec.
-        self._codecs: list = []
-        self._codec = make_wire(wire)
-        self.group_count = groups
-        #: group index -> worker id; a pure function of the trace.
-        self.worker_of = {i: i % self.workers for i in range(groups)}
         self.results: list[GroupResult] = []
-        self.reports: list[PschedWorkerReport] = []
         self.elapsed = 0.0
-        self._conns: list = []
-        self._procs: list = []
-        self._kernel: Optional[Kernel] = None
-        self._handles: list[GroupHandle] = []
-        self._fp_base: dict = {}
-        if executor == "inline":
-            self._kernel, self._handles = boot_world(
-                world, defer_work=defer_work
+        hosts = self.workers if executor == "fork" else 1
+
+        def boot(worker_id: int) -> SimpleNamespace:
+            """A worker's group host: a request is ``max_steps``, the reply
+            the results of groups ``worker_id, worker_id + hosts, ...`` in
+            global order.  Each result names the worker the static
+            partition ``group % workers`` assigns, inline too."""
+            kernel, handles = boot_world(
+                world, worker_id=worker_id, defer_work=defer_work
             )
-            self._codec.bind_allocator(self._kernel.tags)
-            # Inline shares the caller's process-global counters; report
-            # the delta over this baseline so inline and fork reports
-            # mean the same thing (this scheduler's groups only).
-            self._fp_base = fastpath.counters.snapshot()
-        else:
-            self._start_workers()
 
-    # -- fork pool -----------------------------------------------------------
+            def serve(max_steps: int) -> list[GroupResult]:
+                results = []
+                for index in range(worker_id, groups, hosts):
+                    result = run_group(
+                        kernel,
+                        index,
+                        handles[index],
+                        worker=index % self.workers,
+                        trace=trace,
+                        max_steps=max_steps,
+                    )
+                    if work_ns and result.deferred:
+                        time.sleep(result.deferred * work_ns * 1e-9)
+                    results.append(result)
+                return results
 
-    def _start_workers(self) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        assignment: list[list[int]] = [[] for _ in range(self.workers)]
-        for index in range(self.group_count):
-            assignment[self.worker_of[index]].append(index)
-        for wid in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_psched_worker_main,
-                args=(
-                    child_conn,
-                    wid,
-                    assignment[wid],
-                    self.world,
-                    self.defer_work,
-                    self.work_ns,
-                    self.seed,
-                    self.trace,
-                    self.wire,
-                ),
-                daemon=True,
+            return SimpleNamespace(
+                serve=serve, report=tuple, allocators=[kernel.tags]
             )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-            self._codecs.append(make_wire(self.wire))
-        for wid, conn in enumerate(self._conns):
-            message, _ = self._codecs[wid].decode(conn.recv_bytes())
-            if message[0] != "ready":
-                raise RuntimeError(f"worker failed during boot: {message[1]}")
+
+        self.pool = Pool(boot, hosts, fork=executor == "fork", seed=seed)
 
     # -- execution -----------------------------------------------------------
 
@@ -343,62 +243,18 @@ class ParallelScheduler:
         """Run every group; returns results ordered by global group index.
         ``elapsed`` covers dispatch to last result received — world
         construction (and fork/boot) is excluded on both executors."""
-        if self.executor == "inline":
-            start = time.perf_counter()
-            results = []
-            for index in range(self.group_count):
-                result = run_group(
-                    self._kernel,
-                    index,
-                    self._handles[index],
-                    worker=self.worker_of[index],
-                    trace=self.trace,
-                    max_steps=max_steps,
-                )
-                if self.work_ns and result.deferred:
-                    time.sleep(result.deferred * self.work_ns * 1e-9)
-                results.append(self._codec.decode(self._codec.encode(result))[0])
-            self.elapsed = time.perf_counter() - start
-            self.results = results
-            return results
         start = time.perf_counter()
-        for wid, conn in enumerate(self._conns):
-            conn.send_bytes(self._codecs[wid].encode("go"))
-        by_group: dict[int, GroupResult] = {}
-        for wid, conn in enumerate(self._conns):
-            message, _ = self._codecs[wid].decode(conn.recv_bytes())
-            if message[0] == "error":
-                raise RuntimeError(f"worker failed: {message[1]}")
-            for result in message[1]:
-                by_group[result.group] = result
+        replies = self.pool.scatter(
+            {wid: max_steps for wid in range(self.pool.size)}
+        )
         self.elapsed = time.perf_counter() - start
-        self.results = [by_group[i] for i in sorted(by_group)]
+        self.results = sorted(
+            chain.from_iterable(replies.values()), key=attrgetter("group")
+        )
         return self.results
 
-    def shutdown(self) -> list[PschedWorkerReport]:
-        if self.reports:
-            return self.reports
-        if self.executor == "inline":
-            snap = fastpath.counters.snapshot()
-            delta = {k: v - self._fp_base.get(k, 0) for k, v in snap.items()}
-            self.reports = [
-                PschedWorkerReport(
-                    worker_id=0,
-                    seed=worker_seed(self.seed, 0),
-                    groups_run=tuple(range(self.group_count)),
-                    fastpath_counters=delta,
-                )
-            ]
-            return self.reports
-        for wid, conn in enumerate(self._conns):
-            conn.send_bytes(self._codecs[wid].encode(Shutdown()))
-        for wid, conn in enumerate(self._conns):
-            report, _ = self._codecs[wid].decode(conn.recv_bytes())
-            self.reports.append(report)
-            conn.close()
-        for proc in self._procs:
-            proc.join(timeout=30)
-        return self.reports
+    def shutdown(self) -> list[WorkerReport]:
+        return self.pool.shutdown()
 
     # -- deterministic observable merge --------------------------------------
 
@@ -406,13 +262,7 @@ class ParallelScheduler:
         """Concatenate per-group audit deltas in global group order and
         re-stamp 1..n — byte-identical across executors and worker counts
         (and to the sequential replay) because groups are fd-disjoint."""
-        items: list[tuple] = []
-        for result in self.results:
-            items.extend(result.audit)
-        return [
-            str(AuditEntry(seq, AuditKind(kind), subsystem, principal, detail))
-            for seq, (kind, subsystem, principal, detail) in enumerate(items, 1)
-        ]
+        return merge_audit(r.audit for r in self.results)
 
     def merged_traffic(self) -> list:
         """Transmitted payloads in canonical ``(stamp, worker, local)``

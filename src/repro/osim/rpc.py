@@ -1,21 +1,16 @@
-"""Inter-shard RPC: the wire protocol of the sharded multi-kernel cluster.
+"""Inter-shard RPC: the messages of the sharded multi-kernel cluster.
 
 A cluster deployment (:mod:`repro.osim.cluster`) is N :class:`Kernel`
-shards, each booted inside its own worker process, fronted by a
-label-aware router.  This module is everything that crosses a process
-boundary:
+shards hosted on a worker pool (:mod:`repro.osim.pool`), fronted by a
+label-aware router.  This module is everything that crosses a worker
+connection, and the delta capture and merge that make what comes back
+deterministic:
 
-* **Two wire codecs** — the legacy length-prefixed pickle frames
-  (:func:`encode_frame` / :func:`decode_frame`), where labels, label
-  pairs, and capability sets serialize through their constructor-based
-  ``__reduce__`` and *re-intern* on the receiving side, and the binary
-  lamwire data plane (:mod:`repro.osim.lamwire`), which eliminates both
-  the label bytes and the re-interning via per-connection dictionaries.
-  :func:`worker_serve` speaks either, selected by the cluster's
-  ``wire=`` mode; pickle stays as the differential-testing fallback.
-  The same-process executor routes its messages through the selected
-  codec too, so serialization behavior is exercised deterministically in
-  tests.
+* **One wire** — every message here is encoded by the binary lamwire
+  codec (:mod:`repro.osim.lamwire`), whose per-connection dictionaries
+  carry labels, label pairs, and capability sets without re-shipping or
+  re-interning them.  The in-process pool routes its frames through the
+  same codec, so serialization is exercised deterministically in tests.
 * **The RPC framing is the batch path** — a :class:`ShardRequest` carries
   a tuple of :class:`~repro.osim.kernel.Sqe` and a shard answers with the
   :class:`~repro.osim.kernel.Cqe` list from one ``sys_submit`` call.
@@ -28,80 +23,64 @@ boundary:
   are harmless, and every applied ``CapSync`` bumps the kernel's
   ``fd_epoch`` so stale permission memos can never be replayed across
   replication lag.
-* **Deterministic observables** — each :class:`ShardResponse` carries
-  the audit-entry and traffic-log *deltas* its request produced, stamped
-  with the router-assigned global sequence number.  The cluster merges
-  them into an order that is a pure function of the request trace
-  (byte-identical to a single-kernel replay), never of worker timing.
+* **Deterministic observables** — :func:`capture` runs one unit of work
+  (a request here, a task group in :mod:`repro.osim.psched`) and returns
+  the audit and traffic *deltas* it produced, the traffic stamped with a
+  caller-chosen global number (the router's sequence number for a
+  request).  :func:`merge_audit` concatenates deltas in that global
+  order and re-stamps them, so the merged record is a pure function of
+  the trace (byte-identical to a single-kernel replay), never of worker
+  timing.
 """
 
 from __future__ import annotations
 
-import pickle
-import random
-import struct
 import time
-import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Callable
 
-from ..core import fastpath
-from .kernel import Cqe, Kernel, Sqe, call_syscall
+from ..core.audit import AuditEntry, AuditKind
+from .kernel import Cqe, Kernel, call_syscall
 from .task import EINVAL, SyscallError
 
 if TYPE_CHECKING:
     from .task import Task
 
-#: Frame header: one big-endian u32 payload length.
-HEADER = struct.Struct(">I")
 
-#: Ceiling on a single frame's payload (a corrupt header must not make a
-#: receiver try to allocate gigabytes).
-MAX_FRAME_PAYLOAD = 1 << 28
-
-
-def worker_seed(base: int, worker_id: int) -> int:
-    """The deterministic per-worker seeding rule (DESIGN.md §15).
-
-    Every forked worker — cluster shard host or parallel-scheduler
-    worker — derives its RNG seed as ``crc32("{base}:{worker_id}")``:
-    stable across processes and Python hash randomization, distinct per
-    worker, and a pure function of the run's base seed and the worker's
-    id.  Workers reseed the global ``random`` module with it at entry
-    (:func:`seed_worker_rng`), so two runs with the same base seed are
-    bit-reproducible regardless of fork timing or host scheduling."""
-    return zlib.crc32(f"{base}:{worker_id}".encode())
-
-
-def seed_worker_rng(base: int, worker_id: int) -> int:
-    """Reseed this process's RNGs for worker ``worker_id``; returns the
-    derived seed (reported in :class:`WorkerReport` for reproducibility
-    audits)."""
-    seed = worker_seed(base, worker_id)
-    random.seed(seed)
-    return seed
+def capture(kernel: Kernel, stamp: int, fn: Callable, *args) -> tuple:
+    """Run ``fn(*args)`` on ``kernel`` and return ``(result, audit,
+    traffic, deferred)``: the call's audit delta as (kind value,
+    subsystem, principal, detail) tuples — sequence numbers are assigned
+    at merge time — its transmitted-payload delta as ((stamp, worker,
+    local), payload) pairs under ``stamp``, and the simulated work it
+    accrued (``Kernel.defer_work`` mode)."""
+    log = kernel.net.transmitted
+    log.stamp = stamp
+    audit_entries = kernel.audit._entries
+    audit_before = len(audit_entries)
+    traffic_before = log.total_messages
+    result = fn(*args)
+    audit = tuple(
+        (e.kind.value, e.subsystem, e.principal, e.detail)
+        for e in audit_entries[audit_before:]
+    )
+    delta = log.total_messages - traffic_before
+    traffic = tuple(log.stamped_tail(delta)) if delta else ()
+    return result, audit, traffic, kernel.drain_deferred_work()
 
 
-def encode_frame(message: object) -> bytes:
-    """Serialize one message into a length-prefixed wire frame."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_PAYLOAD:
-        raise ValueError(f"frame payload of {len(payload)} bytes exceeds cap")
-    return HEADER.pack(len(payload)) + payload
-
-
-def decode_frame(buf: bytes) -> tuple[object, bytes]:
-    """Decode one frame from ``buf``; returns ``(message, remainder)`` so
-    callers can consume a concatenated stream frame by frame."""
-    if len(buf) < HEADER.size:
-        raise ValueError("short frame: missing header")
-    (length,) = HEADER.unpack_from(buf)
-    if length > MAX_FRAME_PAYLOAD:
-        raise ValueError(f"frame claims {length} payload bytes, over cap")
-    end = HEADER.size + length
-    if len(buf) < end:
-        raise ValueError(f"truncated frame: want {length} payload bytes")
-    return pickle.loads(buf[HEADER.size : end]), buf[end:]
+def merge_audit(deltas) -> list[str]:
+    """Concatenate audit deltas (each as :func:`capture` returns it) in
+    the given global order, re-stamp 1..n, and render — the canonical
+    merged audit of the cluster, the parallel scheduler, and the
+    fuzzer."""
+    return [
+        str(AuditEntry(seq, AuditKind(kind), subsystem, principal, detail))
+        for seq, (kind, subsystem, principal, detail) in enumerate(
+            chain.from_iterable(deltas), 1
+        )
+    ]
 
 
 # --------------------------------------------------------------- messages
@@ -171,6 +150,15 @@ class Shutdown:
 
 
 @dataclass(frozen=True)
+class WorkerFailed:
+    """A worker's last message: its host raised ``error`` (the
+    exception's repr) while booting or serving."""
+
+    worker_id: int
+    error: str
+
+
+@dataclass(frozen=True)
 class ShardReport:
     """Final per-shard observables, returned on shutdown."""
 
@@ -185,14 +173,15 @@ class ShardReport:
 
 @dataclass(frozen=True)
 class WorkerReport:
-    """Final per-worker state: the process-wide fastpath counters plus a
-    :class:`ShardReport` for every shard the worker hosted."""
+    """Final per-worker state: the fastpath counters the worker's host
+    accrued since boot, plus a :class:`ShardReport` for every shard it
+    hosted (empty for a parallel-scheduler host)."""
 
     worker_id: int
     fastpath_counters: dict = field(default_factory=dict)
     shards: tuple = ()
-    #: The derived per-worker RNG seed (:func:`worker_seed`); 0 when the
-    #: hosting executor predates seeding or runs unseeded.
+    #: The derived per-worker RNG seed
+    #: (:func:`repro.osim.pool.worker_seed`).
     seed: int = 0
 
 
@@ -202,10 +191,9 @@ class WorkerReport:
 class ShardServer:
     """One shard: a booted kernel plus the request/replication handlers.
 
-    The server is executor-agnostic — the same-process executor calls
-    :meth:`handle` directly (after a codec round trip), the
-    multiprocessing executor calls it from :func:`worker_serve` inside a
-    forked worker.
+    The server is executor-agnostic: the cluster's shard host calls
+    :meth:`handle` for every message of a wave, whether the pool runs it
+    in this process or in a forked worker.
 
     Parameters
     ----------
@@ -276,30 +264,9 @@ class ShardServer:
         raise ValueError(f"unroutable message {type(message).__name__}")
 
     def execute(self, request: ShardRequest) -> ShardResponse:
-        kernel = self.kernel
-        task = self.tasks.get(request.principal)
-        log = kernel.net.transmitted
-        log.stamp = request.seq
-        audit_entries = kernel.audit._entries
-        audit_before = len(audit_entries)
-        traffic_before = log.total_messages
-        if task is None:
-            cqes: list[Cqe] = [Cqe("submit", None, EINVAL)]
-        else:
-            try:
-                if self.mediation == "flume":
-                    cqes = self._execute_flume(task, request.sqes)
-                else:
-                    cqes = kernel.sys_submit(task, list(request.sqes))
-            except SyscallError as exc:
-                cqes = [Cqe("submit", None, exc.errno)]
-        audit = tuple(
-            (e.kind.value, e.subsystem, e.principal, e.detail)
-            for e in audit_entries[audit_before:]
+        cqes, audit, traffic, deferred = capture(
+            self.kernel, request.seq, self._run, request
         )
-        delta = log.total_messages - traffic_before
-        traffic = tuple(log.stamped_tail(delta)) if delta else ()
-        deferred = kernel.drain_deferred_work()
         if self.work_ns and deferred:
             time.sleep(deferred * self.work_ns * 1e-9)
         return ShardResponse(
@@ -310,6 +277,17 @@ class ShardServer:
             traffic=traffic,
             deferred=deferred,
         )
+
+    def _run(self, request: ShardRequest) -> list[Cqe]:
+        task = self.tasks.get(request.principal)
+        if task is None:
+            return [Cqe("submit", None, EINVAL)]
+        try:
+            if self.mediation == "flume":
+                return self._execute_flume(task, request.sqes)
+            return self.kernel.sys_submit(task, list(request.sqes))
+        except SyscallError as exc:
+            return [Cqe("submit", None, exc.errno)]
 
     def _execute_flume(self, task: "Task", sqes: tuple) -> list[Cqe]:
         """The distributed-Flume arm: per-op user-level monitor mediation.
@@ -344,56 +322,3 @@ class ShardServer:
             replication_epoch=kernel.replication_epoch,
             fd_epoch=kernel.fd_epoch,
         )
-
-
-# ------------------------------------------------------- worker serve loop
-
-
-def worker_serve(
-    conn,
-    worker_id: int,
-    servers: "dict[int, ShardServer]",
-    seed: int = 0,
-    wire: str = "pickle",
-    codec=None,
-) -> None:
-    """Serve wire frames on a ``multiprocessing`` connection until a
-    :class:`Shutdown` frame (or EOF) arrives.
-
-    Every request frame is a *wave*: a list of ``(shard_id, message)``
-    pairs; the reply frame is the list of responses in the same order.
-    Waves amortize the IPC round trip the way ``sys_submit`` amortizes
-    the user→kernel crossing — the RPC layer makes the same batching
-    argument one level up.
-
-    ``wire`` selects the codec (see :func:`repro.osim.lamwire.make_wire`);
-    a pre-built ``codec`` wins over ``wire``.  The codec is bound to every
-    hosted shard's tag allocator so its label dictionary invalidates when
-    replication advances the tag-namespace epoch."""
-    if codec is None:
-        from .lamwire import make_wire
-
-        codec = make_wire(wire)
-    for server in servers.values():
-        codec.bind_allocator(server.kernel.tags)
-    decode, encode = codec.decode, codec.encode
-    while True:
-        try:
-            frame = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        message, _ = decode(frame)
-        if isinstance(message, Shutdown):
-            report = WorkerReport(
-                worker_id=worker_id,
-                fastpath_counters=fastpath.counters.snapshot(),
-                shards=tuple(
-                    servers[sid].report() for sid in sorted(servers)
-                ),
-                seed=seed,
-            )
-            conn.send_bytes(encode(report))
-            break
-        replies = [servers[shard_id].handle(msg) for shard_id, msg in message]
-        conn.send_bytes(encode(replies))
-    conn.close()

@@ -389,7 +389,6 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
         defer_work=True,
         work_ns=args.work_ns,
         seed=args.seed,
-        wire=args.wire,
     )
     # Pre-filter with a throwaway router (routing is a pure function of
     # (principal, labels)): requests no tier can hold fail closed at the
@@ -670,12 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--work-ns", type=float, default=0.0,
                            help="nanoseconds slept per deferred work unit "
                                 "(default: 0)")
-    p_cluster.add_argument("--wire", choices=("binary", "pickle"),
-                           default="binary",
-                           help="data-plane codec: the zero-copy binary "
-                                "lamwire protocol or the legacy pickle "
-                                "frames kept for differential testing "
-                                "(default: binary)")
     p_cluster.add_argument("--coalesce-rate", type=float, default=0.0,
                            metavar="RPS",
                            help="dispatch through the adaptive coalescer "

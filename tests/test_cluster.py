@@ -243,7 +243,7 @@ class TestReplication:
         assert after == [e + 1 for e in before]
         # A reordered older frame changes nothing.
         stale = CapSync(0, ())
-        acks = cluster.executor.submit_wave(
+        acks = cluster.submit_wave(
             [(spec.shard_id, stale) for spec in cluster.specs]
         )
         assert all(not a.applied for a in acks)
@@ -286,5 +286,23 @@ class TestMultiprocessExecutor:
             assert all(r.fastpath_counters for r in reports)
             agg = multi.aggregate()
             assert agg["fastpath"]  # summed across workers
+        finally:
+            multi.shutdown()
+
+    def test_worker_failure_is_typed_and_shutdown_reaps_the_rest(self, world):
+        """A host that raises reports why and dies alone: the caller gets
+        a RuntimeError naming the worker and its error, and shutdown still
+        collects the survivor's report and joins every process."""
+        multi = Cluster(world, shards=2, executor="multiprocess")
+        procs = list(multi.pool._procs)
+        try:
+            with pytest.raises(RuntimeError) as failure:
+                multi.submit_wave([(0, SyncAck(0, True, 0))])
+            assert str(failure.value) == (
+                "worker 0 failed: ValueError('unroutable message SyncAck')"
+            )
+            reports = multi.shutdown()
+            assert [r.worker_id for r in reports] == [1]
+            assert all(not proc.is_alive() for proc in procs)
         finally:
             multi.shutdown()

@@ -26,7 +26,7 @@ from repro.osim.psched import (
     replay_cooperative,
     run_group,
 )
-from repro.osim.rpc import seed_worker_rng, worker_seed
+from repro.osim.pool import seed_worker_rng, worker_seed
 from repro.osim.sched import read_blocking, syscall, yield_
 
 
@@ -126,6 +126,36 @@ def test_worker_failure_is_reported_not_hung():
     ps = ParallelScheduler(Broken(), workers=1, executor="fork")
     with pytest.raises(RuntimeError, match="kaboom"):
         ps.run()
+    assert ps.shutdown() == []  # the dead worker is skipped, not awaited
+
+
+class SpinWorld:
+    """One group whose only task yields forever: it ends only when the
+    scheduler's step budget runs out."""
+
+    group_count = 1
+
+    def build(self, kernel):
+        def spawn(sched):
+            def body(task):
+                while True:
+                    yield yield_()
+
+            sched.spawn(body, task=kernel.spawn_task("spin"))
+
+        return [GroupHandle("spin", spawn)]
+
+
+@pytest.mark.parametrize("executor", ["inline", "fork"])
+def test_run_honours_max_steps_on_every_executor(executor):
+    """The step budget travels with the run request: a forked group must
+    stop at the caller's ``max_steps``, not at the scheduler default."""
+    ps = ParallelScheduler(SpinWorld(), workers=1, executor=executor)
+    try:
+        with pytest.raises(RuntimeError, match="exceeded 50 steps"):
+            ps.run(max_steps=50)
+    finally:
+        ps.shutdown()
 
 
 # =========================================================================

@@ -1,20 +1,21 @@
-"""The cluster wire codecs: interning, framing, and binary/pickle parity.
+"""The cluster wire codec: interning, framing, and the closed schema.
 
 Two contracts live here.  First, the cross-process interning property
 that makes labels cheap cluster-wide: a Label (or LabelPair,
-CapabilitySet, Sqe, Cqe) that crosses the wire re-enters through its
-constructor on the receiving side, so with interning on, a
-pickled-and-returned Label is *the same object* — identity-based fast
-paths (``is``-subset checks, the verdict AVC, the persistent submit
-memo's ``is``-revalidation) keep working after an RPC hop.
+CapabilitySet, Sqe, Cqe) that crosses a process boundary re-enters
+through its constructor on the receiving side, so with interning on, a
+returned Label is *the same object* — identity-based fast paths
+(``is``-subset checks, the verdict AVC, the persistent submit memo's
+``is``-revalidation) keep working after an RPC hop.
 
-Second, the lamwire binary data plane must be *observably identical* to
-the legacy pickle wire: hypothesis drives both codecs over random
-labels, capability sets, sqes/cqes, messages, and executor wave shapes
-(including re-sends through the per-connection dictionaries and
-tag-allocator epoch bumps that force label-definition re-sends), and a
-sharded cluster run must produce byte-identical merged audit/traffic on
-either ``--wire`` mode.  Delta replication (TagSync high-water marks,
+Second, the lamwire binary codec is lossless over its schema and refuses
+everything outside it: hypothesis drives decode(encode(m)) == m over
+random labels, capability sets, sqes/cqes, messages, and executor wave
+shapes (including re-sends through the per-connection dictionaries and
+tag-allocator epoch bumps that force label-definition re-sends),
+off-schema values raise :class:`WireError` at encode, and a sharded
+cluster merges to the same bytes over the in-process loopback and over
+forked workers' pipes.  Delta replication (TagSync high-water marks,
 CapSync unchanged-principal omission) and the TrafficLog merge-sort
 cache regressions ride along.
 """
@@ -34,24 +35,23 @@ from repro.core.fastpath import counters, flags
 from repro.core.tags import Tag, TagAllocator
 from repro.osim import (
     AdaptiveCoalescer,
+    BinaryWireCodec,
     Cluster,
     Cqe,
     Sqe,
     TrafficLog,
-    WIRE_MODES,
-    make_wire,
+    WireError,
 )
+from repro.osim.lamwire import HEADER
 from repro.osim.rpc import (
     CapSync,
-    HEADER,
     ShardRequest,
     ShardResponse,
     Shutdown,
     SyncAck,
     TagSync,
+    WorkerFailed,
     WorkerReport,
-    decode_frame,
-    encode_frame,
 )
 
 tags_strategy = st.lists(
@@ -92,7 +92,8 @@ class TestLabelReinterning:
         """Same property through the actual wire framing, not bare pickle."""
         label = Label.of(Tag(3, "t3"), Tag(9, "t9"))
         pair = LabelPair(label)
-        message, rest = decode_frame(encode_frame(("req", pair)))
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
+        message, rest = dec.decode(enc.encode(("req", pair)))
         assert rest == b""
         assert message[1].secrecy is label
 
@@ -115,24 +116,25 @@ class TestLabelReinterning:
 
 class TestFraming:
     def test_frame_stream_decodes_in_order(self):
-        buf = encode_frame(1) + encode_frame("two") + encode_frame([3])
-        one, buf = decode_frame(buf)
-        two, buf = decode_frame(buf)
-        three, buf = decode_frame(buf)
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
+        buf = enc.encode(1) + enc.encode("two") + enc.encode([3])
+        one, buf = dec.decode(buf)
+        two, buf = dec.decode(buf)
+        three, buf = dec.decode(buf)
         assert (one, two, three) == (1, "two", [3])
         assert buf == b""
 
     def test_truncated_frame_raises(self):
-        frame = encode_frame({"k": "v"})
+        frame = BinaryWireCodec().encode({"k": "v"})
         with pytest.raises(ValueError):
-            decode_frame(frame[:-1])
+            BinaryWireCodec().decode(frame[:-1])
         with pytest.raises(ValueError):
-            decode_frame(frame[: HEADER.size - 1])
+            BinaryWireCodec().decode(frame[: HEADER.size - 1])
 
     def test_oversize_header_rejected_without_allocation(self):
         bogus = HEADER.pack(1 << 30) + b"x"
         with pytest.raises(ValueError):
-            decode_frame(bogus)
+            BinaryWireCodec().decode(bogus)
 
     def test_request_response_messages_survive_the_wire(self):
         req = ShardRequest(5, "gw1", (Sqe("read", 3, 16), Sqe("lseek", 3, 0)))
@@ -142,8 +144,10 @@ class TestFraming:
         )
         sync = TagSync(4, 9, ((1, "a"), (2, "b")))
         caps = CapSync(1, (("gw1", LabelPair.EMPTY, CapabilitySet.EMPTY),))
-        for msg in (req, resp, sync, caps):
-            clone, rest = decode_frame(encode_frame(msg))
+        failed = WorkerFailed(3, "ValueError('boom')")
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
+        for msg in (req, resp, sync, caps, failed):
+            clone, rest = dec.decode(enc.encode(msg))
             assert clone == msg
             assert rest == b""
 
@@ -184,11 +188,9 @@ sqes = st.builds(
     st.lists(st.one_of(scalars, pairs, labels), max_size=3),
 )
 cqes = st.builds(Cqe, op_names, scalars, st.integers(0, 40))
-# Negative sequence numbers are protocol-invalid for the fixed layouts —
-# they must survive anyway, via the schema guard's pickle fallback.
 requests = st.builds(
     ShardRequest,
-    st.integers(-3, 2**20),
+    st.integers(0, 2**20),
     st.text(min_size=1, max_size=8),
     st.lists(sqes, max_size=6).map(tuple),
 )
@@ -237,6 +239,7 @@ messages = st.one_of(
     ),
     st.builds(SyncAck, st.integers(0, 16), st.booleans(), st.integers(0, 100)),
     st.builds(Shutdown),
+    st.builds(WorkerFailed, st.integers(0, 16), st.text(max_size=20)),
     st.builds(
         WorkerReport,
         st.integers(0, 16),
@@ -256,17 +259,28 @@ messages = st.one_of(
 class TestCodecEquivalence:
     @given(st.lists(messages, min_size=1, max_size=4))
     @settings(max_examples=120, deadline=None)
-    def test_binary_equals_pickle_round_trip(self, msgs):
-        b_enc, b_dec = make_wire("binary"), make_wire("binary")
-        p_enc, p_dec = make_wire("pickle"), make_wire("pickle")
+    def test_decode_inverts_encode(self, msgs):
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
         # Two passes over the same stream: the first defines dictionary
         # entries, the second exercises the REF paths.
         for msg in msgs + msgs:
-            b_out, _ = b_dec.decode(b_enc.encode(msg))
-            p_out, _ = p_dec.decode(p_enc.encode(msg))
-            assert b_out == msg
-            assert p_out == msg
-            assert b_out == p_out
+            out, rest = dec.decode(enc.encode(msg))
+            assert out == msg
+            assert rest == b""
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), {1, 2}, ShardRequest(-1, "gw0", ())],
+        ids=["object", "set", "negative-seq"],
+    )
+    def test_off_schema_values_raise_wire_error(self, value):
+        """The schema is closed: nothing outside it is smuggled through,
+        and the refusal is a typed ValueError at encode."""
+        with pytest.raises(WireError):
+            BinaryWireCodec().encode(value)
+        with pytest.raises(WireError):
+            BinaryWireCodec().encode([(0, value)])
+        assert issubclass(WireError, ValueError)
 
     @given(
         st.lists(
@@ -284,7 +298,7 @@ class TestCodecEquivalence:
         pool = [
             LabelPair(Label.of(allocator.alloc(f"z{i}"))) for i in range(4)
         ]
-        enc, dec = make_wire("binary"), make_wire("binary")
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
         enc.bind_allocator(allocator)
         salt = 0
         for step in script:
@@ -304,7 +318,7 @@ class TestCodecEquivalence:
         pool = [
             LabelPair(Label.of(allocator.alloc(f"z{i}"))) for i in range(3)
         ]
-        enc, dec = make_wire("binary"), make_wire("binary")
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
         enc.bind_allocator(allocator)
         waves = [
             tuple(Sqe("socket", p, salt) for p in pool) for salt in range(3)
@@ -323,24 +337,14 @@ class TestCodecEquivalence:
         # One allocator epoch change arrived since bind.
         assert enc.stats()["label_epoch"] == 1
 
-    def test_wire_interface_parity(self):
-        binary, legacy = make_wire("binary"), make_wire("pickle")
-        assert set(WIRE_MODES) == {"binary", "pickle"}
-        assert binary.stats().keys() == legacy.stats().keys()
-        # bind_allocator is part of the wire interface on both codecs.
-        legacy.bind_allocator(TagAllocator(first=900))
-        with pytest.raises(ValueError):
-            make_wire("carrier-pigeon")
-
-    def test_counters_count_frames_and_bytes_on_both_wires(self):
+    def test_counters_count_frames_and_bytes(self):
         msg = ShardRequest(1, "gw0", (Sqe("read", 3, 16),))
-        for wire in WIRE_MODES:
-            codec = make_wire(wire)
-            f0, b0 = counters.frames, counters.bytes_on_wire
-            frame = codec.encode(msg)
-            assert counters.frames - f0 == 1
-            # Payload bytes are counted; any fixed frame header is not.
-            assert 0 < counters.bytes_on_wire - b0 <= len(frame)
+        codec = BinaryWireCodec()
+        f0, b0 = counters.frames, counters.bytes_on_wire
+        frame = codec.encode(msg)
+        assert counters.frames - f0 == 1
+        # Payload bytes are counted; the fixed frame header is not.
+        assert counters.bytes_on_wire - b0 == len(frame) - HEADER.size
 
     def test_counter_snapshot_has_wire_fields(self):
         snap = counters.snapshot()
@@ -357,24 +361,24 @@ class TestCodecEquivalence:
 # ------------------------------------------------------- delta replication
 
 
-def _spy_executor(cluster):
-    """Record every wave handed to the executor, pass-through otherwise."""
+def _spy_waves(cluster):
+    """Record every wave the cluster submits, pass-through otherwise."""
     sent: list = []
-    original = cluster.executor.submit_wave
+    original = cluster.submit_wave
 
     def spy(wave):
         sent.append(wave)
         return original(wave)
 
-    cluster.executor.submit_wave = spy
+    cluster.submit_wave = spy
     return sent
 
 
 class TestDeltaReplication:
     def test_tag_sync_ships_only_past_high_water_mark(self):
         world = UserWorld(gateways=4, keys=4)
-        cluster = Cluster(world, shards=2, wire="binary")
-        sent = _spy_executor(cluster)
+        cluster = Cluster(world, shards=2)
+        sent = _spy_waves(cluster)
         # The coordinator's allocator must be strictly ahead of every
         # shard's boot-time epoch for the first sync to apply.
         shard_epoch = cluster.servers[0].kernel.tags.epoch
@@ -399,8 +403,8 @@ class TestDeltaReplication:
     def test_cap_sync_omits_unchanged_principals_but_always_sends(self):
         world = UserWorld(gateways=4, keys=4)
         world.ensure_built()
-        cluster = Cluster(world, shards=2, wire="binary")
-        sent = _spy_executor(cluster)
+        cluster = Cluster(world, shards=2)
+        sent = _spy_waves(cluster)
         taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
         triples = (("gw0", taint, CapabilitySet.EMPTY),)
         acks = cluster.sync_caps(triples)
@@ -419,12 +423,15 @@ class TestDeltaReplication:
         assert all(len(msg.principals) == 1 for _, msg in sent[-1])
 
 
-# --------------------------------------------------- cross-wire cluster
+# ------------------------------------------------------ cluster on the wire
 
 
 class TestClusterWireParity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_merged_observables_identical_across_wires(self, shards):
+        """The one codec runs over two transports: the in-process pool's
+        loopback and the forked workers' pipes.  Replication, waves, and
+        denials must merge to the same bytes over either."""
         world = UserWorld(gateways=4, keys=4)
         trace = build_trace(
             world,
@@ -436,22 +443,30 @@ class TestClusterWireParity:
         )
         taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
         merged = {}
-        for wire in WIRE_MODES:
-            cluster = Cluster(world, shards=shards, wire=wire)
-            acks = cluster.sync_caps((("gw0", taint, CapabilitySet.EMPTY),))
-            assert all(a.applied for a in acks)
-            responses = cluster.run_trace(trace, wave_size=8)
-            merged[wire] = (
-                cluster.merged_audit(),
-                list(cluster.merged_traffic()),
-                sorted((r.seq, r.cqes) for r in responses),
+        for executor in ("same-process", "multiprocess"):
+            cluster = Cluster(
+                world, shards=shards, executor=executor, defer_work=False
             )
-        assert merged["binary"] == merged["pickle"]
+            try:
+                acks = cluster.sync_caps(
+                    (("gw0", taint, CapabilitySet.EMPTY),)
+                )
+                assert all(a.applied for a in acks)
+                responses = cluster.run_trace(trace, wave_size=8)
+                merged[executor] = (
+                    cluster.merged_audit(),
+                    list(cluster.merged_traffic()),
+                    sorted((r.seq, r.cqes) for r in responses),
+                )
+            finally:
+                cluster.shutdown()
+        assert merged["same-process"] == merged["multiprocess"]
+        assert any("denial" in line for line in merged["same-process"][0])
 
     def test_wire_stats_and_coalescing(self):
         world = UserWorld(gateways=4, keys=4)
         trace = build_trace(world, 32, users=1_000, seed=9)
-        flat = Cluster(world, shards=2, wire="binary")
+        flat = Cluster(world, shards=2)
         flat.run_trace(trace)
         flat_audit = flat.merged_audit()
         stats = flat.wire_stats()
@@ -459,7 +474,7 @@ class TestClusterWireParity:
         assert stats["requests"] == len(trace)
         assert "coalescing" not in stats
 
-        coalesced = Cluster(world, shards=2, wire="binary")
+        coalesced = Cluster(world, shards=2)
         coalesced.run_trace(trace, **coalesced_plan(trace, rate=100_000.0))
         assert coalesced.merged_audit() == flat_audit
         stats = coalesced.wire_stats()

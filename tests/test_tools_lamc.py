@@ -384,6 +384,9 @@ class TestCluster:
         assert "3 shards" in text
         assert "[shuffle]" in text
         assert "parity ok" in text
+        (line,) = [l for l in text.splitlines() if l.startswith("wire:")]
+        assert "binary" in line
+        assert "B/req" in line
 
     def test_cluster_json_summary(self):
         code, text = run_cli(
@@ -396,22 +399,9 @@ class TestCluster:
         assert len(payload["shards"]) == 2
         assert sum(s["requests"] for s in payload["shards"]) == 16
 
-    def test_cluster_wire_modes_both_reach_parity(self):
-        for wire in ("binary", "pickle"):
-            code, text = run_cli(
-                "cluster", "--shards", "2", "--requests", "16",
-                "--wire", wire,
-            )
-            assert code == 0
-            assert "parity ok" in text
-            (line,) = [l for l in text.splitlines() if l.startswith("wire:")]
-            assert wire in line
-            assert "B/req" in line
-
     def test_cluster_json_wire_block(self):
         code, text = run_cli(
             "cluster", "--shards", "2", "--requests", "16", "--json",
-            "--wire", "binary",
         )
         assert code == 0
         payload = json.loads(text)
