@@ -3,8 +3,8 @@
 The fast-path layers (:mod:`repro.core.fastpath`) exploit label
 immutability: hash-consed ``Label`` construction, a bounded flow-verdict
 cache keyed on label pairs, a per-thread barrier cache guarded by the
-label epoch, precomputed interpreter dispatch tables, the kernel's
-path-walk cache and compiled LSM hook chains.  This ablation
+label epoch, precomputed interpreter dispatch tables, and the kernel's
+permission memo (allowed walks and held-file checks).  This ablation
 runs one deterministic workload mix — the Fig. 8 interpreter workloads, a
 labeled security-region IR loop, and an lmbench-style OS mix with denied
 opens and silently-dropped pipe traffic — under every cache configuration

@@ -35,7 +35,7 @@ processes the way it overlaps across real cores).  The claims:
   single-threaded replay at every worker count (the workload includes
   denied transmits, silent pipe drops, and courier traffic, so the
   parity checks are not vacuous);
-* nonzero compiled-hook-chain activity (:mod:`repro.osim.hookchain`).
+* nonzero permission-memo replays (:mod:`repro.osim.hookchain`).
 
 Environment knobs for CI tiers: ``OS_MULTICORE_SMOKE=1`` runs a
 same-process (inline) 2-point sweep with parity checks only and does
@@ -44,7 +44,7 @@ not rewrite the JSON; ``OS_MULTICORE_WORKERS=N`` runs a fork sweep at
 
 Machine-readable results land in ``BENCH_os_throughput.json`` at the
 repository root, including a :mod:`repro.core.fastpath` counter snapshot
-(which carries the ``hookchain_*`` counters).
+(which carries the ``walk_*`` and ``hookchain_*`` counters).
 """
 
 from __future__ import annotations
@@ -210,8 +210,7 @@ def _measure_multicore() -> dict:
             agg = ps.aggregate()
             if best is None or ps.elapsed < best:
                 best = ps.elapsed
-                for key in ("hookchain_compiles", "hookchain_hits",
-                            "hookchain_deopts"):
+                for key in ("hookchain_hits", "hookchain_deopts"):
                     hookchain[key] = agg["fastpath"].get(key, 0)
         elapsed[workers] = best
 
@@ -238,8 +237,7 @@ def _measure_multicore() -> dict:
         "audit_parity": audit_parity,
         "traffic_parity": traffic_parity,
         "hookchain": dict(hookchain),
-        "hookchain_active": hookchain["hookchain_compiles"] > 0
-        and hookchain["hookchain_hits"] > 0,
+        "hookchain_active": hookchain["hookchain_hits"] > 0,
     }
 
 
@@ -249,18 +247,14 @@ def sweep():
     fastpath.counters.reset()
     results: dict[str, dict] = {}
     scaling: dict[str, dict[int, float]] = {name: {} for name in CONFIGS}
-    # Ablation hygiene: the three legacy configs isolate *batching*, so
-    # they run with hook-chain compilation off — otherwise the compiled
-    # chains speed up the sequential arm and the batched/sequential
-    # ratio stops measuring batching.  The multi-core arm below runs
-    # with default flags and reports the hook-chain counters.
-    with fastpath.configured(hook_chain_compile=False):
-        for name in CONFIGS:
-            for users in USER_SWEEP:
-                measured = _measure(name, users)
-                scaling[name][users] = measured["ops_per_sec"]
-                if users == MAIN_USERS:
-                    results[name] = measured
+    # The sequential and batched arms replay from the same permission
+    # memo, so their ratio measures batching alone.
+    for name in CONFIGS:
+        for users in USER_SWEEP:
+            measured = _measure(name, users)
+            scaling[name][users] = measured["ops_per_sec"]
+            if users == MAIN_USERS:
+                results[name] = measured
 
     multicore = _measure_multicore()
 
@@ -336,9 +330,9 @@ def sweep():
         f"({multicore['audit_entries']} entries)",
         f"  traffic parity:   {multicore['traffic_parity']} "
         f"({multicore['traffic_messages']} messages)",
-        f"  hook chains:      {multicore['hookchain'].get('hookchain_compiles', 0)} "
-        f"compiled, {multicore['hookchain'].get('hookchain_hits', 0)} hits, "
-        f"{multicore['hookchain'].get('hookchain_deopts', 0)} deopts",
+        f"  permission memo:  {multicore['hookchain'].get('hookchain_hits', 0)} "
+        f"held-file replays, {multicore['hookchain'].get('hookchain_deopts', 0)} "
+        f"stale entries dropped",
     ]
     publish("os_throughput", "\n".join(lines))
     return payload
@@ -374,7 +368,7 @@ def test_json_report_written(sweep):
     assert payload["batched_speedup"] >= 2.0
     assert "fastpath_counters" in payload
     assert "walk_hits" in payload["fastpath_counters"]
-    assert "hookchain_compiles" in payload["fastpath_counters"]
+    assert "hookchain_hits" in payload["fastpath_counters"]
     assert "multicore" in payload
 
 
@@ -396,7 +390,6 @@ def test_multicore_audit_and_traffic_parity(sweep):
 def test_multicore_hook_chains_engaged(sweep):
     mc = sweep["multicore"]
     assert mc["hookchain_active"] is True
-    assert mc["hookchain"]["hookchain_compiles"] > 0
     assert mc["hookchain"]["hookchain_hits"] > 0
 
 

@@ -8,7 +8,10 @@ of the label check."
 
 Reproduction: each row drives the same syscall path on two kernels — one
 with the NullSecurityModule, one with the LaminarSecurityModule — and the
-medians are normalized.  Asserted shape:
+medians are normalized.  Both arms run with the kernel's permission memo
+off (``path_walk_cache=False``): the paper's LSM checks every call, and a
+replayed verdict would time the memo instead of the label check.
+Asserted shape:
 
 * Laminar is never (meaningfully) faster than vanilla;
 * null I/O has the largest relative overhead of all rows;
@@ -32,6 +35,7 @@ from repro.bench import (
     render_table,
     setup_tree,
 )
+from repro.core import fastpath
 from repro.osim import Kernel, LaminarSecurityModule, NullSecurityModule
 
 pytestmark = pytest.mark.bench
@@ -73,7 +77,8 @@ def _run_suite() -> list[Row]:
 
 @pytest.fixture(scope="module")
 def rows():
-    return _run_suite()
+    with fastpath.configured(path_walk_cache=False):
+        return _run_suite()
 
 
 def test_table2_report(rows):
@@ -141,4 +146,5 @@ def test_table2_benchmark_null_io(benchmark):
     kernel = Kernel(LaminarSecurityModule())
     actor = setup_tree(kernel)
     fn, iterations = LMBENCH_ROWS["null I/O"]
-    benchmark(fn, kernel, actor, iterations)
+    with fastpath.configured(path_walk_cache=False):
+        benchmark(fn, kernel, actor, iterations)

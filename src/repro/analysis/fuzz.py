@@ -793,12 +793,13 @@ def normalize_cross_arm(observables: dict) -> dict:
     """Project observables for the *cross-arm* parity check (cooperative
     vs. replicated): blur inode numbers out of audit details (runtime
     creations shift per-fs numbering between a kernel that ran every
-    group and replicas that each ran a subset) and drop the hook-call
-    counters (walk-cache warmth differs by construction).  The
-    secret-swap comparison within an arm is always exact bytes."""
+    group and replicas that each ran a subset).  Hook-call counters are
+    kept: every permission-memo hit replays its hook count, so memo
+    warmth, which differs between arms by construction, cannot move
+    them.  The secret-swap comparison within an arm is always exact
+    bytes."""
     out = dict(observables)
     out["audit"] = tuple(_INO_RE.sub("ino=?", line) for line in out["audit"])
-    out.pop("hooks", None)
     out.pop("caps_fs", None)
     return out
 

@@ -1140,7 +1140,7 @@ def setup_degraded_os_server(
 # probe into an unlabeled pipe (silently dropped: denied ≡ empty), and
 # an unlabeled courier task transmits a heartbeat (delivered: one
 # traffic-log entry).  The server stats its file once per request, so
-# the hot path exercises compiled LSM hook chains (walk + getattr and
+# the hot path replays the kernel's permission memo (the stat's walk and
 # per-chunk file_permission) as well.
 
 
@@ -1158,7 +1158,7 @@ def _psrv_server_body(kernel, batched, path, req_fd, resp_fd, chunks, chunk_size
             if not request:
                 break
             # Freshness check before serving: the per-request stat is
-            # what makes the walk+getattr hook chain hot.
+            # what makes the stat's walk hot.
             yield syscall("stat", path)
             if batched:
                 cqes = yield submit(sqes)

@@ -27,14 +27,17 @@ Layers (each a boolean on :data:`flags`):
     (:mod:`repro.jit.interpreter`) replacing per-instruction opcode
     dispatch.
 ``path_walk_cache``
-    The kernel's per-task path-walk verdict cache
-    (:meth:`repro.osim.kernel.Kernel._walk_checked`): a successful
-    LSM-checked traversal of a directory prefix is recorded under the
+    The kernel's permission memo (:mod:`repro.osim.hookchain`): an
+    allowed LSM-checked walk of a directory prefix, and an allowed
+    ``file_permission`` check on a held file, are recorded under the
     task's label epoch and replayed as one dict hit (hook counters are
     replayed too, so the observable record is identical).  Entries are
-    revalidated against the traversed inodes' label identities and the
-    kernel's namespace generation, so relabels, unlinks, and label
-    changes can never resurrect a stale allow.
+    revalidated against the recorded inodes' label identities and
+    emptied by the kernel on unlink, directory creation, module install,
+    crash, remount and replication, so no stale allow is replayed.
+    :func:`configure` and :func:`clear_caches` leave the memo alone:
+    its entries hold the inode and label objects themselves, which an
+    intern-table flush cannot change.
 
 All layers are pure performance: verdicts, audit entries, and violation
 counts are identical with every combination of switches (asserted by
@@ -70,9 +73,6 @@ class FastPathFlags:
     thread_barrier_cache: bool = True
     dispatch_table: bool = True
     path_walk_cache: bool = True
-    #: Tier-2 for the OS: bake hot (walk prefix, permission hook) chains
-    #: into exec-generated closures (:mod:`repro.osim.hookchain`).
-    hook_chain_compile: bool = True
 
     def as_dict(self) -> dict[str, bool]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -111,10 +111,9 @@ class FastPathCounters:
     tier2_deopts: int = 0
     tier2_clones: int = 0
     tier2_invalidations: int = 0
-    #: Hook-chain engine traffic (:mod:`repro.osim.hookchain`): chains
-    #: baked into closures, verdicts replayed from a baked chain, and
-    #: guard failures that discarded a chain and re-ran the full hooks.
-    hookchain_compiles: int = 0
+    #: Permission-memo traffic (:mod:`repro.osim.hookchain`): held-file
+    #: checks replayed (walks count ``walk_hits``/``walk_misses``), and
+    #: stale entries of either kind dropped before the full hooks re-ran.
     hookchain_hits: int = 0
     hookchain_deopts: int = 0
     #: Wire data plane (:mod:`repro.osim.lamwire`): frames encoded and

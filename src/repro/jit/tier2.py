@@ -700,12 +700,11 @@ def bake_closure(source: str, bindings: dict, entry: str, filename: str):
     """Exec-compile generated ``source`` with constants pre-bound as its
     globals and return the ``entry`` function.
 
-    The tier-2 template compiler and the OS hook-chain compiler
-    (:mod:`repro.osim.hookchain`) share this step: both emit plain
-    Python whose free names are baked constants (interned labels, inode
-    references, handler tables), so the generated code runs with zero
-    per-call environment lookups beyond the globals dict.  ``bindings``
-    is copied — callers may reuse their template dictionaries.
+    The template compiler emits plain Python whose free names are baked
+    constants (interned labels, handler tables), so the generated code
+    runs with zero per-call environment lookups beyond the globals dict.
+    ``bindings`` is copied — callers may reuse their template
+    dictionaries.
     """
     glob = dict(bindings)
     exec(compile(source, filename, "exec"), glob)

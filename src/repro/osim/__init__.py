@@ -12,12 +12,13 @@ The throughput layer lives in :mod:`.sched` (cooperative scheduler with
 label-oblivious blocking I/O), :meth:`.kernel.Kernel.sys_submit`
 (io_uring-style batched submission), :mod:`.psched` (parallel scheduler
 backend partitioning task groups across the worker pool), and
-:mod:`.hookchain` (tier-2 compilation of hot LSM hook chains).  Scale-out
-lives in :mod:`.cluster` (sharded multi-kernel deployments behind a
-label-aware router), :mod:`.pool` (the one worker pool both run on),
-:mod:`.rpc` (the inter-shard message surface, delta capture and merge),
-and :mod:`.lamwire` (the zero-copy binary data plane: closed-schema
-codec, per-connection label dictionaries, adaptive coalescing).
+:mod:`.hookchain` (the permission memo replaying allowed walks and
+held-file checks).  Scale-out lives in :mod:`.cluster` (sharded
+multi-kernel deployments behind a label-aware router), :mod:`.pool`
+(the one worker pool both run on), :mod:`.rpc` (the inter-shard message
+surface, delta capture and merge), and :mod:`.lamwire` (the zero-copy
+binary data plane: closed-schema codec, per-connection label
+dictionaries, adaptive coalescing).
 """
 
 from .cluster import (

@@ -27,15 +27,15 @@ image with its own LSM, filesystem, and audit log, fronted by a
 * The shared namespaces replicate by epoch-stamped frames —
   :meth:`Cluster.sync_tags` (interned-tag namespace) and
   :meth:`Cluster.sync_caps` (capability stores) — and every applied
-  ``CapSync`` bumps the receiving kernel's ``fd_epoch``, orphaning
-  permission memos recorded under the pre-replication state.  Both
+  ``CapSync`` empties the receiving kernel's permission memo, so no
+  verdict recorded under the pre-replication state is replayed.  Both
   planes are **delta-encoded** against a per-peer high-water mark: a
   shard that already acknowledged tag values below ``v`` is never sent
   them again, and a principal whose (labels, capabilities) state is
   unchanged since the last applied ``CapSync`` is omitted from the next
   one.  Deltas change bytes only, never outcomes: ``apply_snapshot``
-  ignores already-present entries and an empty ``CapSync`` still bumps
-  ``fd_epoch``, so the merged observables stay byte-identical to the
+  ignores already-present entries and an empty ``CapSync`` still
+  empties the memo, so the merged observables stay byte-identical to the
   full-broadcast protocol.
 * Observables merge deterministically: every request carries a
   router-assigned global sequence number; :meth:`Cluster.merged_audit`
@@ -178,7 +178,7 @@ def boot_shard(
     world — identical setup sequences produce identical inode numbers,
     which is what lets denial details compare byte-for-byte against a
     single-kernel replay), wrapped in a :class:`ShardServer`."""
-    kernel = Kernel(LaminarSecurityModule(), shard_id=spec.shard_id)
+    kernel = Kernel(LaminarSecurityModule())
     # World building always defers its simulated work (boot cost is not
     # service time, and busy-looping through a large world would serialize
     # worker start-up); the server constructor drains the balance.
@@ -411,9 +411,8 @@ class Cluster:
         CapabilitySet) triples — to every shard, **delta-encoded**: a
         principal whose state matches what the shard last applied is
         omitted.  The frame itself is always sent (even empty): each
-        applied ``CapSync`` bumps the shard's ``fd_epoch``, orphaning
-        pre-replication memos, and that epoch discipline must not depend
-        on how much state happened to change."""
+        applied ``CapSync`` empties the shard's permission memo, and that
+        must not depend on how much state happened to change."""
         self._sync_epoch += 1
         principals = tuple(principals)
         wave = []

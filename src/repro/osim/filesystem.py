@@ -228,14 +228,18 @@ class Filesystem:
         the kernel walks with LSM checks at each component via
         :meth:`walk_components`.
         """
-        inode, name = self.resolve_parent(path, cwd)
+        return self.lookup(*self.resolve_parent(path, cwd), path)
+
+    @staticmethod
+    def lookup(parent: Inode, name: Optional[str], path: str) -> Inode:
+        """The last step of :meth:`resolve`: the inode ``name`` names in
+        ``parent`` (``parent`` itself when ``name`` is ``None``)."""
         if name is None:
-            return inode
-        if not inode.is_dir:
-            raise SyscallError(ENOTDIR, path)
-        child = inode.children.get(name)
+            return parent
+        child = parent.children.get(name)
         if child is None:
-            raise SyscallError(ENOENT, path)
+            # Only directories have children: a miss under a file is ENOTDIR.
+            raise SyscallError(ENOENT if parent.is_dir else ENOTDIR, path)
         return child
 
     def resolve_parent(

@@ -1,293 +1,145 @@
-"""Tier-2 for the OS: compile hot LSM hook chains into baked closures.
+"""The OS permission memo: allowed walks and held-file checks, replayed.
 
-The kernel's hot syscalls run the same *hook chain* millions of times:
-``sys_stat`` is a path walk (one ``inode_permission`` EXEC check per
-traversed directory) followed by ``inode_getattr`` on the leaf;
-``sys_open`` is the same walk followed by ``inode_permission`` with the
-open mask; ``sys_read``/``sys_write`` on a regular file are a single
-``file_permission`` check.  For a server re-touching the same paths and
-descriptors, every verdict in the chain is structurally fixed — it can
-only change when the task's labels change, an involved inode is
-relabeled, the namespace mutates under the walked prefix, or the
-security module itself is swapped.
+Laminar's LSM (Section 5.2) decides every inode and file access from two
+immutable labels — the task's and the object's — so an *allowed* verdict
+stays allowed until one of those labels or the namespace changes.  A
+server re-touching the same paths and descriptors runs the same hook
+sequences over and over; this engine records each allowed sequence once
+and replays it as a dict hit.  It holds two kinds of plain entry:
 
-This module is the OS analogue of the VM's tier-2 template JIT
-(:mod:`repro.jit.tier2`), sharing its :func:`~repro.jit.tier2.bake_closure`
-step: a profiler counts successful chains per key, and a hot chain is
-compiled into an exec-generated closure whose *constants* are the
-interned label-pair identities, the traversed inode objects, the
-resolved leaf, and the hook counts to replay.  Replaying a baked chain
-increments the module's ``hook_calls`` exactly as the interpreted chain
-would, so the observable hook/audit record is byte-identical — the
-compiled path is pure performance.
+* **walk entries** — keyed ``(tid, label_epoch, start, head)``, where
+  ``start`` is the cwd inode of a relative walk (``None`` for an absolute
+  one) and ``head`` is the path text before its last ``/``.  The entry
+  holds the ``(inode, labels)`` of every directory the walk checked with
+  ``inode_permission`` plus the directory it reached, so a hit also
+  skips re-resolving the path.  A path whose last piece is ``""`` or
+  ``"."`` is never memoized: :meth:`Filesystem.split` drops that piece,
+  so ``head`` would not name the directories walked.
+* **held-file entries** — keyed ``(tid, label_epoch, inode, write)``;
+  the entry is the inode's labels when ``file_permission`` allowed the
+  access.  ``sys_read``/``sys_write`` use :meth:`replay_fd` /
+  :meth:`profile_fd`; ``sys_submit`` probes :attr:`files` inline with a
+  key prefix hoisted out of its batch loop.
 
-Deopt discipline (never silently stale), mirroring tier-2's epoch
-guards:
+Soundness rests on four rules:
 
-* **task label changes** — the per-task ``label_epoch`` is in every
-  chain key; a relabel makes old chains unreachable.
-* **inode relabels** — each closure guards the interned label *identity*
-  of every baked inode; a mismatch returns ``None`` and the entry is
-  discarded (``hookchain_deopts``).
-* **namespace mutation** — path chains record the kernel's
-  ``_walk_gen`` at bake time and are discarded when it moves (unlink,
-  mkdir, labeled directory creation).
-* **cwd changes** — relative-path chains guard ``task.cwd`` identity.
-* **security-policy swap** — the kernel bumps ``policy_epoch`` in
-  ``_refresh_security_module``; the engine drops everything.
-* **fast-path reconfiguration** — :func:`repro.core.fastpath.configure`
-  / ``clear_caches`` bump a module-level config epoch (registered via
-  ``register_cache`` exactly like the tier-2 code cache), retiring
-  chains whose baked label identities may not survive an intern-table
-  flush.
+* a hit re-checks every recorded label by identity and replays the hook
+  counts exactly, so the observable hook record never depends on the
+  memo; a stale entry is dropped and counted in ``hookchain_deopts``;
+* only allowed runs are recorded — denials and ENOENT re-run the full
+  hooks every time, so audit entries and denial counters never depend
+  on the memo either;
+* the task's ``label_epoch`` is in every key, so a task label change
+  makes its old entries unreachable;
+* :meth:`invalidate` empties the engine on every other event that can
+  change a verdict or a walk: unlink, directory creation, security
+  module install, crash, remount, cluster replication, and the rename
+  of a corrupt capability file.
 
-Only *successful* chains are ever baked (denials and ENOENT re-run the
-full hook sequence every time, so denial counters, audit entries, and
-error text never depend on compilation state), and only for security
-modules whose relevant hooks are the known-pure implementations
-(:func:`repro.osim.lsm.chain_bakeable_hooks`) — the same soundness
-condition as the kernel's walk cache and submit memo.
+Entries are recorded only for hooks :func:`chain_bakeable_hooks` names as
+pure functions of the two labels, and only while
+``fastpath.flags.path_walk_cache`` is on.  The engine replays directory
+search checks and held-file checks only; leaf hooks (``inode_getattr``,
+open's mode check, ``inode_create``, ``inode_unlink``) always run.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..core import fastpath
+from ..core import LabelPair, fastpath
 from ..core.fastpath import counters as _fp
+from .lsm import chain_bakeable_hooks
 
 if TYPE_CHECKING:
     from .filesystem import File, Inode
     from .kernel import Kernel
     from .task import Task
 
-#: Successful occurrences of one chain key before it is compiled.
-COMPILE_THRESHOLD = 8
-#: Entry caps — wholesale clear on overflow, same discipline as the
-#: kernel's walk cache (hot chains re-bake within a few operations).
-MAX_CHAINS = 2048
-MAX_PROFILE = 8192
-
-#: Bumped by every ``fastpath.configure()`` / ``clear_caches()``:
-#: compiled chains bake interned label identities, which a cache flush
-#: may retire.  Engines compare lazily, so no per-kernel callback ever
-#: leaks into the process-wide clearer list.
-_config_epoch = 0
-
-
-def _bump_config_epoch() -> None:
-    global _config_epoch
-    _config_epoch += 1
-
-
-fastpath.register_cache(_bump_config_epoch)
-
-#: Lazily resolved :func:`repro.jit.tier2.bake_closure` — importing the
-#: jit package at module load would close an import cycle through
-#: runtime.vm back to osim.kernel; by first compile time both packages
-#: are fully initialized.
-_bake_closure = None
-
-
-def bake_closure(source: str, bindings: dict, entry: str, filename: str):
-    global _bake_closure
-    if _bake_closure is None:
-        from ..jit.tier2 import bake_closure as _bc
-
-        _bake_closure = _bc
-    return _bake_closure(source, bindings, entry, filename)
-
-
-def _compile_path_chain(
-    observed: tuple,
-    leaf: "Inode",
-    leaf_hook: str,
-    cwd: Optional["Inode"],
-    seq: int,
-) -> object:
-    """Bake one walk+leaf chain: identity guards, count replay, leaf."""
-    lines = ["def _chain(task, hook_calls):"]
-    bindings: dict[str, object] = {}
-    if cwd is not None:
-        bindings["_cwd"] = cwd
-        lines.append("    if task.cwd is not _cwd:")
-        lines.append("        return None")
-    for i, (inode, labels) in enumerate(observed):
-        bindings[f"_d{i}"] = inode
-        bindings[f"_dl{i}"] = labels
-        lines.append(f"    if _d{i}.labels is not _dl{i}:")
-        lines.append("        return None")
-    bindings["_leaf"] = leaf
-    bindings["_ll"] = leaf.labels
-    lines.append("    if _leaf.labels is not _ll:")
-    lines.append("        return None")
-    nperm = len(observed) + (1 if leaf_hook == "inode_permission" else 0)
-    if nperm:
-        lines.append(f"    hook_calls['inode_permission'] += {nperm}")
-    if leaf_hook != "inode_permission":
-        lines.append(f"    hook_calls[{leaf_hook!r}] += 1")
-    lines.append("    return _leaf")
-    source = "\n".join(lines) + "\n"
-    return bake_closure(source, bindings, "_chain", f"<hookchain:path:{seq}>")
-
-
-_FD_CHAIN_SOURCE = (
-    "def _chain(hook_calls):\n"
-    "    if _inode.labels is not _labels:\n"
-    "        return None\n"
-    "    hook_calls['file_permission'] += 1\n"
-    "    return True\n"
-)
-
-
-def _compile_fd_chain(file: "File", seq: int) -> object:
-    bindings = {"_inode": file.inode, "_labels": file.inode.labels}
-    return bake_closure(
-        _FD_CHAIN_SOURCE, bindings, "_chain", f"<hookchain:fd:{seq}>"
-    )
+#: Entry cap per kind: the dict is emptied when it fills (hot entries are
+#: re-recorded on their next allowed run).
+MAX_ENTRIES = 4096
 
 
 class HookChainEngine:
-    """Profiler + chain cache + guard/deopt protocol for one kernel.
-
-    Two chain kinds:
-
-    * **path chains** — keyed ``((op, discriminator), tid, label_epoch,
-      path)``; a hit replays the walk's ``inode_permission`` count plus
-      the leaf hook and returns the resolved leaf inode, skipping the
-      per-component traversal, name resolution, and hook dispatch.
-    * **fd chains** — keyed ``(file, tid, label_epoch, write?)``; a hit
-      replays one ``file_permission``.  The :class:`File` object itself
-      is the key, so the entry pins it and the identity can never be
-      recycled while the chain lives.
-    """
+    """One kernel's permission memo (see the module docstring)."""
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        self._config_epoch = _config_epoch
-        self._policy_epoch = kernel.policy_epoch
-        #: key -> (walk_gen at bake, closure)
-        self._path_chains: dict[tuple, tuple] = {}
-        #: key -> closure
-        self._fd_chains: dict[tuple, object] = {}
-        #: key -> successful-occurrence count (both chain kinds share it).
-        self._profile: dict[tuple, int] = {}
-        self._seq = 0
+        #: walk key -> (((inode, labels), ...), directory reached)
+        self.walks: dict[tuple, tuple] = {}
+        #: held-file key -> the inode's labels when access was allowed
+        self.files: dict[tuple, LabelPair] = {}
+        self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop every chain and profile (crash, remount, policy swap)."""
-        self._path_chains.clear()
-        self._fd_chains.clear()
-        self._profile.clear()
+        """Empty the engine and re-derive which hooks it may replay from
+        the installed security module."""
+        self.walks.clear()
+        self.files.clear()
+        hooks = chain_bakeable_hooks(self.kernel.security)
+        self.walks_ok = "inode_permission" in hooks
+        self.files_ok = "file_permission" in hooks
 
-    def _live(self) -> bool:
-        """Revalidate the engine's epochs; ``False`` disables chains."""
-        if not fastpath.flags.hook_chain_compile:
-            return False
-        policy = self.kernel.policy_epoch
-        if self._config_epoch != _config_epoch or self._policy_epoch != policy:
-            self.invalidate()
-            self._config_epoch = _config_epoch
-            self._policy_epoch = policy
-        return True
+    # -- walk entries ---------------------------------------------------------
 
-    # -- path chains (walk prefix + leaf permission hook) ---------------------
-
-    def lookup_path(self, op: tuple, task: "Task", path: str):
-        """Replay a baked walk+leaf chain; returns the leaf inode, or
-        ``None`` (cold, guard failure, or compilation disabled) meaning
-        the caller must run the full interpreted chain."""
-        if not self._live():
+    def lookup_path(self, key: tuple) -> Optional["Inode"]:
+        """Replay an allowed walk: add its ``inode_permission`` count and
+        return the directory it reached, or ``None`` (cold, stale, or
+        switched off) when the caller must walk."""
+        if not (self.walks_ok and fastpath.flags.path_walk_cache):
             return None
-        key = (op, task.tid, task.security.label_epoch, path)
-        entry = self._path_chains.get(key)
-        if entry is None:
-            return None
-        gen, chain = entry
-        if gen == self.kernel._walk_gen:
-            inode = chain(task, self.kernel.security.hook_calls)
-            if inode is not None:
-                _fp.hookchain_hits += 1
-                return inode
-        del self._path_chains[key]
-        _fp.hookchain_deopts += 1
+        entry = self.walks.get(key)
+        if entry is not None:
+            observed, directory = entry
+            for inode, labels in observed:
+                if inode.labels is not labels:
+                    del self.walks[key]
+                    _fp.hookchain_deopts += 1
+                    break
+            else:
+                _fp.walk_hits += 1
+                if observed:
+                    self.kernel.security.hook_calls["inode_permission"] += len(observed)
+                return directory
+        _fp.walk_misses += 1
         return None
 
-    def profile_path(
-        self,
-        op: tuple,
-        task: "Task",
-        path: str,
-        observed: tuple,
-        leaf: "Inode",
-        leaf_hook: str,
-    ) -> None:
-        """Record one successful interpreted chain; bake when hot."""
-        if not self._live():
+    def profile_path(self, key: tuple, observed: tuple, directory: "Inode") -> None:
+        """Record one allowed walk under ``key``."""
+        if not (self.walks_ok and fastpath.flags.path_walk_cache):
             return
-        hooks = self.kernel._chain_hooks
-        if "inode_permission" not in hooks or leaf_hook not in hooks:
-            return
-        key = (op, task.tid, task.security.label_epoch, path)
-        prof = self._profile
-        n = prof.get(key, 0) + 1
-        if n < COMPILE_THRESHOLD:
-            if len(prof) >= MAX_PROFILE:
-                prof.clear()
-            prof[key] = n
-            return
-        prof.pop(key, None)
-        relative = not path.startswith("/") and task.cwd is not None
-        self._seq += 1
-        chain = _compile_path_chain(
-            observed, leaf, leaf_hook, task.cwd if relative else None, self._seq
-        )
-        if len(self._path_chains) >= MAX_CHAINS:
-            self._path_chains.clear()
-        self._path_chains[key] = (self.kernel._walk_gen, chain)
-        _fp.hookchain_compiles += 1
+        walks = self.walks
+        if len(walks) >= MAX_ENTRIES:
+            walks.clear()
+        walks[key] = (observed, directory)
 
-    # -- fd chains (file_permission on a held descriptor) ---------------------
+    # -- held-file entries ------------------------------------------------------
 
     def replay_fd(self, task: "Task", file: "File", write: bool) -> bool:
-        """Replay a baked ``file_permission``; ``False`` means the caller
-        must run the real hook (cold, guard failure, or disabled)."""
-        if not self._live():
+        """Replay an allowed ``file_permission``; ``False`` means the
+        caller must run the hook."""
+        if not (self.files_ok and fastpath.flags.path_walk_cache):
             return False
-        key = (file, task.tid, task.security.label_epoch, write)
-        chain = self._fd_chains.get(key)
-        if chain is None:
+        inode = file.inode
+        key = (task.tid, task.security.label_epoch, inode, write)
+        labels = self.files.get(key)
+        if labels is None:
             return False
-        if chain(self.kernel.security.hook_calls) is None:
-            del self._fd_chains[key]
+        if labels is not inode.labels:
+            del self.files[key]
             _fp.hookchain_deopts += 1
             return False
+        self.kernel.security.hook_calls["file_permission"] += 1
         _fp.hookchain_hits += 1
         return True
 
     def profile_fd(self, task: "Task", file: "File", write: bool) -> None:
-        if not self._live():
+        """Record one allowed ``file_permission``."""
+        if not (self.files_ok and fastpath.flags.path_walk_cache):
             return
-        if "file_permission" not in self.kernel._chain_hooks:
-            return
-        key = (file, task.tid, task.security.label_epoch, write)
-        prof = self._profile
-        n = prof.get(key, 0) + 1
-        if n < COMPILE_THRESHOLD:
-            if len(prof) >= MAX_PROFILE:
-                prof.clear()
-            prof[key] = n
-            return
-        prof.pop(key, None)
-        self._seq += 1
-        if len(self._fd_chains) >= MAX_CHAINS:
-            self._fd_chains.clear()
-        self._fd_chains[key] = _compile_fd_chain(file, self._seq)
-        _fp.hookchain_compiles += 1
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "path_chains": len(self._path_chains),
-            "fd_chains": len(self._fd_chains),
-            "profiled_keys": len(self._profile),
-        }
+        files = self.files
+        if len(files) >= MAX_ENTRIES:
+            files.clear()
+        inode = file.inode
+        files[(task.tid, task.security.label_epoch, inode, write)] = inode.labels

@@ -47,8 +47,8 @@ from .filesystem import (
     InodeType,
     OpenMode,
 )
-from .hookchain import HookChainEngine
-from .lsm import LaminarSecurityModule, Mask, SecurityModule, chain_bakeable_hooks
+from .hookchain import MAX_ENTRIES, HookChainEngine
+from .lsm import LaminarSecurityModule, Mask, SecurityModule
 from .pipes import Pipe
 from .sockets import Network, Socket
 from .task import (
@@ -216,28 +216,12 @@ class Kernel:
     #: Extra simulated work per additional iovec segment in readv/writev.
     VECTOR_SEGMENT_WORK = 40
 
-    def __init__(
-        self,
-        security: Optional[SecurityModule] = None,
-        *,
-        shard_id: int = 0,
-    ) -> None:
+    def __init__(self, security: Optional[SecurityModule] = None) -> None:
         self.security = security if security is not None else LaminarSecurityModule()
-        #: Which cluster shard this kernel is (0 for a standalone machine).
-        #: Baked into every persistent submit-memo key so a verdict proved
-        #: on one shard can never be replayed on another (see
-        #: :meth:`sys_submit` and repro.osim.cluster).
-        self.shard_id = shard_id
         #: Replication clock: the newest cluster replication event this
         #: kernel has applied (epoch-stamped invalidation — stale events
         #: are rejected).  0 means "never replicated".
         self.replication_epoch = 0
-        #: fd/capability-store epoch: bumped whenever replication lands
-        #: (capability stores, principal labels, or the tag namespace may
-        #: have changed under running tasks).  Persistent permission memos
-        #: key on it, so a memo recorded before a replication event is
-        #: unreachable after it.
-        self.fd_epoch = 0
         #: Simulated-work accounting mode.  ``False`` (default): syscalls
         #: burn their ``SYSCALL_WORK`` busy loops inline, exactly as
         #: before.  ``True``: the iterations are *accumulated* into
@@ -267,31 +251,10 @@ class Kernel:
         self.syscall_counts: Counter[str] = Counter()
         #: Machine-wide audit log (TCB-internal; see repro.core.audit).
         self.audit = AuditLog()
-        #: Path-walk verdict cache: (tid, label epoch, start, dirname) ->
-        #: (namespace generation, hook count, ((inode, labels), ...)).
-        #: Successful prefix walks only; see :meth:`_walk_checked`.
-        self._walk_cache: dict[tuple, tuple] = {}
-        #: Bumped on any event that can change what a path walk traverses
-        #: or decides: unlink, mkdir, labeled creation of a directory, and
-        #: security-module swap.  (Task label changes are covered by the
-        #: per-task label epoch in the cache key; direct inode relabels by
-        #: the per-entry label-identity revalidation.)
-        self._walk_gen = 0
-        #: Persistent success-only permission memo for :meth:`sys_submit`,
-        #: surviving across batches: (shard_id, fd_epoch, tid, label_epoch,
-        #: inode, write?) -> the inode's LabelPair identity at proof time.
-        #: Hits replay the hook count; denials are never memoized; entries
-        #: are revalidated against the inode's current label identity; and
-        #: the shard/fd-epoch key components make memos unreplayable across
-        #: shards or across capability-store replication events.
-        self._submit_memo: dict[tuple, LabelPair] = {}
-        #: Bumped on every security-module (re)install; the hook-chain
-        #: engine compares it lazily, so a policy swap retires every
-        #: baked chain without the kernel walking the engine's tables.
-        self.policy_epoch = 0
-        self._refresh_security_module()
-        #: Tier-2 for the OS: hot (walk prefix, permission hook) chains
-        #: baked into closures (:mod:`repro.osim.hookchain`).
+        self.security.audit = self.audit
+        #: The permission memo: allowed directory walks and held-file
+        #: checks, replayed until :meth:`HookChainEngine.invalidate`
+        #: (:mod:`repro.osim.hookchain`).
         self.hookchain = HookChainEngine(self)
         #: Per-opcode batch work: SYSCALL_WORK minus the amortized entry
         #: share (floor 0 — close, for one, is mostly crossing cost).
@@ -310,36 +273,11 @@ class Kernel:
 
     def set_security_module(self, security: SecurityModule) -> None:
         """Swap the installed security module (benchmark arms do this to
-        compare vanilla vs Laminar on one booted image).  Flushes the
-        path-walk cache: cached verdicts belong to the old module."""
+        compare vanilla vs Laminar on one booted image).  Empties the
+        permission memo: its verdicts belong to the old module."""
         self.security = security
-        self._refresh_security_module()
-
-    def _refresh_security_module(self) -> None:
-        self.security.audit = self.audit
-        self._walk_gen += 1
-        self._walk_cache.clear()
-        self._submit_memo.clear()
-        self.policy_epoch += 1
-        #: Hooks of this module safe to replay from baked chains (pure
-        #: functions of interned labels); see repro.osim.hookchain.
-        self._chain_hooks = chain_bakeable_hooks(self.security)
-        # The walk cache replays a module's *decision* without re-running
-        # its hook body, which is only sound for hook implementations
-        # known to be pure functions of (task labels, inode labels).  A
-        # subclass with its own inode_permission opts out automatically.
-        impl = type(self.security).inode_permission
-        self._walk_cacheable = impl in (
-            SecurityModule.inode_permission,
-            LaminarSecurityModule.inode_permission,
-        )
-        # Same purity requirement for the persistent submit memo, which
-        # replays file_permission verdicts across batches.
-        fimpl = type(self.security).file_permission
-        self._perm_memo_ok = fimpl in (
-            SecurityModule.file_permission,
-            LaminarSecurityModule.file_permission,
-        )
+        security.audit = self.audit
+        self.hookchain.invalidate()
 
     # ------------------------------------------------------------------ boot
 
@@ -434,18 +372,15 @@ class Kernel:
 
     def crash(self) -> None:
         """Simulated power loss: every task dies, all volatile kernel state
-        (fd tables, walk caches, the armed fault plan) is discarded.  The
-        filesystem object — inode data, xattrs, the journal — survives:
-        it is the disk."""
+        (fd tables, the permission memo, the armed fault plan) is
+        discarded.  The filesystem object — inode data, xattrs, the
+        journal — survives: it is the disk."""
         for task in self.tasks.values():
             task.alive = False
             task.fd_table.clear()
             task.pending_signals.clear()
         self.tasks.clear()
         self.install_faults(None)
-        self._walk_cache.clear()
-        self._walk_gen += 1
-        self._submit_memo.clear()
         self.hookchain.invalidate()
 
     def remount(self):
@@ -455,8 +390,6 @@ class Kernel:
         from .recovery import recover  # deferred: recovery imports us
 
         report = recover(self)
-        self._walk_cache.clear()
-        self._walk_gen += 1
         self.hookchain.invalidate()
         if not self.tasks:
             self.init_task = self.spawn_task("init", user="root")
@@ -469,27 +402,24 @@ class Kernel:
         Epoch-stamped invalidation: an event not newer than what this
         kernel already applied returns ``False`` and changes nothing, so
         re-delivered or reordered replication frames are harmless.  A
-        fresh event bumps ``fd_epoch``, which orphans every persistent
-        submit memo recorded under the previous capability-store state —
-        the (shard, fd-epoch) keying that makes memo replay across
-        replication lag impossible."""
+        fresh event empties the permission memo: replication may have
+        rebuilt a principal whose ``label_epoch`` restarts at a value an
+        entry was recorded under, so no verdict proved before it may be
+        replayed after it."""
         if epoch <= self.replication_epoch:
             return False
         self.replication_epoch = epoch
-        self.fd_epoch += 1
+        self.hookchain.invalidate()
         return True
 
     def _require_alive(self, task: Task) -> None:
         if not task.alive:
             raise SyscallError(ESRCH, f"{task.name} has exited")
 
-    def _walk_checked(self, task: Task, path: str) -> Optional[tuple]:
-        """Run the search-permission hook on every traversed directory.
-
-        Returns the observed ``((inode, labels), ...)`` prefix when the
-        walk ran on the cacheable fast path (the hook-chain profiler's
-        raw material; see :mod:`repro.osim.hookchain`), else ``None`` —
-        a ``None`` return means the chain must not be baked.
+    def _walk_checked(self, task: Task, path: str) -> tuple[Inode, Optional[str]]:
+        """Resolve ``path`` to ``(directory, final name)`` as
+        :meth:`Filesystem.resolve_parent` does, running the search
+        permission hook on every traversed directory.
 
         Relative walks do *not* re-check the starting directory — holding
         it (as cwd / an open directory, openat-style) is the authorization,
@@ -500,70 +430,45 @@ class Kernel:
         opened before raising its integrity (Section 5.2's alternative to
         trusting the administrator's label on ``/``).
 
-        **Fast path** (``fastpath.flags.path_walk_cache``): servers walk
-        the same directory prefixes millions of times, and a walk verdict
-        can only change when the task's labels change (label epoch, in the
-        key), a traversed directory is relabeled (label identity,
-        revalidated per hit), or the namespace mutates under the prefix
-        (``_walk_gen``).  A hit replays the recorded hook count — the
-        observable hook/audit record is byte-identical to an uncached
-        walk — and skips the per-component traversal and LSM dispatch.
-        Only fully successful walks are cached: denials and ENOENT re-run
-        the full walk every time, so their audit entries, denial counters,
-        and error text never depend on cache state."""
-        security = self.security
-        if not (self._walk_cacheable and fastpath.flags.path_walk_cache):
-            components = self.fs.walk_components(path, task.cwd)
-            relative = not path.startswith("/") and task.cwd is not None
-            first = next(components, None)
-            if first is not None and not relative:
-                security.inode_permission(task, first, Mask.EXEC)
-            for directory in components:
-                security.inode_permission(task, directory, Mask.EXEC)
-            return None
-        relative = not path.startswith("/") and task.cwd is not None
-        head, _, _leaf = path.rpartition("/")
-        key = (
-            task.tid,
-            task.security.label_epoch,
-            id(task.cwd) if relative else 0,
-            relative,
-            head,
-        )
-        entry = self._walk_cache.get(key)
-        if entry is not None and entry[0] == self._walk_gen:
-            _, nhooks, observed = entry
-            for inode, labels in observed:
-                if inode.labels is not labels:
-                    break  # a traversed directory was relabeled: recheck
-            else:
-                _fp_counters.walk_hits += 1
-                if nhooks:
-                    security.hook_calls["inode_permission"] += nhooks
-                return observed
-        _fp_counters.walk_misses += 1
-        components = self.fs.walk_components(path, task.cwd)
-        first = next(components, None)
-        observed: list[tuple] = []
-        if first is not None and not relative:
-            security.inode_permission(task, first, Mask.EXEC)
-            observed.append((first, first.labels))
-        for directory in components:
-            security.inode_permission(task, directory, Mask.EXEC)
+        An allowed walk is recorded in the permission memo
+        (:mod:`repro.osim.hookchain`) and replayed from it — hook counts
+        included — until a traversed directory is relabeled, the task's
+        labels change, or the memo is invalidated.  Only a path whose last
+        piece names an entry is memoized: :meth:`Filesystem.split` drops a
+        final ``""`` or ``"."``, so for ``/tmp/d/`` the text before the
+        last ``/`` does not name the directories walked."""
+        cwd = task.cwd
+        relative = cwd is not None and not path.startswith("/")
+        head, _, name = path.rpartition("/")
+        memo = self.hookchain
+        key = None
+        if name and name != ".":
+            key = (task.tid, task.security.label_epoch, cwd if relative else None, head)
+            directory = memo.lookup_path(key)
+            if directory is not None:
+                return directory, name
+        check = self.security.inode_permission
+        components = self.fs.walk_components(path, cwd)
+        directory = next(components)
+        observed = []
+        if not relative:
+            check(task, directory, Mask.EXEC)
             observed.append((directory, directory.labels))
-        if len(self._walk_cache) >= 4096:
-            self._walk_cache.clear()
-        recorded = tuple(observed)
-        self._walk_cache[key] = (self._walk_gen, len(recorded), recorded)
-        return recorded
+        for directory in components:
+            check(task, directory, Mask.EXEC)
+            observed.append((directory, directory.labels))
+        if key is None:
+            parts = self.fs.split(path)
+            return directory, (parts[-1] if parts else None)
+        memo.profile_path(key, tuple(observed), directory)
+        return directory, name
 
     def sys_chdir(self, task: Task, path: str) -> None:
         """Change the working directory (the handle relative resolution
         hangs off).  Acquiring it requires search permission now."""
         self._count("chdir")
         self._require_alive(task)
-        self._walk_checked(task, path)
-        inode = self.fs.resolve(path, task.cwd)
+        inode = self.fs.lookup(*self._walk_checked(task, path), path)
         if not inode.is_dir:
             raise SyscallError(EINVAL, f"{path} is not a directory")
         self.security.inode_permission(task, inode, Mask.EXEC)
@@ -722,15 +627,14 @@ class Kernel:
         itype: InodeType,
     ) -> int:
         self._require_alive(task)
-        self._walk_checked(task, path)
-        parent, name = self.fs.resolve_parent(path, task.cwd)
+        parent, name = self._walk_checked(task, path)
         if name is None:
             raise SyscallError(EINVAL, path)
         self.security.inode_create(task, parent, labels)
         inode = Inode(itype, labels, mode)
         self._journaled_link(parent, name, inode)
         if itype is InodeType.DIRECTORY:
-            self._walk_gen += 1  # the namespace a walk traverses changed
+            self.hookchain.invalidate()
             return 0
         file = File(inode, OpenMode.READ | OpenMode.WRITE)
         return task.install_fd(file)
@@ -776,36 +680,22 @@ class Kernel:
         self._count("open")
         self._require_alive(task)
         flags = OpenMode.parse(mode)
-        chain_op = ("open", flags)
-        inode = self.hookchain.lookup_path(chain_op, task, path)
+        parent, name = self._walk_checked(task, path)
+        inode = parent if name is None else parent.children.get(name)
         if inode is None:
-            observed = self._walk_checked(task, path)
-            parent, name = self.fs.resolve_parent(path, task.cwd)
-            inode = parent if name is None else parent.children.get(name)
-            created = False
-            if inode is None:
-                if not flags & OpenMode.CREATE:
-                    raise SyscallError(ENOENT, path)
-                # Plain creat: the new file takes the creating thread's
-                # labels (Section 4.5, "other system resources use the
-                # label of their creating thread").
-                labels = task.labels
-                self.security.inode_create(task, parent, labels)
-                inode = Inode(InodeType.REGULAR, labels)
-                self._journaled_link(parent, name, inode)  # type: ignore[arg-type]
-                created = True
-            mask = (Mask.READ if flags & OpenMode.READ else 0) | (
-                Mask.WRITE if flags & OpenMode.WRITE else 0
-            )
-            self.security.inode_permission(task, inode, mask)
-            # Only existing-file opens are bakeable: a chain that created
-            # would have run inode_create, and the existing-file case is
-            # reachable again only until an unlink (which bumps _walk_gen
-            # and kills the chain).
-            if observed is not None and not created:
-                self.hookchain.profile_path(
-                    chain_op, task, path, observed, inode, "inode_permission"
-                )
+            if not flags & OpenMode.CREATE:
+                raise SyscallError(ENOENT, path)
+            # Plain creat: the new file takes the creating thread's
+            # labels (Section 4.5, "other system resources use the
+            # label of their creating thread").
+            labels = task.labels
+            self.security.inode_create(task, parent, labels)
+            inode = Inode(InodeType.REGULAR, labels)
+            self._journaled_link(parent, name, inode)  # type: ignore[arg-type]
+        mask = (Mask.READ if flags & OpenMode.READ else 0) | (
+            Mask.WRITE if flags & OpenMode.WRITE else 0
+        )
+        self.security.inode_permission(task, inode, mask)
         file = File(inode, flags)
         return task.install_fd(file)
 
@@ -945,15 +835,10 @@ class Kernel:
         * ``_require_alive`` is hoisted (sound: no batchable op changes
           aliveness);
         * hot read/write entries run through an inlined fast path with a
-          per-batch fd→file memo and a *persistent* allowed-verdict memo
-          (successes only — denials re-run the full hook so audit and
-          denial counters never depend on memo state; hook counts are
-          replayed on memo hits).  The memo survives across batches: it
-          is keyed on (shard, fd-epoch, tid, label epoch, inode, mask)
-          and each entry stores the inode's label identity at proof time,
-          so task label changes, inode relabels, security-module swaps,
-          crashes, and cluster capability-store replication each make the
-          old entries unreachable or invalid.
+          per-batch fd→file memo, and probe the kernel's held-file memo
+          (:mod:`repro.osim.hookchain`) directly: the same entries
+          ``sys_read``/``sys_write`` record and replay, so a verdict
+          proved by either path is replayed by the other.
         """
         self._count("submit")
         self._require_alive(task)
@@ -969,12 +854,16 @@ class Kernel:
         #: fd -> (file, pipe) resolved once per batch; dropped on close
         #: (the freed number may be reused by a later open in this batch).
         fd_memo: dict[int, tuple] = {}
-        # Persistent success memo (see __init__).  The key prefix is
+        # Held-file memo, probed inline (a method call per entry costs
+        # the batch loop measurably).  The key prefix and the switch are
         # hoisted: no batchable op can change the submitting task's
-        # aliveness or labels, and replication never lands mid-syscall.
-        perm_memo = self._submit_memo
-        memo_ok = self._perm_memo_ok
-        kprefix = (self.shard_id, self.fd_epoch, task.tid, task.security.label_epoch)
+        # labels, the installed module or the fast-path flags, and an
+        # invalidating unlink/mkdir empties ``files`` in place.
+        memo = self.hookchain
+        files = memo.files
+        memo_on = memo.files_ok and fastpath.flags.path_walk_cache
+        kprefix = (task.tid, task.security.label_epoch)
+        hits = 0  # added to the process-wide counter once per batch
         cqes: list[Cqe] = []
         for sqe in sqes:
             op = sqe.op
@@ -1016,14 +905,19 @@ class Kernel:
                     else:
                         inode = file.inode
                         pkey = kprefix + (inode, False)
-                        if perm_memo.get(pkey) is inode.labels:
+                        proof = files.get(pkey) if memo_on else None
+                        if proof is inode.labels:
                             hook_calls["file_permission"] += 1
+                            hits += 1
                         else:
+                            if proof is not None:
+                                del files[pkey]
+                                _fp_counters.hookchain_deopts += 1
                             file_permission(task, file, Mask.READ)
-                            if memo_ok:
-                                if len(perm_memo) >= 4096:
-                                    perm_memo.clear()
-                                perm_memo[pkey] = inode.labels
+                            if memo_on:
+                                if len(files) >= MAX_ENTRIES:
+                                    files.clear()
+                                files[pkey] = inode.labels
                         if not file.readable():
                             raise SyscallError(EBADF, "fd not open for reading")
                         if inode.itype is InodeType.DEVICE:
@@ -1053,14 +947,19 @@ class Kernel:
                     else:
                         inode = file.inode
                         pkey = kprefix + (inode, True)
-                        if perm_memo.get(pkey) is inode.labels:
+                        proof = files.get(pkey) if memo_on else None
+                        if proof is inode.labels:
                             hook_calls["file_permission"] += 1
+                            hits += 1
                         else:
+                            if proof is not None:
+                                del files[pkey]
+                                _fp_counters.hookchain_deopts += 1
                             file_permission(task, file, Mask.WRITE)
-                            if memo_ok:
-                                if len(perm_memo) >= 4096:
-                                    perm_memo.clear()
-                                perm_memo[pkey] = inode.labels
+                            if memo_on:
+                                if len(files) >= MAX_ENTRIES:
+                                    files.clear()
+                                files[pkey] = inode.labels
                         if not file.writable():
                             raise SyscallError(EBADF, "fd not open for writing")
                         if inode.itype is InodeType.DEVICE:
@@ -1080,6 +979,7 @@ class Kernel:
                 cqes.append(Cqe(op, None, exc.errno))
             else:
                 cqes.append(Cqe(op, result, 0))
+        _fp_counters.hookchain_hits += hits
         return cqes
 
     def sys_lseek(self, task: Task, fd: int, offset: int) -> int:
@@ -1112,16 +1012,8 @@ class Kernel:
     def sys_stat(self, task: Task, path: str) -> dict[str, object]:
         self._count("stat")
         self._require_alive(task)
-        chain_op = ("stat", 0)
-        inode = self.hookchain.lookup_path(chain_op, task, path)
-        if inode is None:
-            observed = self._walk_checked(task, path)
-            inode = self.fs.resolve(path, task.cwd)
-            self.security.inode_getattr(task, inode)
-            if observed is not None:
-                self.hookchain.profile_path(
-                    chain_op, task, path, observed, inode, "inode_getattr"
-                )
+        inode = self.fs.lookup(*self._walk_checked(task, path), path)
+        self.security.inode_getattr(task, inode)
         return {
             "ino": inode.ino,
             "type": inode.itype.value,
@@ -1133,8 +1025,7 @@ class Kernel:
     def sys_unlink(self, task: Task, path: str) -> None:
         self._count("unlink")
         self._require_alive(task)
-        self._walk_checked(task, path)
-        parent, name = self.fs.resolve_parent(path, task.cwd)
+        parent, name = self._walk_checked(task, path)
         if name is None:
             raise SyscallError(EINVAL, path)
         victim = parent.children.get(name)
@@ -1142,7 +1033,7 @@ class Kernel:
             raise SyscallError(ENOENT, path)
         self.security.inode_unlink(task, parent, victim)
         self.fs.unlink_child(parent, name)
-        self._walk_gen += 1  # the namespace a walk traverses changed
+        self.hookchain.invalidate()
 
     def sys_mkdir(self, task: Task, path: str, mode: int = 0o755) -> None:
         self._count("mkdir")
@@ -1189,8 +1080,7 @@ class Kernel:
         has an integrity label lower than its own" (Section 3.3)."""
         self._count("exec")
         self._require_alive(task)
-        self._walk_checked(task, path)
-        inode = self.fs.resolve(path, task.cwd)
+        inode = self.fs.lookup(*self._walk_checked(task, path), path)
         self.security.inode_permission(task, inode, Mask.READ | Mask.EXEC)
         # The image replaces the address space; fds and security state persist.
         task.name = f"{task.name}!{path.rsplit('/', 1)[-1]}"

@@ -303,9 +303,9 @@ class LeakySecurityModule(LaminarSecurityModule):
     has gone blind.
 
     Overriding ``inode_permission``/``file_permission`` also drops this
-    module out of :data:`_PURE_HOOK_IMPLS`, so the hook-chain compiler,
-    walk cache, and permission memo all disable themselves — the leak is
-    observed through the real hook bodies on every call.
+    module out of :data:`_PURE_HOOK_IMPLS`, so the kernel's permission
+    memo never replays them — the leak is observed through the real hook
+    bodies on every call.
     """
 
     name = "laminar-leaky"
@@ -362,11 +362,10 @@ class LeakySecurityModule(LaminarSecurityModule):
 
 #: Hook implementations whose verdict is a pure function of the interned
 #: (task labels, object labels) pair — the soundness condition for the
-#: hook-chain compiler (:mod:`repro.osim.hookchain`) to replay an allow
-#: verdict without re-running the hook body.  A subclass that overrides
-#: one of these hooks (extra state, side effects, ambient conditions)
-#: drops out of the set and its chains are never baked — same discipline
-#: as the kernel's ``_walk_cacheable`` / ``_perm_memo_ok`` checks.
+#: kernel's permission memo (:mod:`repro.osim.hookchain`) to replay an
+#: allow verdict without re-running the hook body.  A subclass that
+#: overrides one of these hooks (extra state, side effects, ambient
+#: conditions) drops out of the set and its verdicts are never replayed.
 _PURE_HOOK_IMPLS: dict[str, tuple] = {
     "inode_permission": (
         SecurityModule.inode_permission,
@@ -376,15 +375,12 @@ _PURE_HOOK_IMPLS: dict[str, tuple] = {
         SecurityModule.file_permission,
         LaminarSecurityModule.file_permission,
     ),
-    "inode_getattr": (
-        SecurityModule.inode_getattr,
-        LaminarSecurityModule.inode_getattr,
-    ),
 }
 
 
 def chain_bakeable_hooks(module: SecurityModule) -> frozenset[str]:
-    """Names of ``module``'s hooks safe to bake into compiled chains."""
+    """Names of ``module``'s hooks whose allow verdicts the permission
+    memo may replay."""
     cls = type(module)
     return frozenset(
         name

@@ -240,6 +240,8 @@ def quarantine_capability_file(kernel: "Kernel", user: str) -> None:
     corrupt_name = f"{user}.corrupt"
     directory.children.pop(corrupt_name, None)
     directory.children[corrupt_name] = inode
+    # A rename, like an unlink, changes what a memoized walk would reach.
+    kernel.hookchain.invalidate()
     inode.labels = LabelPair(
         inode.labels.secrecy, Label.of(kernel.admin_integrity)
     )

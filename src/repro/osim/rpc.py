@@ -20,9 +20,8 @@ deterministic:
   namespace) and :class:`CapSync` (capability stores / principal
   security fields), both epoch-stamped: a shard rejects any sync frame
   not newer than what it already applied, so re-delivery and reordering
-  are harmless, and every applied ``CapSync`` bumps the kernel's
-  ``fd_epoch`` so stale permission memos can never be replayed across
-  replication lag.
+  are harmless, and every applied ``CapSync`` empties the kernel's
+  permission memo so no verdict is replayed across replication lag.
 * **Deterministic observables** — :func:`capture` runs one unit of work
   (a request here, a task group in :mod:`repro.osim.psched`) and returns
   the audit and traffic *deltas* it produced, the traffic stamped with a
@@ -168,7 +167,6 @@ class ShardReport:
     denials: dict
     audit_len: int
     replication_epoch: int
-    fd_epoch: int
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,9 @@ class ShardServer:
         The shard's identity and trust tier (see
         :data:`repro.osim.cluster.TIER_CAPACITY`).
     kernel:
-        The booted kernel.  Its ``shard_id`` is stamped, its traffic log
-        tagged with this worker's id, and any simulated work accrued
-        during boot is drained (boot cost is not service time).
+        The booted kernel.  Its traffic log is tagged with this shard's
+        id, and any simulated work accrued during boot is drained (boot
+        cost is not service time).
     tasks:
         principal name -> :class:`Task`, the shard's principal registry.
     work_ns:
@@ -237,7 +235,6 @@ class ShardServer:
         self.tasks = tasks
         self.work_ns = work_ns
         self.mediation = mediation
-        kernel.shard_id = shard_id
         kernel.net.transmitted.worker_id = shard_id
         kernel.drain_deferred_work()
 
@@ -320,5 +317,4 @@ class ShardServer:
             denials=dict(kernel.security.denials),
             audit_len=len(kernel.audit),
             replication_epoch=kernel.replication_epoch,
-            fd_epoch=kernel.fd_epoch,
         )

@@ -234,20 +234,25 @@ class TestReplication:
         acks = cluster.sync_tags(coordinator)
         assert all(not a.applied for a in acks)
 
-    def test_cap_sync_bumps_fd_epoch_and_rejects_stale(self, world):
+    def test_cap_sync_invalidates_memo_and_rejects_stale(self, world):
         cluster = Cluster(world, shards=2)
-        before = [s.kernel.fd_epoch for s in cluster.servers.values()]
+        kernels = [s.kernel for s in cluster.servers.values()]
+        assert all(k.hookchain.walks for k in kernels)  # warmed by boot
         acks = cluster.sync_caps([])
         assert all(a.applied for a in acks)
-        after = [s.kernel.fd_epoch for s in cluster.servers.values()]
-        assert after == [e + 1 for e in before]
+        after = [k.replication_epoch for k in kernels]
+        assert after == [a.epoch for a in acks]
+        assert not any(k.hookchain.walks or k.hookchain.files for k in kernels)
         # A reordered older frame changes nothing.
+        for k in kernels:
+            k.sys_stat(k.init_task, "/tmp")
         stale = CapSync(0, ())
         acks = cluster.submit_wave(
             [(spec.shard_id, stale) for spec in cluster.specs]
         )
         assert all(not a.applied for a in acks)
-        assert [s.kernel.fd_epoch for s in cluster.servers.values()] == after
+        assert [k.replication_epoch for k in kernels] == after
+        assert all(k.hookchain.walks for k in kernels)
 
     def test_cap_sync_updates_principals_cluster_wide(self, world):
         cluster = Cluster(world, shards=2)

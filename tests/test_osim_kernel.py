@@ -335,10 +335,6 @@ class TestAccessDirection:
         kernel.sys_close(owner, fd)
         return kernel, actor
 
-    @staticmethod
-    def _chain_hits():
-        return fastpath.counters.snapshot()["hookchain_hits"]
-
     def _assert_one_denial(self, kernel, before, hook, verb):
         entries = kernel.audit.denials()[before:]
         assert len(entries) == 1
@@ -349,13 +345,12 @@ class TestAccessDirection:
     @pytest.mark.parametrize("mode", MODES)
     def test_open_mode_direction(self, case, mode):
         kernel, actor = self._world(case)
-        # First bake the open chain of a mode this case allows: the chain
-        # is keyed on the mode bits and must never answer for another mode.
+        # First warm the walk memo with an open of a mode this case
+        # allows: the memo replays the directory walk only, so the mode
+        # check of every later open must still run and decide.
         warm = "r" if case == "write-down" else "w"
-        for _ in range(9):
-            kernel.sys_close(actor, kernel.sys_open(actor, "/tmp/dir/f", warm))
-        hits = self._chain_hits()
-        assert hits >= 1
+        kernel.sys_close(actor, kernel.sys_open(actor, "/tmp/dir/f", warm))
+        hits = fastpath.counters.walk_hits
         before = len(kernel.audit.denials())
         if mode in self.DENIED[case]:
             with pytest.raises(SyscallError) as e:
@@ -364,11 +359,9 @@ class TestAccessDirection:
             verb = "write" if case == "write-down" else "read"
             self._assert_one_denial(kernel, before, "inode_permission", verb)
         else:
-            # Nine times: the chain for this mode bakes and replays.
-            for _ in range(9):
-                kernel.sys_close(actor, kernel.sys_open(actor, "/tmp/dir/f", mode))
+            kernel.sys_close(actor, kernel.sys_open(actor, "/tmp/dir/f", mode))
             assert len(kernel.audit.denials()) == before
-            assert self._chain_hits() > hits
+        assert fastpath.counters.walk_hits == hits + 1
 
     @pytest.mark.parametrize("case", ["write-down", "read-up"])
     @pytest.mark.parametrize("mask", ["READ", "WRITE"])
@@ -511,14 +504,39 @@ class TestPathWalkCache:
         with pytest.raises(SyscallError):
             k.sys_stat(walker, "/tmp/wc4/f")
 
+    @pytest.mark.parametrize("suffix", ["/", "/."])
+    def test_trailing_slash_walk_is_not_memoized(self, k, suffix):
+        """``/tmp/secret/`` walks one directory less than ``/tmp/secret/f``
+        (a final "" or "." piece is dropped) but shares the text before
+        its last "/".  Memoizing it would let a task that may not search
+        ``/tmp/secret`` probe names in it and create files there."""
+        owner = k.spawn_task("owner")
+        tag, _ = k.sys_alloc_tag(owner, "s")
+        secret = LabelPair(Label.of(tag))
+        k.sys_mkdir_labeled(owner, "/tmp/secret", secret)
+        k.sys_set_task_label(owner, LabelType.SECRECY, Label.of(tag))
+        k.sys_close(owner, k.sys_create_file_labeled(owner, "/tmp/secret/f", secret))
+        probe = k.spawn_task("probe")
+
+        def errno_of(call, *args):
+            with pytest.raises(SyscallError) as e:
+                call(probe, *args)
+            return e.value.errno
+
+        assert errno_of(k.sys_stat, "/tmp/secret" + suffix) == EACCES
+        assert errno_of(k.sys_stat, "/tmp/secret/nope") == EACCES
+        assert errno_of(k.sys_stat, "/tmp/secret/f") == EACCES
+        assert errno_of(k.sys_open, "/tmp/secret/new", "w") == EACCES
+        assert "new" not in k.fs.resolve("/tmp/secret").children
+
     def test_security_module_swap_flushes(self, k):
         task = k.spawn_task("p")
         k.sys_mkdir(task, "/tmp/wc5")
         k.sys_creat(task, "/tmp/wc5/f")
         k.sys_stat(task, "/tmp/wc5/f")
-        assert k._walk_cache
+        assert k.hookchain.walks
         k.set_security_module(NullSecurityModule())
-        assert not k._walk_cache
+        assert not k.hookchain.walks and not k.hookchain.files
         k.sys_stat(task, "/tmp/wc5/f")  # works under the new module
 
     def test_cache_disabled_by_flag(self, k):

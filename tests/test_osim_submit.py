@@ -362,81 +362,102 @@ class TestVectoredIO:
 
 
 class TestSubmitMemoEpochs:
-    """The persistent allowed-verdict memo keys on (shard, fd-epoch): a
-    verdict proved on one shard, or before a replication event landed,
-    must be unreachable afterwards."""
+    """``sys_submit`` probes the kernel's held-file memo: a verdict
+    proved before a replication event landed must be unreachable
+    afterwards, whichever path replays it."""
 
-    def _booted(self, shard_id: int = 0):
+    def _booted(self):
         Inode._ino_counter = itertools.count(1)
-        kernel = Kernel(LaminarSecurityModule(), shard_id=shard_id)
+        kernel = Kernel(LaminarSecurityModule())
         task = kernel.spawn_task("gw")
         fd = kernel.sys_open(task, "/tmp/m", "w+")
         return kernel, task, fd
 
-    def test_memo_keys_carry_shard_and_fd_epoch(self):
-        kernel, task, fd = self._booted(shard_id=7)
+    def test_memo_keys_carry_task_and_label_epoch(self):
+        kernel, task, fd = self._booted()
         kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        assert kernel._submit_memo
-        for key in kernel._submit_memo:
-            shard, fd_epoch, tid, label_epoch, _inode, _is_write = key
-            assert shard == 7
-            assert fd_epoch == kernel.fd_epoch == 0
-            assert tid == task.tid
-            assert label_epoch == task.security.label_epoch
-        # The same verdict proved on a different shard lives under a
-        # different key: migrated memo state can never collide.
-        other, task2, fd2 = self._booted(shard_id=8)
+        inode = task.lookup_fd(fd).inode
+        assert kernel.hookchain.files == {
+            (task.tid, task.security.label_epoch, inode, True): inode.labels
+        }
+        # Each kernel owns its memo: the same verdict proved on another
+        # kernel never lands in this one.
+        other, task2, fd2 = self._booted()
         other.sys_submit(task2, [Sqe("write", fd2, b"x")])
-        assert not (set(kernel._submit_memo) & set(other._submit_memo))
+        assert len(kernel.hookchain.files) == 1
 
-    def test_memo_not_replayed_across_replication_lag(self):
-        """The ISSUE's directed scenario: a memo recorded before a
-        capability-store replication event must not replay after it.
+    @pytest.mark.parametrize("via", ["submit", "write", "stat"])
+    def test_memo_not_replayed_across_replication_lag(self, via):
+        """A verdict recorded before a capability-store replication event
+        must not replay after it.
 
         The sharp case: replication *rebuilds* the principal's security
         field from the wire image, so the rebuilt ``label_epoch`` restarts
-        at exactly the value the memo was recorded under, and the inode's
+        at exactly the value the entry was recorded under, and the inode's
         label object is untouched — neither the epoch in the key nor the
-        identity revalidation can catch the change.  Only the fd-epoch
-        component (bumped by ``apply_replication``) keeps the stale allow
-        verdict unreachable."""
+        identity re-check can catch the change.  Only
+        ``apply_replication`` emptying the memo keeps the stale allow
+        unreachable, for the held-file entries ``sys_submit`` and
+        ``sys_write`` share and for the walk entries ``stat`` uses."""
         from repro.core import CapabilitySet
         from repro.core.principal import Principal
 
         kernel, task, fd = self._booted()
-        kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        hooks = kernel.security.hook_calls["file_permission"]
-        kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        # Replay accounting: the memo hit still counts the hook.
-        assert kernel.security.hook_calls["file_permission"] == hooks + 1
-        assert kernel._submit_memo
+
+        def errno_of(call, *args):
+            try:
+                call(task, *args)
+            except SyscallError as exc:
+                return exc.errno
+            return 0
+
+        run, hook = {
+            "submit": (
+                lambda: kernel.sys_submit(task, [Sqe("write", fd, b"x")])[0].errno,
+                "file_permission",
+            ),
+            "write": (
+                lambda: errno_of(kernel.sys_write, fd, b"x"),
+                "file_permission",
+            ),
+            "stat": (lambda: errno_of(kernel.sys_stat, "/tmp/m"), "inode_permission"),
+        }[via]
+        for _ in range(12):
+            assert run() == 0
+        hooks = kernel.security.hook_calls[hook]
+        assert run() == 0
+        # Replay accounting: a memo hit still counts the hook.
+        assert kernel.security.hook_calls[hook] > hooks
 
         # Replication lands: the authoritative capability store says gw is
-        # now tainted with a secrecy tag it cannot shed.  The sync path
+        # now tainted with a secrecy tag it cannot shed and carries an
+        # integrity tag the admin-labeled root does not.  The sync path
         # materializes a fresh Principal from the frame — label_epoch
         # restarts at 0, colliding with the epoch the memo recorded.
-        tag = kernel.tags.alloc("s")
+        secret, trusted = kernel.tags.alloc("s"), kernel.tags.alloc("t")
         assert task.security.label_epoch == 0
         task.security = Principal(
-            task.name, LabelPair(Label.of(tag)), CapabilitySet.EMPTY
+            task.name,
+            LabelPair(Label.of(secret), Label.of(trusted)),
+            CapabilitySet.EMPTY,
         )
         assert task.security.label_epoch == 0  # the collision
         assert kernel.apply_replication(1)
-        assert kernel.fd_epoch == 1
 
         denials = len(kernel.audit.denials())
-        cqes = kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        # Without the (shard, fd-epoch) keying this replays the stale
-        # allow; with it, the full hook runs and denies the write-down.
-        assert cqes[0].errno == EACCES
-        assert len(kernel.audit.denials()) == denials + 1
+        assert run() == EACCES
+        entries = kernel.audit.denials()[denials:]
+        assert [e.principal for e in entries] == [hook]
 
     def test_stale_replication_is_rejected(self):
         kernel, task, fd = self._booted()
         assert kernel.apply_replication(3)
-        epoch_after = kernel.fd_epoch
+        kernel.sys_submit(task, [Sqe("write", fd, b"x")])
+        assert kernel.hookchain.files
         assert not kernel.apply_replication(3)  # re-delivered frame
         assert not kernel.apply_replication(1)  # reordered older frame
-        assert kernel.fd_epoch == epoch_after
+        assert kernel.replication_epoch == 3
+        assert kernel.hookchain.files  # a rejected frame invalidates nothing
         assert kernel.apply_replication(4)
-        assert kernel.fd_epoch == epoch_after + 1
+        assert kernel.replication_epoch == 4
+        assert not kernel.hookchain.files

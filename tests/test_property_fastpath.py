@@ -8,9 +8,15 @@ disabled.  The traces (operation outcomes, exception types and messages),
 the audit logs, and the denial counters must be identical.  This is the
 ISSUE's required equivalence argument in randomized form: caching may
 only change *when* set algebra runs, never what any check decides.
+
+A second property does the same for the kernel's permission memo: random
+syscall sequences over a tree with a secret directory, with paths spelled
+several ways, run with ``path_walk_cache`` on and off.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,3 +173,149 @@ def test_caches_never_change_outcomes(ops):
     assert cached[0] == uncached[0], "operation outcomes diverged"
     assert cached[1] == uncached[1], "audit logs diverged"
     assert cached[2] == uncached[2], "denial counters diverged"
+
+
+# -- the OS permission memo --------------------------------------------------
+
+#: Paths of a small tree with a secret directory; the ones that do not
+#: exist at boot are created, unlinked or probed by the ops.
+OS_PATHS = (
+    "/tmp/pub/a",
+    "/tmp/pub",
+    "/tmp/pub/new",
+    "/tmp/pub/sub",
+    "/tmp/secret",
+    "/tmp/secret/f",
+    "/tmp/secret/new",
+    "/tmp",
+)
+
+
+def _spell(path: str, how: int) -> str:
+    """``path`` as written for ``how`` >= 5, else another spelling of it:
+    a trailing "/" or "/.", a doubled "/", or relative to ``/tmp`` (bare
+    or "./"-prefixed)."""
+    rest = path[len("/tmp/"):] if path.startswith("/tmp/") else "."
+    spellings = (
+        path + "/",
+        path + "/.",
+        path.replace("/", "//", 2)[1:],
+        rest,
+        "./" + rest,
+    )
+    return spellings[how] if how < len(spellings) else path
+
+
+#: Reads of the namespace and of held files outnumber the ops that
+#: invalidate the memo, so sequences replay entries between invalidations.
+os_op = st.sampled_from(
+    ["stat", "stat", "stat", "open", "open", "read", "write", "submit",
+     "submit", "unlink", "mkdir", "chdir", "set_label", "relabel", "replicate"]
+)
+os_operations = st.lists(
+    st.tuples(
+        os_op,
+        st.integers(min_value=0, max_value=2),  # task
+        st.integers(min_value=0, max_value=len(OS_PATHS) - 1),
+        st.integers(min_value=0, max_value=11),  # spelling / mode / label
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _run_os_trace(ops) -> tuple:
+    """Execute ``ops`` on a fresh kernel: an owner holding both
+    capabilities for tag ``s``, a task at ``{S(s)}`` and an unlabeled
+    guest, over a tree where ``/tmp/secret`` and its file are ``{S(s)}``."""
+    from repro.core.principal import Principal
+    from repro.osim import Sqe, SyscallError
+    from repro.osim.filesystem import Inode
+
+    Inode._ino_counter = itertools.count(1)
+    kernel = Kernel(LaminarSecurityModule())
+    owner = kernel.spawn_task("owner")
+    tag, _ = kernel.sys_alloc_tag(owner, "s")
+    secret = LabelPair(Label.of(tag))
+    kernel.sys_mkdir(owner, "/tmp/pub")
+    kernel.sys_write(owner, kernel.sys_open(owner, "/tmp/pub/a", "w"), b"public")
+    kernel.sys_mkdir_labeled(owner, "/tmp/secret", secret)
+    high = kernel.sys_fork(owner)
+    kernel.sys_set_task_label(high, LabelType.SECRECY, Label.of(tag))
+    kernel.sys_write(
+        high, kernel.sys_create_file_labeled(high, "/tmp/secret/f", secret), b"hidden"
+    )
+    tasks = [owner, high, kernel.spawn_task("guest")]
+    fds: dict[int, list] = {t.tid: [] for t in tasks}
+    epoch = 0
+    trace: list = []
+
+    def record(kind, thunk):
+        try:
+            trace.append((kind, "ok", thunk()))
+        except SyscallError as exc:
+            trace.append((kind, exc.errno, str(exc)))
+        except LaminarError as exc:
+            trace.append((kind, type(exc).__name__, str(exc)))
+
+    for kind, who, p, x in ops:
+        task = tasks[who]
+        path = _spell(OS_PATHS[p], x)
+        held = fds[task.tid]
+        fd = held[x % len(held)] if held else 3
+        if kind == "stat":
+            record(kind, lambda: kernel.sys_stat(task, path))
+        elif kind == "open":
+            mode = ("r", "w", "r+")[x % 3]
+            record(kind, lambda: held.append(kernel.sys_open(task, path, mode)))
+        elif kind == "read":
+            record(kind, lambda: kernel.sys_read(task, fd, 4))
+        elif kind == "write":
+            record(kind, lambda: kernel.sys_write(task, fd, b"w"))
+        elif kind == "submit":
+            batch = [Sqe("read", fd, 2), Sqe("write", fd, b"b"), Sqe("stat", path)]
+            record(kind, lambda: kernel.sys_submit(task, batch))
+        elif kind == "unlink":
+            record(kind, lambda: kernel.sys_unlink(task, path))
+        elif kind == "mkdir":
+            record(kind, lambda: kernel.sys_mkdir(task, path))
+        elif kind == "chdir":
+            record(kind, lambda: kernel.sys_chdir(task, path))
+        elif kind == "set_label":
+            label = Label.of(tag) if x % 2 else Label.EMPTY
+            record(kind, lambda: kernel.sys_set_task_label(task, LabelType.SECRECY, label))
+        elif kind == "relabel":
+            # A direct relabel, as recovery and revocation do.
+            try:
+                inode = kernel.fs.resolve(OS_PATHS[p])
+            except SyscallError:
+                continue
+            inode.labels = secret if x % 2 else LabelPair.EMPTY
+        else:  # replicate: a rebuilt principal whose label epoch restarts
+            task.security = Principal(
+                task.name, secret if x % 2 else LabelPair.EMPTY, task.capabilities
+            )
+            epoch += 1
+            kernel.apply_replication(epoch)
+    audit = tuple(str(entry) for entry in kernel.audit.entries())
+    return (
+        tuple(trace),
+        audit,
+        dict(kernel.security.denials),
+        dict(kernel.security.hook_calls),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(os_operations)
+def test_os_memo_never_changes_outcomes(ops):
+    """Results, errnos, hook counts, audit text and denials are the same
+    with the kernel's permission memo on and off."""
+    with fastpath.configured(path_walk_cache=True):
+        memo = _run_os_trace(ops)
+    with fastpath.configured(path_walk_cache=False):
+        plain = _run_os_trace(ops)
+    assert memo[0] == plain[0], "operation outcomes diverged"
+    assert memo[1] == plain[1], "audit logs diverged"
+    assert memo[2] == plain[2], "denial counters diverged"
+    assert memo[3] == plain[3], "hook counts diverged"
