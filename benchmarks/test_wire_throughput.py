@@ -2,9 +2,8 @@
 
 The cluster data plane (:mod:`repro.osim.lamwire`) is a schema'd binary
 codec: struct-packed headers, varint fields, per-connection value/batch
-dictionaries, an epoch-guarded label dictionary, and scatter-gather
-segment lists for large payloads.  This benchmark measures the
-data-plane claims:
+dictionaries, and an epoch-guarded label dictionary.  This benchmark
+measures the data-plane claims:
 
 * **codec throughput** — encode+decode of a realistic DIFC request mix
   (fd batches, read-heavy batches, labeled socket batches) and its
@@ -21,9 +20,8 @@ data-plane claims:
 * **label dictionary** — repeated label pairs cost a 3-byte reference
   after the first send; a tag-allocator epoch bump forces definitions
   to be re-sent (the staleness guard) and decode still agrees.
-* **adaptive coalescing** — a Poisson arrival schedule dispatched
-  through the bytes-or-deadline window produces multi-request waves
-  with the same merged audit as one-wave dispatch.
+* **cluster wire** — one cluster's own frames and payload bytes per
+  request, both directions, in waves of 32.
 
 Machine-readable results land in ``BENCH_wire_throughput.json`` at the
 repository root (full mode only).  ``WIRE_BENCH_SMOKE=1`` runs a small
@@ -41,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.loadgen import UserWorld, build_trace, coalesced_plan
+from repro.bench.loadgen import UserWorld, build_trace
 from repro.core import CapabilitySet, Label, LabelPair
 from repro.core import fastpath
 from repro.core.tags import Tag, TagAllocator
@@ -377,27 +375,15 @@ def results():
         and (m3 - m2) == len(pairs),
     }
 
-    # -- adaptive coalescing ----------------------------------------------
-    co_world = UserWorld(gateways=8, keys=16)
-    co_trace = build_trace(co_world, PARITY_REQUESTS, users=2_000, seed=11)
-    flat = Cluster(co_world, shards=2)
-    flat.run_trace(co_trace)
-    flat_audit = flat.merged_audit()
-    # Scope the per-connection wire stats to the coalesced run alone
-    # (the micro-bench arms above share the process-global counters).
+    # -- one cluster's wire accounting ------------------------------------
+    wire_world = UserWorld(gateways=8, keys=16)
+    wire_trace = build_trace(wire_world, PARITY_REQUESTS, users=2_000, seed=11)
+    # Scope the fastpath block to this run alone (the micro-bench arms
+    # above share the process-wide counters).
     counters.reset()
-    coalesced = Cluster(co_world, shards=2)
-    plan = coalesced_plan(co_trace, rate=200_000.0, seed=11)
-    coalesced.run_trace(co_trace, **plan)
-    stats = coalesced.wire_stats()
-    out["coalescing"] = {
-        **stats["coalescing"],
-        "audit_parity_vs_one_wave": coalesced.merged_audit() == flat_audit,
-    }
-    out["cluster_wire"] = {
-        k: v for k, v in stats.items() if k != "coalescing"
-    }
-
+    cluster = Cluster(wire_world, shards=2)
+    cluster.run_trace(wire_trace, wave_size=WAVE)
+    out["cluster_wire"] = cluster.wire_stats()
     out["fastpath"] = counters.snapshot()
     return out
 
@@ -437,13 +423,6 @@ class TestWireBench:
     def test_label_dictionary_epoch_guard(self, results):
         assert results["dictionary"]["epoch_resend_ok"] is True
 
-    def test_coalescing_preserves_observables(self, results):
-        co = results["coalescing"]
-        assert co["audit_parity_vs_one_wave"] is True
-        assert co["waves"] >= 1
-        assert co["requests"] == PARITY_REQUESTS
-        assert co["coalesced_waves"] >= 1
-
     def test_wire_counters_flow_into_snapshot(self, results):
         fp = results["fastpath"]
         for key in (
@@ -451,7 +430,6 @@ class TestWireBench:
             "frames",
             "label_dict_hits",
             "label_dict_misses",
-            "coalesced_waves",
         ):
             assert key in fp
         assert fp["frames"] > 0
@@ -486,9 +464,8 @@ class TestWireBench:
             f"label dictionary: {results['dictionary']['second_pass_hits']} "
             f"hits on re-send, epoch guard "
             f"{'ok' if results['dictionary']['epoch_resend_ok'] else 'BROKEN'}",
-            f"coalescing: {results['coalescing']['coalesced_waves']}/"
-            f"{results['coalescing']['waves']} waves coalesced, "
-            f"mean wave {results['coalescing']['mean_wave']:.1f}",
+            f"cluster wire: {results['cluster_wire']['frames']} frames, "
+            f"{results['cluster_wire']['bytes_per_request']:.1f} B/req",
             "parity: "
             + "  ".join(
                 f"w{w}:"

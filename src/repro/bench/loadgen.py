@@ -26,7 +26,9 @@ Three pieces:
   service times through a virtual-time per-shard FIFO queue to get
   p50/p95/p99 latency and saturation curves.  Virtual time makes the
   latency distribution a pure function of (trace, measured service),
-  reproducible across hosts.
+  reproducible across hosts.  Arrival times feed only this replay: the
+  cluster itself dispatches in fixed-size waves
+  (``Cluster.run_trace(trace, wave_size)``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core import LabelPair
 from ..core.labels import Label
@@ -198,31 +200,6 @@ def open_loop_arrivals(n: int, rate: float, seed: int = 0) -> list[float]:
         t += rng.expovariate(rate)
         out.append(t)
     return out
-
-
-def coalesced_plan(
-    trace: Sequence[ClusterRequest],
-    rate: float,
-    *,
-    seed: int = 0,
-    target_bytes: int = 4096,
-    max_wave: int = 64,
-) -> dict:
-    """Keyword arguments for a coalesced ``Cluster.run_trace`` call:
-    an open-loop Poisson arrival schedule for the trace plus an
-    :class:`~repro.osim.lamwire.AdaptiveCoalescer` sized for it —
-    ``cluster.run_trace(trace, **coalesced_plan(trace, rate))``.  The
-    schedule is seeded, so the wave plan (and therefore the framing) is
-    reproducible; the merged observables are wave-plan-independent
-    either way."""
-    from ..osim.lamwire import AdaptiveCoalescer
-
-    return {
-        "arrivals": open_loop_arrivals(len(trace), rate, seed=seed),
-        "coalescer": AdaptiveCoalescer(
-            target_bytes=target_bytes, max_wave=max_wave
-        ),
-    }
 
 
 @dataclass

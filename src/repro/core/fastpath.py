@@ -116,18 +116,16 @@ class FastPathCounters:
     #: stale entries of either kind dropped before the full hooks re-ran.
     hookchain_hits: int = 0
     hookchain_deopts: int = 0
-    #: Wire data plane (:mod:`repro.osim.lamwire`): frames encoded and
-    #: their total payload bytes (both wire codecs count, so ablations
-    #: compare directly), per-connection label-dictionary traffic (a hit
-    #: ships a 16-bit id instead of the full label pair and skips
-    #: re-interning on the far side; a miss re-sends the definition —
-    #: including epoch-forced re-sends after tag-allocator changes), and
-    #: waves the adaptive coalescer batched to more than one request.
+    #: Wire data plane (:mod:`repro.osim.lamwire`), process-wide:
+    #: frames encoded and their total payload bytes, and label-dictionary
+    #: traffic (a hit ships a 16-bit id instead of the full label pair
+    #: and skips re-interning on the far side; a miss re-sends the
+    #: definition — including epoch-forced re-sends after tag-allocator
+    #: changes).
     bytes_on_wire: int = 0
     frames: int = 0
     label_dict_hits: int = 0
     label_dict_misses: int = 0
-    coalesced_waves: int = 0
 
     @property
     def set_ops(self) -> int:

@@ -16,9 +16,9 @@ backend partitioning task groups across the worker pool), and
 held-file checks).  Scale-out lives in :mod:`.cluster` (sharded
 multi-kernel deployments behind a label-aware router), :mod:`.pool`
 (the one worker pool both run on), :mod:`.rpc` (the inter-shard message
-surface, delta capture and merge), and :mod:`.lamwire` (the zero-copy
-binary data plane: closed-schema codec, per-connection label
-dictionaries, adaptive coalescing).
+surface, delta capture and merge), and :mod:`.lamwire` (the binary
+data plane: closed-schema codec, per-connection value and label
+dictionaries).
 """
 
 from .cluster import (
@@ -49,12 +49,7 @@ from .filesystem import (
     encode_label,
 )
 from .kernel import Cqe, Kernel, Mapping, Sqe, TCB_TAG
-from .lamwire import (
-    AdaptiveCoalescer,
-    BinaryWireCodec,
-    WireError,
-    request_size_hint,
-)
+from .lamwire import BinaryWireCodec, WireError
 from .recovery import (
     Journal,
     RecoveryInvariantError,
@@ -127,7 +122,6 @@ from .task import (
 )
 
 __all__ = [
-    "AdaptiveCoalescer",
     "BLOCK_SIZE",
     "BinaryWireCodec",
     "CapSync",
@@ -212,7 +206,6 @@ __all__ = [
     "read_blocking",
     "recover",
     "recv_blocking",
-    "request_size_hint",
     "seed_worker_rng",
     "render_audit",
     "replay_cooperative",

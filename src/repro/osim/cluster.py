@@ -21,9 +21,11 @@ image with its own LSM, filesystem, and audit log, fronted by a
   ``"same-process"`` executor hosts every shard in this process
   (deterministic, for tests), ``"multiprocess"`` forks workers that each
   host one or more shards and sleep off their simulated work, so service
-  time overlaps the way it would across machines.  Either way every
-  wave and reply crosses the binary lamwire codec, so label encoding and
-  the per-connection dictionaries are exercised.
+  time overlaps the way it would across machines.  Requests go out in
+  waves of a fixed size, and every wave and reply crosses the binary
+  lamwire codec, so label encoding and the per-connection dictionaries
+  are exercised; :meth:`Cluster.wire_stats` reports this cluster's own
+  frames and bytes.
 * The shared namespaces replicate by epoch-stamped frames —
   :meth:`Cluster.sync_tags` (interned-tag namespace) and
   :meth:`Cluster.sync_caps` (capability stores) — and every applied
@@ -41,7 +43,8 @@ image with its own LSM, filesystem, and audit log, fronted by a
   router-assigned global sequence number; :meth:`Cluster.merged_audit`
   and :meth:`Cluster.merged_traffic` reassemble the per-shard deltas in
   stamp order, which makes cluster-mode audit and traffic byte-identical
-  to :func:`replay_single` running the same routed trace on one kernel.
+  to :func:`replay_single` running the same routed trace on one kernel,
+  whatever the wave size.
 """
 
 from __future__ import annotations
@@ -53,10 +56,8 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ..core import LabelPair
-from ..core import fastpath
 from .kernel import Kernel
 from .lsm import LaminarSecurityModule
-from .lamwire import AdaptiveCoalescer, request_size_hint
 from .pool import Pool
 from .rpc import (
     CapSync,
@@ -256,10 +257,6 @@ class Cluster:
         #: (LabelPair, CapabilitySet).  Unchanged principals are omitted
         #: from the next CapSync to that shard.
         self._cap_sent: dict[int, dict] = {}
-        #: Cache for :meth:`worker_logs`, keyed by response count (the
-        #: logs are a pure function of the responses seen so far).
-        self._logs_cache: Optional[tuple[int, list[TrafficLog]]] = None
-        self.coalescer: Optional[AdaptiveCoalescer] = None
         if executor == "same-process":
             hosts = 1
             defer = False if defer_work is None else defer_work
@@ -327,47 +324,21 @@ class Cluster:
         return self.router.route(request.principal, request.labels)
 
     def run_trace(
-        self,
-        trace: Sequence[ClusterRequest],
-        wave_size: Optional[int] = None,
-        *,
-        arrivals: Optional[Sequence[float]] = None,
-        coalescer: Optional[AdaptiveCoalescer] = None,
+        self, trace: Sequence[ClusterRequest], wave_size: Optional[int] = None
     ) -> list:
         """Route and execute a trace.  Requests are numbered by the
         router's global sequence *before* dispatch — the logical clock the
-        merge sorts on — then dispatched in waves.
-
-        Wave boundaries come from one of three places: a fixed
-        ``wave_size``, an :class:`~repro.osim.lamwire.AdaptiveCoalescer`
-        fed the trace's open-loop ``arrivals`` (Nagle-style bytes-or-
-        deadline windows sized from the observed arrival rate), or —
-        the default — one wave for the whole trace.  Coalescing decides
-        *when* frames flush, never what is in them or in what order:
-        sequence numbers are assigned before windowing, so merged audit
-        and traffic are byte-identical for every wave plan, including for
-        denied requests (denied ≡ empty is per-request, not per-wave)."""
-        if coalescer is not None:
-            if wave_size is not None:
-                raise ValueError("pass wave_size or coalescer, not both")
-            if arrivals is None or len(arrivals) != len(trace):
-                raise ValueError(
-                    "coalescer needs one arrival time per request"
-                )
-            sizes = [request_size_hint(req) for req in trace]
-            plan = coalescer.plan(list(arrivals), sizes)
-            self.coalescer = coalescer
-        else:
-            size = wave_size or len(trace) or 1
-            plan = [
-                min(size, len(trace) - start)
-                for start in range(0, len(trace), size)
-            ]
+        merge sorts on — then dispatched in waves of ``wave_size`` (by
+        default one wave for the whole trace).  The wave size decides
+        *when* frames flush, never what is in them or in what order, so
+        merged audit and traffic are byte-identical for every wave size,
+        including for denied requests (denied ≡ empty is per-request,
+        not per-wave)."""
+        size = wave_size or len(trace) or 1
         responses: list = []
-        start = 0
-        for count in plan:
+        for start in range(0, len(trace), size):
             wave = []
-            for req in trace[start : start + count]:
+            for req in trace[start : start + size]:
                 spec = self.router.route(req.principal, req.labels)
                 wave.append(
                     (
@@ -376,7 +347,6 @@ class Cluster:
                     )
                 )
                 self._next_seq += 1
-            start += count
             responses.extend(self.submit_wave(wave))
         self.responses.extend(responses)
         return responses
@@ -447,12 +417,7 @@ class Cluster:
 
     def worker_logs(self) -> list[TrafficLog]:
         """Rebuild each shard's traffic log from the stamped deltas in its
-        responses (ordered by global sequence, as shipped).  Cached per
-        response count, so repeated ``merged_traffic`` calls between
-        trace runs rebuild (and re-sort) nothing."""
-        cached = self._logs_cache
-        if cached is not None and cached[0] == len(self.responses):
-            return cached[1]
+        responses (ordered by global sequence, as shipped)."""
         logs: dict[int, TrafficLog] = {}
         for resp in sorted(self.responses, key=lambda r: r.seq):
             log = logs.setdefault(
@@ -460,32 +425,22 @@ class Cluster:
             )
             for stamp, payload in resp.traffic:
                 log.append_stamped(stamp, payload)
-        result = [logs[sid] for sid in sorted(logs)]
-        self._logs_cache = (len(self.responses), result)
-        return result
+        return [logs[sid] for sid in sorted(logs)]
 
     def merged_traffic(self) -> TrafficLog:
         return TrafficLog.merge(self.worker_logs())
 
     def wire_stats(self) -> dict:
-        """Data-plane accounting: the parent-side codec dictionaries plus
-        this process's frame/byte counters (request direction; the reply
-        direction is counted worker-side and lands in ``aggregate()``).
-        Includes the coalescer's window statistics when a coalesced
-        ``run_trace`` ran."""
+        """Data-plane accounting for this cluster's connections alone:
+        the frames and payload bytes that crossed them in both
+        directions, and the parent-side codecs' dictionary statistics
+        (:meth:`repro.osim.pool.Pool.wire_stats`)."""
         stats = self.pool.wire_stats()
         stats["requests"] = len(self.responses)
-        counters = fastpath.counters
-        stats["bytes_on_wire"] = counters.bytes_on_wire
-        stats["frames"] = counters.frames
-        stats["label_dict_hits"] = counters.label_dict_hits
-        stats["label_dict_misses"] = counters.label_dict_misses
         if self.responses:
             stats["bytes_per_request"] = round(
-                counters.bytes_on_wire / len(self.responses), 2
+                stats["bytes_on_wire"] / len(self.responses), 2
             )
-        if self.coalescer is not None:
-            stats["coalescing"] = self.coalescer.stats()
         return stats
 
     # -- lifecycle / accounting ---------------------------------------------

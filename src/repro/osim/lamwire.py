@@ -1,4 +1,4 @@
-"""lamwire: the zero-copy binary data plane of the sharded cluster.
+"""lamwire: the binary data plane of the sharded cluster.
 
 Every message that crosses a worker connection — cluster waves and
 replies, replication frames, parallel-scheduler group results, worker
@@ -6,16 +6,16 @@ reports — is encoded by this module, and only by it.  A generic
 serializer would pay per-crossing costs the kernel's fast paths spent
 four PRs eliminating *inside* the machine: every label re-validated and
 re-interned on every hop, every frame re-shipping strings the peer has
-seen a thousand times, every large payload copied through an output
-buffer.  This module is the wire-level analogue of the in-kernel
-caches, built from three ideas:
+seen a thousand times.  This module is the wire-level analogue of the
+in-kernel caches, built from two ideas:
 
 **Schema'd frames.**  Messages encode to type-tagged binary: varint
 integers (zigzag for sign), UTF-8 strings, struct-packed headers, and
 positional fields for the RPC dataclasses — no class names, no opcodes,
 no protocol framing per object.  The schema is closed: a value outside
 it raises :class:`WireError` at encode, so nothing but schema'd bytes
-ever reaches a decoder.  The two hot messages
+ever reaches a decoder, and a frame that does not parse raises
+:class:`WireError` at decode.  The two hot messages
 (:class:`~repro.osim.rpc.ShardRequest`,
 :class:`~repro.osim.rpc.ShardResponse`) have dedicated fixed-layout
 encoders and slot-direct decoders.
@@ -53,32 +53,22 @@ connection mid-stream would desynchronize the pair.  (Encoder-side
 resets alone are harmless — definitions carry explicit ids — which is
 also why the epoch guard can invalidate unilaterally.)
 
-**Scatter-gather payloads.**  Byte payloads at or past
-:data:`BIG_THRESHOLD` are never copied into an intermediate buffer:
-:meth:`BinaryWireCodec.encode_segments` returns the frame as a list of
-segments with the payload objects (``bytes`` or ``memoryview`` — e.g. a
-``sys_readv`` buffer view) placed directly in the sequence, writev
-style.  ``encode`` gathers them with a single ``b"".join``; a transport
-with real scatter-gather would send the segments as-is.
-
-:class:`AdaptiveCoalescer` is the companion batching policy for the
-router: Nagle-style bytes-or-deadline wave formation whose window is
-sized from the open-loop arrival rate (estimated by EWMA of
-inter-arrival gaps).  Coalescing only *groups dispatch* — routing,
-sequencing, and per-request observables are decided before batching, so
-a denied request coalesces exactly as the equivalent allowed request
-would (denied ≡ empty survives batching; see DESIGN.md §17).
+Byte payloads are copied into the frame's one ``bytearray`` whatever
+their size (small ``bytes`` also go through the value dictionary);
+``bytearray`` and ``memoryview`` payloads encode like ``bytes`` and
+decode as ``bytes``.
 
 The codec counts ``frames`` and ``bytes_on_wire`` into the process-wide
 :data:`repro.core.fastpath.counters` on encode (payload bytes, header
-excluded).
+excluded).  Per-connection accounting is the pool's
+(:meth:`repro.osim.pool.Pool.wire_stats`).
 """
 
 from __future__ import annotations
 
 import struct
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.capabilities import Capability, CapabilitySet, CapType
 from ..core.fastpath import counters
@@ -93,10 +83,6 @@ _F64 = struct.Struct(">d")
 #: Ceiling on a single frame's payload (a corrupt header must not make a
 #: receiver try to allocate gigabytes).
 MAX_FRAME_PAYLOAD = 1 << 28
-
-#: Byte payloads at or past this size ship as scatter-gather segments —
-#: the payload object goes into the output sequence uncopied.
-BIG_THRESHOLD = 512
 
 #: Small ``bytes`` at or under this size are value-dictionary candidates
 #: (a repeated write payload becomes a 2-byte reference).
@@ -120,7 +106,6 @@ T_LIST = 8
 T_DICT = 9
 T_REF = 10
 T_DEF = 11
-T_BIG = 12
 T_LPREF = 13
 T_LPDEF = 14
 T_LPRAW = 15
@@ -142,7 +127,8 @@ _AG_ERRNO = attrgetter("errno")
 
 
 class WireError(ValueError):
-    """A value outside the closed wire schema, refused at encode."""
+    """A value outside the closed wire schema, refused at encode, or a
+    malformed frame, refused at decode."""
 
 
 def _off_schema(obj) -> WireError:
@@ -171,6 +157,16 @@ def _r_uvarint(buf, pos: int) -> tuple[int, int]:
         if b < 0x80:
             return result, pos
         shift += 7
+
+
+def _r_count(buf, pos: int) -> tuple[int, int]:
+    """A decoded element count or byte length.  Every element takes at
+    least one byte, so a count past the bytes left in the frame is
+    refused before anything is allocated for it."""
+    n, pos = _r_uvarint(buf, pos)
+    if n > len(buf) - pos:
+        raise WireError(f"count {n} exceeds the {len(buf) - pos} bytes left")
+    return n, pos
 
 
 # ------------------------------------------------------- message registry
@@ -238,10 +234,8 @@ class BinaryWireCodec:
     because each direction is (this encoder → peer decoder).
 
     The encoder streams into one ``bytearray`` per frame
-    (``self._buf``); a scatter-gather payload closes the current buffer
-    into the segment list and opens a new one, so large payloads are
-    never copied.  Not reentrant — one codec per connection, used from
-    one thread, exactly like the socket it fronts.
+    (``self._buf``), header included.  Not reentrant — one codec per
+    connection, used from one thread, exactly like the socket it fronts.
     """
 
     name = "binary"
@@ -270,9 +264,12 @@ class BinaryWireCodec:
         #: :meth:`bump_label_epoch`).  Encoder entries remember the epoch
         #: they were defined under; a mismatch forces re-definition.
         self.label_epoch = 0
+        #: This encoder's label-dictionary traffic (the process-wide
+        #: totals are ``counters.label_dict_hits``/``_misses``).
+        self.label_dict_hits = 0
+        self.label_dict_misses = 0
         self._bound: list = []
         self._buf: Optional[bytearray] = None
-        self._segments: Optional[list] = None
         self._msg_by_type: Optional[dict] = None
         self._enc = {
             type(None): self._enc_none,
@@ -282,7 +279,7 @@ class BinaryWireCodec:
             str: self._enc_str,
             bytes: self._enc_bytes,
             bytearray: self._enc_buffer,
-            memoryview: self._enc_memoryview,
+            memoryview: self._enc_buffer,
             tuple: self._enc_tuple,
             list: self._enc_list,
             dict: self._enc_dict,
@@ -305,7 +302,6 @@ class BinaryWireCodec:
         dec[T_DICT] = self._dec_dict
         dec[T_REF] = self._dec_ref
         dec[T_DEF] = self._dec_def
-        dec[T_BIG] = self._dec_bytes
         dec[T_LPREF] = self._dec_lpref
         dec[T_LPDEF] = self._dec_lpdef
         dec[T_LPRAW] = self._dec_lpraw
@@ -337,46 +333,51 @@ class BinaryWireCodec:
 
     # -- framing --------------------------------------------------------
 
-    def encode_segments(self, message: object) -> list:
-        """Encode to a writev-style segment list ``[header, piece, ...]``
-        — large payloads appear as their original buffer objects, never
-        copied.  ``b"".join(segments)`` is the gathered frame."""
-        segments: list = []
-        self._segments = segments
-        self._buf = bytearray()
+    def encode(self, message: object) -> bytes:
+        """Encode one frame: the header is reserved up front and filled
+        in once the payload length is known."""
+        buf = self._buf = bytearray(HEADER.size)
         self._enc_value(message)
-        segments.append(self._buf)
         self._buf = None
-        self._segments = None
-        length = 0
-        for piece in segments:
-            length += len(piece)
+        length = len(buf) - HEADER.size
         if length > MAX_FRAME_PAYLOAD:
-            raise ValueError(f"frame payload of {length} bytes exceeds cap")
-        segments.insert(0, HEADER.pack(length))
+            raise WireError(f"frame payload of {length} bytes exceeds cap")
+        HEADER.pack_into(buf, 0, length)
         counters.frames += 1
         counters.bytes_on_wire += length
-        return segments
-
-    def encode(self, message: object) -> bytes:
-        return b"".join(self.encode_segments(message))
+        return bytes(buf)
 
     def decode(self, buf: bytes) -> tuple[object, bytes]:
         """Decode one frame; returns ``(message, remainder)`` so callers
         can consume a concatenated stream frame by frame.  Frames MUST be
         decoded in the order the peer encoded them — dictionary
-        definitions are in-band."""
+        definitions are in-band.  A malformed frame raises
+        :class:`WireError`, whatever part of it is malformed."""
         if len(buf) < HEADER.size:
-            raise ValueError("short frame: missing header")
+            raise WireError("short frame: missing header")
         (length,) = HEADER.unpack_from(buf)
         if length > MAX_FRAME_PAYLOAD:
-            raise ValueError(f"frame claims {length} payload bytes, over cap")
+            raise WireError(f"frame claims {length} payload bytes, over cap")
         end = HEADER.size + length
         if len(buf) < end:
-            raise ValueError(f"truncated frame: want {length} payload bytes")
-        message, pos = self._dec_value(buf, HEADER.size)
+            raise WireError(f"truncated frame: want {length} payload bytes")
+        # Decoders read up to len(frame): nothing past this frame's end.
+        frame = buf if len(buf) == end else buf[:end]
+        try:
+            message, pos = self._dec_value(frame, HEADER.size)
+        except WireError:
+            raise
+        except (
+            IndexError,  # a value runs past the frame's end
+            KeyError,  # a reference to an id never defined
+            ValueError,  # bad UTF-8, among others
+            TypeError,  # an unhashable decoded dict key
+            struct.error,
+            RecursionError,
+        ) as exc:
+            raise WireError(f"malformed frame: {exc!r:.80}") from exc
         if pos != end:
-            raise ValueError(
+            raise WireError(
                 f"frame length mismatch: consumed {pos - HEADER.size} "
                 f"of {length} payload bytes"
             )
@@ -388,6 +389,8 @@ class BinaryWireCodec:
             "value_dict_entries": len(self._evals),
             "decoded_value_entries": len(self._dvals),
             "label_dict_entries": len(self._elp),
+            "label_dict_hits": self.label_dict_hits,
+            "label_dict_misses": self.label_dict_misses,
             "label_epoch": self.label_epoch,
         }
 
@@ -486,7 +489,7 @@ class BinaryWireCodec:
         enc_value = self._enc_value
         enc_value(resp.audit)
         enc_value(resp.traffic)
-        _w_uvarint(self._buf, deferred)  # refetch: cqes may have split
+        _w_uvarint(buf, deferred)
 
     def _dec_shardresponse(self, buf, pos: int):
         seq = buf[pos]
@@ -575,22 +578,9 @@ class BinaryWireCodec:
         _w_uvarint(buf, len(data))
         buf += data
 
-    def _emit_big(self, payload) -> None:
-        """Close the current buffer and place ``payload`` directly in the
-        segment list — the scatter-gather path (no copy)."""
-        segments = self._segments
-        segments.append(self._buf)
-        segments.append(payload)
-        self._buf = bytearray()
-
     def _enc_bytes(self, b: bytes) -> None:
         buf = self._buf
         n = len(b)
-        if n >= BIG_THRESHOLD:
-            buf.append(T_BIG)
-            _w_uvarint(buf, n)
-            self._emit_big(b)
-            return
         if n <= DICT_BYTES_MAX:
             eid = self._evals.get(b)
             if eid is not None:
@@ -598,41 +588,19 @@ class BinaryWireCodec:
                 _w_uvarint(buf, eid)
                 return
             self._define(b)
-            buf = self._buf
         buf.append(T_BYTES)
         _w_uvarint(buf, n)
         buf += b
 
     def _enc_buffer(self, b) -> None:
-        # bytearray (mutable, unhashable): inline, never dictionaried;
-        # snapshot to bytes because the source may mutate before send.
+        # bytearray (mutable, unhashable) and memoryview: copied inline,
+        # never dictionaried.
+        if type(b) is memoryview and b.format != "B":
+            b = b.cast("B")
         buf = self._buf
-        n = len(b)
-        if n >= BIG_THRESHOLD:
-            buf.append(T_BIG)
-            _w_uvarint(buf, n)
-            self._emit_big(bytes(b))
-            return
         buf.append(T_BYTES)
-        _w_uvarint(buf, n)
+        _w_uvarint(buf, len(b))
         buf += b
-
-    def _enc_memoryview(self, m: memoryview) -> None:
-        if m.format != "B":
-            m = m.cast("B")
-        buf = self._buf
-        n = len(m)
-        if n >= BIG_THRESHOLD:
-            # The zero-copy path for sys_readv-style buffer views: the
-            # view rides in the segment list; only the final gather (or
-            # a real writev) touches its bytes.
-            buf.append(T_BIG)
-            _w_uvarint(buf, n)
-            self._emit_big(m)
-            return
-        buf.append(T_BYTES)
-        _w_uvarint(buf, n)
-        buf += m
 
     def _enc_tuple(self, t: tuple) -> None:
         buf = self._buf
@@ -687,7 +655,6 @@ class BinaryWireCodec:
                         and len(self._etid) < VALUE_DICT_CAP
                     ):
                         self._etid[id(t)] = (self._evals[key], t)
-                    buf = self._buf
         buf.append(T_TUPLE)
         _w_uvarint(buf, len(t))
         enc_value = self._enc_value
@@ -742,7 +709,6 @@ class BinaryWireCodec:
                     and type(principal) is str
                     and type(sqes) is tuple
                 ):
-                    buf = self._buf
                     buf.append(1)
                     if shard_id < 0x80:
                         buf.append(shard_id)
@@ -755,13 +721,13 @@ class BinaryWireCodec:
                     enc_str(principal)
                     enc_tuple(sqes)
                     continue
-            self._buf.append(0)
+            buf.append(0)
             self._enc_value(p)
 
     def _dec_wave(self, buf, pos: int):
         if self._msg_by_type is None:
             self._install_messages()
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         items = [None] * n
         RQ = self._req_cls
         new = RQ.__new__
@@ -821,7 +787,6 @@ class BinaryWireCodec:
                     and type(deferred) is int
                     and 0 <= deferred
                 ):
-                    buf = self._buf
                     buf.append(1)
                     if seq < 0x80:
                         buf.append(seq)
@@ -834,31 +799,28 @@ class BinaryWireCodec:
                     enc_tuple(cqes)
                     audit = resp.audit
                     if type(audit) is tuple and not audit:
-                        buf = self._buf
                         buf.append(T_TUPLE)
                         buf.append(0)
                     else:
                         enc_value(audit)
                     traffic = resp.traffic
                     if type(traffic) is tuple and not traffic:
-                        buf = self._buf
                         buf.append(T_TUPLE)
                         buf.append(0)
                     else:
                         enc_value(traffic)
-                    buf = self._buf
                     if deferred < 0x80:
                         buf.append(deferred)
                     else:
                         _w_uvarint(buf, deferred)
                     continue
-            self._buf.append(0)
+            buf.append(0)
             self._enc_value(resp)
 
     def _dec_rwave(self, buf, pos: int):
         if self._msg_by_type is None:
             self._install_messages()
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         items = [None] * n
         RS = self._resp_cls
         new = RS.__new__
@@ -933,10 +895,10 @@ class BinaryWireCodec:
             return
         if key is not None:
             self._define(key)
-        self._buf.append(T_SQE)
+        buf.append(T_SQE)
         self._enc_str(sqe.op)
         args = sqe.args
-        _w_uvarint(self._buf, len(args))
+        _w_uvarint(buf, len(args))
         enc_value = self._enc_value
         for arg in args:
             enc_value(arg)
@@ -954,10 +916,10 @@ class BinaryWireCodec:
             return
         if key is not None:
             self._define(key)
-        self._buf.append(T_CQE)
+        buf.append(T_CQE)
         self._enc_str(cqe.op)
         self._enc_value(cqe.result)
-        _w_uvarint(self._buf, cqe.errno)  # refetch: result may have split
+        _w_uvarint(buf, cqe.errno)
 
     def _raw_label(self, label: Label) -> None:
         buf = self._buf
@@ -977,7 +939,7 @@ class BinaryWireCodec:
             _w_uvarint(buf, eid)
             return
         self._define(label)
-        self._buf.append(T_LABEL)
+        buf.append(T_LABEL)
         self._raw_label(label)
 
     def _enc_labelpair(self, pair: LabelPair) -> None:
@@ -986,12 +948,14 @@ class BinaryWireCodec:
         epoch = self.label_epoch
         if entry is not None and entry[1] == epoch:
             counters.label_dict_hits += 1
+            self.label_dict_hits += 1
             pair_id = entry[0]
             buf.append(T_LPREF)
             buf.append(pair_id >> 8)
             buf.append(pair_id & 0xFF)
             return
         counters.label_dict_misses += 1
+        self.label_dict_misses += 1
         if entry is not None:
             # Epoch-stale: re-send the definition under the entry's
             # existing id (the decoder overwrites in place).
@@ -1038,7 +1002,7 @@ class BinaryWireCodec:
                 self._install_messages()
                 fn = self._dec[tag]
             if fn is None:
-                raise ValueError(f"unknown wire tag {tag}")
+                raise WireError(f"unknown wire tag {tag}")
         return fn(buf, pos + 1)
 
     def _dec_none(self, buf, pos: int):
@@ -1059,17 +1023,17 @@ class BinaryWireCodec:
         return x, pos + 8
 
     def _dec_bytes(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         end = pos + n
         return bytes(buf[pos:end]), end
 
     def _dec_str(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         end = pos + n
         return str(buf[pos:end], "utf-8"), end
 
     def _dec_tuple(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         if n == 0:
             return (), pos
         items = [None] * n
@@ -1079,7 +1043,7 @@ class BinaryWireCodec:
         return tuple(items), pos
 
     def _dec_list(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         items = [None] * n
         dec_value = self._dec_value
         for i in range(n):
@@ -1087,7 +1051,7 @@ class BinaryWireCodec:
         return items, pos
 
     def _dec_dict(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         out: dict = {}
         dec_value = self._dec_value
         for _ in range(n):
@@ -1124,11 +1088,11 @@ class BinaryWireCodec:
         return LabelPair(secrecy, integrity), pos
 
     def _dec_label(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         entries = []
         for _ in range(n):
             value, pos = _r_uvarint(buf, pos)
-            ln, pos = _r_uvarint(buf, pos)
+            ln, pos = _r_count(buf, pos)
             end = pos + ln
             entries.append((value, str(buf[pos:end], "utf-8")))
             pos = end
@@ -1136,7 +1100,7 @@ class BinaryWireCodec:
 
     def _dec_sqe(self, buf, pos: int):
         op, pos = self._dec_value(buf, pos)
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         args = [None] * n
         dec_value = self._dec_value
         for i in range(n):
@@ -1159,141 +1123,14 @@ class BinaryWireCodec:
         return cqe, pos
 
     def _dec_capset(self, buf, pos: int):
-        n, pos = _r_uvarint(buf, pos)
+        n, pos = _r_count(buf, pos)
         caps = []
         for _ in range(n):
             value, pos = _r_uvarint(buf, pos)
-            ln, pos = _r_uvarint(buf, pos)
+            ln, pos = _r_count(buf, pos)
             end = pos + ln
             name = str(buf[pos:end], "utf-8")
             kind = CapType.PLUS if buf[end] == 43 else CapType.MINUS
             caps.append(Capability(Tag(value, name), kind))
             pos = end + 1
         return CapabilitySet(caps), pos
-
-
-# ------------------------------------------------------ adaptive coalescer
-
-
-#: Size assumed for a request when the caller has no hint: roughly one
-#: steady-state binary-wire request.
-DEFAULT_SIZE_HINT = 64
-
-
-def request_size_hint(request) -> int:
-    """Cheap wire-size estimate for a routed request (drives the
-    coalescer's bytes threshold): a few bytes of framing per entry, plus
-    large payload bytes, which dominate when present."""
-    size = 8
-    for sqe in getattr(request, "sqes", ()):
-        size += 2
-        for arg in sqe.args:
-            if isinstance(arg, (bytes, bytearray, memoryview)):
-                n = len(arg)
-                size += n if n >= BIG_THRESHOLD else 2
-    return size
-
-
-class AdaptiveCoalescer:
-    """Nagle-style adaptive wave formation for the cluster router.
-
-    Given an open-loop arrival schedule (seconds) and per-request size
-    hints, :meth:`plan` groups consecutive requests into dispatch waves:
-    a wave opened at arrival ``t`` closes at ``t + window``, when its
-    bytes reach ``target_bytes``, or at ``max_wave`` requests —
-    whichever comes first.  The window adapts to the measured arrival
-    rate (EWMA of inter-arrival gaps): the time to accumulate a
-    ``target_bytes`` batch at the current rate, clamped to
-    ``[min_window, max_window]``, so a hot workload batches aggressively
-    while a trickle never waits longer than ``max_window``.
-
-    Planning is a pure function of its inputs — timing estimates come
-    from the *schedule*, never the host clock — so coalesced runs stay
-    deterministic and replayable.  Batching only groups dispatch:
-    routing and global sequencing happen per request before the plan is
-    applied, which is why observables (and denials in particular) are
-    byte-identical at every wave shape.
-    """
-
-    def __init__(
-        self,
-        *,
-        target_bytes: int = 4096,
-        min_window: float = 16e-6,
-        max_window: float = 2e-3,
-        max_wave: int = 64,
-        alpha: float = 0.2,
-    ) -> None:
-        if target_bytes <= 0 or max_wave <= 0:
-            raise ValueError("coalescer thresholds must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.target_bytes = target_bytes
-        self.min_window = min_window
-        self.max_window = max_window
-        self.max_wave = max_wave
-        self.alpha = alpha
-        self.waves: list[int] = []
-        self.windows: list[float] = []
-
-    def plan(
-        self, arrivals: Sequence[float], sizes: Optional[Sequence[int]] = None
-    ) -> list[int]:
-        """Return the wave lengths (summing to ``len(arrivals)``)."""
-        n = len(arrivals)
-        waves: list[int] = []
-        windows: list[float] = []
-        if n:
-            if sizes is None:
-                sizes = [DEFAULT_SIZE_HINT] * n
-            elif len(sizes) != n:
-                raise ValueError("sizes must match arrivals")
-            ewma_dt: Optional[float] = None
-            alpha = self.alpha
-            i = 0
-            while i < n:
-                if ewma_dt is None:
-                    window = self.min_window
-                else:
-                    batch = self.target_bytes / max(1, sizes[i])
-                    window = min(
-                        self.max_window, max(self.min_window, batch * ewma_dt)
-                    )
-                windows.append(window)
-                deadline = arrivals[i] + window
-                wave_bytes = 0
-                j = i
-                while j < n and j - i < self.max_wave:
-                    if j > i:
-                        dt = arrivals[j] - arrivals[j - 1]
-                        ewma_dt = (
-                            dt
-                            if ewma_dt is None
-                            else alpha * dt + (1.0 - alpha) * ewma_dt
-                        )
-                        if (
-                            arrivals[j] > deadline
-                            or wave_bytes + sizes[j] > self.target_bytes
-                        ):
-                            break
-                    wave_bytes += sizes[j]
-                    j += 1
-                waves.append(j - i)
-                i = j
-        counters.coalesced_waves += sum(1 for w in waves if w >= 2)
-        self.waves = waves
-        self.windows = windows
-        return waves
-
-    def stats(self) -> dict:
-        waves = self.waves
-        return {
-            "waves": len(waves),
-            "coalesced_waves": sum(1 for w in waves if w >= 2),
-            "requests": sum(waves),
-            "max_wave": max(waves, default=0),
-            "mean_wave": (sum(waves) / len(waves)) if waves else 0.0,
-            "mean_window_us": (
-                1e6 * sum(self.windows) / len(self.windows)
-            ) if self.windows else 0.0,
-        }

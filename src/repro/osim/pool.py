@@ -12,10 +12,12 @@ The pool owns everything around the hosts: fork and pipe set-up, one
 :class:`~repro.osim.lamwire.BinaryWireCodec` per connection, the ready
 handshake (boot is never timed as service), per-worker seeding, the
 fastpath counter reset after boot, :class:`~repro.osim.rpc.Shutdown`
-and report collection, and failure reporting.  A host that raises sends
-one :class:`~repro.osim.rpc.WorkerFailed` and exits; the parent drains
-the round's other replies, so the surviving connections stay in step,
-then raises ``RuntimeError("worker N failed: ...")``.
+and report collection, failure reporting, and the count of frames and
+bytes that cross its connections (:meth:`Pool.wire_stats`).  A host
+that raises sends one :class:`~repro.osim.rpc.WorkerFailed` and exits;
+the parent drains the round's other replies, so the surviving
+connections stay in step, then raises
+``RuntimeError("worker N failed: ...")``.
 
 The in-process pool still sends every request and reply through one
 codec in both directions, so serialization is exercised
@@ -32,7 +34,7 @@ import zlib
 from typing import Callable, Optional
 
 from ..core import fastpath
-from .lamwire import BinaryWireCodec
+from .lamwire import HEADER, BinaryWireCodec
 from .rpc import Shutdown, WorkerFailed, WorkerReport
 
 
@@ -114,6 +116,10 @@ class Pool:
         self._procs: list = []
         self._dead: set[int] = set()
         self._reports: Optional[list[WorkerReport]] = None
+        #: Frames that crossed this pool's connections in either
+        #: direction, and their payload bytes (headers excluded).
+        self.frames = 0
+        self.bytes_on_wire = 0
         if not fork:
             self.host = boot(0)
             for allocator in self.host.allocators:
@@ -151,14 +157,20 @@ class Pool:
             # dictionaries stay in lockstep as a connected pair's would.
             codec = self.codecs[0]
             ((wid, message),) = messages.items()
-            request, _ = codec.decode(codec.encode(message))
+            request, _ = codec.decode(self._tally(codec.encode(message)))
             reply = self.host.serve(request)
-            return {wid: codec.decode(codec.encode(reply))[0]}
+            return {wid: codec.decode(self._tally(codec.encode(reply)))[0]}
         # Encode everything first: a refused frame then sends nothing.
         frames = [(wid, self.codecs[wid].encode(m)) for wid, m in messages.items()]
         for wid, frame in frames:
-            self._conns[wid].send_bytes(frame)
+            self._conns[wid].send_bytes(self._tally(frame))
         return self._gather(messages)
+
+    def _tally(self, frame: bytes) -> bytes:
+        """Count one frame crossing a connection of this pool."""
+        self.frames += 1
+        self.bytes_on_wire += len(frame) - HEADER.size
+        return frame
 
     def _gather(self, wids) -> dict:
         """One reply from each of ``wids``.  Every reply is drained before
@@ -167,7 +179,8 @@ class Pool:
         failures = []
         for wid in wids:
             try:
-                reply, _ = self.codecs[wid].decode(self._conns[wid].recv_bytes())
+                frame = self._tally(self._conns[wid].recv_bytes())
+                reply, _ = self.codecs[wid].decode(frame)
             except (EOFError, OSError) as exc:
                 reply = WorkerFailed(wid, repr(exc))
             if type(reply) is WorkerFailed:
@@ -183,8 +196,16 @@ class Pool:
             codec.bump_label_epoch()
 
     def wire_stats(self) -> dict:
-        """The parent-side codecs' dictionary statistics, summed."""
-        stats: dict = {"wire": BinaryWireCodec.name, "connections": self.size}
+        """This pool's frames and payload bytes, both directions, and its
+        parent-side codecs' dictionary statistics, summed.  The label
+        dictionary counts are the parent-side encoders': with forked
+        workers that is the request direction only."""
+        stats: dict = {
+            "wire": BinaryWireCodec.name,
+            "connections": self.size,
+            "frames": self.frames,
+            "bytes_on_wire": self.bytes_on_wire,
+        }
         for codec in self.codecs:
             for key, value in codec.stats().items():
                 if key == "label_epoch":  # in lockstep, not additive
@@ -213,7 +234,8 @@ class Pool:
         self._reports = []
         try:
             for wid in live:
-                self._conns[wid].send_bytes(self.codecs[wid].encode(Shutdown()))
+                frame = self._tally(self.codecs[wid].encode(Shutdown()))
+                self._conns[wid].send_bytes(frame)
             replies = self._gather(live)
         finally:
             for conn in self._conns:

@@ -10,6 +10,9 @@ network".  The simulated network therefore consists of:
 * :class:`Network` — the unlabeled outside world.  Sending to a remote host
   is a flow from the task to an empty-labeled destination, so any secrecy
   taint blocks it (unless declassified first).
+* :class:`TrafficLog` — the capped log of what reached the network.  In
+  a cluster each shard keeps one, and :meth:`TrafficLog.merge` joins
+  them with one stable sort on their stamps.
 
 Loopback connections between two labeled sockets model trusted channels
 between labeled threads of different processes.
@@ -22,7 +25,6 @@ pattern ever depending on a label verdict.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
@@ -80,13 +82,6 @@ class TrafficLog(list):
         #: Per-entry (stamp, worker_id, local_seq), parallel to the
         #: retained payloads and trimmed with them.
         self.stamps: list[tuple[int, int, int]] = []
-        #: Cached stamp-sorted view (see :meth:`sorted_stamped`):
-        #: invalidated by every mutation, so however many merges read
-        #: this log between appends, the sort runs once per mutation
-        #: epoch.  ``sort_count`` counts the actual sorts (the regression
-        #: test's probe).
-        self._sorted: Optional[list] = None
-        self.sort_count = 0
 
     def append(self, payload) -> None:  # type: ignore[override]
         self.append_stamped(
@@ -107,7 +102,6 @@ class TrafficLog(list):
             excess = list.__len__(self) - self.cap
             del self[:excess]
             del self.stamps[:excess]
-        self._sorted = None
 
     def reset(self) -> None:
         """Drop retained payloads and zero the totals (benchmark arms)."""
@@ -115,7 +109,6 @@ class TrafficLog(list):
         self.stamps.clear()
         self.total_messages = 0
         self.total_bytes = 0
-        self._sorted = None
 
     def stamped(self) -> list[tuple[tuple[int, int, int], object]]:
         """Retained entries with their stamps (merge-ready form)."""
@@ -131,21 +124,6 @@ class TrafficLog(list):
             return []
         return list(zip(self.stamps[-delta:], self[-delta:]))
 
-    def sorted_stamped(self) -> list[tuple[tuple[int, int, int], object]]:
-        """Stamp-sorted retained entries, cached until the next mutation.
-
-        :meth:`merge` used to re-sort every input log on every call —
-        O(n log n) per merge even when nothing changed between merges.
-        The sorted view is computed at most once per mutation epoch and
-        shared by every merge that reads it."""
-        cached = self._sorted
-        if cached is None:
-            cached = self.stamped()
-            cached.sort(key=_stamp_key)
-            self.sort_count += 1
-            self._sorted = cached
-        return cached
-
     @classmethod
     def merge(cls, logs: "list[TrafficLog]", cap: int = DEFAULT_TRAFFIC_LOG_CAP) -> "TrafficLog":
         """Deterministically merge per-worker logs.
@@ -153,15 +131,13 @@ class TrafficLog(list):
         Canonical order: by (global stamp, worker_id, local sequence).
         The result is independent of the order ``logs`` are given in and
         of how requests interleaved across workers in wall-clock time —
-        two runs of the same routed trace merge identically.  Inputs are
-        consumed through their cached sorted views, so repeated merges of
-        unchanged logs do no sorting at all — just an O(total) heap merge
-        (ties resolved toward earlier inputs, exactly like the stable
-        concatenate-and-sort this replaces)."""
+        two runs of the same routed trace merge identically.  One stable
+        sort of the inputs' stamped entries: equal stamps keep input
+        order."""
+        entries = [entry for log in logs for entry in log.stamped()]
+        entries.sort(key=_stamp_key)
         merged = cls(cap=cap)
-        for _, payload in heapq.merge(
-            *(log.sorted_stamped() for log in logs), key=_stamp_key
-        ):
+        for _, payload in entries:
             merged.append(payload)
         # The merged view reports the union totals, not its own appends
         # (retention trimming on the inputs must not change the totals).

@@ -402,15 +402,8 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
             refused += 1
         else:
             routable.append(req)
-    run_kwargs = {}
-    if args.coalesce_rate:
-        from ..bench.loadgen import coalesced_plan
-
-        run_kwargs = coalesced_plan(
-            routable, args.coalesce_rate, seed=args.seed
-        )
     start = time.perf_counter()
-    responses = cluster.run_trace(routable, **run_kwargs)
+    responses = cluster.run_trace(routable)
     seconds = time.perf_counter() - start
     wire_stats = cluster.wire_stats()
     merged = cluster.merged_audit()
@@ -468,20 +461,14 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
             f"parity {'ok' if parity else 'MISMATCH'}",
             file=out,
         )
-        wire_line = (
+        print(
             f"wire:     {wire_stats['wire']}, "
             f"{wire_stats['frames']} frames, "
             f"{wire_stats.get('bytes_per_request', 0)} B/req, "
             f"label dict {wire_stats['label_dict_hits']} hits / "
-            f"{wire_stats['label_dict_misses']} misses"
+            f"{wire_stats['label_dict_misses']} misses",
+            file=out,
         )
-        coalescing = wire_stats.get("coalescing")
-        if coalescing:
-            wire_line += (
-                f", {coalescing['coalesced_waves']}/{coalescing['waves']} "
-                f"waves coalesced"
-            )
-        print(wire_line, file=out)
     cluster.shutdown()
     return 0 if parity else 1
 
@@ -669,12 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--work-ns", type=float, default=0.0,
                            help="nanoseconds slept per deferred work unit "
                                 "(default: 0)")
-    p_cluster.add_argument("--coalesce-rate", type=float, default=0.0,
-                           metavar="RPS",
-                           help="dispatch through the adaptive coalescer "
-                                "against a Poisson arrival schedule at "
-                                "this rate (requests/sec; default: off, "
-                                "one wave for the whole trace)")
     p_cluster.add_argument("--json", action="store_true",
                            help="emit the run summary as JSON")
     p_cluster.set_defaults(fn=cmd_cluster)

@@ -179,6 +179,39 @@ class TestMalformedRequests:
         assert again.cqes[1].result == b"0123"
 
 
+class TestWaveSize:
+    @pytest.mark.parametrize(
+        "wave_size", [1, 5, None], ids=["1", "5", "whole-trace"]
+    )
+    def test_observables_do_not_depend_on_wave_boundaries(
+        self, world, wave_size
+    ):
+        """The wave size decides when frames flush, never what the
+        security record says: at every wave size, the merged audit, the
+        merged traffic and each request's completions equal one kernel
+        replaying the trace, denials and heartbeats included."""
+        trace = world.trace(30, seed=11)
+        for k in range(0, len(trace), 6):
+            beat = Sqe("transmit", f"beat{k}".encode())
+            trace.insert(
+                k, ClusterRequest(f"clerk{k % 4}", LabelPair.EMPTY, (beat,))
+            )
+        cluster = Cluster(world, shards=4)
+        responses = cluster.run_trace(trace, wave_size=wave_size)
+        single, expected = replay_single(world, trace)
+        merged = cluster.merged_audit()
+        assert merged == render_audit(single.kernel.audit)
+        assert any("denial" in line for line in merged)
+        traffic = cluster.merged_traffic()
+        reference = single.kernel.net.transmitted
+        assert list(traffic) == list(reference)
+        assert traffic.total_messages == reference.total_messages
+        assert b"beat0" in list(traffic)
+        assert [r.cqes for r in sorted(responses, key=lambda r: r.seq)] == [
+            r.cqes for r in expected
+        ]
+
+
 class TestTrafficMerge:
     def test_merged_traffic_matches_single_kernel(self, world):
         trace = world.trace(30)

@@ -10,14 +10,15 @@ returned Label is *the same object* — identity-based fast paths
 
 Second, the lamwire binary codec is lossless over its schema and refuses
 everything outside it: hypothesis drives decode(encode(m)) == m over
-random labels, capability sets, sqes/cqes, messages, and executor wave
-shapes (including re-sends through the per-connection dictionaries and
-tag-allocator epoch bumps that force label-definition re-sends),
-off-schema values raise :class:`WireError` at encode, and a sharded
-cluster merges to the same bytes over the in-process loopback and over
-forked workers' pipes.  Delta replication (TagSync high-water marks,
-CapSync unchanged-principal omission) and the TrafficLog merge-sort
-cache regressions ride along.
+random labels, capability sets, sqes/cqes, byte payloads of every size
+and buffer type, messages, and executor wave shapes (including re-sends
+through the per-connection dictionaries and tag-allocator epoch bumps
+that force label-definition re-sends), off-schema values raise
+:class:`WireError` at encode, malformed frames raise it at decode, and a
+sharded cluster merges to the same bytes over the in-process loopback
+and over forked workers' pipes.  Delta replication (TagSync high-water
+marks, CapSync unchanged-principal omission), per-cluster wire
+accounting and the TrafficLog merge ride along.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.loadgen import UserWorld, build_trace, coalesced_plan
+from repro.bench.loadgen import UserWorld, build_trace
 from repro.core import Capability, CapabilitySet, CapType, Label, LabelPair
 from repro.core import fastpath
 from repro.core.fastpath import counters, flags
 from repro.core.tags import Tag, TagAllocator
 from repro.osim import (
-    AdaptiveCoalescer,
     BinaryWireCodec,
     Cluster,
     Cqe,
@@ -42,7 +42,7 @@ from repro.osim import (
     TrafficLog,
     WireError,
 )
-from repro.osim.lamwire import HEADER
+from repro.osim.lamwire import HEADER, T_INT, T_REF, T_STR, T_TUPLE
 from repro.osim.rpc import (
     CapSync,
     ShardRequest,
@@ -126,15 +126,36 @@ class TestFraming:
 
     def test_truncated_frame_raises(self):
         frame = BinaryWireCodec().encode({"k": "v"})
-        with pytest.raises(ValueError):
+        with pytest.raises(WireError):
             BinaryWireCodec().decode(frame[:-1])
-        with pytest.raises(ValueError):
+        with pytest.raises(WireError):
             BinaryWireCodec().decode(frame[: HEADER.size - 1])
 
     def test_oversize_header_rejected_without_allocation(self):
         bogus = HEADER.pack(1 << 30) + b"x"
-        with pytest.raises(ValueError):
+        with pytest.raises(WireError):
             BinaryWireCodec().decode(bogus)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            bytes([T_TUPLE, 2, T_INT, 2]),  # second element missing
+            bytes([T_REF, 5]),  # id 5 was never defined
+            bytes([0x7F]),  # no such type tag
+            bytes([T_STR, 2, 0xFF, 0xFE]),  # not UTF-8
+            # 2**33 elements claimed by a 6-byte frame: refused before
+            # anything is allocated for them.
+            bytes([T_TUPLE, 0x80, 0x80, 0x80, 0x80, 0x20]),
+            bytes([T_TUPLE, 1] * 50_000) + bytes([T_INT, 0]),  # too deep
+        ],
+        ids=["truncated-nested", "undefined-ref", "unknown-tag",
+             "bad-utf8", "huge-count", "deep-nesting"],
+    )
+    def test_malformed_frame_raises_wire_error(self, payload):
+        """Decode fails closed with the one typed error, whatever part of
+        a well-framed payload is malformed."""
+        with pytest.raises(WireError):
+            BinaryWireCodec().decode(HEADER.pack(len(payload)) + payload)
 
     def test_request_response_messages_survive_the_wire(self):
         req = ShardRequest(5, "gw1", (Sqe("read", 3, 16), Sqe("lseek", 3, 0)))
@@ -171,13 +192,24 @@ capsets = st.builds(
         max_size=6,
     ),
 )
+#: Byte payloads: small ones (value-dictionary candidates) and ones of
+#: up to 2 KiB, as ``bytes``, ``bytearray`` or ``memoryview`` — all of
+#: them copied into the frame's one buffer.
+payloads = st.tuples(
+    st.one_of(
+        st.binary(max_size=48),
+        st.builds(lambda n, fill: bytes([fill]) * n,
+                  st.integers(49, 2048), st.integers(0, 255)),
+    ),
+    st.sampled_from([bytes, bytearray, memoryview]),
+).map(lambda p: p[1](p[0]))
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**40), 2**40),
     st.floats(allow_nan=False),
     st.text(max_size=12),
-    st.binary(max_size=48),
+    payloads,
 )
 op_names = st.sampled_from(
     ["read", "write", "lseek", "socket", "send", "recv", "transmit", "close"]
@@ -353,7 +385,6 @@ class TestCodecEquivalence:
             "frames",
             "label_dict_hits",
             "label_dict_misses",
-            "coalesced_waves",
         ):
             assert key in snap
 
@@ -463,38 +494,27 @@ class TestClusterWireParity:
         assert merged["same-process"] == merged["multiprocess"]
         assert any("denial" in line for line in merged["same-process"][0])
 
-    def test_wire_stats_and_coalescing(self):
+    def test_wire_stats_count_this_cluster_only(self):
+        """Two clusters in one process, the same trace and the same
+        label-bearing sync: each reports its own connections' frames,
+        bytes and label-dictionary traffic, not the process's."""
         world = UserWorld(gateways=4, keys=4)
         trace = build_trace(world, 32, users=1_000, seed=9)
-        flat = Cluster(world, shards=2)
-        flat.run_trace(trace)
-        flat_audit = flat.merged_audit()
-        stats = flat.wire_stats()
-        assert stats["wire"] == "binary"
-        assert stats["requests"] == len(trace)
-        assert "coalescing" not in stats
-
-        coalesced = Cluster(world, shards=2)
-        coalesced.run_trace(trace, **coalesced_plan(trace, rate=100_000.0))
-        assert coalesced.merged_audit() == flat_audit
-        stats = coalesced.wire_stats()
-        co = stats["coalescing"]
-        assert co["requests"] == len(trace)
-        assert co["waves"] >= 1
-
-    def test_run_trace_rejects_bad_coalescer_arguments(self):
-        world = UserWorld(gateways=4, keys=4)
-        trace = build_trace(world, 8, users=1_000, seed=3)
-        cluster = Cluster(world, shards=2)
-        coalescer = AdaptiveCoalescer()
-        with pytest.raises(ValueError):
-            cluster.run_trace(trace, wave_size=4, coalescer=coalescer)
-        with pytest.raises(ValueError):
-            cluster.run_trace(trace, coalescer=coalescer)  # no arrivals
-        with pytest.raises(ValueError):
-            cluster.run_trace(
-                trace, coalescer=coalescer, arrivals=[0.0]
-            )  # length mismatch
+        taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
+        reports = []
+        for _ in range(2):
+            cluster = Cluster(world, shards=2)
+            cluster.sync_caps((("gw0", taint, CapabilitySet.EMPTY),))
+            cluster.run_trace(trace)
+            reports.append(cluster.wire_stats())
+        first, second = reports
+        assert second["bytes_per_request"] == first["bytes_per_request"]
+        assert second == first
+        assert first["wire"] == "binary"
+        assert first["requests"] == len(trace)
+        # Both directions of both waves: sync and trace.
+        assert first["frames"] == 4
+        assert first["label_dict_misses"] > 0
 
 
 # ------------------------------------------------------ TrafficLog merge
@@ -526,22 +546,6 @@ class TestTrafficLogMerge:
         assert merged.total_messages == sum(
             log.total_messages for log in logs
         )
-
-    def test_one_sort_per_merge_epoch(self):
-        """The regression the cache exists for: merging k logs twice
-        without mutation sorts each log exactly once, not once per
-        merge."""
-        logs = self._logs()
-        assert [log.sort_count for log in logs] == [0, 0, 0]
-        first = TrafficLog.merge(logs)
-        assert [log.sort_count for log in logs] == [1, 1, 1]
-        second = TrafficLog.merge(logs)
-        assert [log.sort_count for log in logs] == [1, 1, 1]
-        assert list(first) == list(second)
-        # Mutation opens a new epoch for that log only.
-        logs[0].append_stamped((99, 0, 99), b"late")
-        TrafficLog.merge(logs)
-        assert [log.sort_count for log in logs] == [2, 1, 1]
 
     def test_stamped_tail_returns_last_delta_in_append_order(self):
         log = TrafficLog()

@@ -413,25 +413,6 @@ class TestCluster:
         assert wire["bytes_per_request"] > 0
         assert "label_dict_hits" in wire
         assert "label_dict_misses" in wire
-        assert "coalescing" not in wire
-
-    def test_cluster_coalesce_rate_reports_window_stats(self):
-        code, text = run_cli(
-            "cluster", "--shards", "2", "--requests", "32", "--json",
-            "--coalesce-rate", "100000",
-        )
-        assert code == 0
-        payload = json.loads(text)
-        assert payload["audit_parity"] is True
-        co = payload["wire"]["coalescing"]
-        assert co["requests"] == 32
-        assert co["waves"] >= 1
-        code, text = run_cli(
-            "cluster", "--shards", "2", "--requests", "32",
-            "--coalesce-rate", "100000",
-        )
-        assert code == 0
-        assert "waves coalesced" in text
 
     def test_cluster_refuses_unroutable_taint(self):
         """A central-only topology cannot hold tainted requests: they are
