@@ -656,11 +656,17 @@ def _run_op(ctx, role, task, op):
         _log(ctx, role, op, "ok", tuple(_canon_cqe(c, record) for c in cqes))
     elif kind == "submit_rw":
         fd = yield syscall("open", f"{gdir}/board", "r+")
+        # The plain write, the lseek and the two reads run sys_submit's
+        # inline path; the second read replays the first one's proof.
         cqes = yield submit(
             [
                 Sqe("writev", fd, [args[0], args[0]]),
                 Sqe("lseek", fd, 0),
                 Sqe("readv", fd, [3, 3]),
+                Sqe("write", fd, args[0]),
+                Sqe("lseek", fd, 0),
+                Sqe("read", fd, 3),
+                Sqe("read", fd, -1),
             ]
         )
         yield syscall("close", fd)

@@ -330,23 +330,24 @@ class Filesystem:
     @staticmethod
     def read(file: File, count: int = -1) -> bytes:
         inode = file.inode
-        if inode.is_dir:
+        if inode.itype is InodeType.DIRECTORY:
             raise SyscallError(EISDIR, "read of a directory")
-        end = inode.size if count < 0 else min(inode.size, file.offset + count)
-        # One copy, not two: slicing the bytearray directly would build an
-        # intermediate bytearray that bytes() then copies again.  Going
-        # through a memoryview materializes the result exactly once.
-        data = bytes(memoryview(inode.data)[file.offset : end])
-        file.offset = end
-        return data
+        data = inode.data
+        offset = file.offset
+        end = len(data)
+        if 0 <= count < end - offset:
+            end = offset + count
+        file.offset = end  # past EOF: an empty read that moves to EOF
+        # ``bytes + bytearray`` is ``bytes``, and at server read sizes it
+        # costs less than ``bytes(slice)`` or a memoryview copy.
+        return b"" + data[offset:end]
 
     @staticmethod
     def read_view(file: File, count: int = -1) -> memoryview:
         """Zero-copy read: a read-only :class:`memoryview` over the file's
-        buffer.  TCB-internal (the batch submission path and vectored I/O
-        use it to avoid materializing intermediate chunks); the view
-        aliases the inode, so callers must consume it before any write to
-        the same file."""
+        buffer.  Nothing in the program calls it (``perfbench/tracer.py``
+        wraps it by name); the view aliases the inode, so a caller must
+        consume it before any write to the same file."""
         inode = file.inode
         if inode.is_dir:
             raise SyscallError(EISDIR, "read of a directory")

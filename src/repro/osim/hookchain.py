@@ -18,8 +18,9 @@ and replays it as a dict hit.  It holds two kinds of plain entry:
 * **held-file entries** — keyed ``(tid, label_epoch, inode, write)``;
   the entry is the inode's labels when ``file_permission`` allowed the
   access.  ``sys_read``/``sys_write`` use :meth:`replay_fd` /
-  :meth:`profile_fd`; ``sys_submit`` probes :attr:`files` inline with a
-  key prefix hoisted out of its batch loop.
+  :meth:`profile_fd`, and so does ``sys_submit`` for the first read and
+  the first write of each descriptor in a batch; later entries of the
+  batch replay that proof from the batch's own descriptor record.
 
 Soundness rests on four rules:
 

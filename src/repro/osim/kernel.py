@@ -47,7 +47,7 @@ from .filesystem import (
     InodeType,
     OpenMode,
 )
-from .hookchain import MAX_ENTRIES, HookChainEngine
+from .hookchain import HookChainEngine
 from .lsm import LaminarSecurityModule, Mask, SecurityModule
 from .pipes import Pipe
 from .sockets import Network, Socket
@@ -262,10 +262,10 @@ class Kernel:
             name: max(0, work - self.SYSCALL_ENTRY_WORK)
             for name, work in self.SYSCALL_WORK.items()
         }
-        #: op -> bound sys_* method, for batch entries outside the inlined
-        #: read/write fast path.  These run their full bodies (including
-        #: their own ``_count``), so equivalence with sequential issue is
-        #: by construction; only read/write shave the entry share.
+        #: op -> bound sys_* method, for batch entries sys_submit does not
+        #: run inline.  These run their full bodies (including their own
+        #: ``_count``), so equivalence with sequential issue is by
+        #: construction; only read/write shave the entry share.
         self._submit_generic = {
             op: getattr(self, f"sys_{op}") for op in self.SUBMIT_GENERIC_OPS
         }
@@ -706,34 +706,33 @@ class Kernel:
     def sys_read(self, task: Task, fd: int, count: int = -1) -> bytes:
         self._count("read")
         self._require_alive(task)
-        file = task.lookup_fd(fd)
-        pipe: Pipe | None = getattr(file.inode, "pipe", None)
-        if pipe is not None:
-            return pipe.read(task, self.security)
-        if not self.hookchain.replay_fd(task, file, False):
-            self.security.file_permission(task, file, Mask.READ)
-            self.hookchain.profile_fd(task, file, False)
-        if not file.readable():
-            raise SyscallError(EBADF, "fd not open for reading")
-        if file.inode.itype is InodeType.DEVICE:
-            return b"\0" * max(count, 0)
-        return self.fs.read(file, count)
+        return self._transfer(task, task.lookup_fd(fd), False, count)
 
     def sys_write(self, task: Task, fd: int, data: bytes) -> int:
         self._count("write")
         self._require_alive(task)
-        file = task.lookup_fd(fd)
+        return self._transfer(task, task.lookup_fd(fd), True, data)
+
+    def _transfer(self, task: Task, file: File, write: bool, arg):
+        """The body of ``sys_read`` (``arg`` is the count) and
+        ``sys_write`` (``arg`` is the data), which ``sys_submit`` also runs
+        for the first read or write of a descriptor in a batch.  A pipe
+        delivers under its own hooks; a file access is checked by
+        ``file_permission``, replayed from the held-file memo where it
+        can be."""
         pipe: Pipe | None = getattr(file.inode, "pipe", None)
         if pipe is not None:
-            return pipe.write(task, data, self.security)
-        if not self.hookchain.replay_fd(task, file, True):
-            self.security.file_permission(task, file, Mask.WRITE)
-            self.hookchain.profile_fd(task, file, True)
-        if not file.writable():
-            raise SyscallError(EBADF, "fd not open for writing")
+            if write:
+                return pipe.write(task, arg, self.security)
+            return pipe.read(task, self.security)
+        if not self.hookchain.replay_fd(task, file, write):
+            self.security.file_permission(task, file, Mask.WRITE if write else Mask.READ)
+            self.hookchain.profile_fd(task, file, write)
+        if not (file.writable() if write else file.readable()):
+            raise SyscallError(EBADF, f"fd not open for {'writing' if write else 'reading'}")
         if file.inode.itype is InodeType.DEVICE:
-            return len(data)
-        return self.fs.write(file, data)
+            return len(arg) if write else b"\0" * max(arg, 0)
+        return self.fs.write(file, arg) if write else self.fs.read(file, arg)
 
     # -- vectored I/O (one syscall, one permission check, many segments) -----
 
@@ -798,7 +797,7 @@ class Kernel:
     #: exit, kill) are deliberately NOT batchable: excluding them
     #: guarantees no entry of a batch can change the submitting task's
     #: aliveness or labels, which is what lets the batch hoist
-    #: ``_require_alive`` and memoize per-inode permission verdicts.
+    #: ``_require_alive`` and replay per-descriptor permission proofs.
     SUBMIT_GENERIC_OPS = (
         "open",
         "creat",
@@ -814,10 +813,9 @@ class Kernel:
         "transmit",
         "readv",
         "writev",
-        "lseek",
     )
     #: Every opcode a batch entry may name.
-    SUBMIT_OPS = frozenset(("read", "write", *SUBMIT_GENERIC_OPS))
+    SUBMIT_OPS = frozenset(("read", "write", "lseek", *SUBMIT_GENERIC_OPS))
 
     def sys_submit(self, task: Task, sqes: Sequence[Sqe]) -> list[Cqe]:
         """Submit a batch of syscall descriptors; get a completion list.
@@ -831,155 +829,115 @@ class Kernel:
         *overhead* differs:
 
         * the user→kernel crossing (``SYSCALL_ENTRY_WORK``) is paid once
-          per batch, not once per entry;
+          per batch, not once per read or write entry;
         * ``_require_alive`` is hoisted (sound: no batchable op changes
           aliveness);
-        * hot read/write entries run through an inlined fast path with a
-          per-batch fd→file memo, and probe the kernel's held-file memo
-          (:mod:`repro.osim.hookchain`) directly: the same entries
-          ``sys_read``/``sys_write`` record and replay, so a verdict
-          proved by either path is replayed by the other.
+        * read, write and lseek entries run inline against a per-batch
+          descriptor record: the fd's file, its pipe, and the permissions
+          the batch has proved on it.  The first read and the first write
+          of a descriptor run the body of ``sys_read``/``sys_write``
+          (:meth:`_transfer`); later ones replay its allowed
+          ``file_permission`` verdict, still counting the hook per entry.
+          This is the held-file memo's rule (:mod:`repro.osim.hookchain`)
+          at batch scope — no batchable op changes a label — and like the
+          memo it keeps no denial, nothing on a pipe, and nothing while
+          switched off.  Any other entry runs its whole ``sys_*`` body,
+          which may close an fd, reuse its number or empty the memo
+          (unlink, mkdir), so the records are dropped before it.  lseek
+          keeps its full ``SYSCALL_WORK`` charge and its
+          ``syscall:lseek`` fault site.
         """
         self._count("submit")
         self._require_alive(task)
         faults = self.faults
-        security = self.security
         counts = self.syscall_counts
         batch_work = self._batch_work
-        defer = self.defer_work
         fs_read = self.fs.read
         fs_write = self.fs.write
-        hook_calls = security.hook_calls
-        file_permission = security.file_permission
-        #: fd -> (file, pipe) resolved once per batch; dropped on close
-        #: (the freed number may be reused by a later open in this batch).
-        fd_memo: dict[int, tuple] = {}
-        # Held-file memo, probed inline (a method call per entry costs
-        # the batch loop measurably).  The key prefix and the switch are
-        # hoisted: no batchable op can change the submitting task's
-        # labels, the installed module or the fast-path flags, and an
-        # invalidating unlink/mkdir empties ``files`` in place.
-        memo = self.hookchain
-        files = memo.files
-        memo_on = memo.files_ok and fastpath.flags.path_walk_cache
-        kprefix = (task.tid, task.security.label_epoch)
-        hits = 0  # added to the process-wide counter once per batch
+        hook_calls = self.security.hook_calls
+        memo_on = self.hookchain.files_ok and fastpath.flags.path_walk_cache
+        #: fd -> [file, pipe, Mask bits proved this batch]
+        records: dict = {}
+
+        def resolve(fd) -> list:
+            file = task.lookup_fd(fd)
+            record = records[fd] = [file, getattr(file.inode, "pipe", None), 0]
+            return record
+
+        # Summed here and added once, in the ``finally``: a raising entry
+        # or a crash leaves the totals sequential issue would.
+        work = hits = 0
         cqes: list[Cqe] = []
-        for sqe in sqes:
-            op = sqe.op
-            if faults is not None:
-                kind = faults.fire("submit.boundary")
-                if kind is not None:
-                    if kind is FaultKind.CRASH or kind is FaultKind.TORN_WRITE:
-                        # Completions so far are lost with the rest of RAM.
-                        faults.crash("submit.boundary")
-                    # Detected error: fail this entry, keep the batch going
-                    # (io_uring's contract — an errno completion, no abort).
-                    errno = ENOSPC if kind is FaultKind.ENOSPC else EIO
-                    cqes.append(Cqe(op, None, errno))
-                    continue
-            try:
-                if op == "read":
-                    args = sqe.args
-                    if len(args) == 2:
-                        fd, count = args
-                    elif len(args) == 1:
-                        fd, count = args[0], -1
-                    else:
-                        raise SyscallError(EINVAL, "read takes (fd[, count])")
-                    counts["read"] += 1
-                    if defer:
-                        self.deferred_work += batch_work["read"]
-                    else:
-                        for _ in range(batch_work["read"]):
-                            pass
-                    cached = fd_memo.get(fd)
-                    if cached is None:
-                        file = task.lookup_fd(fd)
-                        pipe = getattr(file.inode, "pipe", None)
-                        fd_memo[fd] = (file, pipe)
-                    else:
-                        file, pipe = cached
-                    if pipe is not None:
-                        result = pipe.read(task, security)
-                    else:
-                        inode = file.inode
-                        pkey = kprefix + (inode, False)
-                        proof = files.get(pkey) if memo_on else None
-                        if proof is inode.labels:
+        try:
+            for sqe in sqes:
+                op = sqe.op
+                if faults is not None:
+                    kind = faults.fire("submit.boundary")
+                    if kind is not None:
+                        if kind is FaultKind.CRASH or kind is FaultKind.TORN_WRITE:
+                            # Completions so far are lost with the rest of RAM.
+                            faults.crash("submit.boundary")
+                        # Detected error: fail this entry, keep the batch
+                        # going (io_uring's contract — an errno
+                        # completion, no abort).
+                        errno = ENOSPC if kind is FaultKind.ENOSPC else EIO
+                        cqes.append(Cqe(op, None, errno))
+                        continue
+                try:
+                    if op == "read" or op == "write":
+                        write = op == "write"
+                        args = sqe.args
+                        if len(args) == 2:
+                            fd, arg = args
+                        elif len(args) == 1 and not write:
+                            fd, arg = args[0], -1
+                        else:
+                            raise SyscallError(
+                                EINVAL,
+                                "write takes (fd, data)" if write else "read takes (fd[, count])",
+                            )
+                        counts[op] += 1
+                        work += batch_work[op]
+                        record = records.get(fd) or resolve(fd)
+                        file, pipe, proved = record
+                        mask = Mask.WRITE if write else Mask.READ
+                        if not proved & mask:
+                            result = self._transfer(task, file, write, arg)
+                            if memo_on and pipe is None:
+                                record[2] = proved | mask
+                        else:
+                            # The proof replayed, then _transfer's data
+                            # step inline: a call per entry costs the loop.
                             hook_calls["file_permission"] += 1
                             hits += 1
-                        else:
-                            if proof is not None:
-                                del files[pkey]
-                                _fp_counters.hookchain_deopts += 1
-                            file_permission(task, file, Mask.READ)
-                            if memo_on:
-                                if len(files) >= MAX_ENTRIES:
-                                    files.clear()
-                                files[pkey] = inode.labels
-                        if not file.readable():
-                            raise SyscallError(EBADF, "fd not open for reading")
-                        if inode.itype is InodeType.DEVICE:
-                            result = b"\0" * max(count, 0)
-                        else:
-                            result = fs_read(file, count)
-                elif op == "write":
-                    args = sqe.args
-                    if len(args) != 2:
-                        raise SyscallError(EINVAL, "write takes (fd, data)")
-                    fd, data = args
-                    counts["write"] += 1
-                    if defer:
-                        self.deferred_work += batch_work["write"]
+                            if file.inode.itype is InodeType.DEVICE:
+                                result = len(arg) if write else b"\0" * max(arg, 0)
+                            elif write:
+                                result = fs_write(file, arg)
+                            else:
+                                result = fs_read(file, arg)
+                    elif op == "lseek":
+                        args = sqe.args
+                        if len(args) != 2:
+                            raise SyscallError(EINVAL, "lseek takes (fd, offset)")
+                        fd, offset = args
+                        self._count("lseek")
+                        file = (records.get(fd) or resolve(fd))[0]
+                        result = self._seek(file, offset)
+                    elif type(op) is str and op in self._submit_generic:
+                        records.clear()
+                        result = call_syscall(self._submit_generic[op], task, sqe.args)
                     else:
-                        for _ in range(batch_work["write"]):
-                            pass
-                    cached = fd_memo.get(fd)
-                    if cached is None:
-                        file = task.lookup_fd(fd)
-                        pipe = getattr(file.inode, "pipe", None)
-                        fd_memo[fd] = (file, pipe)
-                    else:
-                        file, pipe = cached
-                    if pipe is not None:
-                        result = pipe.write(task, data, security)
-                    else:
-                        inode = file.inode
-                        pkey = kprefix + (inode, True)
-                        proof = files.get(pkey) if memo_on else None
-                        if proof is inode.labels:
-                            hook_calls["file_permission"] += 1
-                            hits += 1
-                        else:
-                            if proof is not None:
-                                del files[pkey]
-                                _fp_counters.hookchain_deopts += 1
-                            file_permission(task, file, Mask.WRITE)
-                            if memo_on:
-                                if len(files) >= MAX_ENTRIES:
-                                    files.clear()
-                                files[pkey] = inode.labels
-                        if not file.writable():
-                            raise SyscallError(EBADF, "fd not open for writing")
-                        if inode.itype is InodeType.DEVICE:
-                            result = len(data)
-                        else:
-                            result = fs_write(file, data)
-                elif type(op) is str and op in self._submit_generic:
-                    args = sqe.args
-                    if op == "close" and args:
-                        fd_memo.pop(args[0], None)
-                    result = call_syscall(self._submit_generic[op], task, args)
+                        raise SyscallError(
+                            EINVAL, f"op {op!r} is not batchable via sys_submit"
+                        )
+                except SyscallError as exc:
+                    cqes.append(Cqe(op, None, exc.errno))
                 else:
-                    raise SyscallError(
-                        EINVAL, f"op {op!r} is not batchable via sys_submit"
-                    )
-            except SyscallError as exc:
-                cqes.append(Cqe(op, None, exc.errno))
-            else:
-                cqes.append(Cqe(op, result, 0))
-        _fp_counters.hookchain_hits += hits
+                    cqes.append(Cqe(op, result, 0))
+        finally:
+            self._extra_work(work)
+            _fp_counters.hookchain_hits += hits
         return cqes
 
     def sys_lseek(self, task: Task, fd: int, offset: int) -> int:
@@ -990,7 +948,10 @@ class Kernel:
         read/write time, exactly as in Linux."""
         self._count("lseek")
         self._require_alive(task)
-        file = task.lookup_fd(fd)
+        return self._seek(task.lookup_fd(fd), offset)
+
+    @staticmethod
+    def _seek(file: File, offset: int) -> int:
         if getattr(file.inode, "pipe", None) is not None:
             raise SyscallError(EINVAL, "cannot seek a pipe")
         if offset < 0:

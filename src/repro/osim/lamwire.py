@@ -335,17 +335,43 @@ class BinaryWireCodec:
 
     def encode(self, message: object) -> bytes:
         """Encode one frame: the header is reserved up front and filled
-        in once the payload length is known."""
+        in once the payload length is known.  A refused frame rolls the
+        encoder back (:meth:`rollback`): the peer never decodes it, so
+        the definitions it made must not be referenced later."""
+        mark = len(self._evals)
         buf = self._buf = bytearray(HEADER.size)
-        self._enc_value(message)
-        self._buf = None
-        length = len(buf) - HEADER.size
-        if length > MAX_FRAME_PAYLOAD:
-            raise WireError(f"frame payload of {length} bytes exceeds cap")
+        try:
+            self._enc_value(message)
+            length = len(buf) - HEADER.size
+            if length > MAX_FRAME_PAYLOAD:
+                raise WireError(f"frame payload of {length} bytes exceeds cap")
+        except BaseException:
+            self.rollback(mark)
+            raise
+        finally:
+            self._buf = None
         HEADER.pack_into(buf, 0, length)
         counters.frames += 1
         counters.bytes_on_wire += length
         return bytes(buf)
+
+    def checkpoint(self) -> int:
+        """The encoder state to :meth:`rollback` to if the frames encoded
+        from now on are never sent."""
+        return len(self._evals)
+
+    def rollback(self, mark: int) -> None:
+        """Forget what the encoder defined since ``mark`` (a
+        :meth:`checkpoint`): value ids from ``mark`` on are dropped, and
+        every label pair is re-defined on its next use, since its id may
+        be one the peer never saw."""
+        evals = self._evals
+        while len(evals) > mark:
+            evals.popitem()  # ids are assigned in insertion order
+        etid = self._etid
+        for key in [key for key, (eid, _) in etid.items() if eid >= mark]:
+            del etid[key]
+        self.label_epoch += 1
 
     def decode(self, buf: bytes) -> tuple[object, bytes]:
         """Decode one frame; returns ``(message, remainder)`` so callers

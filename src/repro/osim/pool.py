@@ -83,12 +83,8 @@ def _worker_main(conn, worker_id: int, boot: Callable, seed: int) -> None:
                 return
             conn.send_bytes(codec.encode(host.serve(message)))
     except BaseException as exc:  # ship the failure; a silent EOF is opaque
-        # A fresh codec: the failed frame may have left definitions in
-        # this connection's dictionaries that the parent never received.
         try:
-            conn.send_bytes(
-                BinaryWireCodec().encode(WorkerFailed(worker_id, repr(exc)))
-            )
+            conn.send_bytes(codec.encode(WorkerFailed(worker_id, repr(exc))))
         except OSError:
             pass  # the parent is gone
         raise
@@ -160,8 +156,15 @@ class Pool:
             request, _ = codec.decode(self._tally(codec.encode(message)))
             reply = self.host.serve(request)
             return {wid: codec.decode(self._tally(codec.encode(reply)))[0]}
-        # Encode everything first: a refused frame then sends nothing.
-        frames = [(wid, self.codecs[wid].encode(m)) for wid, m in messages.items()]
+        # Encode everything first: a refused frame then sends nothing,
+        # and every addressed codec forgets what it encoded.
+        marks = {wid: self.codecs[wid].checkpoint() for wid in messages}
+        try:
+            frames = [(wid, self.codecs[wid].encode(m)) for wid, m in messages.items()]
+        except BaseException:
+            for wid, mark in marks.items():
+                self.codecs[wid].rollback(mark)
+            raise
         for wid, frame in frames:
             self._conns[wid].send_bytes(self._tally(frame))
         return self._gather(messages)

@@ -182,6 +182,33 @@ class TestInjectionSemantics:
         assert [c.errno for c in cqes] == [0, EIO, 0]
         assert cqes[0].result == b"d" * 16
 
+    @pytest.mark.parametrize("kind", [FaultKind.EIO, FaultKind.CRASH])
+    def test_lseek_fault_inside_a_batch(self, k, kind):
+        """A batched lseek runs inline but still crosses ``syscall:lseek``
+        first.  EIO fails that entry before it moves the offset and the
+        batch goes on; a crash ends the batch, and the modeled work of
+        the entries before it is charged all the same."""
+        from repro.osim import Sqe
+
+        task = k.spawn_task("t")
+        fd = k.sys_open(task, "/tmp/f", "w+")
+        k.sys_write(task, fd, b"abcdef")
+        k.defer_work = True
+        k.install_faults(FaultPlan([FaultRule("syscall:lseek", kind, nth=2)]))
+        sqes = [Sqe("lseek", fd, 1), Sqe("read", fd, 2), Sqe("lseek", fd, 0), Sqe("read", fd, 2)]
+        if kind is FaultKind.CRASH:
+            with pytest.raises(KernelCrash):
+                k.sys_submit(task, sqes)
+            work = k.SYSCALL_WORK
+            assert k.deferred_work == (
+                work["submit"] + work["lseek"] + work["read"] - k.SYSCALL_ENTRY_WORK
+            )
+            return
+        cqes = k.sys_submit(task, sqes)
+        assert [c.errno for c in cqes] == [0, 0, EIO, 0]
+        assert [cqes[1].result, cqes[3].result] == [b"bc", b"de"]
+        assert k.syscall_counts["lseek"] == 1
+
     def test_crash_discards_volatile_state_not_disk(self, k):
         task, tag, inode = _labeled_file(k)
         k.install_faults(FaultPlan())

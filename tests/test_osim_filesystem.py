@@ -117,6 +117,24 @@ class TestDataAccess:
         with pytest.raises(SyscallError):
             fs.read(File(fs.root, OpenMode.parse("r")))
 
+    def test_read_offsets_and_copy(self, fs):
+        """A read past EOF returns ``b""`` and moves the offset to EOF;
+        ``count=-1`` reads the rest; the result is a ``bytes`` copy that
+        a later write to the file leaves alone."""
+        inode = fs.resolve("/etc/hosts")
+        fs.write(File(inode, OpenMode.parse("w")), b"abcdef")
+        rfile = File(inode, OpenMode.parse("r"))
+        rfile.offset = 10
+        assert fs.read(rfile, 4) == b""
+        assert rfile.offset == 6
+        rfile.offset = 2
+        data = fs.read(rfile, -1)
+        assert type(data) is bytes
+        assert (data, rfile.offset) == (b"cdef", 6)
+        assert fs.read(rfile, 0) == b"" and rfile.offset == 6
+        fs.write(File(inode, OpenMode.parse("r+")), b"XXXXXX")
+        assert data == b"cdef"
+
 
 class TestLabelPersistence:
     def test_encode_decode_roundtrip(self):

@@ -13,12 +13,13 @@ much *overhead* is paid, never what any check decides or records.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Label, LabelPair
+from repro.core import Label, LabelPair, fastpath
 from repro.osim import (
     Cqe,
     EACCES,
@@ -41,8 +42,9 @@ def fresh_kernel() -> Kernel:
 
 
 def build_scenario(kernel: Kernel):
-    """One task, a plain file, a secrecy-labeled file (reads denied), and
-    a pipe — the object mix every generated program runs against."""
+    """One task, a plain file, a secrecy-labeled file (reads denied), a
+    pipe, a device and a directory — the object mix every generated
+    program runs against."""
     owner = kernel.spawn_task("owner")
     tag, _ = kernel.sys_alloc_tag(owner, "s")
     secret = LabelPair(Label.of(tag))
@@ -58,7 +60,11 @@ def build_scenario(kernel: Kernel):
     plain = kernel.sys_open(actor, "/tmp/eq/plain", "r+")
     hush = kernel.sys_open(actor, "/tmp/eq/secret", "w")  # write-up is legal
     pr, pw = kernel.sys_pipe(actor)
-    return actor, {"plain": plain, "hush": hush, "pr": pr, "pw": pw}
+    null = kernel.sys_open(actor, "/dev/null", "r+")
+    folder = kernel.sys_open(actor, "/tmp/eq", "r")  # reads fail EISDIR
+    return actor, {
+        "plain": plain, "hush": hush, "pr": pr, "pw": pw, "null": null, "dir": folder,
+    }
 
 
 def run_sequential(kernel: Kernel, task, ops) -> list[Cqe]:
@@ -91,54 +97,54 @@ def observables(kernel: Kernel) -> dict:
 
 # -- the hypothesis program generator ----------------------------------------
 
-FD_NAMES = ("plain", "hush", "pr", "pw")
+FD_NAMES = ("plain", "hush", "pr", "pw", "null", "dir")
 
 
 def _ops_strategy():
     fd = st.sampled_from(FD_NAMES)
     data = st.sampled_from([b"", b"x", b"hello", b"0" * 32])
     count = st.sampled_from([-1, 0, 1, 7, 64])
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("read"), st.tuples(fd, count)),
-            st.tuples(st.just("write"), st.tuples(fd, data)),
-            st.tuples(st.just("lseek"), st.tuples(fd, st.sampled_from([0, 3, 99]))),
-            st.tuples(
-                st.just("readv"),
-                st.tuples(fd, st.lists(count, min_size=1, max_size=3)),
-            ),
-            st.tuples(
-                st.just("writev"),
-                st.tuples(fd, st.lists(data, min_size=1, max_size=3)),
-            ),
-            st.tuples(
-                st.just("stat"),
-                st.tuples(
-                    st.sampled_from(
-                        ["/tmp/eq/plain", "/tmp/eq/secret", "/tmp/eq/nope"]
-                    )
-                ),
-            ),
-            st.tuples(
-                st.just("open"),
-                st.tuples(
-                    st.sampled_from(["/tmp/eq/plain", "/tmp/eq/new"]),
-                    st.sampled_from(["r", "w", "r+"]),
-                ),
-            ),
-            st.tuples(st.just("close"), st.tuples(fd)),
-            st.tuples(st.just("unlink"), st.tuples(st.just("/tmp/eq/new"))),
-            st.tuples(st.just("frobnicate"), st.tuples()),  # not batchable
-            # Wrong arity: EINVAL, sequential or batched.
-            st.tuples(st.just("read"), st.tuples()),
-            st.tuples(st.just("write"), st.tuples(fd)),
-            st.tuples(st.just("close"), st.tuples()),
-            st.tuples(st.just("lseek"), st.tuples(fd)),
-            st.tuples(st.just("open"), st.tuples()),
+    one_op = st.one_of(
+        st.tuples(st.just("read"), st.tuples(fd, count)),
+        st.tuples(st.just("write"), st.tuples(fd, data)),
+        st.tuples(st.just("lseek"), st.tuples(fd, st.sampled_from([0, 3, 99, -1]))),
+        st.tuples(
+            st.just("readv"),
+            st.tuples(fd, st.lists(count, min_size=1, max_size=3)),
         ),
-        min_size=1,
-        max_size=24,
+        st.tuples(
+            st.just("writev"),
+            st.tuples(fd, st.lists(data, min_size=1, max_size=3)),
+        ),
+        st.tuples(
+            st.just("stat"),
+            st.tuples(
+                st.sampled_from(
+                    ["/tmp/eq/plain", "/tmp/eq/secret", "/tmp/eq/nope"]
+                )
+            ),
+        ),
+        st.tuples(
+            st.just("open"),
+            st.tuples(
+                st.sampled_from(["/tmp/eq/plain", "/tmp/eq/new"]),
+                st.sampled_from(["r", "w", "r+"]),
+            ),
+        ),
+        st.tuples(st.just("close"), st.tuples(fd)),
+        st.tuples(st.just("unlink"), st.tuples(st.just("/tmp/eq/new"))),
+        st.tuples(st.just("frobnicate"), st.tuples()),  # not batchable
+        # Wrong arity: EINVAL, sequential or batched.
+        st.tuples(st.just("read"), st.tuples()),
+        st.tuples(st.just("write"), st.tuples(fd)),
+        st.tuples(st.just("close"), st.tuples()),
+        st.tuples(st.just("lseek"), st.tuples(fd)),
+        st.tuples(st.just("open"), st.tuples()),
     )
+    # Each drawn op repeats up to 6 times, so long same-fd runs (the
+    # shape whose permission proof a batch replays) are common.
+    runs = st.lists(st.tuples(one_op, st.integers(1, 6)), min_size=1, max_size=12)
+    return runs.map(lambda drawn: [op for op, times in drawn for _ in range(times)])
 
 
 def _resolve(ops, fds):
@@ -149,33 +155,56 @@ def _resolve(ops, fds):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=_ops_strategy(), splits=st.lists(st.integers(1, 6), max_size=8))
-def test_batched_equals_sequential(ops, splits):
+@settings(max_examples=120, deadline=None)
+@given(
+    ops=_ops_strategy(),
+    splits=st.lists(st.integers(1, 24), max_size=8),
+    memo=st.booleans(),
+)
+def test_batched_equals_sequential(ops, splits, memo):
     """THE equivalence property: same completions, same audit, same
     denials, same hook counts, same syscall counts — under any batch
-    partition of any generated program."""
-    seq_kernel = fresh_kernel()
-    task_a, fds_a = build_scenario(seq_kernel)
-    resolved_a = _resolve(ops, fds_a)
-    seq_cqes = run_sequential(seq_kernel, task_a, resolved_a)
+    partition of any generated program, with the permission memo on or
+    off.  The modeled work differs by exactly the crossings batching
+    saves: one ``SYSCALL_ENTRY_WORK`` per read or write entry, less one
+    ``submit`` charge per batch."""
+    with fastpath.configured(path_walk_cache=memo):
+        seq_kernel = fresh_kernel()
+        seq_kernel.defer_work = True
+        task_a, fds_a = build_scenario(seq_kernel)
+        resolved_a = _resolve(ops, fds_a)
+        before = Counter(seq_kernel.syscall_counts)
+        seq_cqes = run_sequential(seq_kernel, task_a, resolved_a)
+        after = seq_kernel.syscall_counts
+        rw_entries = after["read"] - before["read"] + after["write"] - before["write"]
 
-    bat_kernel = fresh_kernel()
-    task_b, fds_b = build_scenario(bat_kernel)
-    resolved_b = _resolve(ops, fds_b)
-    assert resolved_a == resolved_b  # twin setups really are twins
+        bat_kernel = fresh_kernel()
+        bat_kernel.defer_work = True
+        task_b, fds_b = build_scenario(bat_kernel)
+        resolved_b = _resolve(ops, fds_b)
+        assert resolved_a == resolved_b  # twin setups really are twins
 
-    bat_cqes: list[Cqe] = []
-    remaining = list(resolved_b)
-    split_iter = itertools.chain(splits, itertools.repeat(6))
-    while remaining:
-        size = next(split_iter)
-        chunk, remaining = remaining[:size], remaining[size:]
-        sqes = [Sqe(op, *args) for op, args in chunk]
-        bat_cqes.extend(bat_kernel.sys_submit(task_b, sqes))
+        bat_cqes: list[Cqe] = []
+        batches = 0
+        hits = fastpath.counters.hookchain_hits
+        remaining = list(resolved_b)
+        split_iter = itertools.chain(splits, itertools.repeat(24))
+        while remaining:
+            size = next(split_iter)
+            chunk, remaining = remaining[:size], remaining[size:]
+            sqes = [Sqe(op, *args) for op, args in chunk]
+            bat_cqes.extend(bat_kernel.sys_submit(task_b, sqes))
+            batches += 1
 
+    if not memo:  # nothing is replayed: every check ran
+        assert fastpath.counters.hookchain_hits == hits
     assert bat_cqes == seq_cqes
     assert observables(bat_kernel) == observables(seq_kernel)
+    assert bat_kernel.deferred_work == (
+        seq_kernel.deferred_work
+        - Kernel.SYSCALL_ENTRY_WORK * rw_entries
+        + Kernel.SYSCALL_WORK["submit"] * batches
+    )
     # Data-plane state converged too, not just the security record.
     plain_a = seq_kernel.fs.resolve("/tmp/eq/plain")
     plain_b = bat_kernel.fs.resolve("/tmp/eq/plain")

@@ -14,7 +14,8 @@ random labels, capability sets, sqes/cqes, byte payloads of every size
 and buffer type, messages, and executor wave shapes (including re-sends
 through the per-connection dictionaries and tag-allocator epoch bumps
 that force label-definition re-sends), off-schema values raise
-:class:`WireError` at encode, malformed frames raise it at decode, and a
+:class:`WireError` at encode (and a refused frame leaves its connection
+in step), malformed frames raise it at decode, and a
 sharded cluster merges to the same bytes over the in-process loopback
 and over forked workers' pipes.  Delta replication (TagSync high-water
 marks, CapSync unchanged-principal omission), per-cluster wire
@@ -42,7 +43,9 @@ from repro.osim import (
     TrafficLog,
     WireError,
 )
+from repro.osim import lamwire
 from repro.osim.lamwire import HEADER, T_INT, T_REF, T_STR, T_TUPLE
+from repro.osim.pool import Pool
 from repro.osim.rpc import (
     CapSync,
     ShardRequest,
@@ -387,6 +390,54 @@ class TestCodecEquivalence:
             "label_dict_misses",
         ):
             assert key in snap
+
+
+# ------------------------------------------------------- refused frames
+
+
+class _EchoHost:
+    allocators = ()
+
+    def serve(self, request):
+        return request
+
+    def report(self):
+        return ()
+
+
+class TestRefusedFrames:
+    """A frame refused at encode never reaches the peer, so it must leave
+    no dictionary definition behind that a later frame on the same
+    connection could reference."""
+
+    @pytest.mark.parametrize("refusal", ["off-schema", "oversize"])
+    def test_refused_encode_keeps_the_connection_in_step(self, refusal, monkeypatch):
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
+        batch = (Sqe("lseek", 3, 0), Sqe("read", 3, 16))
+        good = ("fresh", b"payload", LabelPair(Label.of(Tag(7, "t7"))), batch)
+        if refusal == "off-schema":
+            bad = good + ({1},)
+        else:
+            monkeypatch.setattr(lamwire, "MAX_FRAME_PAYLOAD", 8)
+            bad = good
+        with pytest.raises(WireError):
+            enc.encode(bad)
+        monkeypatch.undo()
+        for _ in range(2):  # defines its values, then references them
+            assert dec.decode(enc.encode(good)) == (good, b"")
+
+    def test_refused_scatter_keeps_every_connection_in_step(self):
+        """Scatter encodes every frame before sending any: when one is
+        refused, the workers whose frames were encoded but never sent
+        must not be left with definitions their peers never got."""
+        pool = Pool(lambda wid: _EchoHost(), workers=2, fork=True)
+        try:
+            with pytest.raises(WireError):
+                pool.scatter({0: ("fresh-0",), 1: ("fresh-1", {1})})
+            messages = {0: ("fresh-0",), 1: ("fresh-1",)}
+            assert pool.scatter(messages) == messages
+        finally:
+            pool.shutdown()
 
 
 # ------------------------------------------------------- delta replication
