@@ -2,9 +2,9 @@
 
 The fast-path layers (:mod:`repro.core.fastpath`) exploit label
 immutability: hash-consed ``Label`` construction, a bounded flow-verdict
-cache keyed on label pairs, a per-thread barrier cache guarded by the
-label epoch, precomputed interpreter dispatch tables, and the kernel's
-permission memo (allowed walks and held-file checks).  This ablation
+memo keyed on label pairs (which the VM barriers probe inline),
+precomputed interpreter dispatch tables, and the kernel's permission
+memo (allowed walks and held-file checks).  This ablation
 runs one deterministic workload mix — the Fig. 8 interpreter workloads, a
 labeled security-region IR loop, and an lmbench-style OS mix with denied
 opens and silently-dropped pipe traffic — under every cache configuration
@@ -76,7 +76,7 @@ JVM_SOURCES = {
 
 #: Labeled-region IR loop: every iteration crosses a read and a write
 #: barrier against the same (thread labels, object labels) pair — the
-#: exact traffic the per-thread verdict cache is built for.
+#: traffic the barriers' inline verdict-memo probe answers.
 REGION_ITERS = 500
 REGION_SRC = f"""
 class Box {{ v }}
@@ -152,7 +152,7 @@ def _region_pass() -> tuple:
     # labeled object from inside a region.  The JIT's redundancy
     # elimination removes such checks statically in the IR loop above;
     # applications driving the runtime API directly have no compiler in
-    # front of them, so this is exactly the per-thread cache's workload.
+    # front of them, so every check reaches the verdict memo.
     with vm.region(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)):
         thread = vm.current_thread
         for _ in range(REGION_ITERS):
@@ -310,12 +310,11 @@ def test_caches_strictly_reduce_wall_clock(sweep):
     assert sweep["all_on"]["seconds"] < sweep["all_off"]["seconds"]
 
 
-def test_verdict_and_barrier_caches_each_save_work(sweep):
-    """Each caching layer alone already avoids set algebra; no layer may
+def test_verdict_memo_saves_work(sweep):
+    """The verdict memo alone already avoids set algebra; no layer may
     ever *add* set-algebra work."""
     base = sweep["all_off"]["set_ops"]
     assert sweep["only_flow_verdict_cache"]["set_ops"] < base
-    assert sweep["only_thread_barrier_cache"]["set_ops"] < base
     assert sweep["only_label_interning"]["set_ops"] <= base
 
 

@@ -177,12 +177,14 @@ def _response_waves() -> list[list]:
     ]
 
 
-def _codec_bench(req_waves: list, resp_waves: list) -> dict:
+def _codec_bench() -> dict:
     """Interleaved best-of-N: each rep times every arm back to back on
     the same waves, so the codec/pickle ratio never compares numbers
     from different machine moments.  A warm pass first — steady-state
-    bytes are the claim (dictionaries populated), and the lazy message
-    registry must not be timed."""
+    bytes are the claim (dictionaries populated).  Each rep encodes
+    waves built fresh for it, outside the timed window, as a real
+    sender's are: equal content, new objects."""
+    req_waves, resp_waves = _request_waves(), _response_waves()
     nreq = sum(len(w) for w in req_waves)
     arms = {}
     for wire in ARMS:
@@ -213,12 +215,13 @@ def _codec_bench(req_waves: list, resp_waves: list) -> dict:
                       "resp_encode_ns", "resp_decode_ns")},
         }
     for _ in range(CODEC_REPS):
+        fresh = (_request_waves(), _response_waves())
         for wire in ARMS:
             arm = arms[wire]
             enc, dec, best = arm["enc"], arm["dec"], arm["best"]
             for label_enc, label_dec, waves in (
-                ("req_encode_ns", "req_decode_ns", req_waves),
-                ("resp_encode_ns", "resp_decode_ns", resp_waves),
+                ("req_encode_ns", "req_decode_ns", fresh[0]),
+                ("resp_encode_ns", "resp_decode_ns", fresh[1]),
             ):
                 frames = []
                 t0 = time.perf_counter_ns()
@@ -304,7 +307,7 @@ def results():
     }
 
     # -- codec throughput (interleaved best-of-N) ------------------------
-    codec = _codec_bench(_request_waves(), _response_waves())
+    codec = _codec_bench()
     out["codec"] = codec
     out["speedup_encode_decode"] = round(
         codec["pickle"]["total_ns"] / codec["binary"]["total_ns"], 3

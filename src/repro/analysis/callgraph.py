@@ -147,9 +147,6 @@ class CallGraph:
                 strongconnect(name)
         return result
 
-    def scc_of(self) -> dict[str, frozenset[str]]:
-        return {m: scc for scc in self.sccs() for m in scc}
-
     def recursive_methods(self) -> set[str]:
         """Methods involved in recursion (SCC of size > 1, or a self-loop)."""
         out: set[str] = set()

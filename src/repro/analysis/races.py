@@ -467,12 +467,6 @@ def _concurrent(a: _Access, b: _Access, co_pending: frozenset) -> bool:
     return thread_side.thread in spawner_side.pending
 
 
-def _conflict(a: _Access, b: _Access) -> frozenset:
-    if not (a.is_write or b.is_write):
-        return frozenset()
-    return a.objids & b.objids
-
-
 def _obj_str(obj) -> str:
     kind = obj[0]
     if kind == "new":

@@ -15,13 +15,11 @@ Layers (each a boolean on :data:`flags`):
     ``is_subset_of`` fast paths and memoized ``union``/``difference``.
 ``flow_verdict_cache``
     A bounded access-vector cache for the Section 3.2 flow rules in
-    :mod:`repro.core.rules`, keyed on the four component labels.  It
-    never needs invalidation: labels are immutable, so a (source, dest)
-    pair's verdict can never change.
-``thread_barrier_cache``
-    A per-thread verdict cache in :mod:`repro.runtime.barriers`, keyed
-    on the label pairs and guarded by the thread's *label epoch*
-    (bumped on region entry/exit and kernel label changes).
+    :mod:`repro.core.rules`, keyed on the (source, dest) label pairs.
+    It is the one verdict memo: the LSM's flow checks and the VM barriers
+    (:func:`repro.runtime.barriers.cached_check_flow`, which probes it
+    inline) both answer from it.  It never needs invalidation: labels
+    are immutable, so a (source, dest) pair's verdict can never change.
 ``dispatch_table``
     The IR interpreter's precomputed per-method handler tables
     (:mod:`repro.jit.interpreter`) replacing per-instruction opcode
@@ -70,7 +68,6 @@ class FastPathFlags:
 
     label_interning: bool = True
     flow_verdict_cache: bool = True
-    thread_barrier_cache: bool = True
     dispatch_table: bool = True
     path_walk_cache: bool = True
 

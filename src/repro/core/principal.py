@@ -36,10 +36,10 @@ class Principal:
         self.name = name
         self._labels = labels
         self._caps = caps
-        #: Monotonic counter bumped on every label change.  Per-thread
-        #: barrier-verdict caches (Section 5.1 fast path) key their
-        #: validity on this, so a ``set_task_label``/TCB label write
-        #: implicitly invalidates any verdicts cached under the old labels.
+        #: Monotonic counter bumped on every label change.  The kernel's
+        #: permission memo (:mod:`repro.osim.hookchain`) keys its entries
+        #: on this, so a ``set_task_label``/TCB label write implicitly
+        #: retires any walk or held-file proof made under the old labels.
         self.label_epoch = 0
 
     # -- read side --------------------------------------------------------

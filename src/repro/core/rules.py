@@ -50,15 +50,22 @@ def integrity_allows(source: Label, dest: Label) -> bool:
 #
 # Labels are immutable, so the verdict for a (source, dest) pair of label
 # pairs can never change — the cache needs *no* invalidation protocol, only
-# a size bound (flushed wholesale on overflow, like a hardware AVC).  The
-# verdict distinguishes which rule failed so check_flow can still raise the
-# precise violation; diagnostic detail (the offending tag difference) is
-# recomputed on the rare failure path.
+# a size bound (flushed wholesale on overflow, like a hardware AVC).  It is
+# keyed on the two LabelPairs: hash-consed, so a probe ends at an identity
+# compare, and value-hashed, so value-equal pairs share an entry when
+# interning is off.  This is the one verdict memo: the LSM reaches it
+# through can_flow, and the VM barriers probe it inline
+# (repro.runtime.barriers.cached_check_flow).  The verdict distinguishes
+# which rule failed so check_flow can still raise the precise violation;
+# diagnostic detail (the offending tag difference) is recomputed on the
+# rare failure path.
 
 FLOW_OK = 0
 FLOW_SECRECY_FAIL = 1
 FLOW_INTEGRITY_FAIL = 2
 
+#: (source, dest) -> verdict.  Emptied in place, never rebound, so a
+#: module that imports it keeps probing the live table.
 _VERDICTS: dict[tuple, int] = {}
 _VERDICT_BOUND = 1 << 12
 
@@ -74,7 +81,7 @@ def flow_verdict(source: LabelPair, dest: LabelPair) -> int:
     """Evaluate (or recall) the Section 3.2 verdict for ``source -> dest``."""
     cache = fastpath.flags.flow_verdict_cache
     if cache:
-        key = (source.secrecy, source.integrity, dest.secrecy, dest.integrity)
+        key = (source, dest)
         verdict = _VERDICTS.get(key)
         if verdict is not None:
             counters.verdict_hits += 1

@@ -27,10 +27,6 @@ from .ir import Instr, Method, Opcode, Program
 DEFAULT_INLINE_THRESHOLD = 24
 
 
-def _renamer(counter: itertools.count) -> tuple[dict[str, str], int]:
-    return {}, next(counter)
-
-
 def _rename_reg(name: str, mapping: dict[str, str], serial: int) -> str:
     if name not in mapping:
         mapping[name] = f"{name}$i{serial}"

@@ -236,9 +236,8 @@ def build_handler_table(method: Method, program: Program) -> dict[str, list]:
                             raise RegionViolation(_OUT_OF_REGION_MSG)
                     elif flavor is BarrierFlavor.STATIC_IN:
                         stats.label_checks += 1
-                        thread = ctx.thread
                         cached_check_flow(
-                            thread, regs[r].header.labels, thread.labels,
+                            regs[r].header.labels, ctx.thread.labels,
                             stats, context="IR read",
                         )
                     else:
@@ -254,9 +253,8 @@ def build_handler_table(method: Method, program: Program) -> dict[str, list]:
                             raise RegionViolation(_OUT_OF_REGION_MSG)
                     elif flavor is BarrierFlavor.STATIC_IN:
                         stats.label_checks += 1
-                        thread = ctx.thread
                         cached_check_flow(
-                            thread, thread.labels, regs[r].header.labels,
+                            ctx.thread.labels, regs[r].header.labels,
                             stats, context="IR write",
                         )
                     else:
@@ -489,11 +487,10 @@ class Interpreter:
                             self._static_violation(flavor)
                     elif flavor is static_in:
                         # compiled-in in-region variant: label comparison,
-                        # served from the per-thread verdict cache.
+                        # answered from the flow-verdict memo.
                         barrier_stats.label_checks += 1
-                        header = regs[ops[0]].header
                         cached_check_flow(
-                            thread, header.labels, thread.labels,
+                            regs[ops[0]].header.labels, thread.labels,
                             barrier_stats, context="IR read",
                         )
                     else:
@@ -507,9 +504,8 @@ class Interpreter:
                             self._static_violation(flavor)
                     elif flavor is static_in:
                         barrier_stats.label_checks += 1
-                        header = regs[ops[0]].header
                         cached_check_flow(
-                            thread, thread.labels, header.labels,
+                            thread.labels, regs[ops[0]].header.labels,
                             barrier_stats, context="IR write",
                         )
                     else:
@@ -661,17 +657,11 @@ class Interpreter:
         in_region = self._context_for(instr.flavor)
         if in_region:
             stats.label_checks += 1
-            thread = self.vm.current_thread
+            labels = self.vm.current_thread.labels
             if is_read:
-                cached_check_flow(
-                    thread, header.labels, thread.labels, stats,
-                    context="IR read",
-                )
+                cached_check_flow(header.labels, labels, stats, context="IR read")
             else:
-                cached_check_flow(
-                    thread, thread.labels, header.labels, stats,
-                    context="IR write",
-                )
+                cached_check_flow(labels, header.labels, stats, context="IR write")
         else:
             stats.space_checks += 1
             if self.vm.heap.is_labeled(header):
@@ -688,19 +678,13 @@ class Interpreter:
         stats = self.vm.barriers.stats
         labels = self.static_labels.get(name, LabelPair.EMPTY)
         in_region = self._context_for(instr.flavor)
-        thread = self.vm.current_thread
         if in_region:
             stats.label_checks += 1
+            current = self.vm.current_thread.labels
             if is_read:
-                cached_check_flow(
-                    thread, labels, thread.labels, stats,
-                    context=f"static {name}",
-                )
+                cached_check_flow(labels, current, stats, context=f"static {name}")
             else:
-                cached_check_flow(
-                    thread, thread.labels, labels, stats,
-                    context=f"static {name}",
-                )
+                cached_check_flow(current, labels, stats, context=f"static {name}")
         else:
             stats.space_checks += 1
             if not labels.is_empty:

@@ -126,14 +126,6 @@ def _reg(token: str, lineno: int, what: str) -> str:
     return token
 
 
-def _value_or_reg(token: str, lineno: int) -> Any:
-    """Operands that may be a register *or* a literal are disambiguated
-    lexically: identifiers are registers, everything else is a literal."""
-    if _is_register(token):
-        return token
-    return parse_value(token, lineno)
-
-
 def _parse_instr(opname: str, args: list[str], lineno: int) -> Instr:
     try:
         op = Opcode(opname)

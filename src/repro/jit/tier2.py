@@ -63,7 +63,7 @@ from typing import Any, Callable, Optional
 from ..core import LabelPair, RegionViolation, fastpath
 from ..runtime.barriers import cached_check_flow
 from .cloning import clone_variant
-from .interpreter import _BINOPS, IRArray, IRObject, Interpreter
+from .interpreter import _BINOPS, _OUT_OF_REGION_MSG, IRArray, IRObject, Interpreter
 from .ir import BarrierFlavor, Method, Opcode, Program, RegionSpec
 
 __all__ = [
@@ -102,10 +102,6 @@ def _bump_code_epoch() -> None:
 
 
 fastpath.register_cache(_bump_code_epoch)
-
-
-def code_epoch() -> int:
-    return _CODE_EPOCH
 
 
 # -- policy / profile ---------------------------------------------------------
@@ -272,12 +268,6 @@ _SAFE_OPS = frozenset({
     Opcode.PUTSTATIC, Opcode.PRINT,
 })
 
-#: The canonical out-of-region violation message (must match
-#: repro.jit.interpreter._OUT_OF_REGION_MSG byte for byte — it lands in
-#: REGION_SUPPRESS audit records).
-_OUT_MSG = "IR access to labeled object outside any security region"
-
-
 def _literal(value: Any) -> Optional[str]:
     if isinstance(value, float) and (value != value or value in (
         float("inf"), float("-inf")
@@ -399,19 +389,17 @@ class _Codegen:
             lines.append("_stats.label_checks += 1")
             if is_read:
                 lines.append(
-                    f"_cflow(_thread, {r}.header.labels, _TL, _stats, "
-                    f"context='IR read')"
+                    f"_cflow({r}.header.labels, _TL, _stats, context='IR read')"
                 )
             else:
                 lines.append(
-                    f"_cflow(_thread, _TL, {r}.header.labels, _stats, "
-                    f"context='IR write')"
+                    f"_cflow(_TL, {r}.header.labels, _stats, context='IR write')"
                 )
             self.prologue.add("_stats")
         else:
             lines.append("_stats.space_checks += 1")
             lines.append(f"if _labeled({r}.header):")
-            lines.append(f"    raise _RV({_OUT_MSG!r})")
+            lines.append(f"    raise _RV({_OUT_OF_REGION_MSG!r})")
             self.prologue.update(("_stats", "_labeled"))
         return lines
 
@@ -443,13 +431,9 @@ class _Codegen:
             lines.append("_stats.label_checks += 1")
             ctxstr = f"static {name}"
             if is_read:
-                lines.append(
-                    f"_cflow(_thread, _sl, _TL, _stats, context={ctxstr!r})"
-                )
+                lines.append(f"_cflow(_sl, _TL, _stats, context={ctxstr!r})")
             else:
-                lines.append(
-                    f"_cflow(_thread, _TL, _sl, _stats, context={ctxstr!r})"
-                )
+                lines.append(f"_cflow(_TL, _sl, _stats, context={ctxstr!r})")
         else:
             msg = (
                 f"access to labeled static {name!r} outside any "
@@ -659,7 +643,7 @@ class _Codegen:
             "_method": "ctx.program.method",
             "_slabels": "ctx.interp.static_labels",
         }
-        src = [f"def _t2(ctx, _thread, regs, _entry):"]
+        src = ["def _t2(ctx, regs, _entry):"]
         for name in sorted(self.prologue):
             src.append(f"    {name} = {prologue_map[name]}")
         if self.locals:
@@ -798,7 +782,7 @@ class Tier2Engine:
         if compiled is None:
             return self.interp._call_cold(method, args)
         return self._enter(
-            compiled, thread, dict(zip(method.params, args)),
+            compiled, dict(zip(method.params, args)),
             compiled.entry_index[method.entry],
         )
 
@@ -836,17 +820,17 @@ class Tier2Engine:
                 interp._execute(method, args)
             else:
                 self._enter(
-                    compiled, thread, dict(zip(method.params, args)),
+                    compiled, dict(zip(method.params, args)),
                     compiled.entry_index[method.entry],
                 )
         return None
 
-    def _enter(self, compiled: CompiledMethod, thread, regs, entry: int) -> Any:
+    def _enter(self, compiled: CompiledMethod, regs, entry: int) -> Any:
         stats = self.interp.vm.barriers.stats
         stats.tier2_entries += 1
         fastpath.counters.tier2_entries += 1
         self.entries += 1
-        return compiled.fn(self.interp.ctx, thread, regs, entry)
+        return compiled.fn(self.interp.ctx, regs, entry)
 
     def _maybe_compile(
         self, method: Method, key: tuple, profile: MethodProfile
@@ -966,9 +950,7 @@ class Tier2Engine:
                     return None
             self.osr_entries += 1
             fastpath.counters.tier2_osr_entries += 1
-            result = self._enter(
-                compiled, thread, regs, compiled.entry_index[label]
-            )
+            result = self._enter(compiled, regs, compiled.entry_index[label])
             return (result,)
 
         return probe

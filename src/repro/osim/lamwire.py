@@ -15,10 +15,12 @@ positional fields for the RPC dataclasses — no class names, no opcodes,
 no protocol framing per object.  The schema is closed: a value outside
 it raises :class:`WireError` at encode, so nothing but schema'd bytes
 ever reaches a decoder, and a frame that does not parse raises
-:class:`WireError` at decode.  The two hot messages
-(:class:`~repro.osim.rpc.ShardRequest`,
-:class:`~repro.osim.rpc.ShardResponse`) have dedicated fixed-layout
-encoders and slot-direct decoders.
+:class:`WireError` at decode.  Each message has one encoding: its
+registry tag, then its fields in declaration order, decoded slot-direct.
+The two wave shapes the executors ship — ``[(shard_id, ShardRequest),
+...]`` and ``[ShardResponse, ...]`` — have one vectorized encoding each.
+A codec installs the message registry when it is built, so every wave,
+the first included, takes its wave encoding.
 
 **Per-connection dictionaries.**  Both endpoints of a connection keep a
 pair of synchronized dictionaries, populated in-band:
@@ -116,7 +118,6 @@ T_CAPSET = 19
 T_WAVE = 21
 T_RWAVE = 22
 T_MESSAGE_BASE = 32
-_DEC_TABLE_SIZE = 48
 
 _OSA = object.__setattr__
 # C-level column extractors for the batch-dictionary keys.
@@ -171,16 +172,18 @@ def _r_count(buf, pos: int) -> tuple[int, int]:
 
 # ------------------------------------------------------- message registry
 
-#: RPC message classes in wire-tag order.  Built lazily (the rpc and
-#: psched modules import this one): class -> (tag, field names) for the
-#: generic encode path, tag -> (builder, field names) for decode.
-_MSG_BY_TYPE: Optional[dict] = None
-_MSG_BY_TAG: Optional[dict] = None
+#: RPC message classes in wire-tag order: class -> (tag, field names).
+#: Filled on the first codec construction, since the rpc and psched
+#: modules import this one.
+_MESSAGES: dict = {}
+
+#: Message fields that must be non-negative ints wherever they appear
+#: (the wave encodings carry them as unsigned varints).
+_UNSIGNED_FIELDS = frozenset({"seq", "shard_id", "deferred"})
 
 
-def _message_registry() -> tuple[dict, dict]:
-    global _MSG_BY_TYPE, _MSG_BY_TAG
-    if _MSG_BY_TYPE is None:
+def _message_registry() -> dict:
+    if not _MESSAGES:
         import dataclasses
 
         from . import psched, rpc
@@ -197,29 +200,10 @@ def _message_registry() -> tuple[dict, dict]:
             psched.GroupResult,
             rpc.WorkerFailed,
         )
-        by_type: dict = {}
-        by_tag: dict = {}
         for offset, cls in enumerate(classes):
             names = tuple(f.name for f in dataclasses.fields(cls))
-            by_type[cls] = (T_MESSAGE_BASE + offset, names)
-            by_tag[T_MESSAGE_BASE + offset] = (_make_builder(cls, names), names)
-        _MSG_BY_TYPE, _MSG_BY_TAG = by_type, by_tag
-    return _MSG_BY_TYPE, _MSG_BY_TAG
-
-
-def _make_builder(cls, names):
-    """Slot-direct constructor for a frozen message dataclass: the wire
-    carries every field positionally and peers are trusted, so skip the
-    generated ``__init__`` (and its frozen-guard indirection) entirely."""
-    new = cls.__new__
-
-    def build(values):
-        obj = new(cls)
-        for name, value in zip(names, values):
-            _OSA(obj, name, value)
-        return obj
-
-    return build
+            _MESSAGES[cls] = (T_MESSAGE_BASE + offset, names)
+    return _MESSAGES
 
 
 # ------------------------------------------------------------ binary wire
@@ -245,15 +229,6 @@ class BinaryWireCodec:
         # construction (str, bytes, Label, and ("S"/"C", ...)-prefixed
         # tuples for Sqe/Cqe entries and batches).
         self._evals: dict = {}
-        # Identity memo over dictionaried batch tuples: id(t) -> (eid, t).
-        # A steady-state sender re-ships the *same* sqes/cqes tuple object
-        # (retries, same-process round-trips, replayed waves); the memo
-        # turns those into one dict probe instead of rebuilding and
-        # rehashing the column-wise content key.  The strong reference in
-        # the value pins the tuple, so its id cannot be recycled while
-        # the entry lives; a content miss always falls through to the
-        # key path, so the memo is purely an accelerator.
-        self._etid: dict[int, tuple[int, tuple]] = {}
         self._elp: dict[LabelPair, tuple[int, int]] = {}
         self._next_lp = 0
         # Decoder state: id -> decoded object.
@@ -270,7 +245,6 @@ class BinaryWireCodec:
         self.label_dict_misses = 0
         self._bound: list = []
         self._buf: Optional[bytearray] = None
-        self._msg_by_type: Optional[dict] = None
         self._enc = {
             type(None): self._enc_none,
             bool: self._enc_bool,
@@ -289,7 +263,8 @@ class BinaryWireCodec:
             LabelPair: self._enc_labelpair,
             CapabilitySet: self._enc_capset,
         }
-        dec: list = [None] * _DEC_TABLE_SIZE
+        # Indexed by the tag byte itself, so every byte value has a slot.
+        dec: list = [None] * 256
         dec[T_NONE] = self._dec_none
         dec[T_TRUE] = self._dec_true
         dec[T_FALSE] = self._dec_false
@@ -311,8 +286,16 @@ class BinaryWireCodec:
         dec[T_CAPSET] = self._dec_capset
         dec[T_WAVE] = self._dec_wave
         dec[T_RWAVE] = self._dec_rwave
+        # The message classes live in modules that import this one, so
+        # the registry is installed here, when a codec is built.
+        from .rpc import ShardRequest, ShardResponse
+
+        for cls, (tag, names) in _message_registry().items():
+            self._enc[cls] = self._message_encoder(tag, names)
+            dec[tag] = self._message_decoder(cls, names)
         self._dec = dec
-        self._req_cls = self._resp_cls = None
+        self._req_cls = ShardRequest
+        self._resp_cls = ShardResponse
 
     # -- epoch guard ----------------------------------------------------
 
@@ -368,9 +351,6 @@ class BinaryWireCodec:
         evals = self._evals
         while len(evals) > mark:
             evals.popitem()  # ids are assigned in insertion order
-        etid = self._etid
-        for key in [key for key, (eid, _) in etid.items() if eid >= mark]:
-            del etid[key]
         self.label_epoch += 1
 
     def decode(self, buf: bytes) -> tuple[object, bytes]:
@@ -420,146 +400,47 @@ class BinaryWireCodec:
             "label_epoch": self.label_epoch,
         }
 
-    # -- hot-message specializations ------------------------------------
+    # -- messages -------------------------------------------------------
 
-    def _install_messages(self) -> None:
-        """First encounter with an RPC message: load the registry and
-        install the generic per-class decoders plus the dedicated
-        fixed-layout paths for the two data-plane messages."""
-        from . import rpc
+    def _message_encoder(self, tag: int, names: tuple):
+        """The one encoding of a registered message class: its tag, then
+        every field in declaration order."""
+        enc_value = self._enc_value
+        unsigned = tuple(name in _UNSIGNED_FIELDS for name in names)
 
-        by_type, by_tag = _message_registry()
-        self._msg_by_type = by_type
-        for tag, (build, names) in by_tag.items():
-            self._dec[tag] = self._make_msg_decoder(build, names)
-        req_tag, _ = by_type[rpc.ShardRequest]
-        resp_tag, _ = by_type[rpc.ShardResponse]
-        self._req_tag = req_tag
-        self._resp_tag = resp_tag
-        self._req_cls = rpc.ShardRequest
-        self._resp_cls = rpc.ShardResponse
-        self._enc[rpc.ShardRequest] = self._enc_shardrequest
-        self._enc[rpc.ShardResponse] = self._enc_shardresponse
-        self._dec[req_tag] = self._dec_shardrequest
-        self._dec[resp_tag] = self._dec_shardresponse
+        def enc_msg(msg) -> None:
+            self._buf.append(tag)
+            for name, check in zip(names, unsigned):
+                value = getattr(msg, name)
+                if check and not (type(value) is int and value >= 0):
+                    raise _off_schema(msg)
+                enc_value(value)
 
-    def _make_msg_decoder(self, build, names):
+        return enc_msg
+
+    def _message_decoder(self, cls, names: tuple):
+        """Slot-direct decoder for a frozen message dataclass: the wire
+        carries every field positionally and peers are trusted, so skip
+        the generated ``__init__`` (and its frozen-guard indirection)."""
+        new = cls.__new__
         dec_value = self._dec_value
 
-        def dec_msg(buf, pos):
-            values = []
-            for _ in names:
+        def dec_msg(buf, pos: int):
+            msg = new(cls)
+            for name in names:
                 value, pos = dec_value(buf, pos)
-                values.append(value)
-            return build(values), pos
+                _OSA(msg, name, value)
+            return msg, pos
 
         return dec_msg
-
-    def _enc_shardrequest(self, req) -> None:
-        seq = req.seq
-        principal = req.principal
-        sqes = req.sqes
-        if not (
-            type(seq) is int
-            and 0 <= seq
-            and type(principal) is str
-            and type(sqes) is tuple
-        ):
-            raise _off_schema(req)
-        buf = self._buf
-        buf.append(self._req_tag)
-        if seq < 0x80:
-            buf.append(seq)
-        else:
-            _w_uvarint(buf, seq)
-        self._enc_str(principal)
-        self._enc_tuple(sqes)
-
-    def _dec_shardrequest(self, buf, pos: int):
-        seq = buf[pos]
-        if seq < 0x80:
-            pos += 1
-        else:
-            seq, pos = _r_uvarint(buf, pos)
-        principal, pos = self._dec_value(buf, pos)
-        sqes, pos = self._dec_value(buf, pos)
-        req = self._req_cls.__new__(self._req_cls)
-        _OSA(req, "seq", seq)
-        _OSA(req, "principal", principal)
-        _OSA(req, "sqes", sqes)
-        return req, pos
-
-    def _enc_shardresponse(self, resp) -> None:
-        seq = resp.seq
-        shard_id = resp.shard_id
-        cqes = resp.cqes
-        deferred = resp.deferred
-        if not (
-            type(seq) is int
-            and 0 <= seq
-            and type(shard_id) is int
-            and 0 <= shard_id
-            and type(cqes) is tuple
-            and type(deferred) is int
-            and 0 <= deferred
-        ):
-            raise _off_schema(resp)
-        buf = self._buf
-        buf.append(self._resp_tag)
-        if seq < 0x80:
-            buf.append(seq)
-        else:
-            _w_uvarint(buf, seq)
-        _w_uvarint(buf, shard_id)
-        self._enc_tuple(cqes)
-        enc_value = self._enc_value
-        enc_value(resp.audit)
-        enc_value(resp.traffic)
-        _w_uvarint(buf, deferred)
-
-    def _dec_shardresponse(self, buf, pos: int):
-        seq = buf[pos]
-        if seq < 0x80:
-            pos += 1
-        else:
-            seq, pos = _r_uvarint(buf, pos)
-        shard_id, pos = _r_uvarint(buf, pos)
-        dec_value = self._dec_value
-        cqes, pos = dec_value(buf, pos)
-        audit, pos = dec_value(buf, pos)
-        traffic, pos = dec_value(buf, pos)
-        deferred, pos = _r_uvarint(buf, pos)
-        resp = self._resp_cls.__new__(self._resp_cls)
-        _OSA(resp, "seq", seq)
-        _OSA(resp, "shard_id", shard_id)
-        _OSA(resp, "cqes", cqes)
-        _OSA(resp, "audit", audit)
-        _OSA(resp, "traffic", traffic)
-        _OSA(resp, "deferred", deferred)
-        return resp, pos
 
     # -- encoder --------------------------------------------------------
 
     def _enc_value(self, obj: object) -> None:
         fn = self._enc.get(type(obj))
-        if fn is not None:
-            fn(obj)
-            return
-        if self._msg_by_type is None:
-            self._install_messages()
-            fn = self._enc.get(type(obj))
-            if fn is not None:
-                fn(obj)
-                return
-        entry = self._msg_by_type.get(type(obj))
-        if entry is not None:
-            tag, names = entry
-            self._buf.append(tag)
-            enc_value = self._enc_value
-            for name in names:
-                enc_value(getattr(obj, name))
-            return
-        raise _off_schema(obj)
+        if fn is None:
+            raise _off_schema(obj)
+        fn(obj)
 
     def _enc_none(self, obj) -> None:
         self._buf.append(T_NONE)
@@ -636,15 +517,6 @@ class BinaryWireCodec:
         # and the decoder returns one cached object.  Tuples of Sqe/Cqe
         # need an explicit content key (both hash by identity).
         if t:
-            entry = self._etid.get(id(t))
-            if entry is not None and entry[1] is t:
-                eid = entry[0]
-                buf.append(T_REF)
-                if eid < 0x80:
-                    buf.append(eid)
-                else:
-                    _w_uvarint(buf, eid)
-                return
             first = type(t[0])
             if first is Sqe or first is Cqe:
                 try:
@@ -667,8 +539,6 @@ class BinaryWireCodec:
                 except (TypeError, AttributeError):
                     key = eid = None  # mixed batch or unhashable fields
                 if eid is not None:
-                    if len(self._etid) < VALUE_DICT_CAP:
-                        self._etid[id(t)] = (eid, t)
                     buf.append(T_REF)
                     if eid < 0x80:
                         buf.append(eid)
@@ -676,11 +546,7 @@ class BinaryWireCodec:
                         _w_uvarint(buf, eid)
                     return
                 if key is not None:
-                    if (
-                        self._define(key)
-                        and len(self._etid) < VALUE_DICT_CAP
-                    ):
-                        self._etid[id(t)] = (self._evals[key], t)
+                    self._define(key)
         buf.append(T_TUPLE)
         _w_uvarint(buf, len(t))
         enc_value = self._enc_value
@@ -694,7 +560,7 @@ class BinaryWireCodec:
         # per-item loop instead of per-item dynamic dispatch.  Items that
         # don't fit the shape escape to the generic encoder via a
         # per-item flag byte, so the fast path never needs a pre-scan.
-        if items and self._msg_by_type is not None:
+        if items:
             first = items[0]
             tf = type(first)
             if (
@@ -751,8 +617,6 @@ class BinaryWireCodec:
             self._enc_value(p)
 
     def _dec_wave(self, buf, pos: int):
-        if self._msg_by_type is None:
-            self._install_messages()
         n, pos = _r_count(buf, pos)
         items = [None] * n
         RQ = self._req_cls
@@ -844,8 +708,6 @@ class BinaryWireCodec:
             self._enc_value(resp)
 
     def _dec_rwave(self, buf, pos: int):
-        if self._msg_by_type is None:
-            self._install_messages()
         n, pos = _r_count(buf, pos)
         items = [None] * n
         RS = self._resp_cls
@@ -1016,19 +878,9 @@ class BinaryWireCodec:
 
     def _dec_value(self, buf, pos: int) -> tuple[object, int]:
         tag = buf[pos]
-        try:
-            fn = self._dec[tag]
-        except IndexError:
-            fn = None
+        fn = self._dec[tag]
         if fn is None:
-            if (
-                T_MESSAGE_BASE <= tag < _DEC_TABLE_SIZE
-                and self._msg_by_type is None
-            ):
-                self._install_messages()
-                fn = self._dec[tag]
-            if fn is None:
-                raise WireError(f"unknown wire tag {tag}")
+            raise WireError(f"unknown wire tag {tag}")
         return fn(buf, pos + 1)
 
     def _dec_none(self, buf, pos: int):

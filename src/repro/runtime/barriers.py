@@ -37,48 +37,36 @@ from ..core import (
     LabelPair,
     RegionViolation,
     check_flow,
-    fastpath,
 )
+from ..core.fastpath import counters
+from ..core.rules import _VERDICTS, FLOW_OK
 from .heap import Heap, ObjectHeader
 from .threads import SimThread
 
-#: Entry bound for each thread's verdict cache.  In-region working sets
-#: touch a handful of distinct label pairs, so a small bound suffices; on
-#: overflow new verdicts simply go unrecorded (never wrong, only slower).
-THREAD_FLOW_CACHE_BOUND = 256
-
 
 def cached_check_flow(
-    thread: SimThread,
     source: LabelPair,
     dest: LabelPair,
     stats: "BarrierStats",
     context: str = "",
 ) -> None:
-    """``check_flow`` through the per-thread verdict cache.
+    """``check_flow`` for a barrier, answered from the flow-verdict memo.
 
-    Successful verdicts are cached under the thread's current label epoch;
-    the epoch (bumped on region entry/exit and kernel label changes)
-    guards the cache, so a thread can never reuse a verdict proven under
-    different labels.  Violations are never cached: the failure path must
-    recompute diagnostics anyway, and denials are rare by construction.
+    An allowed verdict already in the memo (:mod:`repro.core.rules`) is
+    answered by one inline probe on the (source, dest) pairs: a verdict
+    hit, no call.  Anything else goes through ``check_flow``, which
+    records the verdict or raises the precise violation; a denial is
+    never answered here, since only ``FLOW_OK`` returns early.  The key
+    is the label pairs themselves, so a verdict proven under one set of
+    labels can never answer a check under another, and no epoch is
+    needed.
     """
-    if not fastpath.flags.thread_barrier_cache:
-        check_flow(source, dest, context=context)
-        return
-    epoch = thread.label_epoch
-    cache = thread._flow_cache
-    if thread._flow_cache_epoch != epoch:
-        cache.clear()
-        thread._flow_cache_epoch = epoch
-    key = (source, dest)
-    if cache.get(key):
+    if _VERDICTS.get((source, dest)) == FLOW_OK:
+        counters.verdict_hits += 1
         stats.flow_cache_hits += 1
         return
     stats.flow_cache_misses += 1
     check_flow(source, dest, context=context)
-    if len(cache) < THREAD_FLOW_CACHE_BOUND:
-        cache[key] = True
 
 
 class BarrierMode(enum.Enum):
@@ -105,11 +93,12 @@ class BarrierStats:
     label_checks: int = 0
     #: Fast unlabeled-space membership tests (out-of-region accesses).
     space_checks: int = 0
-    #: Per-thread barrier-verdict cache traffic (label checks served
-    #: without re-evaluating the flow rules / checks that had to go to
-    #: the rules layer).  ``label_checks`` keeps counting *requested*
-    #: checks regardless, so Figures 8/9 stay comparable across cache
-    #: configurations.
+    #: Label checks answered inline from the process-wide flow-verdict
+    #: memo / checks that went to ``check_flow``.  ``label_checks`` keeps
+    #: counting *requested* checks regardless, so Figures 8/9 stay
+    #: comparable across cache configurations.  How warm a process-wide
+    #: memo is depends on what ran before, not on what enforcement did,
+    #: so :meth:`enforcement` excludes these two.
     flow_cache_hits: int = 0
     flow_cache_misses: int = 0
     #: Tier-2 execution accounting (the tiered engine of repro.jit.tier2):
@@ -139,10 +128,10 @@ class BarrierStats:
         """The cross-tier comparable counters.
 
         Every field describing what *enforcement* observed — barrier
-        executions, context dispatches, label/space checks, verdict-cache
-        traffic — which must be identical whichever execution tier ran
-        the code.  Excludes the ``tier2_*`` engine accounting, which is
-        legitimately nonzero only when tier-2 code ran.
+        executions, context dispatches, label/space checks — which must
+        be identical whichever execution tier ran the code.  Excludes
+        the ``tier2_*`` engine accounting, which is legitimately nonzero
+        only when tier-2 code ran, and the verdict-memo traffic.
         """
         return {
             "read_barriers": self.read_barriers,
@@ -151,8 +140,6 @@ class BarrierStats:
             "dynamic_dispatches": self.dynamic_dispatches,
             "label_checks": self.label_checks,
             "space_checks": self.space_checks,
-            "flow_cache_hits": self.flow_cache_hits,
-            "flow_cache_misses": self.flow_cache_misses,
         }
 
 
@@ -181,8 +168,7 @@ class BarrierEngine:
         if in_region:
             self.stats.label_checks += 1
             cached_check_flow(
-                thread, header.labels, thread.labels, self.stats,
-                context=f"read {what}",
+                header.labels, thread.labels, self.stats, context=f"read {what}"
             )
         else:
             self.stats.space_checks += 1
@@ -201,8 +187,7 @@ class BarrierEngine:
         if in_region:
             self.stats.label_checks += 1
             cached_check_flow(
-                thread, thread.labels, header.labels, self.stats,
-                context=f"write {what}",
+                thread.labels, header.labels, self.stats, context=f"write {what}"
             )
         else:
             self.stats.space_checks += 1
@@ -238,8 +223,7 @@ class BarrierEngine:
             # Writing initial state into the new object is a flow from the
             # thread to the object.
             cached_check_flow(
-                thread, thread.labels, labels, self.stats,
-                context=f"alloc {what}",
+                thread.labels, labels, self.stats, context=f"alloc {what}"
             )
         return self.heap.allocate_header(labels)
 

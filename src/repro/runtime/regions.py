@@ -115,9 +115,6 @@ class SecurityRegion:
         if not thread.frames:
             self._entered_at = time.perf_counter()
         thread.frames.append(self._frame)
-        # Entering changed the thread's effective labels: cached barrier
-        # verdicts from the previous context must not be consulted again.
-        thread.bump_label_epoch()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -145,7 +142,6 @@ class SecurityRegion:
         finally:
             popped = thread.frames.pop()
             assert popped is self._frame, "unbalanced security region nesting"
-            thread.bump_label_epoch()
             self.vm.exit_region_kernel_restore(thread, popped)
             self.vm.stats.region_exits += 1
             if not thread.frames:

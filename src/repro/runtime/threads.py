@@ -53,15 +53,6 @@ class SimThread:
     def __init__(self, task: Task) -> None:
         self.task = task
         self.frames: list[RegionFrame] = []
-        #: VM-side half of the label epoch: bumped by region entry/exit
-        #: (the only VM events that change ``self.labels``).
-        self._region_epoch = 0
-        #: Per-thread barrier-verdict cache (Section 5.1 fast path): maps
-        #: (source LabelPair, dest LabelPair) -> True for flows already
-        #: proven legal under the current epoch.  Owned here, driven by
-        #: :func:`repro.runtime.barriers.cached_check_flow`.
-        self._flow_cache: dict = {}
-        self._flow_cache_epoch = -1
 
     # -- identity -----------------------------------------------------------
 
@@ -78,22 +69,6 @@ class SimThread:
     @property
     def in_region(self) -> bool:
         return bool(self.frames)
-
-    @property
-    def label_epoch(self) -> int:
-        """Monotonic label-change clock for this principal.
-
-        The sum of the VM-side region epoch and the kernel task's label
-        epoch: it advances whenever *either* side changes the labels a
-        barrier check could observe — region entry/exit on the VM side,
-        ``set_task_label``/TCB writes on the kernel side.  Cached barrier
-        verdicts are valid only while this value is unchanged.
-        """
-        return self._region_epoch + self.task.security.label_epoch
-
-    def bump_label_epoch(self) -> None:
-        """Invalidate cached barrier verdicts (region entry/exit path)."""
-        self._region_epoch += 1
 
     @property
     def depth(self) -> int:

@@ -1,4 +1,4 @@
-"""The fast-path layers: interning, verdict caches, epochs, dispatch tables.
+"""The fast-path layers: interning, the verdict memo, dispatch tables.
 
 Each cache must be individually switchable through
 :mod:`repro.core.fastpath`, must never change a security verdict, and must
@@ -19,10 +19,11 @@ from repro.core import (
     FLOW_INTEGRITY_FAIL,
     FLOW_OK,
     FLOW_SECRECY_FAIL,
+    AuditKind,
     CapabilitySet,
     Label,
     LabelPair,
-    LabelType,
+    SecrecyViolation,
     check_flow,
     fastpath,
     flow_verdict,
@@ -30,6 +31,7 @@ from repro.core import (
 from repro.jit import Interpreter, JITConfig, compile_source
 from repro.osim import Kernel
 from repro.runtime import LaminarAPI, LaminarVM
+from repro.runtime.barriers import BarrierStats, cached_check_flow
 
 
 class TestInterning:
@@ -122,8 +124,31 @@ class TestFlowVerdictCache:
             assert not fastpath.flags.flow_verdict_cache
         assert fastpath.flags.flow_verdict_cache
 
+    def test_value_equal_pairs_share_one_entry_without_interning(self, tags):
+        """Keyed on the pairs' values, not their identities: with
+        interning off, distinct but equal pairs meet at one entry, and
+        unequal pairs never do."""
+        a, b, _ = tags
+        with fastpath.configured(label_interning=False):
+            src = LabelPair(Label.of(a))
+            src_twin = LabelPair(Label.of(a))
+            dst = LabelPair(Label.of(a, b))
+            dst_twin = LabelPair(Label.of(b, a))
+            assert src is not src_twin and dst is not dst_twin
+            assert flow_verdict(src, dst) == FLOW_OK
+            hits = fastpath.counters.verdict_hits
+            assert flow_verdict(src_twin, dst_twin) == FLOW_OK
+            assert fastpath.counters.verdict_hits == hits + 1
+            misses = fastpath.counters.verdict_misses
+            assert flow_verdict(dst, src) == FLOW_SECRECY_FAIL
+            assert flow_verdict(src, LabelPair(Label.of(b))) == FLOW_SECRECY_FAIL
+            assert fastpath.counters.verdict_misses == misses + 2
 
-class TestThreadBarrierCache:
+
+class TestBarrierVerdictMemo:
+    """VM barriers answer from the one flow-verdict memo, keyed on the
+    (source, dest) label pairs: no per-thread cache, no label epoch."""
+
     def _labeled_header(self, vm, label):
         return vm.barriers.alloc_barrier(
             vm.current_thread, LabelPair(label)
@@ -138,52 +163,68 @@ class TestThreadBarrierCache:
             header = self._labeled_header(vm, Label.of(tag))
             vm.barriers.read_barrier(thread, header)
             hits = stats.flow_cache_hits
+            verdict_hits = fastpath.counters.verdict_hits
             vm.barriers.read_barrier(thread, header)
             vm.barriers.read_barrier(thread, header)
             assert stats.flow_cache_hits == hits + 2
+            assert fastpath.counters.verdict_hits == verdict_hits + 2
 
-    def test_region_reentry_invalidates(self, vm):
-        """Identical labels, fresh region: the epoch moved, so the first
-        check must MISS — a cached verdict may never survive a region
-        boundary, even one that restores the same label values."""
+    def test_reentry_under_another_tag_still_denies(self, vm):
+        """A read proven inside a region under tag ``a`` is not served
+        after exit and re-entry under tag ``b``: the key holds both label
+        pairs, so the same read misses, denies, and the region audits the
+        suppressed violation."""
         api = LaminarAPI(vm)
-        tag = api.create_and_add_capability("t")
+        a = api.create_and_add_capability("a")
+        b = api.create_and_add_capability("b")
         stats = vm.barriers.stats
-        region_args = dict(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag))
-        with vm.region(**region_args):
+        caps = CapabilitySet.dual(a, b)
+        with vm.region(secrecy=Label.of(a), caps=caps):
             thread = vm.current_thread
-            header = self._labeled_header(vm, Label.of(tag))
+            header = self._labeled_header(vm, Label.of(a))
             vm.barriers.read_barrier(thread, header)
-        epoch_outside = thread.label_epoch
-        with vm.region(**region_args):
-            assert thread.label_epoch != epoch_outside
-            misses = stats.flow_cache_misses
             vm.barriers.read_barrier(thread, header)
-            assert stats.flow_cache_misses == misses + 1
+        assert stats.flow_cache_hits >= 1
+        hits = stats.flow_cache_hits
+        suppressed = len(vm.audit.entries(AuditKind.REGION_SUPPRESS))
+        reached = []
+        with vm.region(secrecy=Label.of(b), caps=caps, name="other"):
+            vm.barriers.read_barrier(thread, header)
+            reached.append(True)
+        assert reached == []
+        assert stats.flow_cache_hits == hits
+        entries = vm.audit.entries(AuditKind.REGION_SUPPRESS)
+        assert len(entries) == suppressed + 1
+        assert "SecrecyViolation" in str(entries[-1])
 
-    def test_kernel_label_change_bumps_epoch(self, kernel):
-        vm = LaminarVM(kernel)
-        thread = vm.main_thread
-        tag, _ = kernel.sys_alloc_tag(vm.main_task, "t")
-        before = thread.label_epoch
-        kernel.sys_set_task_label(
-            vm.main_task, LabelType.SECRECY, Label.of(tag)
-        )
-        assert thread.label_epoch > before
+    def test_denied_verdict_is_never_answered_as_allowed(self, tags):
+        """The memo stores denials too (a nonzero verdict); the inline
+        probe must answer only ``FLOW_OK`` and send the rest to
+        ``check_flow`` to raise."""
+        a, _, _ = tags
+        secret = LabelPair(Label.of(a))
+        stats = BarrierStats()
+        for _ in range(3):
+            with pytest.raises(SecrecyViolation):
+                cached_check_flow(secret, LabelPair.EMPTY, stats)
+        assert flow_verdict(secret, LabelPair.EMPTY) == FLOW_SECRECY_FAIL
+        assert stats.flow_cache_hits == 0
+        assert stats.flow_cache_misses == 3
 
-    def test_cache_off_always_rechecks(self, vm):
+    def test_memo_off_always_rechecks(self, vm):
         api = LaminarAPI(vm)
         tag = api.create_and_add_capability("t")
         stats = vm.barriers.stats
-        with fastpath.configured(thread_barrier_cache=False):
+        with fastpath.configured(flow_verdict_cache=False):
             with vm.region(secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)):
                 thread = vm.current_thread
                 header = self._labeled_header(vm, Label.of(tag))
+                before = fastpath.counters.rule_evaluations
                 vm.barriers.read_barrier(thread, header)
                 vm.barriers.read_barrier(thread, header)
+                assert fastpath.counters.rule_evaluations >= before + 2
             assert stats.flow_cache_hits == 0
-            assert stats.flow_cache_misses == 0
-            assert stats.label_checks >= 3
+            assert stats.flow_cache_misses == stats.label_checks >= 3
 
 
 WORKLOAD = """

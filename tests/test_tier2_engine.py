@@ -501,9 +501,9 @@ class TestBlockDispatch:
             def spy(engine, seen=seen):
                 enter = engine._enter
 
-                def record(compiled, thread, regs, entry):
+                def record(compiled, regs, entry):
                     seen.append((compiled, entry))
-                    return enter(compiled, thread, regs, entry)
+                    return enter(compiled, regs, entry)
 
                 engine._enter = record
 
@@ -523,8 +523,7 @@ class TestBlockDispatch:
         for bad in (-1, 5, 6):
             with pytest.raises(AssertionError,
                                match="unknown tier-2 block index"):
-                compiled.fn(interp.ctx, interp.vm.current_thread,
-                            {"i": 0, "acc": 0}, bad)
+                compiled.fn(interp.ctx, {"i": 0, "acc": 0}, bad)
 
 
 class TestGuardsAndInvalidation:
