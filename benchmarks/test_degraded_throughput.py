@@ -2,10 +2,12 @@
 
 ``BENCH_os_throughput.json`` measures the healthy server; this benchmark
 measures what the fault plane costs when it is actually *firing*: the
-same multi-user labeled file server runs with a periodic-EIO plan
-(every Nth ``read`` syscall fails) and a retry-on-EIO server/client
-body.  Report-only — there is no pass/fail throughput bar, because the
-degradation depends on the EIO rate — but determinism is asserted hard:
+same multi-user labeled file server
+(:class:`repro.bench.workloads.OSServerWorld`, whose server and client
+retry on EIO) runs with a periodic-EIO plan (every Nth ``read`` syscall
+fails).  Report-only — there is no pass/fail throughput bar, because
+the degradation depends on the EIO rate — but determinism is asserted
+hard:
 
 * every request is still served in full (retries mask every fault);
 * the retry count equals the fault plan's firing count exactly —
@@ -23,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.workloads import setup_degraded_os_server
+from repro.bench.workloads import OSServerWorld
 from repro.osim import Kernel, LaminarSecurityModule
+from repro.osim.sched import Scheduler
 
 from conftest import publish
 
@@ -45,26 +48,33 @@ EIO_SWEEP = (0, 50, 10)
 
 def _run_once(eio_every: int) -> dict:
     kernel = Kernel(LaminarSecurityModule())
-    sched, stats = setup_degraded_os_server(
-        kernel,
+    world = OSServerWorld(
         users=USERS,
         requests=REQUESTS,
         chunks=CHUNKS,
         chunk_size=CHUNK_SIZE,
+        heartbeat=False,
+        probes=False,
         eio_every=eio_every,
     )
+    sched = Scheduler(kernel)
+    handles = world.build(kernel)
+    for handle in handles:
+        handle.spawn(sched)
     start = time.perf_counter()
     stuck = sched.run()
     seconds = time.perf_counter() - start
     assert stuck == [], f"deadlocked tasks: {stuck}"
-    assert stats["bytes_served"]() == stats["ops"] * CHUNK_SIZE
+    stats = [handle.stats() for handle in handles]
+    ops = sum(s["ops"] for s in stats)
+    assert sum(s["bytes_served"] for s in stats) == ops * CHUNK_SIZE
     fired = len(kernel.faults.fired) if kernel.faults is not None else 0
     return {
         "eio_every": eio_every,
-        "ops": stats["ops"],
+        "ops": ops,
         "seconds": seconds,
-        "ops_per_sec": stats["ops"] / seconds,
-        "retries": len(stats["retries"]),
+        "ops_per_sec": ops / seconds,
+        "retries": sum(s["retries"] for s in stats),
         "faults_fired": fired,
         "denials": dict(kernel.security.denials),
         "audit_faults": sum(

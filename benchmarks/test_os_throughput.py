@@ -3,8 +3,9 @@
 Table 2 measures per-syscall *latency*; this benchmark measures the OS
 layer at server scale — many tasks under the cooperative scheduler
 (:mod:`repro.osim.sched`), each user behind labeled pipes and a
-secrecy-labeled data file.  Three configurations run the identical
-workload:
+secrecy-labeled data file (:class:`repro.bench.workloads.OSServerWorld`,
+every user in one scheduler, probes and heartbeat off).  Three
+configurations run the identical workload:
 
 * ``vanilla`` — :class:`NullSecurityModule`, sequential syscalls;
 * ``laminar`` — :class:`LaminarSecurityModule`, sequential syscalls;
@@ -23,11 +24,12 @@ Three claims are demonstrated:
   scheduling change performance, never a verdict);
 * **scaling** — ops/sec is reported across a task-count sweep.
 
-A fourth arm measures the **multi-core** backend: the same server,
-partitioned user-per-group across a :class:`repro.osim.psched.
-ParallelScheduler` fork pool with per-syscall simulated service time
-(``defer_work`` + ``work_ns``, so service time overlaps across worker
-processes the way it overlaps across real cores).  The claims:
+A fourth arm measures the **multi-core** backend: the same world with
+its probes and heartbeat on, partitioned user-per-group across a
+:class:`repro.osim.psched.ParallelScheduler` fork pool with modeled
+per-syscall service time (``defer_work`` + ``work_ns``: workers sleep it
+off, so it overlaps across worker processes whatever the host's core
+count — the scaling ratios measure that model).  The claims:
 
 * near-linear wall-clock scaling — at least 3x at 4 workers and 5x at
   8 workers over the single-threaded cooperative baseline;
@@ -58,10 +60,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import fastpath_snapshot
-from repro.bench.workloads import OSServerWorld, setup_os_server
+from repro.bench.workloads import OSServerWorld
 from repro.core import fastpath
 from repro.osim import Kernel, LaminarSecurityModule, NullSecurityModule
 from repro.osim.psched import ParallelScheduler
+from repro.osim.sched import Scheduler
 
 from conftest import publish
 
@@ -103,29 +106,36 @@ def _run_once(security_cls, batched: bool, users: int) -> dict:
     """One full workload execution on a fresh kernel; returns timings and
     every security-relevant observable."""
     kernel = Kernel(security_cls())
-    sched, stats = setup_os_server(
-        kernel,
+    world = OSServerWorld(
         users=users,
         requests=REQUESTS,
         chunks=CHUNKS,
         chunk_size=CHUNK_SIZE,
         batched=batched,
+        heartbeat=False,
+        probes=False,
     )
+    sched = Scheduler(kernel)
+    handles = world.build(kernel)
+    for handle in handles:
+        handle.spawn(sched)
     start = time.perf_counter()
     stuck = sched.run()
     seconds = time.perf_counter() - start
     assert stuck == [], f"deadlocked tasks: {stuck}"
-    assert stats["bytes_served"]() == stats["ops"] * CHUNK_SIZE
+    stats = [handle.stats() for handle in handles]
+    ops = sum(s["ops"] for s in stats)
+    assert sum(s["bytes_served"] for s in stats) == ops * CHUNK_SIZE
     return {
         "users": users,
-        "tasks": stats["tasks"],
-        "ops": stats["ops"],
+        "tasks": 2 * users,
+        "ops": ops,
         "seconds": seconds,
-        "ops_per_sec": stats["ops"] / seconds,
+        "ops_per_sec": ops / seconds,
         "steps": sched.steps,
         "audit": [str(entry) for entry in kernel.audit],
         "denials": dict(kernel.security.denials),
-        "pipe_drops": stats.get("dropped", 0),
+        "pipe_drops": sum(s["pipe_drops"] for s in stats),
         "net_messages": kernel.net.transmitted.total_messages,
     }
 

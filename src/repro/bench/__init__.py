@@ -29,13 +29,14 @@ from .lmbench import (
     PAPER_TABLE2_OVERHEAD_PCT,
     setup_tree,
 )
-from .workloads import ALL_WORKLOADS, DACAPO_LIKE, PSEUDOJBB, setup_os_server
+from .workloads import ALL_WORKLOADS, DACAPO_LIKE, PSEUDOJBB, OSServerWorld
 
 __all__ = [
     "ALL_WORKLOADS",
     "DACAPO_LIKE",
     "DEFAULT_TRIALS",
     "DEFAULT_USERS",
+    "OSServerWorld",
     "QueueStats",
     "UserWorld",
     "ZipfianSampler",
@@ -54,6 +55,5 @@ __all__ = [
     "overhead_pct",
     "render_breakdown",
     "render_table",
-    "setup_os_server",
     "setup_tree",
 ]

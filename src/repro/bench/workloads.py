@@ -832,402 +832,58 @@ ALL_WORKLOADS = {**DACAPO_LIKE, **PSEUDOJBB}
 # =========================================================================
 #
 # The JVM workloads above measure *barrier* overhead; this one measures
-# the OS layer at server scale.  Per user: a secrecy tag, a labeled data
-# file, a server task and a client task (both labeled with the user's
-# tag), and a labeled request/response pipe pair.  Clients send requests;
-# the server answers each by reading the user's file in chunks and
-# writing back one response.  Every flow is legal, so all three
-# benchmark configurations (vanilla / Laminar / Laminar+batching) must
-# produce empty audit logs and zero denials — the interesting axis is
-# ops/sec.  The server's read loop is the batching target: sequential
-# mode issues one scheduler-mediated syscall per chunk; batched mode
-# issues a single ``sys_submit`` covering the rewind and every chunk
-# read.
-
-
-def _os_server_body(kernel, batched, path, req_fd, resp_fd, chunks, chunk_size):
-    from ..osim.kernel import Sqe
-    from ..osim.sched import read_blocking, submit, syscall
-
-    def body(task):
-        fd = yield syscall("open", path, "r")
-        if batched:
-            sqes = [Sqe("lseek", fd, 0)]
-            sqes += [Sqe("read", fd, chunk_size) for _ in range(chunks)]
-        while True:
-            request = yield read_blocking(req_fd)
-            if not request:
-                break  # request pipe hung up: client is done
-            if batched:
-                cqes = yield submit(sqes)
-                payload = b"".join(c.result for c in cqes[1:])
-            else:
-                yield syscall("lseek", fd, 0)
-                parts = []
-                for _ in range(chunks):
-                    parts.append((yield syscall("read", fd, chunk_size)))
-                payload = b"".join(parts)
-            yield syscall("write", resp_fd, payload)
-        yield syscall("close", resp_fd)
-
-    return body
-
-
-def _os_client_body(requests, req_fd, resp_fd, expected_len, served):
-    from ..osim.sched import read_blocking, syscall
-
-    def body(task):
-        # Pipeline: queue every request, hang up, then drain responses.
-        # Keeps the servers hot (their blocking reads always find data),
-        # which is the realistic shape for a loaded server anyway.
-        for _ in range(requests):
-            yield syscall("write", req_fd, b"get")
-        yield syscall("close", req_fd)
-        for _ in range(requests):
-            response = yield read_blocking(resp_fd)
-            if len(response) != expected_len:
-                raise AssertionError(
-                    f"short response: {len(response)} != {expected_len}"
-                )
-            served.append(len(response))
-
-    return body
-
-
-def setup_os_server(
-    kernel,
-    *,
-    users: int = 4,
-    requests: int = 6,
-    chunks: int = 96,
-    chunk_size: int = 96,
-    batched: bool = False,
-):
-    """Prime ``kernel`` with the multi-user server workload.
-
-    Returns ``(scheduler, stats)``: run ``scheduler.run()`` (timing it,
-    if you care) and then read ``stats`` — ``ops`` is the number of file
-    chunks served, ``bytes_served`` the client-verified response bytes.
-    Setup is identical for every configuration; only the server's inner
-    loop differs with ``batched``.
-    """
-    from ..core import Label, LabelPair
-    from ..osim.sched import Scheduler
-
-    sched = Scheduler(kernel)
-    setup = kernel.spawn_task("srv-setup")
-    kernel.sys_mkdir(setup, "/tmp/srv")
-    served: list[int] = []
-    for i in range(users):
-        tag, _caps = kernel.sys_alloc_tag(setup, f"u{i}")
-        secret = LabelPair(Label.of(tag))
-        home = f"/tmp/srv/user{i}"
-        kernel.sys_mkdir(setup, home)
-        fd = kernel.sys_create_file_labeled(setup, f"{home}/data", secret)
-        kernel.sys_write(setup, fd, bytes([i % 251]) * (chunks * chunk_size))
-        kernel.sys_close(setup, fd)
-
-        server = kernel.spawn_task(f"server{i}", labels=secret)
-        client = kernel.spawn_task(f"client{i}", labels=secret)
-        req_r, req_w = kernel.sys_pipe(setup, labels=secret)
-        resp_r, resp_w = kernel.sys_pipe(setup, labels=secret)
-        s_req = kernel.share_fd(setup, req_r, server)
-        s_resp = kernel.share_fd(setup, resp_w, server)
-        c_req = kernel.share_fd(setup, req_w, client)
-        c_resp = kernel.share_fd(setup, resp_r, client)
-        for fd_ in (req_r, req_w, resp_r, resp_w):
-            kernel.sys_close(setup, fd_)
-
-        sched.spawn(
-            _os_server_body(
-                kernel, batched, f"{home}/data", s_req, s_resp, chunks, chunk_size
-            ),
-            task=server,
-        )
-        sched.spawn(
-            _os_client_body(requests, c_req, c_resp, chunks * chunk_size, served),
-            task=client,
-        )
-
-    stats = {
-        "users": users,
-        "tasks": 2 * users,
-        "requests": users * requests,
-        "ops": users * requests * chunks,
-        "batched": batched,
-        "served": served,
-        "bytes_served": lambda: sum(served),
-    }
-    return sched, stats
-
-
-# =========================================================================
-# Degraded mode: the same server under a steady background fault rate
-# =========================================================================
+# the OS layer at server scale (Section 5.2).  Per user: a secrecy tag, a
+# labeled data file, a server task and a client task (both labeled with
+# the user's tag), and a labeled request/response pipe pair.  Clients
+# queue every request, hang up, then drain the responses; the server
+# answers each request by reading the user's file in chunks and writing
+# back one response.  Sequential mode issues one scheduler-mediated
+# syscall per chunk; batched mode issues a single ``sys_submit`` covering
+# the rewind and every chunk read.
 #
-# The chaos sweep (repro.osim.chaos) kills the machine at one point per
-# run; this workload instead measures *throughput under partial failure*:
-# a periodic-EIO fault plan makes every Nth read syscall fail, and the
-# server retries.  The interesting numbers are ops/sec relative to the
-# healthy server (the cost of the error path + retries) and the retry
-# count (which must match the fault plan's firing count exactly —
-# deterministic injection means deterministic degradation).
+# One user is one *task group* — a set of tasks sharing fds only with
+# each other — so the same world runs with every group spawned into one
+# cooperative scheduler (users interleave step by step) or partitioned
+# across a :class:`repro.osim.psched.ParallelScheduler` pool.  ``build`` performs
+# the same setup sequence on every kernel image it is given (same
+# creation order → same tids, inode numbers, and tags → byte-identical
+# denial text).
+#
+# With ``probes`` on, every request also exercises the *denied* paths,
+# so executor-equivalence checks are not vacuous: the server stats its
+# file (the stat's walk replays the permission memo), and the labeled
+# client attempts a network transmit (denied and audited) and writes a
+# probe into an unlabeled pipe (silently dropped: denied ≡ empty).  With
+# ``heartbeat`` on, an unlabeled courier task transmits one heartbeat per
+# request (delivered: one traffic-log entry each).  ``eio_every=N`` fails
+# every Nth ``read`` syscall with EIO; server and client retry, and
+# because a retry is only taken when a fault fires, the healthy syscall
+# sequence is the same with or without a plan.
 
 
-def _os_server_body_degraded(
-    kernel, path, req_fd, resp_fd, chunks, chunk_size, retries
-):
-    from ..osim.sched import read_blocking, syscall
+def _retrying(op, retries: list):
+    """Issue the scheduler op ``op`` until it does not fail with EIO;
+    each retry appends to ``retries``.  Use with ``yield from``."""
     from ..osim.task import EIO, SyscallError
 
-    def body(task):
-        fd = yield syscall("open", path, "r")
-        while True:
-            try:
-                request = yield read_blocking(req_fd)
-            except SyscallError as exc:
-                if exc.errno != EIO:
-                    raise
-                retries.append(-1)
-                continue
-            if not request:
-                break
-            yield syscall("lseek", fd, 0)
-            parts = []
-            while len(parts) < chunks:
-                try:
-                    parts.append((yield syscall("read", fd, chunk_size)))
-                except SyscallError as exc:
-                    if exc.errno != EIO:
-                        raise
-                    retries.append(len(parts))  # retry the same chunk
-            payload = b"".join(parts)
-            assert len(payload) == chunks * chunk_size
-            yield syscall("write", resp_fd, payload)
-        yield syscall("close", resp_fd)
-
-    return body
-
-
-def _os_client_body_degraded(requests, req_fd, resp_fd, expected_len, served, retries):
-    from ..osim.sched import read_blocking, syscall
-    from ..osim.task import EIO, SyscallError
-
-    def body(task):
-        for _ in range(requests):
-            yield syscall("write", req_fd, b"get")
-        yield syscall("close", req_fd)
-        drained = 0
-        while drained < requests:
-            try:
-                response = yield read_blocking(resp_fd)
-            except SyscallError as exc:
-                if exc.errno != EIO:
-                    raise
-                retries.append(-2)
-                continue
-            if len(response) != expected_len:
-                raise AssertionError(
-                    f"short response: {len(response)} != {expected_len}"
-                )
-            served.append(len(response))
-            drained += 1
-
-    return body
-
-
-def setup_degraded_os_server(
-    kernel,
-    *,
-    users: int = 4,
-    requests: int = 6,
-    chunks: int = 96,
-    chunk_size: int = 96,
-    eio_every: int = 0,
-):
-    """Prime ``kernel`` with the retry-on-EIO file-server workload.
-
-    ``eio_every=N`` installs a :class:`~repro.osim.faults.FaultPlan` that
-    fails every Nth ``read`` syscall with EIO (0 = no plan: the healthy
-    baseline, but still running the retry-capable server body so the two
-    configurations differ only in injected faults).  Returns
-    ``(scheduler, stats)`` like :func:`setup_os_server`; ``stats`` gains
-    ``retries`` (a list with one entry per retried chunk read).
-    """
-    from ..core import Label, LabelPair
-    from ..osim.faults import FaultKind, FaultPlan, FaultRule
-    from ..osim.sched import Scheduler
-
-    sched = Scheduler(kernel)
-    setup = kernel.spawn_task("srv-setup")
-    kernel.sys_mkdir(setup, "/tmp/srv")
-    served: list[int] = []
-    retries: list[int] = []
-    bodies = []
-    for i in range(users):
-        tag, _caps = kernel.sys_alloc_tag(setup, f"u{i}")
-        secret = LabelPair(Label.of(tag))
-        home = f"/tmp/srv/user{i}"
-        kernel.sys_mkdir(setup, home)
-        fd = kernel.sys_create_file_labeled(setup, f"{home}/data", secret)
-        kernel.sys_write(setup, fd, bytes([i % 251]) * (chunks * chunk_size))
-        kernel.sys_close(setup, fd)
-
-        server = kernel.spawn_task(f"server{i}", labels=secret)
-        client = kernel.spawn_task(f"client{i}", labels=secret)
-        req_r, req_w = kernel.sys_pipe(setup, labels=secret)
-        resp_r, resp_w = kernel.sys_pipe(setup, labels=secret)
-        s_req = kernel.share_fd(setup, req_r, server)
-        s_resp = kernel.share_fd(setup, resp_w, server)
-        c_req = kernel.share_fd(setup, req_w, client)
-        c_resp = kernel.share_fd(setup, resp_r, client)
-        for fd_ in (req_r, req_w, resp_r, resp_w):
-            kernel.sys_close(setup, fd_)
-
-        bodies.append((
-            _os_server_body_degraded(
-                kernel, f"{home}/data", s_req, s_resp, chunks, chunk_size,
-                retries,
-            ),
-            server,
-            _os_client_body_degraded(
-                requests, c_req, c_resp, chunks * chunk_size, served, retries
-            ),
-            client,
-        ))
-
-    # Faults go in *after* setup so the healthy prefix (labeled creates,
-    # grants) is identical across configurations and only served traffic
-    # sees EIO.
-    if eio_every:
-        kernel.install_faults(
-            FaultPlan([FaultRule("syscall:read", FaultKind.EIO, every=eio_every)])
-        )
-    for server_body, server, client_body, client in bodies:
-        sched.spawn(server_body, task=server)
-        sched.spawn(client_body, task=client)
-
-    stats = {
-        "users": users,
-        "tasks": 2 * users,
-        "requests": users * requests,
-        "ops": users * requests * chunks,
-        "eio_every": eio_every,
-        "served": served,
-        "retries": retries,
-        "bytes_served": lambda: sum(served),
-    }
-    return sched, stats
-
-
-# =========================================================================
-# Group-partitioned mode: the same server as a ParallelScheduler world
-# =========================================================================
-#
-# The parallel scheduler backend (repro.osim.psched) partitions *task
-# groups* — sets of tasks sharing fds only with each other — across a
-# worker pool.  One user of the file server is exactly such a group:
-# their server, client, and courier tasks touch only the user's own
-# labeled file, pipes, and tag.  ``OSServerWorld`` packages a user-per-
-# group build of the server so the identical world can be replicated
-# onto every worker's kernel image (same creation order → same tids,
-# inode numbers, and tag values → byte-identical denial text).
-#
-# Unlike the all-legal workload above, every group also exercises the
-# *denied* paths so executor-equivalence checks are not vacuous: the
-# labeled client attempts a network transmit each round (denied and
-# audited — labeled data must not reach the unlabeled world), writes a
-# probe into an unlabeled pipe (silently dropped: denied ≡ empty), and
-# an unlabeled courier task transmits a heartbeat (delivered: one
-# traffic-log entry).  The server stats its file once per request, so
-# the hot path replays the kernel's permission memo (the stat's walk and
-# per-chunk file_permission) as well.
-
-
-def _psrv_server_body(kernel, batched, path, req_fd, resp_fd, chunks, chunk_size):
-    from ..osim.kernel import Sqe
-    from ..osim.sched import read_blocking, submit, syscall
-
-    def body(task):
-        fd = yield syscall("open", path, "r")
-        if batched:
-            sqes = [Sqe("lseek", fd, 0)]
-            sqes += [Sqe("read", fd, chunk_size) for _ in range(chunks)]
-        while True:
-            request = yield read_blocking(req_fd)
-            if not request:
-                break
-            # Freshness check before serving: the per-request stat is
-            # what makes the stat's walk hot.
-            yield syscall("stat", path)
-            if batched:
-                cqes = yield submit(sqes)
-                payload = b"".join(c.result for c in cqes[1:])
-            else:
-                yield syscall("lseek", fd, 0)
-                parts = []
-                for _ in range(chunks):
-                    parts.append((yield syscall("read", fd, chunk_size)))
-                payload = b"".join(parts)
-            yield syscall("write", resp_fd, payload)
-        yield syscall("close", resp_fd)
-
-    return body
-
-
-def _psrv_client_body(
-    user, requests, req_fd, resp_fd, drop_fd, expected_len, served, denied
-):
-    from ..osim.sched import read_blocking, syscall
-    from ..osim.task import EACCES, SyscallError
-
-    def body(task):
-        for _ in range(requests):
-            yield syscall("write", req_fd, b"get")
-        yield syscall("close", req_fd)
-        for k in range(requests):
-            response = yield read_blocking(resp_fd)
-            if len(response) != expected_len:
-                raise AssertionError(
-                    f"short response: {len(response)} != {expected_len}"
-                )
-            served.append(len(response))
-            # Exfiltration attempt: a labeled task may not reach the
-            # unlabeled network.  Denied loudly (audit + EACCES) — the
-            # network is outside the denied≡empty regime.
-            try:
-                yield syscall("transmit", f"exfil:{user}:{k}".encode())
-            except SyscallError as exc:
-                if exc.errno != EACCES:
-                    raise
-                denied.append(k)
-            # Leak probe into an unlabeled pipe: silently dropped (the
-            # write "succeeds"), counted only by the pipe's drop counter.
-            yield syscall("write", drop_fd, b"leak?")
-
-    return body
-
-
-def _psrv_courier_body(user, requests, transmitted):
-    from ..osim.sched import syscall, yield_
-
-    def body(task):
-        for k in range(requests):
-            n = yield syscall("transmit", f"hb:{user}:{k}".encode())
-            transmitted.append(n)
-            yield yield_()
-
-    return body
+    while True:
+        try:
+            return (yield op)
+        except SyscallError as exc:
+            if exc.errno != EIO:
+                raise
+            retries.append(1)
 
 
 class OSServerWorld:
-    """The multi-user file server as a replicable task-group world.
+    """The multi-user labeled file server, one task group per user.
 
     Satisfies the :class:`repro.osim.psched.ParallelScheduler` world
     protocol: ``group_count`` plus ``build(kernel)`` returning one
-    :class:`~repro.osim.psched.GroupHandle` per user.  ``build`` performs
-    the *same* setup sequence on every kernel image it is given, so every
-    worker's replica allocates identical tids, inode numbers, and tags.
+    :class:`~repro.osim.psched.GroupHandle` per user, whose ``stats()``
+    reports the group's ``ops``, ``bytes_served``, ``denied_transmits``,
+    ``heartbeats``, ``pipe_drops`` and ``retries``.  ``eio_every`` has no
+    batched retry path, so combining it with ``batched`` is refused.
     """
 
     def __init__(
@@ -1239,83 +895,162 @@ class OSServerWorld:
         chunk_size: int = 64,
         batched: bool = False,
         heartbeat: bool = True,
+        probes: bool = True,
+        eio_every: int = 0,
     ) -> None:
+        if batched and eio_every:
+            raise ValueError("eio_every needs sequential reads: batched=False")
         self.users = users
         self.requests = requests
         self.chunks = chunks
         self.chunk_size = chunk_size
         self.batched = batched
         self.heartbeat = heartbeat
+        self.probes = probes
+        self.eio_every = eio_every
         self.group_count = users
 
     def build(self, kernel):
-        from ..core import Label, LabelPair
-        from ..osim.psched import GroupHandle
+        from ..osim.faults import FaultKind, FaultPlan, FaultRule
 
         setup = kernel.spawn_task("psrv-setup")
         kernel.sys_mkdir(setup, "/tmp/psrv")
-        handles = []
-        for i in range(self.users):
-            tag, _caps = kernel.sys_alloc_tag(setup, f"pu{i}")
-            secret = LabelPair(Label.of(tag))
-            home = f"/tmp/psrv/user{i}"
-            path = f"{home}/data"
-            kernel.sys_mkdir(setup, home)
-            fd = kernel.sys_create_file_labeled(setup, path, secret)
-            kernel.sys_write(
-                setup, fd, bytes([i % 251]) * (self.chunks * self.chunk_size)
+        handles = [self._group(kernel, setup, i) for i in range(self.users)]
+        # Faults go in *after* setup, so the labeled creates and grants
+        # are identical across plans and only served traffic sees EIO.
+        if self.eio_every:
+            kernel.install_faults(
+                FaultPlan(
+                    [FaultRule("syscall:read", FaultKind.EIO, every=self.eio_every)]
+                )
             )
-            kernel.sys_close(setup, fd)
+        return handles
 
-            server = kernel.spawn_task(f"psrv{i}", labels=secret)
-            client = kernel.spawn_task(f"pcli{i}", labels=secret)
-            req_r, req_w = kernel.sys_pipe(setup, labels=secret)
-            resp_r, resp_w = kernel.sys_pipe(setup, labels=secret)
+    def _group(self, kernel, setup, i: int):
+        """Create user ``i``'s file, tasks and pipes; return its handle."""
+        from ..core import Label, LabelPair
+        from ..osim.kernel import Sqe
+        from ..osim.psched import GroupHandle
+        from ..osim.sched import read_blocking, submit, syscall, yield_
+        from ..osim.task import EACCES, EIO, SyscallError
+
+        requests, chunks, chunk_size = self.requests, self.chunks, self.chunk_size
+        batched, probes = self.batched, self.probes
+        tag, _caps = kernel.sys_alloc_tag(setup, f"pu{i}")
+        secret = LabelPair(Label.of(tag))
+        home = f"/tmp/psrv/user{i}"
+        path = f"{home}/data"
+        kernel.sys_mkdir(setup, home)
+        fd = kernel.sys_create_file_labeled(setup, path, secret)
+        kernel.sys_write(setup, fd, bytes([i % 251]) * (chunks * chunk_size))
+        kernel.sys_close(setup, fd)
+
+        server = kernel.spawn_task(f"psrv{i}", labels=secret)
+        client = kernel.spawn_task(f"pcli{i}", labels=secret)
+        req_r, req_w = kernel.sys_pipe(setup, labels=secret)
+        resp_r, resp_w = kernel.sys_pipe(setup, labels=secret)
+        s_req = kernel.share_fd(setup, req_r, server)
+        s_resp = kernel.share_fd(setup, resp_w, server)
+        c_req = kernel.share_fd(setup, req_w, client)
+        c_resp = kernel.share_fd(setup, resp_r, client)
+        setup_fds = [req_r, req_w, resp_r, resp_w]
+        drop_pipe = None
+        if probes:
             drop_r, drop_w = kernel.sys_pipe(setup, labels=LabelPair.EMPTY)
-            s_req = kernel.share_fd(setup, req_r, server)
-            s_resp = kernel.share_fd(setup, resp_w, server)
-            c_req = kernel.share_fd(setup, req_w, client)
-            c_resp = kernel.share_fd(setup, resp_r, client)
             c_drop = kernel.share_fd(setup, drop_w, client)
             drop_pipe = setup.lookup_fd(drop_r).inode.pipe
-            for fd_ in (req_r, req_w, resp_r, resp_w, drop_r, drop_w):
-                kernel.sys_close(setup, fd_)
+            setup_fds += [drop_r, drop_w]
+        for fd_ in setup_fds:
+            kernel.sys_close(setup, fd_)
 
-            served: list[int] = []
-            denied: list[int] = []
-            transmitted: list[int] = []
-            server_body = _psrv_server_body(
-                kernel, self.batched, path, s_req, s_resp,
-                self.chunks, self.chunk_size,
-            )
-            client_body = _psrv_client_body(
-                i, self.requests, c_req, c_resp, c_drop,
-                self.chunks * self.chunk_size, served, denied,
-            )
-            courier = None
-            courier_body = None
-            if self.heartbeat:
-                courier = kernel.spawn_task(f"pcour{i}")
-                courier_body = _psrv_courier_body(i, self.requests, transmitted)
+        served: list[int] = []
+        denied: list[int] = []
+        transmitted: list[int] = []
+        retries: list[int] = []
 
-            def spawn(sched, _sb=server_body, _srv=server, _cb=client_body,
-                      _cli=client, _hb=courier_body, _cour=courier):
-                sched.spawn(_sb, task=_srv)
-                sched.spawn(_cb, task=_cli)
-                if _hb is not None:
-                    sched.spawn(_hb, task=_cour)
+        def server_body(task):
+            fd = yield syscall("open", path, "r")
+            if batched:
+                sqes = [Sqe("lseek", fd, 0)]
+                sqes += [Sqe("read", fd, chunk_size) for _ in range(chunks)]
+            read_chunk = syscall("read", fd, chunk_size)
+            while True:
+                request = yield from _retrying(read_blocking(s_req), retries)
+                if not request:
+                    break  # request pipe hung up: client is done
+                if probes:
+                    # Freshness check: keeps the stat's walk hot.
+                    yield syscall("stat", path)
+                if batched:
+                    cqes = yield submit(sqes)
+                    payload = b"".join(c.result for c in cqes[1:])
+                else:
+                    yield syscall("lseek", fd, 0)
+                    parts = []
+                    # Retried inline, not through ``_retrying``: a
+                    # generator per chunk read would slow the arm that
+                    # batching is measured against.
+                    while len(parts) < chunks:
+                        try:
+                            parts.append((yield read_chunk))
+                        except SyscallError as exc:
+                            if exc.errno != EIO:
+                                raise
+                            retries.append(1)
+                    payload = b"".join(parts)
+                yield syscall("write", s_resp, payload)
+            yield syscall("close", s_resp)
 
-            def stats(_served=served, _denied=denied, _tx=transmitted,
-                      _pipe=drop_pipe, _n=self.requests, _c=self.chunks,
-                      _cs=self.chunk_size):
-                assert sum(_served) == _n * _c * _cs, (sum(_served), _n, _c, _cs)
-                return {
-                    "ops": _n * _c,
-                    "bytes_served": sum(_served),
-                    "denied_transmits": len(_denied),
-                    "heartbeats": len(_tx),
-                    "pipe_drops": _pipe.dropped,
-                }
+        def client_body(task):
+            for _ in range(requests):
+                yield syscall("write", c_req, b"get")
+            yield syscall("close", c_req)
+            for k in range(requests):
+                response = yield from _retrying(read_blocking(c_resp), retries)
+                if len(response) != chunks * chunk_size:
+                    raise AssertionError(
+                        f"short response: {len(response)} != {chunks * chunk_size}"
+                    )
+                served.append(len(response))
+                if not probes:
+                    continue
+                # Exfiltration attempt: a labeled task may not reach the
+                # unlabeled network.  Denied loudly (audit + EACCES) — the
+                # network is outside the denied≡empty regime.
+                try:
+                    yield syscall("transmit", f"exfil:{i}:{k}".encode())
+                except SyscallError as exc:
+                    if exc.errno != EACCES:
+                        raise
+                    denied.append(k)
+                # Leak probe into an unlabeled pipe: silently dropped (the
+                # write "succeeds"), counted only by the pipe's drop counter.
+                yield syscall("write", c_drop, b"leak?")
 
-            handles.append(GroupHandle(f"user{i}", spawn, stats))
-        return handles
+        bodies = [(server_body, server), (client_body, client)]
+        if self.heartbeat:
+
+            def courier_body(task):
+                for k in range(requests):
+                    n = yield syscall("transmit", f"hb:{i}:{k}".encode())
+                    transmitted.append(n)
+                    yield yield_()
+
+            bodies.append((courier_body, kernel.spawn_task(f"pcour{i}")))
+
+        def spawn(sched):
+            for body, task in bodies:
+                sched.spawn(body, task=task)
+
+        def stats():
+            assert sum(served) == requests * chunks * chunk_size, served
+            return {
+                "ops": requests * chunks,
+                "bytes_served": sum(served),
+                "denied_transmits": len(denied),
+                "heartbeats": len(transmitted),
+                "pipe_drops": drop_pipe.dropped if drop_pipe is not None else 0,
+                "retries": len(retries),
+            }
+
+        return GroupHandle(f"user{i}", spawn, stats)

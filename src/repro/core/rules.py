@@ -142,9 +142,11 @@ def check_label_change(
 ) -> None:
     """Raise :class:`LabelChangeViolation` if ``old -> new`` is not permitted
     by ``caps``."""
-    suffix = f" ({context})" if context else ""
     added = new.difference(old)
     removed = old.difference(new)
+    if caps.can_add_all(added) and caps.can_remove_all(removed):
+        return
+    suffix = f" ({context})" if context else ""
     if not caps.can_add_all(added):
         lacking = Label(t for t in added if not caps.can_add(t))
         raise LabelChangeViolation(
@@ -162,9 +164,17 @@ def check_label_change(
 def check_pair_change(
     old: LabelPair, new: LabelPair, caps: CapabilitySet, context: str = ""
 ) -> None:
-    """Apply the label-change rule independently to secrecy and integrity."""
-    check_label_change(old.secrecy, new.secrecy, caps, context=f"secrecy {context}".strip())
-    check_label_change(old.integrity, new.integrity, caps, context=f"integrity {context}".strip())
+    """Apply the label-change rule independently to secrecy and integrity.
+    The per-label contexts are formatted only for a refused change."""
+    if not can_change_label(old.secrecy, new.secrecy, caps):
+        check_label_change(
+            old.secrecy, new.secrecy, caps, context=f"secrecy {context}".strip()
+        )
+    if not can_change_label(old.integrity, new.integrity, caps):
+        check_label_change(
+            old.integrity, new.integrity, caps,
+            context=f"integrity {context}".strip(),
+        )
 
 
 def region_entry_allowed(

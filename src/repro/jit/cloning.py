@@ -85,29 +85,6 @@ def clone_for_contexts(program: Program) -> Program:
     return cloned
 
 
-def clone_variant(method: Method, in_region: bool) -> Method:
-    """Clone one method for a single compile context (tier-2 deopt recovery).
-
-    The tier-2 engine compiles a method for the region context it observed
-    at profiling time; when guards later see the *opposite* context often
-    enough, it materializes the other variant through this helper — the
-    same mechanism :func:`clone_for_contexts` applies ahead of time.
-    Unlike the whole-program pass, CALL targets stay symbolic: tier-2 call
-    sites re-dispatch against the caller's runtime context, so callee
-    variant selection happens at execution time, not clone time.
-    """
-    name = method.name + (IN_SUFFIX if in_region else "")
-    clone = _clone_method(method, name, in_region)
-    for block in clone.blocks.values():
-        for i, instr in enumerate(block.instrs):
-            if instr.op is Opcode.CALL:
-                dst, (callee, _flag), *args = instr.operands
-                block.instrs[i] = Instr(
-                    Opcode.CALL, (dst, callee, *args), instr.flavor
-                )
-    return clone
-
-
 def clone_count(program: Program) -> int:
     """How many in-region clones a program carries (compile-cost metric)."""
     return sum(1 for name in program.methods if name.endswith(IN_SUFFIX))

@@ -37,13 +37,13 @@ Guards and deoptimization
     raising :class:`~repro.jit.interpreter.StaleCompilationError` — that
     failure mode belongs to the static prototype, not the tiered engine),
     and after :attr:`TierPolicy.deopt_recompile_threshold` such misses
-    the engine materializes the opposite-context variant via
-    :func:`repro.jit.cloning.clone_variant` — the paper's "a production
-    implementation would use cloning" — and compiles it for the new
-    shape.  Region-method bodies are compiled per observed in-region
-    label pair, so nested entries and mutated
-    :class:`~repro.jit.ir.RegionSpec`\\ s each get (and guard) their own
-    variant.
+    the engine compiles the method again for the new context, as the
+    variant ``name$in`` — the paper's "a production implementation would
+    use cloning".  No IR copy is made: tier-2 call sites select their
+    callee's variant at run time, so the method's own IR serves both.
+    Region-method bodies are compiled per observed in-region label pair,
+    so nested entries and mutated :class:`~repro.jit.ir.RegionSpec`\\ s
+    each get (and guard) their own variant.
 
 Cache invalidation
     Entries are validated per :meth:`Interpreter.run` against the
@@ -62,7 +62,7 @@ from typing import Any, Callable, Optional
 
 from ..core import LabelPair, RegionViolation, fastpath
 from ..runtime.barriers import cached_check_flow
-from .cloning import clone_variant
+from .cloning import IN_SUFFIX
 from .interpreter import _BINOPS, _OUT_OF_REGION_MSG, IRArray, IRObject, Interpreter
 from .ir import BarrierFlavor, Method, Opcode, Program, RegionSpec
 
@@ -862,31 +862,28 @@ class Tier2Engine:
 
     def _compile(self, method: Method, key: tuple) -> Optional[CompiledMethod]:
         kind = key[0]
+        name = method.name
         if kind == "cert":
             # Certified method: barriers are already gone, so the code is
             # context-independent — one universal variant, no label-shape
             # specialization and no entry guard to deopt on.
-            src_method, in_region, labels = (
-                method, method.is_region, LabelPair.EMPTY
-            )
+            in_region, labels = method.is_region, LabelPair.EMPTY
         elif kind == "in":
-            # The per-context clone of Section 5.1: materialized through
-            # the cloning pass's machinery, compiled for the in-region
-            # label shape that kept deopting.
-            src_method = clone_variant(method, True)
-            in_region, labels = True, key[1]
+            # The per-context clone of Section 5.1, compiled for the
+            # in-region label shape that kept deopting.
+            in_region, labels, name = True, key[1], name + IN_SUFFIX
         elif kind == "region":
-            src_method, in_region, labels = method, True, key[1]
+            in_region, labels = True, key[1]
         else:
-            src_method, in_region, labels = method, False, LabelPair.EMPTY
+            in_region, labels = False, LabelPair.EMPTY
         try:
             compiled = compile_method(
-                src_method, self.program,
+                method, self.program,
                 in_region=in_region,
                 thread_labels=labels,
                 fusion=self.policy.fusion,
                 region_body=method.is_region,
-                variant_name=src_method.name,
+                variant_name=name,
             )
         except Exception:
             # Codegen must never take execution down: mark and interpret.

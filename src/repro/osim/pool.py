@@ -15,9 +15,11 @@ fastpath counter reset after boot, :class:`~repro.osim.rpc.Shutdown`
 and report collection, failure reporting, and the count of frames and
 bytes that cross its connections (:meth:`Pool.wire_stats`).  A host
 that raises sends one :class:`~repro.osim.rpc.WorkerFailed` and exits;
-the parent drains the round's other replies, so the surviving
-connections stay in step, then raises
-``RuntimeError("worker N failed: ...")``.
+a connection that closes, or a reply that does not decode, fails its
+worker the same way.  The parent drains the round's other replies, so
+the surviving connections stay in step, then raises
+``RuntimeError("worker N failed: ...")``.  A worker holds only its
+own end of its connection, so closing the parent's end ends the worker.
 
 The in-process pool still sends every request and reply through one
 codec in both directions, so serialization is exercised
@@ -34,7 +36,7 @@ import zlib
 from typing import Callable, Optional
 
 from ..core import fastpath
-from .lamwire import HEADER, BinaryWireCodec
+from .lamwire import HEADER, BinaryWireCodec, WireError
 from .rpc import Shutdown, WorkerFailed, WorkerReport
 
 
@@ -59,9 +61,19 @@ def seed_worker_rng(base: int, worker_id: int) -> int:
     return seed
 
 
-def _worker_main(conn, worker_id: int, boot: Callable, seed: int) -> None:
+def _worker_main(
+    conn, worker_id: int, boot: Callable, seed: int, parent_ends: list
+) -> None:
     """Entry point of a forked worker: reseed, boot the host, signal
-    readiness, then answer each request until :class:`Shutdown`."""
+    readiness, then answer each request until :class:`Shutdown`, or
+    until the parent closes its end of the connection.
+
+    ``parent_ends`` are the parent's ends this fork inherited: its own
+    connection's and every earlier worker's.  Closing them first leaves
+    the parent the only holder of each, so its ``close`` reaches the
+    worker as EOF."""
+    for end in parent_ends:
+        end.close()
     codec = BinaryWireCodec()
     try:
         wseed = seed_worker_rng(seed, worker_id)
@@ -74,7 +86,11 @@ def _worker_main(conn, worker_id: int, boot: Callable, seed: int) -> None:
         fastpath.counters.reset()
         conn.send_bytes(codec.encode(None))  # ready
         while True:
-            message, _ = codec.decode(conn.recv_bytes())
+            try:
+                frame = conn.recv_bytes()
+            except EOFError:
+                return  # the parent let go of this worker
+            message, _ = codec.decode(frame)
             if type(message) is Shutdown:
                 report = WorkerReport(
                     worker_id, fastpath.counters.snapshot(), host.report(), wseed
@@ -129,7 +145,7 @@ class Pool:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, wid, boot, seed),
+                args=(child_conn, wid, boot, seed, [*self._conns, parent_conn]),
                 daemon=True,
             )
             proc.start()
@@ -184,7 +200,7 @@ class Pool:
             try:
                 frame = self._tally(self._conns[wid].recv_bytes())
                 reply, _ = self.codecs[wid].decode(frame)
-            except (EOFError, OSError) as exc:
+            except (EOFError, OSError, WireError) as exc:
                 reply = WorkerFailed(wid, repr(exc))
             if type(reply) is WorkerFailed:
                 self._dead.add(wid)

@@ -72,6 +72,8 @@ SPECS: tuple[BenchSpec, ...] = (
             "observables_identical",
             "configs.vanilla.ops",
             "configs.laminar.ops",
+            "configs.laminar_batched.ops",
+            "configs.vanilla.steps",
             "configs.laminar.steps",
             "configs.laminar_batched.steps",
             "configs.laminar.pipe_drops",
@@ -90,7 +92,9 @@ SPECS: tuple[BenchSpec, ...] = (
             "multicore.audit_parity",
             "multicore.traffic_parity",
             "multicore.ops",
+            "multicore.steps",
             "multicore.audit_entries",
+            "multicore.traffic_messages",
             "multicore.pipe_drops",
             "multicore.denials",
             "multicore.hookchain_active",
@@ -102,8 +106,10 @@ SPECS: tuple[BenchSpec, ...] = (
         exact_fields=(
             "points.0.ops",
             "points.0.retries",
+            "points.50.ops",
             "points.50.retries",
             "points.50.faults_fired",
+            "points.10.ops",
             "points.10.retries",
             "points.10.faults_fired",
         ),

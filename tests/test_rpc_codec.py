@@ -439,6 +439,31 @@ class TestRefusedFrames:
         finally:
             pool.shutdown()
 
+    def test_undecodable_reply_fails_its_worker_and_drains_the_rest(
+        self, monkeypatch
+    ):
+        """A reply that does not decode fails its worker like a closed
+        connection: the round's other replies are still read, so the next
+        round gets its own replies, and shutdown skips the failed worker."""
+        pool = Pool(lambda wid: _EchoHost(), workers=2, fork=True)
+        try:
+            conn = pool._conns[0]
+            recv = conn.recv_bytes
+            monkeypatch.setattr(conn, "recv_bytes", lambda: recv()[:-1])
+            with pytest.raises(Exception) as failure:
+                pool.scatter({0: 0, 1: 1})
+            monkeypatch.undo()
+            # Worker 1's round-1 reply was drained; this is round 2's.
+            assert pool.scatter({1: 2}) == {1: 2}
+            assert failure.type is RuntimeError
+            assert str(failure.value).startswith("worker 0 failed: WireError(")
+            assert [report.worker_id for report in pool.shutdown()] == [1]
+            # Worker 0 was still waiting for a request: no other process
+            # holds the parent's end, so closing it ended the worker.
+            assert [proc.exitcode for proc in pool._procs] == [0, 0]
+        finally:
+            pool.shutdown()
+
 
 # ------------------------------------------------------- delta replication
 

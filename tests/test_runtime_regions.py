@@ -72,6 +72,46 @@ class TestEntryRules:
                 assert vm.current_thread.labels.secrecy == Label.of(b)
 
 
+class TestRefusalMessages:
+    """The exact text of a refused label change: the context strings are
+    built only when the change is refused, and must read as before."""
+
+    def test_region_entry_dropping_integrity(self, setup):
+        vm, api, a, b = setup
+        caps = CapabilitySet.plus(a, b)  # no minus caps
+        outcome = {}
+        with vm.region(integrity=Label.of(b), caps=caps,
+                       catch=lambda e: outcome.update(err=e)):
+            # Adds secrecy a (allowed by a+), drops integrity b (no b-).
+            with vm.region(secrecy=Label.of(a), caps=caps, name="inner"):
+                outcome["entered"] = True
+        assert "entered" not in outcome
+        assert type(outcome["err"]) is LabelChangeViolation
+        assert str(outcome["err"]) == (
+            "label change {b} -> {} drops tags {b} without the minus "
+            "capability (integrity inner)"
+        )
+
+    def test_copy_and_label(self, setup):
+        vm, api, a, b = setup
+        errors = []
+        with vm.region(secrecy=Label.of(a), caps=CapabilitySet.plus(a),
+                       catch=errors.append):
+            vm.copy_and_label(vm.alloc({"v": 1}))  # declassify without a-
+        with vm.region(secrecy=Label.of(a), caps=CapabilitySet.plus(a),
+                       catch=errors.append):
+            vm.copy_and_label(  # endorse without b+
+                vm.alloc({"v": 1}), secrecy=Label.of(a), integrity=Label.of(b)
+            )
+        assert [type(e) for e in errors] == [LabelChangeViolation] * 2
+        assert [str(e) for e in errors] == [
+            "label change {a} -> {} drops tags {a} without the minus "
+            "capability (secrecy copyAndLabel)",
+            "label change {} -> {b} adds tags {b} without the plus "
+            "capability (integrity copyAndLabel)",
+        ]
+
+
 class TestExitRestoration:
     def test_labels_empty_outside_regions(self, setup):
         vm, api, a, b = setup

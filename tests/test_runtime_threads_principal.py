@@ -29,8 +29,12 @@ class TestPrincipal:
 
     def test_checked_change_denied(self):
         p = Principal("p")
-        with pytest.raises(LabelChangeViolation):
+        with pytest.raises(LabelChangeViolation) as err:
             p.set_label(LabelType.SECRECY, Label.of(A))
+        assert str(err.value) == (
+            "label change {} -> {a} adds tags {a} without the plus "
+            "capability (p secrecy)"
+        )
 
     def test_unchecked_setter_for_trusted_callers(self):
         p = Principal("p")
