@@ -373,7 +373,13 @@ def test_every_config_scales_with_users(sweep):
 
 
 def test_json_report_written(sweep):
-    payload = json.loads(JSON_PATH.read_text())
+    # Only the full tier rewrites the file, so it checks what it just
+    # wrote; the smoke and fixed-worker tiers check the payload their own
+    # sweep built rather than the committed full-mode snapshot.
+    if sweep["multicore"]["mode"] == "full":
+        payload = json.loads(JSON_PATH.read_text())
+    else:
+        payload = sweep
     assert payload["benchmark"] == "os_throughput"
     assert payload["batched_speedup"] >= 2.0
     assert "fastpath_counters" in payload

@@ -13,7 +13,8 @@ Layered on the generalized dataflow framework in :mod:`repro.jit.dataflow`:
   LAM rule set behind ``lamc lint``;
 * :mod:`repro.analysis.typecheck` — the security-type certifier issuing
   machine-checkable per-method :class:`~.typecheck.SecurityCertificate`\\ s
-  (consumed by ``Compiler(optimize_barriers="certified")`` and tier-2);
+  (consumed by ``Compiler(optimize_barriers="certified")``, which deletes
+  certified methods' barriers);
 * :mod:`repro.analysis.races` — the lockset + happens-before label-race
   detector (LAM007/LAM008);
 * :mod:`repro.analysis.verify` — the ``lamc verify`` driver combining

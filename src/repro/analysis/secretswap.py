@@ -27,16 +27,18 @@ Programs under test mark their secret with a placeholder (default
 the two candidate values, builds each variant with the same compiler
 configuration, runs both under a fresh kernel/VM (with id counters
 reset so heap/audit identifiers are byte-comparable), and diffs the
-observables.  Execution modes cover the whole stack: the reference
-interpreter, the threaded exec tables, and the tier-2 template JIT.
+observables.  Execution modes (:data:`MODES`) cover the whole stack:
+``interp`` runs the reference switch loop, ``tables`` the per-method
+handler tables, and ``tier2`` the template JIT.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-from ..core import CapabilitySet
+from ..core import CapabilitySet, fastpath
 from ..jit.compiler import Compiler
 from ..jit.interpreter import Interpreter
 from ..jit.tier2 import TierPolicy
@@ -48,7 +50,11 @@ from ..runtime.vm import LaminarVM
 #: Placeholder substituted with the secret value in assembler sources.
 SECRET_PLACEHOLDER = "@SECRET@"
 
-#: Execution modes the oracle sweeps.
+#: Execution modes the oracle sweeps.  ``interp``: the switch loop
+#: (dispatch tables off, no tier-2 engine).  ``tables``: the handler
+#: tables under a profiling tier-2 engine with the default
+#: :class:`TierPolicy`, so only methods that reach its thresholds
+#: compile.  ``tier2``: the engine with every method hot.
 MODES = ("interp", "tables", "tier2")
 
 #: Everything is hot, so tier-2 actually runs on small test programs.
@@ -113,8 +119,13 @@ def collect_observables(
         )
     policy = _HOT if mode == "tier2" else None
     interp = Interpreter(program, vm, tier2=policy)
+    switch_loop = (
+        fastpath.configured(dispatch_table=False)
+        if mode == "interp" else nullcontext()
+    )
     try:
-        result = interp.run(entry, *args)
+        with switch_loop:
+            result = interp.run(entry, *args)
         exc = None
     except Exception as error:  # noqa: BLE001 - the type is the observable
         result = None

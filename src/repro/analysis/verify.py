@@ -120,8 +120,7 @@ def run_verify(
             "LAM009", name,
             f"certified secure: all {len(cert.obligations)} check "
             f"obligation(s) discharged "
-            f"({_rules_summary(cert)}); barriers and tier-2 guards are "
-            f"eliminable",
+            f"({_rules_summary(cert)}); barriers are eliminable",
         ))
     report.diagnostics.sort(key=sort_key)
     return report

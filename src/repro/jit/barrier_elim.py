@@ -162,9 +162,9 @@ def eliminate_certified_barriers(
     a method two threads can drive under different label contexts keeps
     its barriers even when each context individually discharges.
 
-    Records the certified set on ``program.certified_methods`` so tier-2
-    can compile guard-free universal variants.  Returns the number of
-    barrier instructions removed."""
+    Records the certified set on ``program.certified_methods`` (which
+    ``lamc compile`` reports).  Returns the number of barrier
+    instructions removed."""
     # Imported lazily: repro.analysis builds on this module.
     from ..analysis.callgraph import CallGraph
     from ..analysis.races import detect_races

@@ -97,7 +97,8 @@ def disassemble_tiers(program: Program, policy=None) -> str:
     that promote it, the barrier flavors tier-2 would bake into the
     template, the superinstruction pairs fusion would form, the guarded
     entry points (call-entry guard plus OSR loop headers), and the call
-    sites that re-dispatch through the engine.
+    sites that re-dispatch through the engine.  A method with a
+    labeled-statics barrier is reported as staying on the handler tables.
     """
     from .tier2 import TierPolicy, plan_method
 
@@ -117,6 +118,10 @@ def disassemble_tiers(program: Program, policy=None) -> str:
         lines.append("")
         kind = "region method" if plan.is_region else "method"
         lines.append(f"{kind} {method.name}:")
+        if not plan.compilable:
+            lines.append("  stays on the handler tables: labeled-statics "
+                         "barriers are not compiled")
+            continue
         if plan.barrier_flavors:
             flavors = ", ".join(
                 f"{name} x{count}"

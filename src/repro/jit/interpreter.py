@@ -18,9 +18,9 @@ Barrier flavors at execution time:
 * ``DYNAMIC`` pays a context test (counted as a dynamic dispatch), then
   runs the right variant.
 
-Region methods execute inside ``vm.region(...)`` built from the method's
-:class:`~repro.jit.ir.RegionSpec`; the static region checker has already
-guaranteed they return nothing.
+Region methods execute inside a security region built from the method's
+:class:`~repro.jit.ir.RegionSpec` (:meth:`Interpreter._region_for`); the
+static region checker has already guaranteed they return nothing.
 
 Execution tiers.  :meth:`Interpreter._execute` dispatches either through
 the plain switch loop (tier 0) or per-method handler tables (tier 1,
@@ -394,27 +394,33 @@ class Interpreter:
     def _call_cold(self, method: Method, args: list[Any]) -> Any:
         """The untiered call path (also the tier-2 engine's deopt target)."""
         if method.is_region:
-            spec = method.region_spec or RegionSpec()
-            catch = None
-            if spec.catch is not None:
-                handler = self.program.method(spec.catch)
-
-                def catch(exc: BaseException) -> None:
-                    # The handler runs while the region frame is still on
-                    # the stack (SecurityRegion.__exit__ semantics), so it
-                    # sees the region's labels and capabilities.
-                    self._execute(handler, [])
-
-            with self.vm.region(
-                secrecy=spec.secrecy,
-                integrity=spec.integrity,
-                caps=spec.caps,
-                catch=catch,
-                name=method.name,
-            ):
+            with self._region_for(method):
                 self._execute(method, args)
             return None
         return self._execute(method, args)
+
+    def _region_for(self, method: Method) -> Any:
+        """The security region a region method's body runs in, built from
+        its :class:`~repro.jit.ir.RegionSpec`: the one place either call
+        tier opens a region for a method."""
+        spec = method.region_spec or RegionSpec()
+        catch = None
+        if spec.catch is not None:
+            handler = self.program.method(spec.catch)
+
+            def catch(exc: BaseException) -> None:
+                # The handler runs while the region frame is still on
+                # the stack (SecurityRegion.__exit__ semantics), so it
+                # sees the region's labels and capabilities.
+                self._execute(handler, [])
+
+        return self.vm.region(
+            secrecy=spec.secrecy,
+            integrity=spec.integrity,
+            caps=spec.caps,
+            catch=catch,
+            name=method.name,
+        )
 
     # -- the dispatch loop ----------------------------------------------------------
 

@@ -309,9 +309,10 @@ class Program:
         self.tier2_meta: tuple = (-1, -1)
         #: Methods whose :class:`~repro.analysis.typecheck.
         #: SecurityCertificate` fully discharged, set by the compiler's
-        #: ``optimize_barriers="certified"`` mode.  Tier-2 uses this to
-        #: compile one universal (guard-free) variant per certified
-        #: method; empty outside certified builds.
+        #: ``optimize_barriers="certified"`` mode (which deleted their
+        #: barriers) and reported by ``lamc compile``; empty outside
+        #: certified builds.  Tier 2 compiles them per context key like
+        #: any other method.
         self.certified_methods: frozenset = frozenset()
 
     def shape_stamp(self) -> int:

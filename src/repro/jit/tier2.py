@@ -25,8 +25,10 @@ Tier 2 (this module)
     flavors specialize to the guarded context while still counting their
     dispatch (so :class:`~repro.runtime.barriers.BarrierStats` stay
     byte-identical across tiers).  Superinstruction fusion optionally
-    collapses the hot pairs ``getfield``+``binop``, ``binop``+``cjump``
-    and ``aload``+``astore`` into single statements.
+    collapses the hot pairs ``getfield``+``binop`` and ``binop``+``cjump``
+    into single statements.  A method with a labeled-statics barrier
+    (``sreadbar``/``swritebar``) is never compiled: it stays on the
+    handler tables, which run those barriers.
 
 Guards and deoptimization
     Compiled code is only entered through the code cache, and the cache
@@ -64,7 +66,7 @@ from ..core import LabelPair, RegionViolation, fastpath
 from ..runtime.barriers import cached_check_flow
 from .cloning import IN_SUFFIX
 from .interpreter import _BINOPS, _OUT_OF_REGION_MSG, IRArray, IRObject, Interpreter
-from .ir import BarrierFlavor, Method, Opcode, Program, RegionSpec
+from .ir import BarrierFlavor, Method, Opcode, Program
 
 __all__ = [
     "TierPolicy",
@@ -82,12 +84,9 @@ MAX_VARIANTS = 4
 #: The single out-of-region context key (no labels to specialize on:
 #: "outside a security region threads always have empty labels").
 _OUT_KEY = ("out",)
-#: Universal variant key for certified methods (see
-#: :mod:`repro.analysis.typecheck`): a certificate proves every check in
-#: the method discharged in every reachable context, and the certified
-#: build already deleted its barriers — so one guard-free variant serves
-#: all label shapes and contexts, and entry-guard deopts cannot happen.
-_CERT_KEY = ("cert",)
+
+#: Labeled-statics barriers: tier 2 declines any method carrying one.
+_STATIC_BARRIERS = frozenset({Opcode.SREADBAR, Opcode.SWRITEBAR})
 
 # -- code epoch ---------------------------------------------------------------
 
@@ -121,11 +120,11 @@ class TierPolicy:
     backedge_threshold: int = 60
     #: Entry-guard misses before the opposite-context clone is compiled.
     deopt_recompile_threshold: int = 2
-    #: Superinstruction fusion: collapse ``getfield``+``binop``,
-    #: ``binop``+``cjump`` and ``aload``+``astore`` pairs into single
-    #: statements, and inline binop operators (``div`` keeps its helper:
-    #: its int/float behavior needs the function).  Off = one statement
-    #: per IR instruction through the bound-function table.
+    #: Superinstruction fusion: collapse ``getfield``+``binop`` and
+    #: ``binop``+``cjump`` pairs into single statements, and inline binop
+    #: operators (``div`` keeps its helper: its int/float behavior needs
+    #: the function).  Off = one statement per IR instruction through the
+    #: bound-function table.
     fusion: bool = True
 
 
@@ -143,23 +142,14 @@ class MethodProfile:
 class CompiledMethod:
     """One exec-compiled context variant of a method."""
 
-    __slots__ = ("fn", "key", "variant_name", "entry_index", "fused_pairs",
-                 "source")
+    __slots__ = ("fn", "entry_index", "fused_pairs")
 
     def __init__(
-        self,
-        fn: Callable,
-        variant_name: str,
-        entry_index: dict[str, int],
-        fused_pairs: dict,
-        source: str,
+        self, fn: Callable, entry_index: dict[str, int], fused_pairs: dict
     ) -> None:
         self.fn = fn
-        self.key: tuple = ()
-        self.variant_name = variant_name
         self.entry_index = entry_index
         self.fused_pairs = fused_pairs
-        self.source = source
 
 
 # -- structural analysis ------------------------------------------------------
@@ -206,10 +196,6 @@ def find_fused_pairs(method: Method) -> dict:
                 t = a.operands[0]
                 if b.operands[0] == t and reads.get(t, 0) == 1:
                     kind = "binop+cjump"
-            elif a.op is Opcode.ALOAD and b.op is Opcode.ASTORE:
-                t = a.operands[0]
-                if b.operands[2] == t and reads.get(t, 0) == 1:
-                    kind = "aload+astore"
             if kind is not None:
                 pairs[(label, i)] = kind
                 i += 2
@@ -218,12 +204,20 @@ def find_fused_pairs(method: Method) -> dict:
     return pairs
 
 
+def has_static_barrier(method: Method) -> bool:
+    """Whether ``method`` guards a labeled static (tier 2 declines it)."""
+    return any(instr.op in _STATIC_BARRIERS for instr in method.all_instrs())
+
+
 @dataclass
 class TierPlan:
     """What tier-2 would do with one method (``lamc disasm --tiers``)."""
 
     method: str
     is_region: bool
+    #: False when a labeled-statics barrier keeps the method on the
+    #: handler tables.
+    compilable: bool
     barrier_flavors: dict[str, int]
     fused: list[tuple[str, int, str]]
     call_sites: int
@@ -242,6 +236,7 @@ def plan_method(method: Method, policy: TierPolicy) -> TierPlan:
     return TierPlan(
         method=method.name,
         is_region=method.is_region,
+        compilable=not has_static_barrier(method),
         barrier_flavors=flavors,
         fused=[(label, i, kind) for (label, i), kind in sorted(fused.items())],
         call_sites=call_sites,
@@ -417,34 +412,6 @@ class _Codegen:
         self.prologue.add("_stats")
         return lines
 
-    def _static_bar(self, instr, name: str, is_read: bool) -> list[str]:
-        counter = "read_barriers" if is_read else "write_barriers"
-        lines = [f"_stats.{counter} += 1"]
-        flavor = instr.flavor
-        if flavor is BarrierFlavor.DYNAMIC:
-            lines.append("_stats.dynamic_dispatches += 1")
-            variant_in = self.in_region
-        else:
-            variant_in = flavor is BarrierFlavor.STATIC_IN
-        lines.append(f"_sl = _slabels.get({name!r}, _EMPTY)")
-        if variant_in:
-            lines.append("_stats.label_checks += 1")
-            ctxstr = f"static {name}"
-            if is_read:
-                lines.append(f"_cflow(_sl, _TL, _stats, context={ctxstr!r})")
-            else:
-                lines.append(f"_cflow(_TL, _sl, _stats, context={ctxstr!r})")
-        else:
-            msg = (
-                f"access to labeled static {name!r} outside any "
-                f"security region"
-            )
-            lines.append("_stats.space_checks += 1")
-            lines.append("if not _sl.is_empty:")
-            lines.append(f"    raise _RV({msg!r})")
-        self.prologue.update(("_stats", "_slabels"))
-        return lines
-
     # -- per-instruction emission -----------------------------------------
 
     def emit_instr(self, instr) -> None:
@@ -530,14 +497,6 @@ class _Codegen:
             self.flush(1)
             for line in self._alloc_barrier(instr, ops[0]):
                 self.emit(line)
-        elif op is Opcode.SREADBAR:
-            self.flush(1)
-            for line in self._static_bar(instr, ops[0], is_read=True):
-                self.emit(line)
-        elif op is Opcode.SWRITEBAR:
-            self.flush(1)
-            for line in self._static_bar(instr, ops[0], is_read=False):
-                self.emit(line)
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled opcode {op}")
 
@@ -586,12 +545,6 @@ class _Codegen:
             else:
                 expr = self.binop_expr(b.operands[1], R(b.operands[2]), load)
             self.emit(f"{R(b.operands[0])} = {expr}")
-        elif kind == "aload+astore":
-            self.flush(2)
-            self.emit(
-                f"{R(b.operands[0])}.items[{R(b.operands[1])}] = "
-                f"{R(a.operands[1])}.items[{R(a.operands[2])}]"
-            )
         else:  # pragma: no cover
             raise AssertionError(kind)
 
@@ -641,7 +594,6 @@ class _Codegen:
             "_labeled": "ctx.labeled",
             "_call": "ctx.interp._call",
             "_method": "ctx.program.method",
-            "_slabels": "ctx.interp.static_labels",
         }
         src = ["def _t2(ctx, regs, _entry):"]
         for name in sorted(self.prologue):
@@ -680,21 +632,6 @@ def _dispatch_tree(
     _dispatch_tree(out, bodies, mid, hi, indent + 4)
 
 
-def bake_closure(source: str, bindings: dict, entry: str, filename: str):
-    """Exec-compile generated ``source`` with constants pre-bound as its
-    globals and return the ``entry`` function.
-
-    The template compiler emits plain Python whose free names are baked
-    constants (interned labels, handler tables), so the generated code
-    runs with zero per-call environment lookups beyond the globals dict.
-    ``bindings`` is copied — callers may reuse their template
-    dictionaries.
-    """
-    glob = dict(bindings)
-    exec(compile(source, filename, "exec"), glob)
-    return glob[entry]
-
-
 def compile_method(
     method: Method,
     program: Program,
@@ -709,8 +646,10 @@ def compile_method(
         method, program, in_region, thread_labels, fusion, region_body
     )
     source, glob = gen.generate()
-    fn = bake_closure(source, glob, "_t2", f"<tier2:{variant_name}>")
-    return CompiledMethod(fn, variant_name, gen.entry_index, gen.fused, source)
+    # The generated code's free names are baked constants bound in its
+    # own globals, so it runs with no per-call environment lookups.
+    exec(compile(source, f"<tier2:{variant_name}>", "exec"), glob)
+    return CompiledMethod(glob["_t2"], gen.entry_index, gen.fused)
 
 
 # -- the engine ---------------------------------------------------------------
@@ -770,12 +709,7 @@ class Tier2Engine:
         if method.is_region:
             return self._call_region(method, args, profile)
         thread = self.interp.vm.current_thread
-        if method.name in self.program.certified_methods:
-            key: tuple = _CERT_KEY
-        elif thread.in_region:
-            key = ("in", thread.labels)
-        else:
-            key = _OUT_KEY
+        key = ("in", thread.labels) if thread.in_region else _OUT_KEY
         compiled = self.cache.get((method.name, key))
         if compiled is None:
             compiled = self._maybe_compile(method, key, profile)
@@ -793,26 +727,8 @@ class Tier2Engine:
         then dispatch the *body* on the label pair actually observed
         inside (nesting-proof, and spec mutations change the key)."""
         interp = self.interp
-        spec = method.region_spec or RegionSpec()
-        catch = None
-        if spec.catch is not None:
-            handler = self.program.method(spec.catch)
-
-            def catch(exc: BaseException) -> None:
-                interp._execute(handler, [])
-
-        with interp.vm.region(
-            secrecy=spec.secrecy,
-            integrity=spec.integrity,
-            caps=spec.caps,
-            catch=catch,
-            name=method.name,
-        ):
-            thread = interp.vm.current_thread
-            if method.name in self.program.certified_methods:
-                key = _CERT_KEY
-            else:
-                key = ("region", thread.labels)
+        with interp._region_for(method):
+            key = ("region", interp.vm.current_thread.labels)
             compiled = self.cache.get((method.name, key))
             if compiled is None:
                 compiled = self._maybe_compile(method, key, profile)
@@ -861,14 +777,14 @@ class Tier2Engine:
         return None
 
     def _compile(self, method: Method, key: tuple) -> Optional[CompiledMethod]:
+        if has_static_barrier(method):
+            # Labeled-statics barriers are not compiled: the method keeps
+            # running on the handler tables, which implement them.
+            self._uncompilable.add(method.name)
+            return None
         kind = key[0]
         name = method.name
-        if kind == "cert":
-            # Certified method: barriers are already gone, so the code is
-            # context-independent — one universal variant, no label-shape
-            # specialization and no entry guard to deopt on.
-            in_region, labels = method.is_region, LabelPair.EMPTY
-        elif kind == "in":
+        if kind == "in":
             # The per-context clone of Section 5.1, compiled for the
             # in-region label shape that kept deopting.
             in_region, labels, name = True, key[1], name + IN_SUFFIX
@@ -889,7 +805,6 @@ class Tier2Engine:
             # Codegen must never take execution down: mark and interpret.
             self._uncompilable.add(method.name)
             return None
-        compiled.key = key
         self.cache[(method.name, key)] = compiled
         self._variants.setdefault(method.name, set()).add(key)
         self.compiles += 1
@@ -929,10 +844,8 @@ class Tier2Engine:
                 return None
             if method.name in self._uncompilable:
                 return None
-            if method.name in self.program.certified_methods:
-                key: tuple = _CERT_KEY
-            elif method.is_region:
-                key = ("region", thread.labels)
+            if method.is_region:
+                key: tuple = ("region", thread.labels)
             elif thread.in_region:
                 key = ("in", thread.labels)
             else:

@@ -23,13 +23,14 @@ from repro.core import (
     CapabilitySet,
     Label,
     LabelPair,
+    RegionViolation,
     SecrecyViolation,
     check_flow,
     fastpath,
     flow_verdict,
 )
-from repro.jit import Interpreter, JITConfig, compile_source
-from repro.osim import Kernel
+from repro.jit import Compiler, Interpreter, JITConfig, compile_source
+from repro.osim import Kernel, LaminarSecurityModule
 from repro.runtime import LaminarAPI, LaminarVM
 from repro.runtime.barriers import BarrierStats, cached_check_flow
 
@@ -279,6 +280,82 @@ done:
 """
 
 
+#: Labeled statics (the Section 5.1 extension) through every static
+#: barrier outcome: ``bump`` reads and writes the {alpha}-labeled static
+#: ``s`` inside an alpha region (allowed), ``peek`` reads it inside a
+#: beta region (refused; the region suppresses the violation and audits
+#: it), and ``main`` ends with an out-of-region read, refused with
+#: RegionViolation.  ``step`` touches no static.
+LABELED_STATICS = """
+region method bump() secrecy(alpha) {
+entry:
+  getstatic x, s
+  const one, 1
+  binop x, add, x, one
+  putstatic s, x
+  print x
+  ret
+}
+
+region method peek() secrecy(beta) {
+entry:
+  getstatic x, s
+  print x
+  ret
+}
+
+method step(i) {
+entry:
+  const one, 1
+  binop j, add, i, one
+  ret j
+}
+
+method main() {
+entry:
+  const i, 0
+  jmp loop
+loop:
+  const lim, 12
+  binop more, lt, i, lim
+  br more, body, done
+body:
+  call _, bump
+  call _, peek
+  call i, step, i
+  jmp loop
+done:
+  getstatic x, s
+  ret x
+}
+"""
+
+
+def run_labeled_statics(cfg, policy=None):
+    """Run ``LABELED_STATICS`` on a fresh VM.  Returns ``((result or
+    exception name, output, executed, barrier stats, audit), interp)``."""
+    program, _ = Compiler(cfg, labeled_statics=True, inline=False).compile(
+        LABELED_STATICS
+    )
+    kernel = Kernel(LaminarSecurityModule())
+    vm = LaminarVM(kernel)
+    vm.current_thread.gain_capabilities(
+        CapabilitySet.dual(*program.tags.values())
+    )
+    interp = Interpreter(program, vm, tier2=policy)
+    interp.declare_static("s", LabelPair(Label.of(program.tags["alpha"])))
+    try:
+        result = interp.run("main")
+    except RegionViolation as error:
+        result = type(error).__name__
+    audit = tuple(str(entry) for entry in kernel.audit.entries())
+    return (
+        (result, list(interp.output), interp.executed, vm.barriers.stats,
+         audit),
+        interp,
+    )
+
+
 class TestDispatchTable:
     def _run(self, cfg=JITConfig.STATIC):
         program, _ = compile_source(WORKLOAD, cfg)
@@ -287,16 +364,31 @@ class TestDispatchTable:
         result = interp.run("main")
         return result, list(interp.output), interp.executed, vm.barriers.stats
 
+    def _run_statics(self, cfg):
+        return run_labeled_statics(cfg)[0]
+
     def test_table_and_switch_agree(self):
         for cfg in JITConfig:
-            with fastpath.configured(dispatch_table=True):
-                on = self._run(cfg)
+            for run in (self._run, self._run_statics):
+                with fastpath.configured(dispatch_table=True):
+                    on = run(cfg)
+                with fastpath.configured(dispatch_table=False):
+                    off = run(cfg)
+                assert on[0] == off[0], cfg
+                assert on[1] == off[1], cfg
+                assert on[2] == off[2], f"{cfg}: executed-instruction counts differ"
+                assert vars(on[3]) == vars(off[3]), cfg
+                assert on[4:] == off[4:], f"{cfg}: audit logs differ"
+
+    def test_labeled_statics_program_reaches_every_outcome(self):
+        for cfg in (JITConfig.STATIC, JITConfig.DYNAMIC):
             with fastpath.configured(dispatch_table=False):
-                off = self._run(cfg)
-            assert on[0] == off[0], cfg
-            assert on[1] == off[1], cfg
-            assert on[2] == off[2], f"{cfg}: executed-instruction counts differ"
-            assert vars(on[3]) == vars(off[3]), cfg
+                result, output, _, stats, audit = self._run_statics(cfg)
+            assert result == "RegionViolation"  # the out-of-region read
+            assert output == list(range(1, 13))  # bump only: peek refused
+            assert len(audit) == 12
+            assert all("peek suppressed" in line for line in audit)
+            assert stats.label_checks > 0 and stats.space_checks == 1
 
     def test_tables_are_built_and_reused(self):
         program, _ = compile_source(WORKLOAD, JITConfig.STATIC, inline=False)

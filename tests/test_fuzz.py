@@ -222,6 +222,77 @@ class TestLeakyModule:
         assert public_tree(k1) == public_tree(k2)
 
 
+class TestSecretSwapModes:
+    """Each oracle mode runs the execution engine it names, so
+    ``_check_tiers`` compares the switch loop, the handler tables and
+    tier 2 against each other."""
+
+    SOURCE = """
+    class Cell { val }
+
+    method bump(c) {
+    entry:
+      getfield v, c, val
+      const one, 1
+      binop v, add, v, one
+      putfield c, val, v
+      ret v
+    }
+
+    method main() {
+    entry:
+      new c, Cell
+      const i, 0
+      jmp loop
+    loop:
+      const lim, 5
+      binop more, lt, i, lim
+      br more, body, done
+    body:
+      call i, bump, c
+      jmp loop
+    done:
+      print i
+      ret i
+    }
+    """
+
+    def _engines(self, monkeypatch, mode):
+        from repro.analysis.secretswap import collect_observables
+        from repro.jit.interpreter import Interpreter
+
+        runs = {"switch": 0, "table": 0}
+        for name, attr in (("switch", "_execute_switch"),
+                           ("table", "_execute_table")):
+            real = getattr(Interpreter, attr)
+
+            def spy(self, method, args, real=real, name=name):
+                runs[name] += 1
+                return real(self, method, args)
+
+            monkeypatch.setattr(Interpreter, attr, spy)
+        obs = collect_observables(self.SOURCE, mode=mode)
+        assert obs.result == 5 and obs.output == (5,)
+        return runs
+
+    def test_interp_mode_runs_the_switch_loop(self, monkeypatch):
+        runs = self._engines(monkeypatch, "interp")
+        assert runs["switch"] > 0 and runs["table"] == 0, runs
+
+    def test_tables_mode_runs_the_handler_tables(self, monkeypatch):
+        runs = self._engines(monkeypatch, "tables")
+        assert runs["table"] > 0 and runs["switch"] == 0, runs
+
+    def test_tier2_mode_never_runs_the_switch_loop(self, monkeypatch):
+        assert self._engines(monkeypatch, "tier2")["switch"] == 0
+
+    def test_interp_mode_restores_the_dispatch_tables(self, monkeypatch):
+        from repro.core import fastpath
+
+        self._engines(monkeypatch, "interp")
+        assert fastpath.flags.dispatch_table is True
+
+
 # ---------------------------------------------------------------------------
 # CLI contract
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import itertools
 import pytest
 
 from repro.baselines import vanilla_kernel
+from repro.bench.workloads import battleship, gradesheet, listsum, txnmix
 from repro.core import CapabilitySet, Label, fastpath
 from repro.jit import (
     Compiler,
@@ -32,6 +33,8 @@ from repro.osim.filesystem import Inode
 from repro.runtime import LaminarVM
 from repro.runtime.heap import ObjectHeader
 from repro.tools.lamc import main as lamc_main
+
+from .test_fastpath_caches import run_labeled_statics
 
 #: Aggressive promotion so small tests reach tier 2 quickly.
 HOT = TierPolicy(
@@ -179,11 +182,10 @@ def _reset_id_counters() -> None:
     ObjectHeader._oid_counter = itertools.count(1)
 
 
-#: ``mid`` is marked certified, so tier 2 compiles one context-free
-#: variant of it; ``main`` calls it outside any region and, through
-#: ``work``, inside a region on an object allocated there.  ``leaf`` is
-#: not certified, so each call from ``mid`` must be dispatched for the
-#: context ``mid`` actually runs in, not the one it was compiled in.
+#: ``mid`` is marked certified; ``main`` calls it outside any region and,
+#: through ``work``, inside a region on an object allocated there.
+#: ``leaf`` is not certified, so each call from ``mid`` must be
+#: dispatched for the context ``mid`` actually runs in.
 CERT_CALLER_SRC = """
 class Box { val }
 
@@ -423,9 +425,9 @@ class TestDeoptAndClone:
 
 class TestCompiledCallSites:
     def test_certified_caller_dispatches_for_its_runtime_context(self):
-        # A certified variant runs in every context, so its call sites
-        # cannot use the key it was compiled under: inside the region,
-        # leaf must run for the region's labels, not outside-region code.
+        # A certified method compiles per context key like any other:
+        # inside the region, mid and leaf run their in-region variants,
+        # so leaf's barrier checks the region's labels.
         kw = dict(config=JITConfig.DYNAMIC, inline=False,
                   certified=("mid",))
         cold = _observe(CERT_CALLER_SRC, **kw)
@@ -434,17 +436,20 @@ class TestCompiledCallSites:
             assert cold[key] == hot[key], f"tier-2 diverged on {key}"
         assert cold["output"] == (5,) * 6 + (7,) * 6
         assert cold["stats"].label_checks > 0
-        assert ("mid", ("cert",)) in hot["program"].tier2_cache
+        mid_keys = {key[0] for name, key in hot["program"].tier2_cache
+                    if name == "mid"}
+        assert mid_keys == {"out", "in"}
         assert hot["stats"].tier2_entries > 0
 
-    def test_certified_build_runs_universal_variants(self):
-        # The compiler's own certified set reaches the engine.
+    def test_certified_build_compiles_per_context(self):
+        # A certified build runs barrier-free methods under the same
+        # context keys as an uncertified one.
         kw = dict(optimize_barriers="certified", inline=False)
         cold = _observe(LOOP_SRC, **kw)
         hot = _observe(LOOP_SRC, policy=HOT, **kw)
         _equivalent(cold, hot)
         assert hot["program"].certified_methods == {"main", "sum"}
-        assert ("sum", ("cert",)) in hot["program"].tier2_cache
+        assert ("sum", ("out",)) in hot["program"].tier2_cache
 
     def test_compiled_callers_pass_their_context_to_callees(self):
         # DUAL_CONTEXT_SRC calls touch from compiled code both inside the
@@ -626,6 +631,101 @@ class TestGuardsAndInvalidation:
         assert interp._tier2 is None
         interp.run("main")
         assert not program.tier2_cache
+
+
+#: perfbench ``vm``'s four programs at its sizes (``perfbench/wl_vm.py``).
+VM_PROGRAMS = {
+    "txnmix": (txnmix(n=400), JITConfig.STATIC, {}),
+    "listsum": (listsum(n=60, reps=26), JITConfig.STATIC, {}),
+    "gradesheet": (gradesheet(n=40, reps=4), JITConfig.DYNAMIC,
+                   {"inline": False}),
+    "battleship": (battleship(n=24, rounds=3), JITConfig.DYNAMIC,
+                   {"inline": False}),
+}
+
+
+def _vm_program(name):
+    source, config, kw = VM_PROGRAMS[name]
+    program, _ = Compiler(config, tier="jit", **kw).compile(source)
+    return program
+
+
+def _vm_request(program):
+    """One perfbench ``vm`` request: a fresh machine and interpreter
+    running ``main``; returns the request's engine."""
+    vm = LaminarVM(Kernel(LaminarSecurityModule()))
+    if program.tags:
+        vm.current_thread.gain_capabilities(
+            CapabilitySet.dual(*program.tags.values())
+        )
+    interp = Interpreter(program, vm)
+    interp.run("main")
+    return interp._tier2
+
+
+def _warm_keys(name, method):
+    """The context keys ``method`` holds once requests stop compiling."""
+    program = _vm_program(name)
+    quiet = 0
+    for _ in range(40):
+        engine = _vm_request(program)
+        quiet = quiet + 1 if engine.compiles == 0 else 0
+        if quiet == 2:
+            break
+    return [key for name_, key in program.tier2_cache if name_ == method]
+
+
+class TestBenchmarkShapes:
+    """The tier-2 paths perfbench ``vm`` runs on: OSR is the only way the
+    loop programs' ``main`` compiles, the region programs' helpers hold
+    per-context clones, and listsum fuses both pair kinds."""
+
+    @pytest.mark.parametrize("name", ["listsum", "txnmix"])
+    def test_main_enters_tier2_through_osr_in_the_first_run(self, name):
+        program = _vm_program(name)
+        engine = _vm_request(program)
+        assert engine.profiles["main"].invocations == 1
+        assert engine.osr_entries >= 1
+        assert ("main", ("out",)) in program.tier2_cache
+
+    def test_gradesheet_bump_holds_out_and_one_in_variant(self):
+        keys = _warm_keys("gradesheet", "bump")
+        assert ("out",) in keys
+        assert len(keys) == 2 and sum(key[0] == "in" for key in keys) == 1
+
+    def test_battleship_fire_holds_three_variants(self):
+        keys = _warm_keys("battleship", "fire")
+        assert len(keys) == 3
+        assert sorted(key[0] for key in keys) == ["in", "in", "out"]
+
+    def test_listsum_fuses_both_pair_kinds(self):
+        program = _vm_program("listsum")
+        _vm_request(program)
+        kinds = {
+            kind for compiled in program.tier2_cache.values()
+            for kind in compiled.fused_pairs.values()
+        }
+        assert kinds == {"binop+cjump", "getfield+binop"}
+
+
+class TestLabeledStatics:
+    def test_static_barrier_methods_stay_on_the_tables(self):
+        # Tier 2 declines methods with labeled-statics barriers: they run
+        # on the handler tables, and the program observes the same
+        # allowed accesses, refusals and suppressed violations as cold.
+        from repro.jit.disasm import disassemble_tiers
+
+        for cfg in (JITConfig.STATIC, JITConfig.DYNAMIC):
+            cold, _ = run_labeled_statics(cfg)
+            hot, interp = run_labeled_statics(cfg, policy=HOT)
+            assert hot[:3] == cold[:3], cfg
+            assert hot[3].enforcement() == cold[3].enforcement(), cfg
+            assert hot[4] == cold[4], cfg
+            program = interp.program
+            assert {name for name, _ in program.tier2_cache} == {"step"}
+            assert interp._tier2._uncompilable == {"main", "bump", "peek"}
+            plan = disassemble_tiers(program)
+            assert plan.count("stays on the handler tables") == 3
 
 
 class TestAuditParity:
