@@ -155,11 +155,11 @@ def _measure(source: str, config: JITConfig, compile_kw: dict, arm: str):
                 "osr_entries": engine.osr_entries,
                 "variants": {
                     name: sorted(str(key) for key in keys)
-                    for name, keys in sorted(engine._variants.items())
+                    for name, keys in sorted(program.tier2.variants.items())
                 },
                 "fused_pairs": sum(
                     len(compiled.fused_pairs)
-                    for compiled in program.tier2_cache.values()
+                    for compiled in program.tier2.cache.values()
                 ),
             }
         seconds = median_seconds(

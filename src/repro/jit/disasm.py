@@ -96,9 +96,11 @@ def disassemble_tiers(program: Program, policy=None) -> str:
     For every method: the execution tier it starts in and the thresholds
     that promote it, the barrier flavors tier-2 would bake into the
     template, the superinstruction pairs fusion would form, the guarded
-    entry points (call-entry guard plus OSR loop headers), and the call
-    sites that re-dispatch through the engine.  A method with a
-    labeled-statics barrier is reported as staying on the handler tables.
+    entry points (call-entry guard plus OSR loop headers), and how many
+    call sites link straight to their callee's compiled variant and how
+    many re-dispatch through the engine (calls to region methods).  A
+    method with a labeled-statics barrier is reported as staying on the
+    handler tables.
     """
     from .tier2 import TierPolicy, plan_method
 
@@ -114,7 +116,7 @@ def disassemble_tiers(program: Program, policy=None) -> str:
         f"{'attached' if tiered else 'not attached — plan only'})"
     )
     for method in program.methods.values():
-        plan = plan_method(method, policy)
+        plan = plan_method(method, program, policy)
         lines.append("")
         kind = "region method" if plan.is_region else "method"
         lines.append(f"{kind} {method.name}:")
@@ -138,5 +140,8 @@ def disassemble_tiers(program: Program, policy=None) -> str:
         guards = ["entry (context key)"]
         guards += [f"osr @{label}" for label in plan.loop_headers]
         lines.append(f"  guards: {', '.join(guards)}")
-        lines.append(f"  call sites (re-dispatched): {plan.call_sites}")
+        lines.append(
+            f"  call sites: {plan.linked_calls} linked, "
+            f"{plan.redispatched_calls} re-dispatched"
+        )
     return "\n".join(lines) + "\n"

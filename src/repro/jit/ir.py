@@ -277,6 +277,48 @@ class Method:
         return f"Method({self.name!r}, {kind}, {len(self.blocks)} blocks)"
 
 
+class Tier2State:
+    """A program's tier-2 state (:mod:`repro.jit.tier2`): the code cache
+    and the profiles that fill it.
+
+    It lives on the program, so every interpreter over the program counts
+    into the same profiles and runs the same compiled variants.  It is
+    valid for one ``(shape stamp, code epoch)`` pair; :meth:`reset` empties
+    every table in place when that pair moves.
+    """
+
+    __slots__ = (
+        "meta", "cache", "profiles", "variants", "backedges", "uncompilable",
+        "links",
+    )
+
+    def __init__(self) -> None:
+        #: (shape stamp, fastpath code epoch) the tables are valid for.
+        self.meta: tuple = (-1, -1)
+        #: (method name, context key) -> CompiledMethod.
+        self.cache: dict = {}
+        #: method name -> MethodProfile (invocations, back-edges, deopts).
+        self.profiles: dict = {}
+        #: method name -> the context keys compiled for it.
+        self.variants: dict[str, set] = {}
+        #: method name -> its loop-header labels (the OSR entry points).
+        self.backedges: dict[str, frozenset] = {}
+        #: methods tier 2 declined; they stay on the handler tables.
+        self.uncompilable: set[str] = set()
+        #: (method name, context key) -> one-element list that compiled
+        #: call sites read: the variant once it is compiled, else None.
+        self.links: dict = {}
+
+    def reset(self, meta: tuple) -> None:
+        self.meta = meta
+        self.cache.clear()
+        self.profiles.clear()
+        self.variants.clear()
+        self.backedges.clear()
+        self.uncompilable.clear()
+        self.links.clear()
+
+
 class Program:
     """A compilation unit: methods plus class field declarations."""
 
@@ -295,18 +337,16 @@ class Program:
         #: Shared execution caches, validated against :meth:`shape_stamp`:
         #: per-method handler tables (tier 1, see
         #: :func:`repro.jit.interpreter.build_handler_table`) and tier-2
-        #: compiled code (:mod:`repro.jit.tier2`).  Both are keyed here so
-        #: every :class:`~repro.jit.interpreter.Interpreter` over the same
-        #: program shares one copy of the "compiled" artifacts.
+        #: compiled code with its profiles (:class:`Tier2State`).  Both are
+        #: kept here so every :class:`~repro.jit.interpreter.Interpreter`
+        #: over the same program shares one copy of the "compiled"
+        #: artifacts.
         self.exec_tables: dict[str, dict[str, list]] = {}
         self.exec_tables_stamp: int = -1
         #: How many per-method handler tables were ever built for this
         #: program (the build-once regression test reads this).
         self.table_builds: int = 0
-        #: (method name, context key) -> tier-2 CompiledMethod.
-        self.tier2_cache: dict = {}
-        #: (shape stamp, fastpath code epoch) the tier-2 cache is valid for.
-        self.tier2_meta: tuple = (-1, -1)
+        self.tier2 = Tier2State()
         #: Methods whose :class:`~repro.analysis.typecheck.
         #: SecurityCertificate` fully discharged, set by the compiler's
         #: ``optimize_barriers="certified"`` mode (which deleted their

@@ -10,7 +10,10 @@ Tier 0/1 (:mod:`repro.jit.interpreter`)
     The switch loop and the per-method handler tables.  With a
     :class:`Tier2Engine` attached they also *profile*: method invocations
     are counted at :meth:`Tier2Engine.call`, back-edges at the jump
-    points of both dispatch loops.
+    points of both dispatch loops.  Profiles live on the program
+    (:class:`~repro.jit.ir.Tier2State`), so every interpreter over it
+    counts into the same ones: a method called once per run compiles
+    after enough runs.
 
 Tier 2 (this module)
     A hot method's IR is translated to one Python function (``exec``'d
@@ -31,30 +34,41 @@ Tier 2 (this module)
     handler tables, which run those barriers.
 
 Guards and deoptimization
-    Compiled code is only entered through the code cache, and the cache
-    key *is* the guard: ``("out",)``, ``("in", labels)``, or ``("region",
-    labels)`` — looked up against the calling thread's actual region
-    context at every call (and at OSR points).  A miss when a different
-    variant exists is a *deopt*: the call runs in the interpreter (never
-    raising :class:`~repro.jit.interpreter.StaleCompilationError` — that
-    failure mode belongs to the static prototype, not the tiered engine),
-    and after :attr:`TierPolicy.deopt_recompile_threshold` such misses
-    the engine compiles the method again for the new context, as the
-    variant ``name$in`` — the paper's "a production implementation would
-    use cloning".  No IR copy is made: tier-2 call sites select their
-    callee's variant at run time, so the method's own IR serves both.
-    Region-method bodies are compiled per observed in-region label pair,
-    so nested entries and mutated :class:`~repro.jit.ir.RegionSpec`\\ s
-    each get (and guard) their own variant.
+    Compiled code is entered through the code cache, whose key *is* the
+    guard: ``("out",)``, ``("in", labels)``, or ``("region", labels)`` —
+    looked up against the calling thread's actual region context at every
+    engine call (and at OSR points).  A miss when a different variant
+    exists is a *deopt*: the call runs in the interpreter (never raising
+    :class:`~repro.jit.interpreter.StaleCompilationError` — that failure
+    mode belongs to the static prototype, not the tiered engine), and
+    after :attr:`TierPolicy.deopt_recompile_threshold` such misses the
+    engine compiles the method again for the new context, as the variant
+    ``name$in`` — the paper's "a production implementation would use
+    cloning".  No IR copy is made: the method's own IR serves every
+    variant.  Region-method bodies are compiled per observed in-region
+    label pair, so nested entries and mutated
+    :class:`~repro.jit.ir.RegionSpec`\\ s each get (and guard) their own
+    variant.
+
+Linked call sites
+    Inside a variant the context is fixed, so a ``call`` to a non-region
+    method knows its callee's key at compile time: ``("out",)`` callers
+    call ``("out",)``, ``("in", L)`` and ``("region", L)`` callers call
+    ``("in", L)``.  The site reads a per-(callee, key) link cell on the
+    program's tier-2 state, which :meth:`Tier2Engine._compile` fills when
+    that variant is compiled; from then on the site enters it directly,
+    doing :meth:`Tier2Engine.call`'s bookkeeping inline.  Until then — and
+    always for region callees, whose entry is an enforcement point — the
+    site calls the engine, the one slow path.
 
 Cache invalidation
-    Entries are validated per :meth:`Interpreter.run` against the
+    The tier-2 state is validated per :meth:`Interpreter.run` against the
     program's shape stamp (IR passes mutate methods in place) and a
     module-wide *code epoch* bumped by every
     :func:`repro.core.fastpath.clear_caches` /
     :func:`~repro.core.fastpath.configure` — compiled bodies bake interned
     label identities and cache-layer assumptions, so a fastpath
-    reconfiguration discards them wholesale.
+    reconfiguration discards them, their links and the profiles wholesale.
 """
 
 from __future__ import annotations
@@ -139,16 +153,26 @@ class MethodProfile:
         self.deopts = 0
 
 
-class CompiledMethod:
-    """One exec-compiled context variant of a method."""
+def _profile(profiles: dict, name: str) -> MethodProfile:
+    profile = profiles.get(name)
+    if profile is None:
+        profile = profiles[name] = MethodProfile()
+    return profile
 
-    __slots__ = ("fn", "entry_index", "fused_pairs")
+
+class CompiledMethod:
+    """One exec-compiled context variant of a method; ``entry`` is the
+    block index of the method's entry block."""
+
+    __slots__ = ("fn", "entry_index", "entry", "fused_pairs")
 
     def __init__(
-        self, fn: Callable, entry_index: dict[str, int], fused_pairs: dict
+        self, fn: Callable, entry_index: dict[str, int], entry: int,
+        fused_pairs: dict,
     ) -> None:
         self.fn = fn
         self.entry_index = entry_index
+        self.entry = entry
         self.fused_pairs = fused_pairs
 
 
@@ -209,6 +233,21 @@ def has_static_barrier(method: Method) -> bool:
     return any(instr.op in _STATIC_BARRIERS for instr in method.all_instrs())
 
 
+def linked_callee(program: Program, instr) -> Optional[Method]:
+    """The callee a compiled ``call`` site links to, or ``None`` when the
+    site always re-dispatches through the engine: a region callee (region
+    entry is an enforcement point), and a call that fails at run time (no
+    such method, wrong arity), so it fails the same way on every path."""
+    callee = program.methods.get(instr.operands[1])
+    if (
+        callee is None
+        or callee.is_region
+        or len(callee.params) != len(instr.operands) - 2
+    ):
+        return None
+    return callee
+
+
 @dataclass
 class TierPlan:
     """What tier-2 would do with one method (``lamc disasm --tiers``)."""
@@ -220,18 +259,24 @@ class TierPlan:
     compilable: bool
     barrier_flavors: dict[str, int]
     fused: list[tuple[str, int, str]]
-    call_sites: int
+    #: Call sites that jump straight to their callee's variant once it is
+    #: compiled, and call sites that always go through the engine.
+    linked_calls: int
+    redispatched_calls: int
     loop_headers: tuple[str, ...]
 
 
-def plan_method(method: Method, policy: TierPolicy) -> TierPlan:
+def plan_method(method: Method, program: Program, policy: TierPolicy) -> TierPlan:
     flavors: dict[str, int] = {}
-    call_sites = 0
+    linked = redispatched = 0
     for instr in method.all_instrs():
         if instr.flavor is not None:
             flavors[instr.flavor.value] = flavors.get(instr.flavor.value, 0) + 1
         if instr.op is Opcode.CALL:
-            call_sites += 1
+            if linked_callee(program, instr) is None:
+                redispatched += 1
+            else:
+                linked += 1
     fused = find_fused_pairs(method) if policy.fusion else {}
     return TierPlan(
         method=method.name,
@@ -239,7 +284,8 @@ def plan_method(method: Method, policy: TierPolicy) -> TierPlan:
         compilable=not has_static_barrier(method),
         barrier_flavors=flavors,
         fused=[(label, i, kind) for (label, i), kind in sorted(fused.items())],
-        call_sites=call_sites,
+        linked_calls=linked,
+        redispatched_calls=redispatched,
         loop_headers=tuple(sorted(backedge_targets(method))),
     )
 
@@ -274,37 +320,37 @@ def _literal(value: Any) -> Optional[str]:
 
 
 class _Codegen:
-    """Translate one method body to Python source for one context.
+    """Translate one method body to Python source for one context key.
 
-    ``in_region`` + ``thread_labels`` describe the guarded context the
-    code is specialized to; barrier flavors stay faithful to the IR
-    (a STATIC_OUT barrier in in-region code still runs the out-variant,
-    exactly as the interpreter executes it), while DYNAMIC flavors
-    specialize to the context but keep counting their dispatch.
+    The key is the guarded context the code is specialized to: out of
+    region, or in a region with the key's label pair.  Barrier flavors
+    stay faithful to the IR (a STATIC_OUT barrier in in-region code still
+    runs the out-variant, exactly as the interpreter executes it), while
+    DYNAMIC flavors specialize to the context but keep counting their
+    dispatch.  The key also fixes the context every non-region callee
+    runs in, so call sites link to that one variant of their callee.
     """
 
     def __init__(
-        self,
-        method: Method,
-        program: Program,
-        in_region: bool,
-        thread_labels: LabelPair,
-        fusion: bool,
-        region_body: bool,
+        self, method: Method, program: Program, key: tuple, fusion: bool
     ) -> None:
         self.method = method
         self.program = program
-        self.in_region = in_region
+        self.in_region = key[0] != "out"
         self.fusion = fusion
-        self.region_body = region_body
+        self.region_body = method.is_region
+        #: Callees of this variant run in its context: ("out",) stays
+        #: ("out",); ("in", L) and ("region", L) both call ("in", L).
+        self.callee_key = ("in", key[1]) if self.in_region else _OUT_KEY
         self.fused = find_fused_pairs(method) if fusion else {}
         self.globals: dict[str, Any] = {
-            "_TL": thread_labels,
+            "_TL": key[1] if self.in_region else LabelPair.EMPTY,
             "_EMPTY": LabelPair.EMPTY,
             "_RV": RegionViolation,
             "_cflow": cached_check_flow,
             "_IRObject": IRObject,
             "_IRArray": IRArray,
+            "_fpc": fastpath.counters,
         }
         self.prologue: set[str] = set()
         self.lines: list[str] = []
@@ -355,6 +401,18 @@ class _Codegen:
             return f"({a} {_PYOPS[opname]} {b})"
         fn = self.bind(f"_op_{opname}", _BINOPS[opname])
         return f"{fn}({a}, {b})"
+
+    def link(self, callee: str) -> tuple[str, str]:
+        """Bind the program's link cell for ``callee`` in this variant's
+        callee context, and the callee's profile, as globals."""
+        state = self.program.tier2
+        key = (callee, self.callee_key)
+        cell = state.links.setdefault(key, [state.cache.get(key)])
+        self._const_n += 1
+        return (
+            self.bind(f"_L{self._const_n}", cell),
+            self.bind(f"_P{self._const_n}", _profile(state.profiles, callee)),
+        )
 
     def emit(self, line: str) -> None:
         self.lines.append(line)
@@ -479,12 +537,33 @@ class _Codegen:
         elif op is Opcode.CALL:
             self.flush(1)
             self.prologue.update(("_call", "_method"))
-            args = ", ".join(R(a) for a in ops[2:])
-            call = f"_call(_method({ops[1]!r}), [{args}])"
-            if ops[0] is not None:
-                self.emit(f"{R(ops[0])} = {call}")
-            else:
+            args = [R(a) for a in ops[2:]]
+            dest = f"{R(ops[0])} = " if ops[0] is not None else ""
+            call = f"{dest}_call(_method({ops[1]!r}), [{', '.join(args)}])"
+            callee = linked_callee(self.program, instr)
+            if callee is None:
                 self.emit(call)
+                return
+            # Linked site: once the callee's variant for this context is
+            # compiled, enter it directly with Tier2Engine.call's
+            # bookkeeping; until then, go through the engine.
+            cell, profile = self.link(ops[1])
+            regs = ", ".join(
+                f"{param!r}: {arg}" for param, arg in zip(callee.params, args)
+            )
+            self.prologue.update(("_stats", "_eng"))
+            for line in (
+                f"_c = {cell}[0]",
+                "if _c is None:",
+                f"    {call}",
+                "else:",
+                f"    {profile}.invocations += 1",
+                "    _stats.tier2_entries += 1",
+                "    _fpc.tier2_entries += 1",
+                "    _eng.entries += 1",
+                f"    {dest}_c.fn(ctx, {{{regs}}}, _c.entry)",
+            ):
+                self.emit(line)
         elif op is Opcode.READBAR:
             self.flush(1)
             for line in self._object_barrier(instr, ops[0], is_read=True):
@@ -594,6 +673,7 @@ class _Codegen:
             "_labeled": "ctx.labeled",
             "_call": "ctx.interp._call",
             "_method": "ctx.program.method",
+            "_eng": "ctx.interp._tier2",
         }
         src = ["def _t2(ctx, regs, _entry):"]
         for name in sorted(self.prologue):
@@ -633,51 +713,40 @@ def _dispatch_tree(
 
 
 def compile_method(
-    method: Method,
-    program: Program,
-    in_region: bool,
-    thread_labels: LabelPair,
-    fusion: bool,
-    region_body: bool,
-    variant_name: str,
+    method: Method, program: Program, key: tuple, fusion: bool
 ) -> CompiledMethod:
-    """Translate ``method`` to a compiled context variant (see module doc)."""
-    gen = _Codegen(
-        method, program, in_region, thread_labels, fusion, region_body
-    )
+    """Translate ``method`` to its variant for context ``key`` (see module
+    doc).  An ``("in", labels)`` variant is the per-context clone of
+    Section 5.1 and is named ``name$in``."""
+    gen = _Codegen(method, program, key, fusion)
     source, glob = gen.generate()
+    name = method.name + IN_SUFFIX if key[0] == "in" else method.name
     # The generated code's free names are baked constants bound in its
     # own globals, so it runs with no per-call environment lookups.
-    exec(compile(source, f"<tier2:{variant_name}>", "exec"), glob)
-    return CompiledMethod(glob["_t2"], gen.entry_index, gen.fused)
+    exec(compile(source, f"<tier2:{name}>", "exec"), glob)
+    return CompiledMethod(
+        glob["_t2"], gen.entry_index, gen.entry_index[method.entry], gen.fused
+    )
 
 
 # -- the engine ---------------------------------------------------------------
 
 
 class Tier2Engine:
-    """Profiling + code cache + guard/deopt protocol for one interpreter.
+    """The guard/deopt protocol for one interpreter, over its program's
+    tier-2 state.
 
-    Compiled code is shared across engines through
-    ``program.tier2_cache``; profiles and event counters are per-engine
-    (they describe one interpreter's execution, and ``lamc run`` reports
-    them).
+    Compiled code and the profiles that decide what to compile live on
+    the program (:class:`~repro.jit.ir.Tier2State`), so every interpreter
+    over it warms the same methods.  The engine itself keeps only
+    per-interpreter event counters (``lamc run``'s tier-2 line).
     """
 
     def __init__(self, interp: Interpreter, policy: TierPolicy) -> None:
         self.interp = interp
         self.policy = policy
         self.program = interp.program
-        self.cache = self.program.tier2_cache
-        self.profiles: dict[str, MethodProfile] = {}
-        #: method name -> set of context keys compiled (the deopt detector:
-        #: a key miss while this is non-empty means the guard failed).
-        self._variants: dict[str, set] = {}
-        for name, key in self.cache:
-            self._variants.setdefault(name, set()).add(key)
-        self._backedges: dict[str, frozenset] = {}
-        self._uncompilable: set[str] = set()
-        # Per-engine event counters (lamc run's tier-2 report line).
+        self.state = self.program.tier2
         self.compiles = 0
         self.entries = 0
         self.deopts = 0
@@ -686,38 +755,35 @@ class Tier2Engine:
     # -- cache validity ---------------------------------------------------
 
     def validate(self, stamp: int) -> None:
-        """Discard compiled code when the program shape or the fastpath
-        code epoch moved (called once per ``Interpreter.run``)."""
+        """Discard compiled code and profiles when the program shape or the
+        fastpath code epoch moved (called once per ``Interpreter.run``)."""
         meta = (stamp, _CODE_EPOCH)
-        if self.program.tier2_meta != meta:
-            if self.cache:
+        state = self.state
+        if state.meta != meta:
+            if state.cache:
                 fastpath.counters.tier2_invalidations += 1
-            self.cache.clear()
-            self.program.tier2_meta = meta
-            self._variants.clear()
-            self._backedges.clear()
-            self._uncompilable.clear()
-            self.profiles.clear()
+            state.reset(meta)
 
     # -- profiling + dispatch ---------------------------------------------
 
     def call(self, method: Method, args: list) -> Any:
-        profile = self.profiles.get(method.name)
-        if profile is None:
-            profile = self.profiles[method.name] = MethodProfile()
+        """Every call but a linked compiled site's: interpreted call sites,
+        ``run`` and ``join``, compiled sites whose callee variant does not
+        exist yet, and calls to region methods."""
+        state = self.state
+        profile = _profile(state.profiles, method.name)
         profile.invocations += 1
         if method.is_region:
             return self._call_region(method, args, profile)
         thread = self.interp.vm.current_thread
         key = ("in", thread.labels) if thread.in_region else _OUT_KEY
-        compiled = self.cache.get((method.name, key))
+        compiled = state.cache.get((method.name, key))
         if compiled is None:
             compiled = self._maybe_compile(method, key, profile)
         if compiled is None:
             return self.interp._call_cold(method, args)
         return self._enter(
-            compiled, dict(zip(method.params, args)),
-            compiled.entry_index[method.entry],
+            compiled, dict(zip(method.params, args)), compiled.entry
         )
 
     def _call_region(
@@ -729,15 +795,14 @@ class Tier2Engine:
         interp = self.interp
         with interp._region_for(method):
             key = ("region", interp.vm.current_thread.labels)
-            compiled = self.cache.get((method.name, key))
+            compiled = self.state.cache.get((method.name, key))
             if compiled is None:
                 compiled = self._maybe_compile(method, key, profile)
             if compiled is None:
                 interp._execute(method, args)
             else:
                 self._enter(
-                    compiled, dict(zip(method.params, args)),
-                    compiled.entry_index[method.entry],
+                    compiled, dict(zip(method.params, args)), compiled.entry
                 )
         return None
 
@@ -751,9 +816,9 @@ class Tier2Engine:
     def _maybe_compile(
         self, method: Method, key: tuple, profile: MethodProfile
     ) -> Optional[CompiledMethod]:
-        if method.name in self._uncompilable:
+        if method.name in self.state.uncompilable:
             return None
-        existing = self._variants.get(method.name)
+        existing = self.state.variants.get(method.name)
         if existing:
             # Entry-guard miss: compiled code exists, but for a different
             # region context / label shape.  Deoptimize to the interpreter
@@ -777,39 +842,29 @@ class Tier2Engine:
         return None
 
     def _compile(self, method: Method, key: tuple) -> Optional[CompiledMethod]:
+        state = self.state
         if has_static_barrier(method):
             # Labeled-statics barriers are not compiled: the method keeps
             # running on the handler tables, which implement them.
-            self._uncompilable.add(method.name)
+            state.uncompilable.add(method.name)
             return None
-        kind = key[0]
-        name = method.name
-        if kind == "in":
-            # The per-context clone of Section 5.1, compiled for the
-            # in-region label shape that kept deopting.
-            in_region, labels, name = True, key[1], name + IN_SUFFIX
-        elif kind == "region":
-            in_region, labels = True, key[1]
-        else:
-            in_region, labels = False, LabelPair.EMPTY
         try:
-            compiled = compile_method(
-                method, self.program,
-                in_region=in_region,
-                thread_labels=labels,
-                fusion=self.policy.fusion,
-                region_body=method.is_region,
-                variant_name=name,
-            )
+            compiled = compile_method(method, self.program, key, self.policy.fusion)
         except Exception:
             # Codegen must never take execution down: mark and interpret.
-            self._uncompilable.add(method.name)
+            state.uncompilable.add(method.name)
             return None
-        self.cache[(method.name, key)] = compiled
-        self._variants.setdefault(method.name, set()).add(key)
+        state.cache[(method.name, key)] = compiled
+        state.variants.setdefault(method.name, set()).add(key)
+        link = state.links.get((method.name, key))
+        if link is not None:
+            # Compiled call sites waiting for this variant now enter it.
+            link[0] = compiled
         self.compiles += 1
         fastpath.counters.tier2_compiles += 1
-        if kind == "in":
+        if key[0] == "in":
+            # The per-context clone of Section 5.1, compiled for the
+            # in-region label shape that kept deopting.
             fastpath.counters.tier2_clones += 1
         return compiled
 
@@ -825,14 +880,13 @@ class Tier2Engine:
         body at the loop header (on-stack replacement) — returning the
         method result wrapped in a 1-tuple.
         """
-        targets = self._backedges.get(method.name)
+        state = self.state
+        targets = state.backedges.get(method.name)
         if targets is None:
-            targets = self._backedges[method.name] = backedge_targets(method)
+            targets = state.backedges[method.name] = backedge_targets(method)
         if not targets:
             return None
-        profile = self.profiles.get(method.name)
-        if profile is None:
-            profile = self.profiles[method.name] = MethodProfile()
+        profile = _profile(state.profiles, method.name)
         policy = self.policy
         thread = self.interp.vm.current_thread
 
@@ -842,7 +896,7 @@ class Tier2Engine:
             profile.backedges += 1
             if profile.backedges < policy.backedge_threshold:
                 return None
-            if method.name in self._uncompilable:
+            if method.name in state.uncompilable:
                 return None
             if method.is_region:
                 key: tuple = ("region", thread.labels)
@@ -850,9 +904,9 @@ class Tier2Engine:
                 key = ("in", thread.labels)
             else:
                 key = _OUT_KEY
-            compiled = self.cache.get((method.name, key))
+            compiled = state.cache.get((method.name, key))
             if compiled is None:
-                existing = self._variants.get(method.name)
+                existing = state.variants.get(method.name)
                 if existing and len(existing) >= MAX_VARIANTS:
                     return None
                 compiled = self._compile(method, key)

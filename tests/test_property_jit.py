@@ -179,17 +179,56 @@ class TestOptimizationSoundness:
 
 
 @st.composite
-def region_program(draw) -> str:
+def region_program(draw, regions: int = 1) -> str:
     """A program with a security region, a shared helper, and (maybe) a
     catch handler — the shapes where unsound barrier elimination would be
     *observable*: a removed check skips an IFC violation, the region body
-    runs further than it should, and the printed output diverges."""
-    attr = draw(st.sampled_from(["secrecy(s)", "integrity(s)", ""]))
+    runs further than it should, and the printed output diverges.
+
+    With ``regions=2`` a second region method under its own tag shares
+    the helper, and each region calls it first, so the helper runs under
+    three label shapes (out of region and in each region), like
+    battleship's ``fire``."""
+    parts = [
+        "class Gen { fa, fb }",
+        "method helper(o) {\nentry:\n"
+        "  getfield h, o, fa\n"
+        "  binop h, add, h, h\n"
+        "  putfield o, fb, h\n"
+        "  ret h\n}",
+        "method onfail() {\nentry:\n  const m, -77\n  print m\n  ret\n}",
+    ]
+    calls = []
+    for n, tag in enumerate(("s", "u")[:regions]):
+        attrs = [f"secrecy({tag})", f"integrity({tag})"]
+        if regions == 1:
+            attrs.append("")
+        name = "work" if n == 0 else f"work{n + 1}"
+        calls.append(f"  call _, {name}, b\n")
+        attr = draw(st.sampled_from(attrs))
+        parts.append(_region_method(draw, name, attr, shared=regions > 1))
+    parts.append(
+        "method main() {\nentry:\n"
+        "  new b, Gen\n"
+        "  const v, 3\n"
+        "  putfield b, fa, v\n"
+        "  call r, helper, b\n"
+        + "".join(calls)
+        + "  getfield t, b, fb\n"
+        "  print t\n"
+        "  ret r\n}"
+    )
+    return "\n\n".join(parts)
+
+
+def _region_method(draw, name: str, attr: str, shared: bool) -> str:
     catch = draw(st.booleans())
-    header = f"region method work(b) {attr}" + (
+    header = f"region method {name}(b) {attr}" + (
         " catch(onfail)" if catch else ""
     )
     body: list[str] = ["  new f, Gen", "  const k, 7", "  putfield f, fa, k"]
+    if shared:
+        body.append("  call h, helper, f")
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(
             st.sampled_from(
@@ -209,26 +248,7 @@ def region_program(draw) -> str:
             body += [f"  const p, {draw(st.integers(0, 9))}", "  print p"]
         else:
             body.append("  call h, helper, f")
-    parts = [
-        "class Gen { fa, fb }",
-        "method helper(o) {\nentry:\n"
-        "  getfield h, o, fa\n"
-        "  binop h, add, h, h\n"
-        "  putfield o, fb, h\n"
-        "  ret h\n}",
-        "method onfail() {\nentry:\n  const m, -77\n  print m\n  ret\n}",
-        header + " {\nentry:\n" + "\n".join(body) + "\n  ret\n}",
-        "method main() {\nentry:\n"
-        "  new b, Gen\n"
-        "  const v, 3\n"
-        "  putfield b, fa, v\n"
-        "  call r, helper, b\n"
-        "  call _, work, b\n"
-        "  getfield t, b, fb\n"
-        "  print t\n"
-        "  ret r\n}",
-    ]
-    return "\n\n".join(parts)
+    return header + " {\nentry:\n" + "\n".join(body) + "\n  ret\n}"
 
 
 def _observe(program) -> tuple[object, list, str | None]:

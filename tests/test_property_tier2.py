@@ -3,9 +3,14 @@
 Hypothesis generates the same random programs as
 :mod:`tests.test_property_jit` (straight-line/branchy arithmetic and heap
 traffic, and security-region programs with a shared helper and catch
-handlers), runs each one through the interpreter and through the tiered
-engine with aggressive promotion thresholds (so even tiny methods reach
-tier 2 / OSR), and asserts the full observable record is identical:
+handlers, under one region or two with distinct tags), runs each one
+through the interpreter and through the tiered engine with aggressive
+promotion thresholds (so even tiny methods reach tier 2 / OSR), and
+asserts the full observable record is identical.  Each program is
+compiled once and run twice, each run on a fresh kernel, VM and
+interpreter: every call site executes once per run, so most compiled
+call sites find their callee's variant linked only in the second run.
+Both runs are compared, each against the same run untiered:
 
 * return value (or escaped exception type),
 * printed output,
@@ -53,8 +58,13 @@ def _reset_id_counters() -> None:
 
 
 def _observe(source, config, policy, **compile_kw):
-    _reset_id_counters()
+    """The observable records of two runs of one compiled program."""
     program, _ = Compiler(config, **compile_kw).compile(source)
+    return [_run(program, policy) for _ in range(2)]
+
+
+def _run(program, policy):
+    _reset_id_counters()
     kernel = Kernel(LaminarSecurityModule())
     vm = LaminarVM(kernel)
     if program.tags:
@@ -78,26 +88,28 @@ def _observe(source, config, policy, **compile_kw):
     }
 
 
-def _assert_equivalent(cold, hot, source):
-    assert hot["exc"] == cold["exc"], (
-        f"tier-2 changed the escaped exception on:\n{source}"
-    )
-    assert hot["result"] == cold["result"], (
-        f"tier-2 changed the result on:\n{source}"
-    )
-    assert hot["output"] == cold["output"], (
-        f"tier-2 changed printed output on:\n{source}"
-    )
-    assert hot["enforcement"] == cold["enforcement"], (
-        f"tier-2 changed enforcement counters on:\n{source}"
-    )
-    assert hot["audit"] == cold["audit"], (
-        f"tier-2 changed the audit log on:\n{source}"
-    )
-    if cold["exc"] is None:
-        assert hot["executed"] == cold["executed"], (
-            f"tier-2 changed the executed-instruction count on:\n{source}"
+def _assert_equivalent(colds, hots, source):
+    for run, (cold, hot) in enumerate(zip(colds, hots), 1):
+        where = f"run {run} of:\n{source}"
+        assert hot["exc"] == cold["exc"], (
+            f"tier-2 changed the escaped exception on {where}"
         )
+        assert hot["result"] == cold["result"], (
+            f"tier-2 changed the result on {where}"
+        )
+        assert hot["output"] == cold["output"], (
+            f"tier-2 changed printed output on {where}"
+        )
+        assert hot["enforcement"] == cold["enforcement"], (
+            f"tier-2 changed enforcement counters on {where}"
+        )
+        assert hot["audit"] == cold["audit"], (
+            f"tier-2 changed the audit log on {where}"
+        )
+        if cold["exc"] is None:
+            assert hot["executed"] == cold["executed"], (
+                f"tier-2 changed the executed-instruction count on {where}"
+            )
 
 
 class TestPlainProgramEquivalence:
@@ -155,10 +167,19 @@ class TestRegionProgramEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(region_program())
     def test_never_raises_stale_compilation(self, source):
-        hot = _observe(source, JITConfig.STATIC, AGGRESSIVE, inline=False)
-        assert hot["exc"] != "StaleCompilationError", (
-            f"tier-2 leaked a stale static barrier on:\n{source}"
-        )
+        for hot in _observe(source, JITConfig.STATIC, AGGRESSIVE, inline=False):
+            assert hot["exc"] != "StaleCompilationError", (
+                f"tier-2 leaked a stale static barrier on:\n{source}"
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(region_program(regions=2))
+    def test_two_regions_share_the_helper(self, source):
+        # The helper's out-of-region variant and one in-region variant per
+        # region tag, as battleship's fire in perfbench vm.
+        cold = _observe(source, JITConfig.DYNAMIC, None, inline=False)
+        hot = _observe(source, JITConfig.DYNAMIC, AGGRESSIVE, inline=False)
+        _assert_equivalent(cold, hot, source)
 
 
 class TestAmbientRegionContext:
@@ -171,16 +192,15 @@ class TestAmbientRegionContext:
     def test_in_region_entry_matches_interpreter(self, source):
         from repro.runtime import LaminarAPI
 
-        def observe(policy):
+        from repro.core import Label
+
+        def run(program, policy):
             _reset_id_counters()
-            program, _ = Compiler(JITConfig.DYNAMIC).compile(source)
             kernel = Kernel(LaminarSecurityModule())
             vm = LaminarVM(kernel)
             api = LaminarAPI(vm)
             tag = api.create_and_add_capability("ambient")
             interp = Interpreter(program, vm, tier2=policy)
-            from repro.core import Label
-
             with vm.region(secrecy=Label.of(tag),
                            caps=CapabilitySet.dual(tag)):
                 try:
@@ -194,6 +214,10 @@ class TestAmbientRegionContext:
                 vm.barriers.stats.enforcement(),
                 tuple(str(entry) for entry in kernel.audit.entries()),
             )
+
+        def observe(policy):
+            program, _ = Compiler(JITConfig.DYNAMIC).compile(source)
+            return [run(program, policy) for _ in range(2)]
 
         assert observe(None) == observe(AGGRESSIVE), (
             f"tier-2 diverged under an ambient region on:\n{source}"

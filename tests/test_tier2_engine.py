@@ -1,12 +1,15 @@
 """Directed tests for the tier-2 template JIT engine.
 
 Covers the tiered-execution contract: profile-guided promotion (entry and
-OSR), observational equivalence with the interpreter (results, executed
+OSR, with profiles shared by every interpreter over a program),
+observational equivalence with the interpreter (results, executed
 counts, enforcement counters, audit bytes), the guard/deopt protocol
 (opposite-context calls fall back to the interpreter and materialize
-clones — never :class:`StaleCompilationError`), code-cache invalidation
-on IR mutation and fastpath reconfiguration, and the CLI surface
-(``lamc run --tier2``, ``lamc disasm --tiers``).
+clones — never :class:`StaleCompilationError`), linked call sites and
+the check that every compiled variant runs only under its own context
+key, code-cache invalidation on IR mutation and fastpath
+reconfiguration, and the CLI surface (``lamc run --tier2``,
+``lamc disasm --tiers``).
 """
 
 from __future__ import annotations
@@ -174,6 +177,52 @@ odone:
   ret r
 }
 """
+
+
+#: A region method with no labels whose spec a test mutates between runs
+#: (:func:`_mutate_work_spec`); ``work`` loops long enough to OSR.
+SPEC_MUTATION_SRC = """
+class Box { v }
+region method work() {
+entry:
+  const i, 0
+loop:
+  const lim, 10
+  binop c, lt, i, lim
+  br c, body, done
+body:
+  const one, 1
+  binop i, add, i, one
+  jmp loop
+done:
+  ret
+}
+method main() {
+entry:
+  const j, 0
+outer:
+  const lim, 4
+  binop c, lt, j, lim
+  br c, obody, odone
+obody:
+  call _, work
+  const one, 1
+  binop j, add, j, one
+  jmp outer
+odone:
+  ret j
+}
+"""
+
+
+def _mutate_work_spec(program, vm) -> None:
+    """Give ``work`` a secrecy tag the VM's thread owns."""
+    from repro.runtime import LaminarAPI
+
+    tag = LaminarAPI(vm).create_and_add_capability("t")
+    program.method("work").region_spec = RegionSpec(
+        secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)
+    )
 
 
 def _reset_id_counters() -> None:
@@ -384,7 +433,7 @@ class TestDeoptAndClone:
         assert hot["stats"].tier2_deopts == engine.deopts
         # The helper was compiled for both contexts: the out variant and
         # an in-region clone materialized after repeated deopts.
-        touch_keys = {k for (name, k) in hot["program"].tier2_cache
+        touch_keys = {k for (name, k) in hot["program"].tier2.cache
                       if name == "touch"}
         assert ("out",) in touch_keys
         assert any(k[0] == "in" for k in touch_keys), (
@@ -418,7 +467,7 @@ class TestDeoptAndClone:
         # below the recompile threshold, only) variant is the in-region
         # one; the out-context calls keep deopting to the interpreter
         # instead of materializing a second variant.
-        touch_keys = {k for (name, k) in hot["program"].tier2_cache
+        touch_keys = {k for (name, k) in hot["program"].tier2.cache
                       if name == "touch"}
         assert len(touch_keys) == 1, touch_keys
 
@@ -436,7 +485,7 @@ class TestCompiledCallSites:
             assert cold[key] == hot[key], f"tier-2 diverged on {key}"
         assert cold["output"] == (5,) * 6 + (7,) * 6
         assert cold["stats"].label_checks > 0
-        mid_keys = {key[0] for name, key in hot["program"].tier2_cache
+        mid_keys = {key[0] for name, key in hot["program"].tier2.cache
                     if name == "mid"}
         assert mid_keys == {"out", "in"}
         assert hot["stats"].tier2_entries > 0
@@ -449,7 +498,7 @@ class TestCompiledCallSites:
         hot = _observe(LOOP_SRC, policy=HOT, **kw)
         _equivalent(cold, hot)
         assert hot["program"].certified_methods == {"main", "sum"}
-        assert ("sum", ("out",)) in hot["program"].tier2_cache
+        assert ("sum", ("out",)) in hot["program"].tier2.cache
 
     def test_compiled_callers_pass_their_context_to_callees(self):
         # DUAL_CONTEXT_SRC calls touch from compiled code both inside the
@@ -460,7 +509,7 @@ class TestCompiledCallSites:
                        inline=False, policy=HOT)
         _equivalent(cold, hot)
         engine = hot["interp"]._tier2
-        assert engine.profiles["touch"].invocations == 8 * 20 + 8
+        assert hot["program"].tier2.profiles["touch"].invocations == 8 * 20 + 8
         assert hot["stats"].tier2_entries == engine.entries
 
     def test_arity_error_is_the_same_on_every_path(self):
@@ -472,7 +521,7 @@ class TestCompiledCallSites:
         interp = Interpreter(program, vm, tier2=HOT)
         with pytest.raises(TypeError, match=message):
             interp.run("sum")
-        assert "sum" not in interp._tier2.profiles
+        assert "sum" not in program.tier2.profiles
 
 
 class TestBlockDispatch:
@@ -487,7 +536,7 @@ class TestBlockDispatch:
         hot = _observe(src, policy=eager, inline=False)
         _equivalent(cold, hot)
         assert len(hot["program"].method("f").blocks) == nblocks
-        assert ("f", ("out",)) in hot["program"].tier2_cache
+        assert ("f", ("out",)) in hot["program"].tier2.cache
 
     @pytest.mark.parametrize("nblocks", [1, 2, 3, 17])
     def test_osr_enters_at_every_loop_header(self, nblocks):
@@ -523,7 +572,7 @@ class TestBlockDispatch:
     def test_invalid_entry_index_is_rejected(self):
         hot = _observe(_loop_chain_src(5), inline=False, policy=TierPolicy(
             invocation_threshold=1, backedge_threshold=10_000))
-        compiled = hot["program"].tier2_cache[("f", ("out",))]
+        compiled = hot["program"].tier2.cache[("f", ("out",))]
         interp = hot["interp"]
         for bad in (-1, 5, 6):
             with pytest.raises(AssertionError,
@@ -538,7 +587,7 @@ class TestGuardsAndInvalidation:
         vm = LaminarVM(Kernel(LaminarSecurityModule()))
         interp = Interpreter(program, vm, tier2=HOT)
         first = interp.run("main")
-        assert program.tier2_cache
+        assert program.tier2.cache
         before = fastpath.counters.tier2_invalidations
         # Any reconfiguration flushes caches and bumps the code epoch:
         # compiled bodies bake interned labels and layer assumptions.
@@ -555,7 +604,7 @@ class TestGuardsAndInvalidation:
         vm = LaminarVM(Kernel(LaminarSecurityModule()))
         interp = Interpreter(program, vm, tier2=HOT)
         first = interp.run("main")
-        assert ("sum", ("out",)) in program.tier2_cache
+        assert ("sum", ("out",)) in program.tier2.cache
         method = program.method("sum")
         entry = method.blocks[method.entry]
         entry.instrs[:] = [
@@ -567,59 +616,21 @@ class TestGuardsAndInvalidation:
         assert second == 123
 
     def test_region_spec_mutation_compiles_new_variant(self):
-        src = """
-        class Box { v }
-        region method work() {
-        entry:
-          const i, 0
-        loop:
-          const lim, 10
-          binop c, lt, i, lim
-          br c, body, done
-        body:
-          const one, 1
-          binop i, add, i, one
-          jmp loop
-        done:
-          ret
-        }
-        method main() {
-        entry:
-          const j, 0
-        outer:
-          const lim, 4
-          binop c, lt, j, lim
-          br c, obody, odone
-        obody:
-          call _, work
-          const one, 1
-          binop j, add, j, one
-          jmp outer
-        odone:
-          ret j
-        }
-        """
-        from repro.runtime import LaminarAPI
-
-        program, _ = compile_source(src, JITConfig.BASELINE)
+        program, _ = compile_source(SPEC_MUTATION_SRC, JITConfig.BASELINE)
         vm = LaminarVM(Kernel(LaminarSecurityModule()))
-        api = LaminarAPI(vm)
-        tag = api.create_and_add_capability("t")
         interp = Interpreter(program, vm, tier2=HOT)
         interp.run("main")
         keys_before = {
-            k for (name, k) in program.tier2_cache if name == "work"
+            k for (name, k) in program.tier2.cache if name == "work"
         }
         assert len(keys_before) == 1
         # Mutating the spec is legal between runs; the label pair observed
         # inside the region IS the cache key, so the old variant can never
         # run for the new labels.
-        program.method("work").region_spec = RegionSpec(
-            secrecy=Label.of(tag), caps=CapabilitySet.dual(tag)
-        )
+        _mutate_work_spec(program, vm)
         interp.run("main")
         keys_after = {
-            k for (name, k) in program.tier2_cache if name == "work"
+            k for (name, k) in program.tier2.cache if name == "work"
         }
         assert len(keys_after) == 2
         assert keys_before < keys_after
@@ -630,7 +641,7 @@ class TestGuardsAndInvalidation:
         interp = Interpreter(program, vm, verify_static=True, tier2=HOT)
         assert interp._tier2 is None
         interp.run("main")
-        assert not program.tier2_cache
+        assert not program.tier2.cache
 
 
 #: perfbench ``vm``'s four programs at its sizes (``perfbench/wl_vm.py``).
@@ -672,21 +683,22 @@ def _warm_keys(name, method):
         quiet = quiet + 1 if engine.compiles == 0 else 0
         if quiet == 2:
             break
-    return [key for name_, key in program.tier2_cache if name_ == method]
+    return [key for name_, key in program.tier2.cache if name_ == method]
 
 
 class TestBenchmarkShapes:
     """The tier-2 paths perfbench ``vm`` runs on: OSR is the only way the
-    loop programs' ``main`` compiles, the region programs' helpers hold
+    loop programs' ``main`` compiles, the region programs' ``main``
+    compiles once enough requests called it, their helpers hold
     per-context clones, and listsum fuses both pair kinds."""
 
     @pytest.mark.parametrize("name", ["listsum", "txnmix"])
     def test_main_enters_tier2_through_osr_in_the_first_run(self, name):
         program = _vm_program(name)
         engine = _vm_request(program)
-        assert engine.profiles["main"].invocations == 1
+        assert program.tier2.profiles["main"].invocations == 1
         assert engine.osr_entries >= 1
-        assert ("main", ("out",)) in program.tier2_cache
+        assert ("main", ("out",)) in program.tier2.cache
 
     def test_gradesheet_bump_holds_out_and_one_in_variant(self):
         keys = _warm_keys("gradesheet", "bump")
@@ -702,10 +714,152 @@ class TestBenchmarkShapes:
         program = _vm_program("listsum")
         _vm_request(program)
         kinds = {
-            kind for compiled in program.tier2_cache.values()
+            kind for compiled in program.tier2.cache.values()
             for kind in compiled.fused_pairs.values()
         }
         assert kinds == {"binop+cjump", "getfield+binop"}
+
+    @pytest.mark.parametrize("name", ["gradesheet", "battleship"])
+    def test_region_programs_main_compiles_across_requests(self, name):
+        # Profiles live on the program, so every request's interpreter
+        # counts into one profile: main, called once per request with
+        # loops too short to OSR, compiles once enough requests ran.
+        program = _vm_program(name)
+        _vm_request(program)
+        _vm_request(program)
+        assert program.tier2.profiles["main"].invocations == 2
+        assert ("main", ("out",)) not in program.tier2.cache
+        for _ in range(TierPolicy().invocation_threshold - 2):
+            _vm_request(program)
+        assert ("main", ("out",)) in program.tier2.cache
+
+
+@pytest.fixture
+def guarded_variants(monkeypatch):
+    """Wrap every variant tier 2 compiles so that each entry checks the
+    running thread against the variant's context key, and count the
+    calls that go through :meth:`Tier2Engine.call`.
+
+    Yields ``(entered, wrong, engine_calls)``: the ``(method, key kind)``
+    of every entry, the entries whose thread did not match, and
+    per-method engine calls.  A callee's profile invocations minus its
+    engine calls are the calls linked sites made.
+    """
+    from collections import Counter
+
+    from repro.jit import tier2
+
+    entered, wrong, engine_calls = [], [], Counter()
+    compile_method = tier2.compile_method
+    call = tier2.Tier2Engine.call
+
+    def guarded(method, program, key, fusion):
+        compiled = compile_method(method, program, key, fusion)
+        fn = compiled.fn
+
+        def entry(ctx, regs, block):
+            thread = ctx.interp.vm.current_thread
+            if key == ("out",):
+                ok = not thread.in_region
+            else:
+                ok = thread.in_region and thread.labels == key[1]
+            if not ok:
+                wrong.append((method.name, key, thread.labels))
+            entered.append((method.name, key[0]))
+            return fn(ctx, regs, block)
+
+        compiled.fn = entry
+        return compiled
+
+    def counted(engine, method, args):
+        engine_calls[method.name] += 1
+        return call(engine, method, args)
+
+    monkeypatch.setattr(tier2, "compile_method", guarded)
+    monkeypatch.setattr(tier2.Tier2Engine, "call", counted)
+    return entered, wrong, engine_calls
+
+
+def _linked_calls(program, engine_calls, name):
+    return program.tier2.profiles[name].invocations - engine_calls[name]
+
+
+class TestCompiledCodeRunsUnderItsKey:
+    """Compiled code is checked, not trusted: every entry into a variant,
+    whether from the engine, from OSR or from a linked call site, finds
+    the thread in the context the variant was compiled for (out of any
+    region, or in a region with exactly the key's labels)."""
+
+    def test_dual_context_helper(self, guarded_variants):
+        entered, wrong, engine_calls = guarded_variants
+        hot = _observe(DUAL_CONTEXT_SRC, config=JITConfig.DYNAMIC,
+                       inline=False, policy=HOT)
+        assert hot["exc"] is None
+        assert not wrong, wrong
+        assert {("main", "out"), ("work", "region"), ("touch", "out"),
+                ("touch", "in")} <= set(entered)
+        assert _linked_calls(hot["program"], engine_calls, "touch") > 0
+
+    def test_certified_caller(self, guarded_variants):
+        entered, wrong, engine_calls = guarded_variants
+        hot = _observe(CERT_CALLER_SRC, config=JITConfig.DYNAMIC,
+                       inline=False, certified=("mid",), policy=HOT)
+        assert hot["exc"] is None
+        assert not wrong, wrong
+        assert {("mid", "out"), ("mid", "in"), ("leaf", "out"),
+                ("leaf", "in")} <= set(entered)
+        assert _linked_calls(hot["program"], engine_calls, "leaf") > 0
+        assert _linked_calls(hot["program"], engine_calls, "mid") > 0
+
+    def test_region_spec_mutation(self, guarded_variants):
+        entered, wrong, _ = guarded_variants
+        program, _ = compile_source(SPEC_MUTATION_SRC, JITConfig.BASELINE)
+        vm = LaminarVM(Kernel(LaminarSecurityModule()))
+        Interpreter(program, vm, tier2=HOT).run("main")
+        _mutate_work_spec(program, vm)
+        Interpreter(program, vm, tier2=HOT).run("main")
+        assert not wrong, wrong
+        work_keys = {key for name, key in program.tier2.cache if name == "work"}
+        assert len(work_keys) == 2
+        assert entered.count(("work", "region")) > 0
+
+    def test_entry_from_an_ambient_region(self, guarded_variants):
+        # One program run inside an ambient region, then outside it, then
+        # inside again: main and sum hold variants for both contexts, and
+        # each run's linked sites must reach its own.
+        entered, wrong, engine_calls = guarded_variants
+        from repro.runtime import LaminarAPI
+
+        program, _ = Compiler(JITConfig.DYNAMIC, inline=False).compile(
+            LOOP_SRC
+        )
+        results = []
+        for ambient in (True, True, False, False, True):
+            vm = LaminarVM(Kernel(LaminarSecurityModule()))
+            interp = Interpreter(program, vm, tier2=HOT)
+            if ambient:
+                tag = LaminarAPI(vm).create_and_add_capability("ambient")
+                with vm.region(secrecy=Label.of(tag),
+                               caps=CapabilitySet.dual(tag)):
+                    results.append(interp.run("main"))
+            else:
+                results.append(interp.run("main"))
+        assert results == [1225] * 5
+        assert not wrong, wrong
+        assert {("main", "in"), ("main", "out"), ("sum", "in"),
+                ("sum", "out")} <= set(entered)
+        assert _linked_calls(program, engine_calls, "sum") > 0
+
+    @pytest.mark.parametrize("name", ["gradesheet", "battleship"])
+    def test_benchmark_region_programs(self, guarded_variants, name):
+        entered, wrong, engine_calls = guarded_variants
+        program = _vm_program(name)
+        for _ in range(TierPolicy().invocation_threshold + 2):
+            _vm_request(program)
+        assert not wrong, wrong
+        helper = "bump" if name == "gradesheet" else "fire"
+        assert {("main", "out"), (helper, "out"), (helper, "in")} <= set(entered)
+        assert _linked_calls(program, engine_calls, helper) > 0
 
 
 class TestLabeledStatics:
@@ -722,8 +876,8 @@ class TestLabeledStatics:
             assert hot[3].enforcement() == cold[3].enforcement(), cfg
             assert hot[4] == cold[4], cfg
             program = interp.program
-            assert {name for name, _ in program.tier2_cache} == {"step"}
-            assert interp._tier2._uncompilable == {"main", "bump", "peek"}
+            assert {name for name, _ in program.tier2.cache} == {"step"}
+            assert program.tier2.uncompilable == {"main", "bump", "peek"}
             plan = disassemble_tiers(program)
             assert plan.count("stays on the handler tables") == 3
 
@@ -817,6 +971,21 @@ class TestCLI:
         assert "guards: entry (context key)" in text
         assert "osr @" in text  # loop headers are OSR guard points
         assert "fused:" in text
+
+    def test_disasm_tiers_counts_linked_and_redispatched_calls(self, tmp_path):
+        # main calls touch (links to its variant) and the region method
+        # work (region entry always goes through the engine).
+        path = tmp_path / "dual.ir"
+        path.write_text(DUAL_CONTEXT_SRC)
+        code, text = self._run_cli(
+            "disasm", str(path), "--tiers", "--config", "dynamic",
+            "--no-inline",
+        )
+        assert code == 0
+        main = text[text.index("method main:"):]
+        assert "call sites: 1 linked, 1 re-dispatched" in main
+        work = text[text.index("region method work:"):text.index("method main:")]
+        assert "call sites: 1 linked, 0 re-dispatched" in work
 
     def test_plain_disasm_unchanged(self, tmp_path):
         path = tmp_path / "loop.ir"
