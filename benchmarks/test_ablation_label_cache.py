@@ -19,8 +19,9 @@ and demonstrates three things:
   materializations) strictly drops versus all-off;
 * **time reduction** — median wall-clock for the mix strictly drops.
 
-Every switch is also measured solo, quantifying the contribution of
-every layer.  Machine-readable results land in
+Every switch is also measured solo, and switched off alone with the
+others on (``without_<layer>``), which shows what each layer adds once
+the rest are on.  Machine-readable results land in
 ``BENCH_label_cache.json`` at the repository root.
 """
 
@@ -54,13 +55,16 @@ JSON_PATH = REPO_ROOT / "BENCH_label_cache.json"
 #: so a layer added there is switched off in "all_off" automatically.
 SWITCHES = tuple(fastpath.all_on())
 
-#: Every measured configuration: the two endpoints plus each layer solo.
+#: Every measured configuration: the two endpoints, each layer solo, and
+#: each layer switched off with the others on.
 CONFIGS: dict[str, dict[str, bool]] = {
     "all_on": fastpath.all_on(),
     "all_off": fastpath.all_off(),
 }
 for _solo in SWITCHES:
     CONFIGS[f"only_{_solo}"] = {name: name == _solo for name in SWITCHES}
+for _off in SWITCHES:
+    CONFIGS[f"without_{_off}"] = {name: name != _off for name in SWITCHES}
 
 TRIALS = 3
 OS_ITERS = 300
@@ -275,12 +279,15 @@ def sweep():
     lines = [
         "Label-cache ablation (Fig. 8 slice + labeled region + OS mix)",
         "",
-        f"{'config':<26} {'set ops':>10} {'seconds':>10} {'vs all_off':>10}",
+        f"{'config':<28} {'set ops':>10} {'seconds':>10} {'vs all_off':>10}"
+        f" {'vs all_on':>10}",
     ]
     for name, r in results.items():
         rel = r["seconds"] / off["seconds"]
+        rel_on = r["seconds"] / on["seconds"]
         lines.append(
-            f"{name:<26} {r['set_ops']:>10} {r['seconds']:>10.4f} {rel:>9.2f}x"
+            f"{name:<28} {r['set_ops']:>10} {r['seconds']:>10.4f} {rel:>9.2f}x"
+            f" {rel_on:>9.2f}x"
         )
     lines += [
         "",
@@ -323,6 +330,19 @@ def test_dispatch_table_changes_time_not_verdicts(sweep):
     set-algebra work, identical observables — only dispatch gets cheaper."""
     assert (sweep["only_dispatch_table"]["set_ops"]
             == sweep["all_off"]["set_ops"])
+
+
+def test_each_layer_switched_off_alone(sweep):
+    """All on but one layer.  With the verdict memo on, the dispatch
+    tables and the permission memo change no set-algebra count, and
+    interning only saves the subset tests the memo's misses run; without
+    the memo, rule evaluations come back."""
+    on = sweep["all_on"]["set_ops"]
+    assert sweep["without_dispatch_table"]["set_ops"] == on
+    assert sweep["without_path_walk_cache"]["set_ops"] == on
+    assert (sweep["without_label_interning"]["set_ops"]
+            == sweep["only_flow_verdict_cache"]["set_ops"])
+    assert sweep["without_flow_verdict_cache"]["set_ops"] > on
 
 
 def test_json_report_written(sweep):

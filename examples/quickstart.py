@@ -95,6 +95,10 @@ def main() -> None:
 
     print("\nOutside all regions the thread is untainted again:",
           scheduler.labels)
+    # Its work done, the thread ends; no peer is told, and its tid now
+    # answers exactly like one that was never allocated.
+    vm.exit_thread(scheduler)
+    print(f"scheduler thread ended (tid {scheduler.tid} reaped)")
     print("quickstart complete.")
 
 

@@ -145,6 +145,8 @@ class LaminarCalendar:
         #: One kernel thread per user; policy enforcement rests on each
         #: thread holding only its own capabilities.
         self.user_threads: dict[str, object] = {}
+        #: Scheduler threads by (alice, bob), least recently used first;
+        #: at most one per user (see :meth:`schedule_meeting`).
         self._scheduler_threads: dict[tuple[str, str], object] = {}
         self.vm.syscall("mkdir", "/tmp/cal")
 
@@ -203,15 +205,24 @@ class LaminarCalendar:
         carries ``{S(a)}``, so moving the slot there requires dropping
         ``b`` — which the scheduler can do (it holds ``b-``) — while ``a``
         never leaves Alice's label.
+
+        The scheduler thread is kept for the pair's next meeting, but the
+        calendar keeps at most one per user: a new pair beyond that ends
+        the least recently used one.  Not one thread per meeting, because
+        a thread's create and exit cost more than the meeting itself.
         """
         a_tag, b_tag = self.tags[alice], self.tags[bob]
         caps = self.scheduler_caps(alice, bob)
         key = (alice, bob)
-        if key not in self._scheduler_threads:
-            self._scheduler_threads[key] = self.vm.create_thread(
+        threads = self._scheduler_threads
+        sched_thread = threads.pop(key, None)
+        if sched_thread is None:
+            if len(threads) >= len(self.tags):
+                self.vm.exit_thread(threads.pop(next(iter(threads))))
+            sched_thread = self.vm.create_thread(
                 name=f"sched-{alice}-{bob}", caps_subset=caps
             )
-        sched_thread = self._scheduler_threads[key]
+        threads[key] = sched_thread
         both = Label.of(a_tag, b_tag)
         alice_pair = LabelPair(Label.of(a_tag))
         # Pre-create the output file before tainting (Section 5.2).

@@ -83,10 +83,10 @@ class IRThreadHandle:
     The mini-JIT executes threads *join-synchronously*: ``spawn`` creates
     the VM thread (outside any region, like :meth:`LaminarVM.create_thread`
     requires) and captures the call; ``join`` runs the body to completion
-    as that thread.  Execution is therefore deterministic — one fixed
-    interleaving out of the many a preemptive scheduler could choose —
-    which is exactly why the *static* race detector
-    (:mod:`repro.analysis.races`) exists: it reasons about every
+    as that thread, then ends the thread.  Execution is therefore
+    deterministic — one fixed interleaving out of the many a preemptive
+    scheduler could choose — which is exactly why the *static* race
+    detector (:mod:`repro.analysis.races`) exists: it reasons about every
     interleaving, not just the one the interpreter picks.
     """
 
@@ -625,13 +625,20 @@ class Interpreter:
         return IRThreadHandle(method.name, args, thread)
 
     def _join(self, handle: Any) -> None:
+        """Run the spawned body to completion as its thread, then end the
+        thread (also when the body raises).  A join inside a region leaves
+        the thread alive, since threads end outside regions."""
         if not isinstance(handle, IRThreadHandle):
             raise TypeError(f"join of a non-thread value: {handle!r}")
         if handle.done:
             return  # joining twice is a no-op, as with pthread semantics
-        with self.vm.running(handle.thread):
-            self._call(self.program.method(handle.callee), list(handle.args))
         handle.done = True
+        try:
+            with self.vm.running(handle.thread):
+                self._call(self.program.method(handle.callee), list(handle.args))
+        finally:
+            if not self.vm.current_thread.in_region:
+                self.vm.exit_thread(handle.thread)
 
     # -- barrier semantics -------------------------------------------------------------
 

@@ -245,6 +245,8 @@ class Kernel:
         # this one appears in audit details (denied transmits), which must
         # be byte-identical across shard boots and single-kernel replays.
         self.fs.adopt_inode(self.net.inode)
+        #: Live tasks by tid; ``sys_exit`` removes a task, and tids are
+        #: never reused.
         self.tasks: dict[int, Task] = {}
         self._tid_counter = itertools.count(1)
         self._pgid_counter = itertools.count(1)
@@ -1021,7 +1023,6 @@ class Kernel:
         )
         child.parent = parent
         child.cwd = parent.cwd
-        parent.children.append(child)
         self.security.task_alloc(parent, child)
         return child
 
@@ -1047,11 +1048,17 @@ class Kernel:
         task.name = f"{task.name}!{path.rsplit('/', 1)[-1]}"
 
     def sys_exit(self, task: Task, code: int = 0) -> None:
+        """End ``task`` and reap it: it leaves :attr:`tasks` at once, so
+        every call that names its tid answers exactly as for a tid never
+        allocated (``ESRCH``, ``no task N``).  Tids are never reused, so
+        no later task can be reached under an exited one's tid, nor hit a
+        permission-memo entry recorded under it."""
         self._count("exit")
         task.alive = False
         task.exit_code = code
         for fd in list(task.fd_table):
             task.fd_table.pop(fd).refs -= 1
+        self.tasks.pop(task.tid, None)
         # Deliberately *no* notification of peers: suppressing termination
         # notification is how OS DIFC systems close the termination channel.
 
@@ -1059,10 +1066,10 @@ class Kernel:
         self._count("kill")
         self._require_alive(sender)
         target = self.tasks.get(target_tid)
-        if target is None or not target.alive:
-            # ESRCH for a *visible* missing task would be fine, but a task
-            # the sender cannot observe must look identical to a missing
-            # one; the single error code guarantees that.
+        if target is None:
+            # An exited task is reaped, so it and a task that never existed
+            # answer with the same errno and text: the sender learns nothing
+            # about whether a peer ended (Section 5.2).
             raise SyscallError(ESRCH, f"no task {target_tid}")
         self.security.task_kill(sender, target, signum)
         target.pending_signals.append((signum, sender.tid))

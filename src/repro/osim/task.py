@@ -3,8 +3,10 @@
 In Laminar the principals are kernel threads; labels and capabilities are
 stored in the opaque ``security`` field of ``task_struct`` (Section 5.2).
 :class:`Task` mirrors that: it owns a :class:`~repro.core.Principal` (the
-security field), a file-descriptor table, a working directory, and the
-usual parent/child bookkeeping that ``fork`` maintains.
+security field), a file-descriptor table, a working directory, and its
+parent.  A task holds no list of its children, so a parent does not keep
+an exited child alive once ``sys_exit`` has reaped it from the kernel's
+table.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ class Task:
         self.cwd: Optional["Inode"] = None
         #: Signals delivered and not yet consumed, as (signum, sender_tid).
         self.pending_signals: list[tuple[int, int]] = []
-        #: Children created by fork, for wait/bookkeeping.
-        self.children: list["Task"] = []
 
     # -- convenience accessors over the security field ---------------------
 

@@ -132,6 +132,35 @@ class LaminarVM:
             task.name = name
         return SimThread(task)
 
+    def exit_thread(self, thread: SimThread) -> None:
+        """End a thread made by :meth:`create_thread`: its kernel task
+        exits and is reaped, and no peer is told (Section 5.2).  It
+        writes no audit entry.  Like creation it happens outside security
+        regions, so whether a thread ends never depends on tainted data.
+        Refused: the main and TCB threads (they end with the process,
+        :meth:`exit_process`), a thread of another VM or one already
+        ended, a running thread (on the context stack) and a thread
+        parked inside a region."""
+        task = thread.task
+        if task is self.main_task or task is self.tcb_task:
+            raise LaminarUsageError(
+                f"exit_thread cannot end {thread.name}: the main and TCB "
+                f"threads end with the process"
+            )
+        if task.pgid != self.main_task.pgid or not task.alive:
+            raise LaminarUsageError(
+                f"{thread.name} is not a live thread of this VM"
+            )
+        if thread in self._thread_stack:
+            raise LaminarUsageError(
+                f"exit_thread cannot end {thread.name} while it runs"
+            )
+        if thread.in_region or self.current_thread.in_region:
+            raise LaminarUsageError(
+                "threads must be ended outside security regions"
+            )
+        self.kernel.sys_exit(task)
+
     # ------------------------------------------------------------- regions
 
     def region(
@@ -253,8 +282,10 @@ class LaminarVM:
         """Called by :class:`SecurityRegion` exit: if the region ever synced
         its labels into the kernel, the TCB thread drops them and restores
         the saved kernel state — even when the thread lacks the minus
-        capabilities for the region's labels (Section 4.4)."""
-        if not frame.kernel_synced:
+        capabilities for the region's labels (Section 4.4).  A task that
+        exited inside the region (``exit_process``) is reaped: there is
+        nothing left to restore."""
+        if not frame.kernel_synced or not thread.task.alive:
             return
         assert frame.saved_kernel_labels is not None
         assert frame.saved_kernel_caps is not None

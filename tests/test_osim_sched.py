@@ -237,17 +237,22 @@ class TestForkExitKill:
             seen.append(task.name)
             yield yield_()
 
+        forked = []
+
         def parent_body(task):
             child = yield fork(child_body)
+            forked.append(child)
             seen.append(child.parent is task)
 
         sched = Scheduler(kernel)
-        parent = sched.spawn(parent_body, name="p")
+        sched.spawn(parent_body, name="p")
         assert sched.run() == []
         # The child is admitted ahead of the parent's re-enqueue, so it
         # runs its first step first.
         assert seen == ["p-child", True]
-        assert all(not c.alive for c in parent.children)
+        [child] = forked
+        assert not child.alive and child.exit_code == 0
+        assert child.tid not in kernel.tasks  # reaped at exit
 
     def test_kill_terminates_at_next_step(self, kernel):
         progress = []

@@ -23,17 +23,20 @@ Both runs are compared, each against the same run untiered:
   pair's instructions at once).
 
 Both fusion settings are swept, and region programs run under both the
-static and dynamic barrier configurations.
+static and dynamic barrier configurations.  Plain programs are swept
+with inlining on and off: inlining folds the generated helper call into
+``main``, so only the ``inline=False`` arms compile a call site.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 
 from repro.core import CapabilitySet
 from repro.jit import Compiler, Interpreter, JITConfig, TierPolicy
+from repro.jit.ir import Opcode
 from repro.osim import Kernel, LaminarSecurityModule
 from repro.osim.filesystem import Inode
 from repro.runtime import LaminarVM
@@ -134,6 +137,62 @@ class TestPlainProgramEquivalence:
         hot = _observe(source, JITConfig.BASELINE, AGGRESSIVE)
         _assert_equivalent(cold, hot, source)
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_program())
+    def test_static_config_without_inlining(self, source):
+        cold = _observe(source, JITConfig.STATIC, None, inline=False)
+        hot = _observe(source, JITConfig.STATIC, AGGRESSIVE, inline=False)
+        _assert_equivalent(cold, hot, source)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_program())
+    def test_dynamic_config_without_fusion_or_inlining(self, source):
+        cold = _observe(source, JITConfig.DYNAMIC, None, inline=False)
+        hot = _observe(source, JITConfig.DYNAMIC, AGGRESSIVE_NOFUSE,
+                       inline=False)
+        _assert_equivalent(cold, hot, source)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_program())
+    def test_baseline_config_without_inlining(self, source):
+        cold = _observe(source, JITConfig.BASELINE, None, inline=False)
+        hot = _observe(source, JITConfig.BASELINE, AGGRESSIVE, inline=False)
+        _assert_equivalent(cold, hot, source)
+
+
+class TestPlainCallSitesReached:
+    """The ``inline=False`` arms are not vacuous: a generated program keeps
+    its call, and the call's second run goes through a linked site."""
+
+    def test_generated_call_is_kept_and_linked(self, monkeypatch):
+        from collections import Counter
+
+        from repro.jit import tier2
+
+        source = find(random_program(), lambda src: "call r0, helper" in src)
+        program, _ = Compiler(JITConfig.STATIC, inline=False).compile(source)
+        assert any(
+            instr.op is Opcode.CALL
+            for instr in program.method("main").all_instrs()
+        )
+        engine_calls = Counter()
+        call = tier2.Tier2Engine.call
+
+        def counted(engine, method, args):
+            engine_calls[method.name] += 1
+            return call(engine, method, args)
+
+        monkeypatch.setattr(tier2.Tier2Engine, "call", counted)
+        runs = []
+        for _ in range(2):
+            before = engine_calls["helper"]
+            _run(program, AGGRESSIVE)
+            runs.append(engine_calls["helper"] - before)
+        assert program.tier2.profiles["helper"].invocations == 2
+        # The first run compiles the helper through the engine; the
+        # second finds it linked and never calls the engine for it.
+        assert runs == [1, 0]
+
 
 class TestRegionProgramEquivalence:
     """Region programs are where the specialization could go wrong: the
@@ -187,14 +246,13 @@ class TestAmbientRegionContext:
     the context key (thread labels at entry) must route to a different
     variant and the record must still match the interpreter."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(random_program())
-    def test_in_region_entry_matches_interpreter(self, source):
+    @staticmethod
+    def _observe(source, policy, **compile_kw):
         from repro.runtime import LaminarAPI
 
         from repro.core import Label
 
-        def run(program, policy):
+        def run(program):
             _reset_id_counters()
             kernel = Kernel(LaminarSecurityModule())
             vm = LaminarVM(kernel)
@@ -215,10 +273,21 @@ class TestAmbientRegionContext:
                 tuple(str(entry) for entry in kernel.audit.entries()),
             )
 
-        def observe(policy):
-            program, _ = Compiler(JITConfig.DYNAMIC).compile(source)
-            return [run(program, policy) for _ in range(2)]
+        program, _ = Compiler(JITConfig.DYNAMIC, **compile_kw).compile(source)
+        return [run(program) for _ in range(2)]
 
-        assert observe(None) == observe(AGGRESSIVE), (
-            f"tier-2 diverged under an ambient region on:\n{source}"
-        )
+    @settings(max_examples=25, deadline=None)
+    @given(random_program())
+    def test_in_region_entry_matches_interpreter(self, source):
+        assert self._observe(source, None) == \
+            self._observe(source, AGGRESSIVE), (
+                f"tier-2 diverged under an ambient region on:\n{source}"
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_program())
+    def test_in_region_entry_without_inlining(self, source):
+        assert self._observe(source, None, inline=False) == \
+            self._observe(source, AGGRESSIVE, inline=False), (
+                f"tier-2 diverged under an ambient region on:\n{source}"
+            )
