@@ -22,16 +22,33 @@ Tier 2 (this module)
     comparison tree on the block index (ceil(log2 n) compares per jump),
     and — the Laminar-specific part — the *static* barrier variant for
     the label shape observed at compile time baked straight into the
-    code: in-region barriers call the verdict-cached flow check against a
-    baked-in :class:`~repro.core.labels.LabelPair` constant, out-region
-    barriers inline the labeled-space membership test, and ``DYNAMIC``
-    flavors specialize to the guarded context while still counting their
-    dispatch (so :class:`~repro.runtime.barriers.BarrierStats` stay
-    byte-identical across tiers).  Superinstruction fusion optionally
-    collapses the hot pairs ``getfield``+``binop`` and ``binop``+``cjump``
-    into single statements.  A method with a labeled-statics barrier
+    code: an in-region barrier probes the flow-verdict memo inline on
+    the object's labels and a baked-in
+    :class:`~repro.core.labels.LabelPair` constant, and only a miss or a
+    recorded denial calls :func:`~repro.runtime.barriers.cached_check_flow`;
+    an out-region barrier tests ``header.oid`` against the labeled space
+    inline; ``DYNAMIC`` flavors specialize to the guarded context while
+    still counting their dispatch (so
+    :class:`~repro.runtime.barriers.BarrierStats` stay byte-identical
+    across tiers).  ``new`` and ``newarray`` build their unlabeled header
+    and field dict inline.  Superinstruction fusion optionally collapses
+    the hot pairs ``getfield``+``binop`` and ``binop``+``cjump`` into
+    single statements.  A method with a labeled-statics barrier
     (``sreadbar``/``swritebar``) is never compiled: it stays on the
     handler tables, which run those barriers.
+
+Bookkeeping once per block
+    The generated function is ``_t2(ctx, regs, _entry, *params)``: the
+    engine and linked call sites pass the arguments in place, and only
+    OSR passes the interpreter's register dict.  Every count the
+    interpreter keeps — ``executed``, the barrier counters, heap
+    allocations, verdict-memo hits, tier-2 entries from linked sites —
+    lives in a local; a block adds its static counts once, on entry, and
+    the function's ``finally`` flushes them all.  A raise stays exact: the
+    ``except`` finds the raising line by ``tb_lineno`` in a per-line table
+    built at code generation and takes back what the block never reached
+    (and, for a header load that faults, what the interpreter had not yet
+    counted at that point).
 
 Guards and deoptimization
     Compiled code is entered through the code cache, whose key *is* the
@@ -73,11 +90,14 @@ Cache invalidation
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core import LabelPair, RegionViolation, fastpath
+from ..core.rules import _VERDICTS, FLOW_OK
 from ..runtime.barriers import cached_check_flow
+from ..runtime.heap import ObjectHeader
 from .cloning import IN_SUFFIX
 from .interpreter import _BINOPS, _OUT_OF_REGION_MSG, IRArray, IRObject, Interpreter
 from .ir import BarrierFlavor, Method, Opcode, Program
@@ -191,18 +211,20 @@ def backedge_targets(method: Method) -> frozenset:
     return frozenset(targets)
 
 
-def find_fused_pairs(method: Method) -> dict:
+def find_fused_pairs(method: Method, reads: Optional[dict] = None) -> dict:
     """Locate fusable superinstruction pairs: ``(block label, index of the
     first instruction) -> kind``.
 
     A pair fuses only when strictly adjacent and when the producing
     register is read exactly once in the whole method (by the consumer),
-    so skipping its materialization is unobservable.
+    so skipping its materialization is unobservable.  ``reads`` (register
+    -> reads in the method) is counted here unless the caller has it.
     """
-    reads: dict[str, int] = {}
-    for instr in method.all_instrs():
-        for r in instr.used_registers():
-            reads[r] = reads.get(r, 0) + 1
+    if reads is None:
+        reads = {}
+        for instr in method.all_instrs():
+            for r in instr.used_registers():
+                reads[r] = reads.get(r, 0) + 1
     pairs: dict = {}
     for label, block in method.blocks.items():
         instrs = block.instrs
@@ -301,13 +323,27 @@ _PYOPS = {
     # bound function even under fusion.
 }
 
-#: Opcodes whose generated statement cannot raise for any register
-#: contents, so their ``executed`` increment can batch with a later flush
-#: (the count stays exact at every possible raise point).
-_SAFE_OPS = frozenset({
-    Opcode.CONST, Opcode.MOV, Opcode.NEW, Opcode.GETSTATIC,
-    Opcode.PUTSTATIC, Opcode.PRINT,
-})
+#: The counters a compiled body keeps in locals, each with the object and
+#: field its ``finally`` flushes it into.  A block adds its static counts
+#: to them once, on entry.
+_COUNTERS = (
+    ("_ex", "ctx.interp", "executed"),
+    ("_rb", "_stats", "read_barriers"),
+    ("_wb", "_stats", "write_barriers"),
+    ("_ab", "_stats", "alloc_barriers"),
+    ("_dd", "_stats", "dynamic_dispatches"),
+    ("_lc", "_stats", "label_checks"),
+    ("_sc", "_stats", "space_checks"),
+    ("_na", "_hs", "allocations"),
+)
+#: A raise takes back counts by column: the ``_COUNTERS``, then ``_fm``,
+#: the label checks the inline memo probe did not answer.
+_COLUMNS = tuple(name for name, _, _ in _COUNTERS) + ("_fm",)
+_COLUMN = {name: i for i, name in enumerate(_COLUMNS)}
+_FM = _COLUMN["_fm"]
+
+_TERMINATORS = (Opcode.RET, Opcode.JMP, Opcode.BR)
+
 
 def _literal(value: Any) -> Optional[str]:
     if isinstance(value, float) and (value != value or value in (
@@ -342,28 +378,43 @@ class _Codegen:
         #: Callees of this variant run in its context: ("out",) stays
         #: ("out",); ("in", L) and ("region", L) both call ("in", L).
         self.callee_key = ("in", key[1]) if self.in_region else _OUT_KEY
-        self.fused = find_fused_pairs(method) if fusion else {}
         self.globals: dict[str, Any] = {
             "_TL": key[1] if self.in_region else LabelPair.EMPTY,
             "_EMPTY": LabelPair.EMPTY,
             "_RV": RegionViolation,
             "_cflow": cached_check_flow,
+            "_vg": _VERDICTS.get,
+            "_OH": ObjectHeader,
             "_IRObject": IRObject,
             "_IRArray": IRArray,
             "_fpc": fastpath.counters,
         }
         self.prologue: set[str] = set()
-        self.lines: list[str] = []
-        self.pending = 0
+        #: The current block's lines, each ``(text, fault)``: ``fault`` is
+        #: what a raise on the line takes back beyond the units after it
+        #: (see ``_object_barrier``).
+        self.lines: list[tuple] = []
+        #: The current block's static counts so far, per ``_COUNTERS``.
+        self.reached = [0] * len(_COUNTERS)
+        #: Which ``_COUNTERS`` any block of the method adds to.
+        self.used = [False] * len(_COUNTERS)
+        self.probes = False
+        self.linked = False
         self._const_n = 0
-        # Registers -> collision-free local names, deterministic order.
+        # Registers -> collision-free local names, deterministic order;
+        # the same walk counts reads for superinstruction fusion.
         names: list[str] = list(method.params)
         seen = set(names)
+        reads: dict[str, int] = {}
         for instr in method.all_instrs():
-            for r in (instr.defined_register(), *instr.used_registers()):
+            uses = instr.used_registers()
+            for r in uses:
+                reads[r] = reads.get(r, 0) + 1
+            for r in (instr.defined_register(), *uses):
                 if r is not None and r not in seen:
                     seen.add(r)
                     names.append(r)
+        self.fused = find_fused_pairs(method, reads) if fusion else {}
         self.locals: dict[str, str] = {}
         used = set()
         for name in names:
@@ -414,61 +465,64 @@ class _Codegen:
             self.bind(f"_P{self._const_n}", _profile(state.profiles, callee)),
         )
 
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
+    def emit(self, line: str, fault: Optional[dict] = None) -> None:
+        self.lines.append((line, fault))
 
-    def flush(self, count: int) -> None:
-        """Account ``pending`` safe instructions plus ``count`` about to
-        run, *before* a statement that can raise (matching the
-        interpreter's increment-then-execute order exactly)."""
-        total = self.pending + count
-        if total:
-            self.emit(f"_ex += {total}")
-        self.pending = 0
+    def count(self, counter: str, n: int = 1) -> None:
+        """Add ``n`` to the block's static count of ``counter``."""
+        self.reached[_COLUMN[counter]] += n
 
     # -- barrier sequences ------------------------------------------------
 
-    def _object_barrier(self, instr, reg: str, is_read: bool) -> list[str]:
-        counter = "read_barriers" if is_read else "write_barriers"
-        lines = [f"_stats.{counter} += 1"]
+    def _object_barrier(self, instr, reg: str, is_read: bool) -> None:
+        self.count("_rb" if is_read else "_wb")
         flavor = instr.flavor
         if flavor is BarrierFlavor.DYNAMIC:
-            lines.append("_stats.dynamic_dispatches += 1")
+            self.count("_dd")
             variant_in = self.in_region
         else:
             variant_in = flavor is BarrierFlavor.STATIC_IN
-        r = self.R(reg)
+        check = "_lc" if variant_in else "_sc"
+        self.count(check)
+        # The header load can fault (a null register).  The interpreter
+        # has then counted the barrier but not what comes after the load:
+        # a dynamic barrier's dispatch and check, or the memo's answer to
+        # a static in-region check.  The line that loads it takes those
+        # back.
+        if flavor is BarrierFlavor.DYNAMIC:
+            fault = {"_dd": 1, check: 1}
+        else:
+            fault = {"_fm": -1} if variant_in else None
+        labels = f"{self.R(reg)}.header.labels"
         if variant_in:
-            lines.append("_stats.label_checks += 1")
-            if is_read:
-                lines.append(
-                    f"_cflow({r}.header.labels, _TL, _stats, context='IR read')"
-                )
-            else:
-                lines.append(
-                    f"_cflow(_TL, {r}.header.labels, _stats, context='IR write')"
-                )
+            # The verdict memo answers an allowed flow inline; a miss or a
+            # recorded denial goes to cached_check_flow, which counts the
+            # miss and raises the precise violation.  ``_fm`` counts the
+            # checks the probe did not answer, so the hits flushed on
+            # exit are ``_lc - _fm``.
+            self.probes = True
             self.prologue.add("_stats")
+            src, dest = (labels, "_TL") if is_read else ("_TL", labels)
+            what = "IR read" if is_read else "IR write"
+            self.emit(f"if _vg(({src}, {dest})) != {FLOW_OK!r}:", fault)
+            self.emit("    _fm += 1")
+            self.emit(f"    _cflow({src}, {dest}, _stats, context={what!r})")
         else:
-            lines.append("_stats.space_checks += 1")
-            lines.append(f"if _labeled({r}.header):")
-            lines.append(f"    raise _RV({_OUT_OF_REGION_MSG!r})")
-            self.prologue.update(("_stats", "_labeled"))
-        return lines
+            self.prologue.add("_ls")
+            self.emit(f"if {self.R(reg)}.header.oid in _ls:", fault)
+            self.emit(f"    raise _RV({_OUT_OF_REGION_MSG!r})")
 
-    def _alloc_barrier(self, instr, reg: str) -> list[str]:
-        lines = ["_stats.alloc_barriers += 1"]
+    def _alloc_barrier(self, instr, reg: str) -> None:
+        self.count("_ab")
         flavor = instr.flavor
         if flavor is BarrierFlavor.DYNAMIC:
-            lines.append("_stats.dynamic_dispatches += 1")
+            self.count("_dd")
             variant_in = self.in_region
         else:
             variant_in = flavor is BarrierFlavor.STATIC_IN
         if variant_in:
-            lines.append(f"_heap.label_fresh({self.R(reg)}.header, _TL)")
+            self.emit(f"_heap.label_fresh({self.R(reg)}.header, _TL)")
             self.prologue.add("_heap")
-        self.prologue.add("_stats")
-        return lines
 
     # -- per-instruction emission -----------------------------------------
 
@@ -477,80 +531,65 @@ class _Codegen:
         op = instr.op
         ops = instr.operands
         R = self.R
-        if op in _SAFE_OPS:
-            self.pending += 1
-            if op is Opcode.CONST:
-                self.emit(f"{R(ops[0])} = {self.const(ops[1])}")
-            elif op is Opcode.MOV:
-                self.emit(f"{R(ops[0])} = {R(ops[1])}")
-            elif op is Opcode.NEW:
-                fields = self.bind(
-                    f"_F_{len(self.globals)}", tuple(self.program.classes[ops[1]])
-                )
-                self.prologue.add("_heap")
-                self.emit(
-                    f"{R(ops[0])} = _IRObject(_heap.allocate_header(_EMPTY), "
-                    f"{ops[1]!r}, dict.fromkeys({fields}, 0))"
-                )
-            elif op is Opcode.GETSTATIC:
-                self.prologue.add("_statics")
-                self.emit(f"{R(ops[0])} = _statics.get({ops[1]!r}, 0)")
-            elif op is Opcode.PUTSTATIC:
-                self.prologue.add("_statics")
-                self.emit(f"_statics[{ops[0]!r}] = {R(ops[1])}")
-            elif op is Opcode.PRINT:
-                self.prologue.add("_out")
-                self.emit(f"_out.append({R(ops[0])})")
-            return
-        # can-raise statements: flush executed-count first
-        if op is Opcode.BINOP:
-            self.flush(1)
+        if op is Opcode.CONST:
+            self.emit(f"{R(ops[0])} = {self.const(ops[1])}")
+        elif op is Opcode.MOV:
+            self.emit(f"{R(ops[0])} = {R(ops[1])}")
+        elif op is Opcode.NEW:
+            # Heap.allocate_header for an unlabeled object, inline: a
+            # header, and the allocation counted with the block's counts.
+            self.count("_na")
+            fields = ", ".join(
+                f"{name!r}: 0" for name in self.program.classes[ops[1]]
+            )
+            self.emit(
+                f"{R(ops[0])} = _IRObject(_OH(_EMPTY), {ops[1]!r}, {{{fields}}})"
+            )
+        elif op is Opcode.GETSTATIC:
+            self.prologue.add("_statics")
+            self.emit(f"{R(ops[0])} = _statics.get({ops[1]!r}, 0)")
+        elif op is Opcode.PUTSTATIC:
+            self.prologue.add("_statics")
+            self.emit(f"_statics[{ops[0]!r}] = {R(ops[1])}")
+        elif op is Opcode.PRINT:
+            self.prologue.add("_out")
+            self.emit(f"_out.append({R(ops[0])})")
+        elif op is Opcode.BINOP:
             self.emit(
                 f"{R(ops[0])} = {self.binop_expr(ops[1], R(ops[2]), R(ops[3]))}"
             )
         elif op is Opcode.UNOP:
-            self.flush(1)
             expr = f"-{R(ops[2])}" if ops[1] == "neg" else f"not {R(ops[2])}"
             self.emit(f"{R(ops[0])} = {expr}")
         elif op is Opcode.NEWARRAY:
-            self.flush(1)
-            self.prologue.add("_heap")
-            self.emit(
-                f"{R(ops[0])} = _IRArray(_heap.allocate_header(_EMPTY), "
-                f"[0] * {R(ops[1])})"
-            )
+            # The header comes first, as in Heap.allocate_header: a bad
+            # length raises after the allocation counted.
+            self.count("_na")
+            self.emit(f"{R(ops[0])} = _IRArray(_OH(_EMPTY), [0] * {R(ops[1])})")
         elif op is Opcode.GETFIELD:
-            self.flush(1)
             self.emit(f"{R(ops[0])} = {R(ops[1])}.fields[{ops[2]!r}]")
         elif op is Opcode.PUTFIELD:
-            self.flush(1)
             self.emit(f"{R(ops[0])}.fields[{ops[1]!r}] = {R(ops[2])}")
         elif op is Opcode.ALOAD:
-            self.flush(1)
             self.emit(f"{R(ops[0])} = {R(ops[1])}.items[{R(ops[2])}]")
         elif op is Opcode.ASTORE:
-            self.flush(1)
             self.emit(f"{R(ops[0])}.items[{R(ops[1])}] = {R(ops[2])}")
         elif op is Opcode.ARRAYLEN:
-            self.flush(1)
             self.emit(f"{R(ops[0])} = len({R(ops[1])}.items)")
         elif op is Opcode.CALL:
-            self.flush(1)
             self.prologue.update(("_call", "_method"))
             args = [R(a) for a in ops[2:]]
             dest = f"{R(ops[0])} = " if ops[0] is not None else ""
             call = f"{dest}_call(_method({ops[1]!r}), [{', '.join(args)}])"
-            callee = linked_callee(self.program, instr)
-            if callee is None:
+            if linked_callee(self.program, instr) is None:
                 self.emit(call)
                 return
             # Linked site: once the callee's variant for this context is
-            # compiled, enter it directly with Tier2Engine.call's
-            # bookkeeping; until then, go through the engine.
+            # compiled, enter it directly with its arguments in place and
+            # Tier2Engine.call's bookkeeping inline (the entry counters
+            # flush on exit); until then, go through the engine.
             cell, profile = self.link(ops[1])
-            regs = ", ".join(
-                f"{param!r}: {arg}" for param, arg in zip(callee.params, args)
-            )
+            self.linked = True
             self.prologue.update(("_stats", "_eng"))
             for line in (
                 f"_c = {cell}[0]",
@@ -558,40 +597,30 @@ class _Codegen:
                 f"    {call}",
                 "else:",
                 f"    {profile}.invocations += 1",
-                "    _stats.tier2_entries += 1",
-                "    _fpc.tier2_entries += 1",
-                "    _eng.entries += 1",
-                f"    {dest}_c.fn(ctx, {{{regs}}}, _c.entry)",
+                "    _te += 1",
+                f"    {dest}_c.fn(ctx, None, _c.entry{''.join(', ' + a for a in args)})",
             ):
                 self.emit(line)
         elif op is Opcode.READBAR:
-            self.flush(1)
-            for line in self._object_barrier(instr, ops[0], is_read=True):
-                self.emit(line)
+            self._object_barrier(instr, ops[0], is_read=True)
         elif op is Opcode.WRITEBAR:
-            self.flush(1)
-            for line in self._object_barrier(instr, ops[0], is_read=False):
-                self.emit(line)
+            self._object_barrier(instr, ops[0], is_read=False)
         elif op is Opcode.ALLOCBAR:
-            self.flush(1)
-            for line in self._alloc_barrier(instr, ops[0]):
-                self.emit(line)
+            self._alloc_barrier(instr, ops[0])
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled opcode {op}")
 
     def emit_terminator(self, instr) -> None:
         op, ops = instr.op, instr.operands
-        self.flush(1)
         if op is Opcode.RET:
-            if self.region_body:
-                # Region bodies return nothing; `break` exits the dispatch
-                # loop and falls off the function (the engine holds the
-                # region context manager).
-                self.emit("break")
-            elif ops[0] is not None:
-                self.emit(f"return {self.R(ops[0])}")
-            else:
-                self.emit("return None")
+            # `break` leaves the dispatch loop and the `try` by its one
+            # normal exit: a `return` inside the `try` would get its own
+            # copy of the `finally` flush.  Region bodies return nothing
+            # (the engine holds the region context manager).
+            if not self.region_body:
+                value = self.R(ops[0]) if ops[0] is not None else "None"
+                self.emit(f"_rv = {value}")
+            self.emit("break")
         elif op is Opcode.JMP:
             self.emit(f"_label = {self.entry_index[ops[0]]}")
             self.emit("continue")
@@ -609,14 +638,12 @@ class _Codegen:
         R = self.R
         if kind == "binop+cjump":
             # The pair ends the block: branch directly on the comparison.
-            self.flush(2)
             expr = self.binop_expr(a.operands[1], R(a.operands[2]), R(a.operands[3]))
             t = self.entry_index[b.operands[1]]
             f = self.entry_index[b.operands[2]]
             self.emit(f"_label = {t} if {expr} else {f}")
             self.emit("continue")
         elif kind == "getfield+binop":
-            self.flush(2)
             load = f"{R(a.operands[1])}.fields[{a.operands[2]!r}]"
             t = a.operands[0]
             if b.operands[2] == t:
@@ -629,87 +656,173 @@ class _Codegen:
 
     # -- whole-function assembly ------------------------------------------
 
-    def generate(self) -> tuple[str, dict[str, Any]]:
-        bodies: list[list[str]] = []
-        for label, block in self.method.blocks.items():
-            self.lines = []
-            bodies.append(self.lines)
-            self.pending = 0
-            instrs = block.instrs
-            i = 0
-            emitted = False
-            while i < len(instrs):
-                kind = self.fused.get((label, i))
-                if kind is not None:
-                    self.emit_fused(kind, instrs[i], instrs[i + 1])
-                    i += 2
-                    emitted = True
-                    continue
+    def block(self, label: str, instrs: list) -> list[tuple]:
+        """One block's lines: its static counts added once on entry, then
+        one unit (an instruction or a fused pair) after another.  Each
+        line carries, by ``_COLUMNS``, what a raise there takes back (the
+        counts of every unit after the line's own, and its ``fault``), or
+        ``None`` when that is nothing."""
+        self.lines = []
+        self.reached = [0] * len(_COUNTERS)
+        #: (first line, counts once the unit ran), one per unit.
+        units: list[tuple[int, tuple]] = []
+        i = 0
+        while i < len(instrs):
+            start = len(self.lines)
+            kind = self.fused.get((label, i))
+            if kind is not None:
+                self.count("_ex", 2)
+                self.emit_fused(kind, instrs[i], instrs[i + 1])
+                i += 2
+            else:
                 instr = instrs[i]
-                if instr.op in (Opcode.RET, Opcode.JMP, Opcode.BR):
+                self.count("_ex")
+                if instr.op in _TERMINATORS:
                     self.emit_terminator(instr)
                 else:
                     self.emit_instr(instr)
                 i += 1
-                emitted = True
-            if not emitted:
-                self.emit("pass")
-            last = instrs[-1] if instrs else None
-            if last is None or (
-                last.op not in (Opcode.RET, Opcode.JMP, Opcode.BR)
-                and self.fused.get((label, len(instrs) - 2)) != "binop+cjump"
-            ):
-                # Should be unreachable after normalize(); mirror the
-                # interpreter's fell-off-the-end assertion.
-                self.flush(0)
-                self.emit(
-                    f"raise AssertionError('block {label} fell off the end')"
-                )
+            units.append((start, tuple(self.reached)))
+        last = instrs[-1] if instrs else None
+        if last is None or (
+            last.op not in _TERMINATORS
+            and self.fused.get((label, len(instrs) - 2)) != "binop+cjump"
+        ):
+            # Should be unreachable after normalize(); mirror the
+            # interpreter's fell-off-the-end assertion.
+            units.append((len(self.lines), tuple(self.reached)))
+            self.emit(f"raise AssertionError('block {label} fell off the end')")
+        total = self.reached
+        body = []
+        for col, n in enumerate(total):
+            if n:
+                self.used[col] = True
+                body.append((f"{_COLUMNS[col]} += {n}", None))
+        ends = [start for start, _ in units[1:]] + [len(self.lines)]
+        for (start, reached), end in zip(units, ends):
+            row = (*map(operator.sub, total, reached), 0)
+            shared = row if any(row) else None
+            for text, fault in self.lines[start:end]:
+                if fault:
+                    own = list(row)
+                    for name, n in fault.items():
+                        own[_COLUMN[name]] += n
+                    body.append((text, tuple(own)))
+                else:
+                    body.append((text, shared))
+        return body
+
+    def generate(self) -> tuple[str, dict[str, Any]]:
+        bodies = [
+            self.block(label, block.instrs)
+            for label, block in self.method.blocks.items()
+        ]
+        used = [i for i, flag in enumerate(self.used) if flag]
+        names = [_COLUMNS[i] for i in used]
+        self.prologue.update(
+            _COUNTERS[i][1] for i in used if _COUNTERS[i][1] != "ctx.interp"
+        )
         prologue_map = {
             "_stats": "ctx.stats",
             "_heap": "ctx.heap",
+            "_hs": "ctx.heap.stats",
+            "_ls": "ctx.heap._labeled_space",
             "_statics": "ctx.statics",
             "_out": "ctx.output",
-            "_labeled": "ctx.labeled",
             "_call": "ctx.interp._call",
             "_method": "ctx.program.method",
             "_eng": "ctx.interp._tier2",
         }
-        src = ["def _t2(ctx, regs, _entry):"]
+        params = [self.R(p) for p in self.method.params]
+        others = [v for v in self.locals.values() if v not in params]
+        src = ["def _t2(ctx, regs, _entry" + "".join(
+            f", {p}=None" for p in params) + "):"]
         for name in sorted(self.prologue):
             src.append(f"    {name} = {prologue_map[name]}")
-        if self.locals:
-            src.append("    _rg = regs.get")
+        # OSR passes the interpreter's register dict, and only at a loop
+        # header; every other entry passes the parameters in place.
+        pad = "    "
+        if self.locals and backedge_targets(self.method):
+            src.append("    if regs is not None:")
+            src.append("        _rg = regs.get")
             for reg, local in self.locals.items():
-                src.append(f"    {local} = _rg({reg!r})")
-        src.append("    _ex = 0")
+                src.append(f"        {local} = _rg({reg!r})")
+            if others:
+                src.append("    else:")
+            pad = "        "
+        if others:
+            src.append(f"{pad}{' = '.join(others)} = None")
+        locals_ = names + ["_fm"] * self.probes + ["_te"] * self.linked
+        src.append(f"    {' = '.join(locals_ or ['_ex'])} = 0")
         src.append("    try:")
         src.append("        _label = _entry")
         src.append(f"        if not 0 <= _label < {len(bodies)}:")
         src.append("            raise AssertionError('unknown tier-2 block index')")
         src.append("        while True:")
-        _dispatch_tree(src, bodies, 0, len(bodies), 12)
+        unreached: dict[int, tuple] = {}
+        _dispatch_tree(src, bodies, 0, len(bodies), 12, unreached)
+        if unreached:
+            # A raise leaves the block part-way: take back the counts of
+            # what it never reached, found by the line that raised.
+            src.append("    except BaseException as _e:")
+            src.append("        _back(ctx, _UN, _e)")
+            src.append("        raise")
+            self.bind("_UN", unreached)
+            self.bind("_back", _take_back)
         src.append("    finally:")
-        src.append("        ctx.interp.executed += _ex")
-        if self.region_body:
-            src.append("    return None")
+        for i in used:
+            name, owner, field = _COUNTERS[i]
+            src.append(f"        {owner}.{field} += {name}")
+        if self.probes:
+            src.append("        _stats.flow_cache_hits += _lc - _fm")
+            src.append("        _fpc.verdict_hits += _lc - _fm")
+        if self.linked:
+            for target in ("_stats.tier2_entries", "_fpc.tier2_entries",
+                           "_eng.entries"):
+                src.append(f"        {target} += _te")
+        src.append("    return None" if self.region_body else "    return _rv")
         return "\n".join(src) + "\n", self.globals
 
 
+def _take_back(ctx: Any, unreached: dict, error: BaseException) -> None:
+    """A compiled body is raising ``error``: subtract the take-back row of
+    the line that raised (found by its number in the body's frame) from
+    the counters the body's ``finally`` is about to flush its locals
+    into, so the flush adds only what the block reached."""
+    row = unreached.get(error.__traceback__.tb_lineno)
+    if row is None:
+        return
+    owners = {"ctx.interp": ctx.interp, "_stats": ctx.stats,
+              "_hs": ctx.heap.stats}
+    for (_, owner, field), n in zip(_COUNTERS, row):
+        if n:
+            target = owners[owner]
+            setattr(target, field, getattr(target, field) - n)
+    # The flush adds ``_lc - _fm`` memo hits.
+    hits = row[_COLUMN["_lc"]] - row[_FM]
+    ctx.stats.flow_cache_hits -= hits
+    fastpath.counters.verdict_hits -= hits
+
+
 def _dispatch_tree(
-    out: list[str], bodies: list[list[str]], lo: int, hi: int, indent: int
+    out: list[str], bodies: list[list], lo: int, hi: int, indent: int,
+    unreached: dict[int, tuple],
 ) -> None:
     """Emit block bodies ``lo..hi-1`` under a balanced comparison tree on
-    ``_label``: reaching any of ``n`` blocks costs ceil(log2 n) compares."""
+    ``_label``: reaching any of ``n`` blocks costs ceil(log2 n) compares.
+    Records, by source line, what a raise there takes back."""
     pad = " " * indent
     if hi - lo == 1:
-        out.extend(pad + line for line in bodies[lo])
+        for text, row in bodies[lo]:
+            out.append(pad + text)
+            if row is not None:
+                unreached[len(out)] = row
         return
     mid = (lo + hi) // 2
     out.append(f"{pad}if _label < {mid}:")
-    _dispatch_tree(out, bodies, lo, mid, indent + 4)
+    _dispatch_tree(out, bodies, lo, mid, indent + 4, unreached)
     out.append(f"{pad}else:")
-    _dispatch_tree(out, bodies, mid, hi, indent + 4)
+    _dispatch_tree(out, bodies, mid, hi, indent + 4, unreached)
 
 
 def compile_method(
@@ -782,9 +895,7 @@ class Tier2Engine:
             compiled = self._maybe_compile(method, key, profile)
         if compiled is None:
             return self.interp._call_cold(method, args)
-        return self._enter(
-            compiled, dict(zip(method.params, args)), compiled.entry
-        )
+        return self._enter(compiled, None, compiled.entry, args)
 
     def _call_region(
         self, method: Method, args: list, profile: MethodProfile
@@ -801,17 +912,20 @@ class Tier2Engine:
             if compiled is None:
                 interp._execute(method, args)
             else:
-                self._enter(
-                    compiled, dict(zip(method.params, args)), compiled.entry
-                )
+                self._enter(compiled, None, compiled.entry, args)
         return None
 
-    def _enter(self, compiled: CompiledMethod, regs, entry: int) -> Any:
+    def _enter(
+        self, compiled: CompiledMethod, regs: Optional[dict], entry: int,
+        args: Any = (),
+    ) -> Any:
+        """Run ``compiled`` from block index ``entry``: with the
+        arguments in place, or with OSR's register dict."""
         stats = self.interp.vm.barriers.stats
         stats.tier2_entries += 1
         fastpath.counters.tier2_entries += 1
         self.entries += 1
-        return compiled.fn(self.interp.ctx, regs, entry)
+        return compiled.fn(self.interp.ctx, regs, entry, *args)
 
     def _maybe_compile(
         self, method: Method, key: tuple, profile: MethodProfile

@@ -15,14 +15,18 @@ Both runs are compared, each against the same run untiered:
 * return value (or escaped exception type),
 * printed output,
 * enforcement counters (:meth:`BarrierStats.enforcement` — barrier
-  executions, dynamic dispatches, label/space checks, verdict-cache
-  traffic),
+  executions, dynamic dispatches, label/space checks),
+* heap counters (:class:`~repro.runtime.heap.HeapStats` — allocations,
+  labeled allocations, label words written),
 * the audit log, byte for byte,
 * ``executed`` instruction counts (on non-faulting runs; a fault inside
   a fused superinstruction pair legitimately attributes both of the
   pair's instructions at once).
 
-Both fusion settings are swept, and region programs run under both the
+Every run, on either tier, must also have its verdict memo answer each
+label check exactly once (``flow_cache_hits + flow_cache_misses ==
+label_checks``): compiled code answers hits inline and counts them on
+exit.  Both fusion settings are swept, and region programs run under both the
 static and dynamic barrier configurations.  Plain programs are swept
 with inlining on and off: inlining folds the generated helper call into
 ``main``, so only the ``inline=False`` arms compile a call site.
@@ -30,6 +34,7 @@ with inlining on and off: inlining folds the generated helper call into
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from hypothesis import find, given, settings
@@ -81,12 +86,15 @@ def _run(program, policy):
     except Exception as error:  # noqa: BLE001 - differential capture
         result = None
         exc = type(error).__name__
+    stats = vm.barriers.stats
+    assert stats.flow_cache_hits + stats.flow_cache_misses == stats.label_checks
     return {
         "result": result,
         "exc": exc,
         "output": tuple(interp.output),
         "executed": interp.executed,
-        "enforcement": vm.barriers.stats.enforcement(),
+        "enforcement": stats.enforcement(),
+        "heap": dataclasses.asdict(vm.heap.stats),
         "audit": tuple(str(entry) for entry in kernel.audit.entries()),
     }
 
@@ -105,6 +113,9 @@ def _assert_equivalent(colds, hots, source):
         )
         assert hot["enforcement"] == cold["enforcement"], (
             f"tier-2 changed enforcement counters on {where}"
+        )
+        assert hot["heap"] == cold["heap"], (
+            f"tier-2 changed heap counters on {where}"
         )
         assert hot["audit"] == cold["audit"], (
             f"tier-2 changed the audit log on {where}"

@@ -3,7 +3,8 @@
 Covers the tiered-execution contract: profile-guided promotion (entry and
 OSR, with profiles shared by every interpreter over a program),
 observational equivalence with the interpreter (results, executed
-counts, enforcement counters, audit bytes), the guard/deopt protocol
+counts, enforcement and heap counters, audit bytes), also when compiled
+code raises part-way through a block, the guard/deopt protocol
 (opposite-context calls fall back to the interpreter and materialize
 clones — never :class:`StaleCompilationError`), linked call sites and
 the check that every compiled variant runs only under its own context
@@ -14,6 +15,7 @@ reconfiguration, and the CLI surface (``lamc run --tier2``,
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 
@@ -325,10 +327,14 @@ def _loop_chain_src(nblocks: int) -> str:
 
 
 def _observe(source, config=JITConfig.STATIC, policy=None, certified=(),
-             spy=None, **compile_kw):
+             spy=None, unanswered=0, **compile_kw):
     """Compile and run on a fresh VM; return every cross-tier observable
     plus the interpreter (for engine inspection).  ``certified`` marks
-    methods certified; ``spy(engine)`` runs before the program does."""
+    methods certified; ``spy(engine)`` runs before the program does.
+
+    Every label check is answered by the verdict memo (a hit) or goes to
+    ``check_flow`` (a miss), except one whose object's header cannot be
+    read: ``unanswered`` is how many of those the run expects."""
     _reset_id_counters()
     program, _ = Compiler(config, **compile_kw).compile(source)
     if certified:
@@ -349,21 +355,27 @@ def _observe(source, config=JITConfig.STATIC, policy=None, certified=(),
         result = None
         exc = type(error).__name__
     audit = tuple(str(entry) for entry in kernel.audit.entries())
+    stats = vm.barriers.stats
+    assert stats.label_checks - (
+        stats.flow_cache_hits + stats.flow_cache_misses
+    ) == unanswered
     return {
         "result": result,
         "exc": exc,
         "output": tuple(interp.output),
         "executed": interp.executed,
-        "enforcement": vm.barriers.stats.enforcement(),
+        "enforcement": stats.enforcement(),
+        "heap": dataclasses.asdict(vm.heap.stats),
         "audit": audit,
         "interp": interp,
         "program": program,
-        "stats": vm.barriers.stats,
+        "stats": stats,
     }
 
 
 def _equivalent(cold, hot):
-    for key in ("result", "exc", "output", "executed", "enforcement", "audit"):
+    for key in ("result", "exc", "output", "executed", "enforcement", "heap",
+                "audit"):
         assert cold[key] == hot[key], f"tier-2 diverged on {key}"
 
 
@@ -555,9 +567,9 @@ class TestBlockDispatch:
             def spy(engine, seen=seen):
                 enter = engine._enter
 
-                def record(compiled, regs, entry):
+                def record(compiled, regs, entry, args=()):
                     seen.append((compiled, entry))
-                    return enter(compiled, regs, entry)
+                    return enter(compiled, regs, entry, args)
 
                 engine._enter = record
 
@@ -575,6 +587,11 @@ class TestBlockDispatch:
         compiled = hot["program"].tier2.cache[("f", ("out",))]
         interp = hot["interp"]
         for bad in (-1, 5, 6):
+            # Both entry conventions: arguments in place, and OSR's
+            # register dict.
+            with pytest.raises(AssertionError,
+                               match="unknown tier-2 block index"):
+                compiled.fn(interp.ctx, None, bad, 0, 0)
             with pytest.raises(AssertionError,
                                match="unknown tier-2 block index"):
                 compiled.fn(interp.ctx, {"i": 0, "acc": 0}, bad)
@@ -737,13 +754,17 @@ class TestBenchmarkShapes:
 @pytest.fixture
 def guarded_variants(monkeypatch):
     """Wrap every variant tier 2 compiles so that each entry checks the
-    running thread against the variant's context key, and count the
-    calls that go through :meth:`Tier2Engine.call`.
+    running thread against the variant's context key and the way it was
+    entered, and count the calls that go through :meth:`Tier2Engine.call`.
+
+    Only an OSR entry may carry a register dict; every other entry (the
+    engine's and linked sites') passes exactly the method's arguments in
+    place.  An OSR entry is the first entry after an OSR probe starts.
 
     Yields ``(entered, wrong, engine_calls)``: the ``(method, key kind)``
-    of every entry, the entries whose thread did not match, and
-    per-method engine calls.  A callee's profile invocations minus its
-    engine calls are the calls linked sites made.
+    of every entry, the entries whose thread or calling convention did
+    not match, and per-method engine calls.  A callee's profile
+    invocations minus its engine calls are the calls linked sites made.
     """
     from collections import Counter
 
@@ -752,12 +773,15 @@ def guarded_variants(monkeypatch):
     entered, wrong, engine_calls = [], [], Counter()
     compile_method = tier2.compile_method
     call = tier2.Tier2Engine.call
+    osr_probe = tier2.Tier2Engine.osr_probe
+    in_probe = [False]
 
     def guarded(method, program, key, fusion):
         compiled = compile_method(method, program, key, fusion)
         fn = compiled.fn
 
-        def entry(ctx, regs, block):
+        def entry(ctx, regs, block, *args):
+            from_osr, in_probe[0] = in_probe[0], False
             thread = ctx.interp.vm.current_thread
             if key == ("out",):
                 ok = not thread.in_region
@@ -765,8 +789,13 @@ def guarded_variants(monkeypatch):
                 ok = thread.in_region and thread.labels == key[1]
             if not ok:
                 wrong.append((method.name, key, thread.labels))
+            if from_osr:
+                if not isinstance(regs, dict) or args:
+                    wrong.append((method.name, key, "osr entry without regs"))
+            elif regs is not None or len(args) != len(method.params):
+                wrong.append((method.name, key, "call entry with regs"))
             entered.append((method.name, key[0]))
-            return fn(ctx, regs, block)
+            return fn(ctx, regs, block, *args)
 
         compiled.fn = entry
         return compiled
@@ -775,8 +804,23 @@ def guarded_variants(monkeypatch):
         engine_calls[method.name] += 1
         return call(engine, method, args)
 
+    def watched_osr(engine, method):
+        probe = osr_probe(engine, method)
+        if probe is None:
+            return None
+
+        def watched(label, regs):
+            in_probe[0] = True
+            try:
+                return probe(label, regs)
+            finally:
+                in_probe[0] = False
+
+        return watched
+
     monkeypatch.setattr(tier2, "compile_method", guarded)
     monkeypatch.setattr(tier2.Tier2Engine, "call", counted)
+    monkeypatch.setattr(tier2.Tier2Engine, "osr_probe", watched_osr)
     return entered, wrong, engine_calls
 
 
@@ -892,6 +936,294 @@ class TestAuditParity:
                    for line in cold["audit"]), cold["audit"]
         _equivalent(cold, hot)
         assert hot["interp"]._tier2.compiles >= 1
+
+
+#: Five ways for compiled code to raise part-way through a block, each
+#: with allocations, barriers and plain instructions before and after the
+#: raising one, so a block that counted ahead must take back exactly what
+#: it never reached.  name -> (source, the exception escaping ``main``).
+RAISE_MID_BLOCK = {
+    # The region body's write to its unlabeled parameter is a secrecy
+    # violation: cached_check_flow raises it, the region's catch runs.
+    "region_catch": ("""
+class Gen { fa, fb }
+
+method onfail() {
+entry:
+  const m, -77
+  print m
+  ret
+}
+
+region method work(b) secrecy(s) catch(onfail) {
+entry:
+  new f, Gen
+  const k, 7
+  putfield f, fa, k
+  getfield t, f, fa
+  print t
+  putfield b, fb, t
+  new g, Gen
+  print k
+  ret
+}
+
+method main() {
+entry:
+  new b, Gen
+  const i, 0
+  jmp loop
+loop:
+  const lim, 4
+  binop c, lt, i, lim
+  br c, body, done
+body:
+  call _, work, b
+  const one, 1
+  binop i, add, i, one
+  jmp loop
+done:
+  getfield r, b, fb
+  ret r
+}
+""", None),
+    # An integrity region hands out a labeled object; the second peek
+    # reads it out of region and the space check raises.
+    "space_check": ("""
+class Gen { fa, fb }
+
+region method stash(b) integrity(s) {
+entry:
+  new f, Gen
+  const k, 7
+  putfield f, fa, k
+  putfield b, fb, f
+  ret
+}
+
+method peek(b, i) {
+entry:
+  new a, Gen
+  putfield a, fa, i
+  getfield o, b, fb
+  getfield v, o, fa
+  new c, Gen
+  putfield c, fb, v
+  print v
+  ret v
+}
+
+method main() {
+entry:
+  new b, Gen
+  new u, Gen
+  const i, 1
+  putfield u, fa, i
+  putfield b, fb, u
+  call r, peek, b, i
+  call _, stash, b
+  call r, peek, b, i
+  print r
+  ret r
+}
+""", "RegionViolation"),
+    "div_zero": ("""
+class Gen { fa, fb }
+
+method divide(d, i) {
+entry:
+  new a, Gen
+  putfield a, fa, i
+  getfield x, a, fa
+  binop q, div, x, d
+  new c, Gen
+  putfield c, fb, q
+  print q
+  ret q
+}
+
+method main() {
+entry:
+  new b, Gen
+  const z, 0
+  const i, 5
+  call r, divide, z, i
+  print r
+  ret r
+}
+""", "ZeroDivisionError"),
+    # The barrier before the getfield faults first where there is one.
+    "null_getfield": ("""
+class Gen { fa, fb }
+
+method probe(o, i) {
+entry:
+  new a, Gen
+  putfield a, fa, i
+  getfield v, o, fa
+  new c, Gen
+  putfield c, fb, v
+  print v
+  ret v
+}
+
+method main() {
+entry:
+  new b, Gen
+  const i, 5
+  putfield b, fa, i
+  call r, probe, b, i
+  const n, null
+  call r, probe, n, i
+  print r
+  ret r
+}
+""", "AttributeError"),
+    # divide compiles on its first call; the third call, by then through
+    # main's linked site, divides by zero.
+    "linked_callee": ("""
+class Gen { fa, fb }
+
+method divide(d, i) {
+entry:
+  new a, Gen
+  putfield a, fa, i
+  getfield x, a, fa
+  binop q, div, x, d
+  new c, Gen
+  putfield c, fb, q
+  print q
+  ret q
+}
+
+method main() {
+entry:
+  const i, 0
+  const r, 0
+  jmp loop
+loop:
+  const two, 2
+  binop d, sub, two, i
+  new w, Gen
+  call r, divide, d, i
+  putfield w, fa, r
+  print r
+  const one, 1
+  binop i, add, i, one
+  jmp loop
+}
+""", "ZeroDivisionError"),
+}
+
+#: A header load that faults inside a region: ``work``'s own read of a
+#: null register (a static in-region barrier under the static config),
+#: and ``probe``'s, compiled for the region's context (a dynamic one
+#: under the dynamic config).  Both regions suppress the fault.
+NULL_IN_REGION_SRC = """
+class Gen { fa, fb }
+
+method probe(o, i) {
+entry:
+  new a, Gen
+  putfield a, fa, i
+  getfield v, o, fa
+  new c, Gen
+  print v
+  ret v
+}
+
+region method work(b) secrecy(s) {
+entry:
+  new f, Gen
+  const k, 7
+  putfield f, fa, k
+  const n, null
+  getfield t, n, fa
+  print k
+  ret
+}
+
+region method work2(b) secrecy(s) {
+entry:
+  new f, Gen
+  const k, 7
+  putfield f, fa, k
+  call v, probe, f, k
+  const n, null
+  call w, probe, n, k
+  print k
+  ret
+}
+
+method main() {
+entry:
+  new b, Gen
+  const i, 5
+  putfield b, fa, i
+  call r, probe, b, i
+  call _, work, b
+  call _, work, b
+  call _, work2, b
+  call _, work2, b
+  print r
+  ret r
+}
+"""
+
+
+def _eager(fusion):
+    return TierPolicy(invocation_threshold=1, backedge_threshold=2,
+                      deopt_recompile_threshold=1, fusion=fusion)
+
+
+class TestRaiseMidBlock:
+    """A compiled block adds its static counts on entry; a raise takes
+    back what the block never reached.  Every count the interpreter
+    keeps (instructions, enforcement, heap, verdict-memo answers) and the
+    audit log must come out the same when the raise lands mid-block."""
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("config", [JITConfig.STATIC, JITConfig.DYNAMIC])
+    @pytest.mark.parametrize("name", sorted(RAISE_MID_BLOCK))
+    def test_counts_match_the_interpreter(self, name, config, fusion):
+        source, escapes = RAISE_MID_BLOCK[name]
+        cold = _observe(source, config=config, inline=False)
+        hot = _observe(source, config=config, inline=False,
+                       policy=_eager(fusion))
+        _equivalent(cold, hot)
+        assert cold["exc"] == escapes
+        if escapes is None:
+            assert any("suppressed SecrecyViolation" in line
+                       for line in cold["audit"])
+        # The raise happened in compiled code, not before it.
+        engine = hot["interp"]._tier2
+        assert engine.compiles >= 2 and engine.entries >= 2
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_getfield_itself_raises_without_barriers(self, fusion):
+        source, escapes = RAISE_MID_BLOCK["null_getfield"]
+        cold = _observe(source, config=JITConfig.BASELINE, inline=False)
+        hot = _observe(source, config=JITConfig.BASELINE, inline=False,
+                       policy=_eager(fusion))
+        _equivalent(cold, hot)
+        assert cold["exc"] == escapes
+        assert cold["enforcement"]["read_barriers"] == 0
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    @pytest.mark.parametrize("config", [JITConfig.STATIC, JITConfig.DYNAMIC])
+    def test_header_load_faults_in_a_region(self, config, fusion):
+        # work's static in-region check is counted, then its header load
+        # faults before the memo answers: two checks answered neither way.
+        # Under the dynamic config, probe's dynamic barrier in work2
+        # faults before its dispatch and check are counted.
+        cold = _observe(NULL_IN_REGION_SRC, config=config, inline=False,
+                        unanswered=2)
+        hot = _observe(NULL_IN_REGION_SRC, config=config, inline=False,
+                       unanswered=2, policy=_eager(fusion))
+        _equivalent(cold, hot)
+        faults = [line for line in cold["audit"]
+                  if "suppressed AttributeError" in line]
+        assert len(faults) >= 2, cold["audit"]
 
 
 class TestCompilerWiring:
