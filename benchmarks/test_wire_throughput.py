@@ -1,9 +1,9 @@
 """Wire throughput: the lamwire binary data plane against a pickle yardstick.
 
 The cluster data plane (:mod:`repro.osim.lamwire`) is a schema'd binary
-codec: struct-packed headers, varint fields, per-connection value/batch
-dictionaries, and an epoch-guarded label dictionary.  This benchmark
-measures the data-plane claims:
+codec: struct-packed headers, varint fields, and a per-connection value
+dictionary that also carries batches, labels and label pairs.  This
+benchmark measures the data-plane claims:
 
 * **codec throughput** — encode+decode of a realistic DIFC request mix
   (fd batches, read-heavy batches, labeled socket batches) and its
@@ -17,9 +17,10 @@ measures the data-plane claims:
   byte-identical to the single-kernel replay at 1, 4, and 8 workers:
   the codec may change bytes, never observables (denied ≡ empty
   included — the workload carries real denials).
-* **label dictionary** — repeated label pairs cost a 3-byte reference
-  after the first send; a tag-allocator epoch bump forces definitions
-  to be re-sent (the staleness guard) and decode still agrees.
+* **label pairs** — a repeated label pair costs a value-dictionary
+  reference after its first send, and still does after a tag
+  allocation and after an applied ``TagSync``: no tag value is ever
+  reused, so a pair never changes meaning, and decode still agrees.
 * **cluster wire** — one cluster's own frames and payload bytes per
   request, both directions, in waves of 32.
 
@@ -54,7 +55,7 @@ from repro.osim import (
 )
 from repro.osim.cluster import ClusterRequest
 from repro.osim.lamwire import HEADER
-from repro.osim.rpc import CapSync, ShardRequest, ShardResponse
+from repro.osim.rpc import CapSync, ShardRequest, ShardResponse, TagSync
 
 from conftest import publish
 
@@ -347,35 +348,43 @@ def results():
     parity["denials"] = sum("denial" in line for line in single_audit)
     out["parity"] = parity
 
-    # -- label dictionary: reference hits + epoch-forced re-send ----------
+    # -- label pairs: references across tag changes -----------------------
     # Each pass ships a *distinct* Sqe batch (the salt defeats the
     # batch-tuple dictionary, which would otherwise reduce the whole
-    # tuple to one REF and never reach the label encoder) carrying the
-    # *same* LabelPairs — exactly the repeated-labels traffic the label
-    # dictionary exists for.
+    # tuple to one REF and never reach the pair encoder) carrying the
+    # *same* LabelPairs: defined by the first pass, referenced by the
+    # pass after a tag allocation and by the pass after the peer applied
+    # a TagSync.
     allocator = TagAllocator(first=1000)
-    zones = [allocator.alloc(f"wz{i}") for i in range(4)]
-    pairs = [LabelPair(Label.of(t)) for t in zones]
+    peer = TagAllocator(first=1000)
+    pairs = [LabelPair(Label.of(allocator.alloc(f"wz{i}"))) for i in range(4)]
     enc, dec = BinaryWireCodec(), BinaryWireCodec()
-    enc.bind_allocator(allocator)
     waves = [tuple(Sqe("socket", p, salt) for p in pairs) for salt in range(3)]
-    counters = fastpath.counters
-    h0, m0 = counters.label_dict_hits, counters.label_dict_misses
-    first, _ = dec.decode(enc.encode(waves[0]))
-    h1, m1 = counters.label_dict_hits, counters.label_dict_misses
-    second, _ = dec.decode(enc.encode(waves[1]))
-    h2, m2 = counters.label_dict_hits, counters.label_dict_misses
-    allocator.alloc("fresh")  # epoch bump -> every entry stale
-    third, _ = dec.decode(enc.encode(waves[2]))
-    h3, m3 = counters.label_dict_hits, counters.label_dict_misses
+
+    def send(wave) -> tuple:
+        hits, misses = enc.label_dict_hits, enc.label_dict_misses
+        decoded, _ = dec.decode(enc.encode(wave))
+        return (
+            decoded == wave,
+            enc.label_dict_hits - hits,
+            enc.label_dict_misses - misses,
+        )
+
+    first = send(waves[0])
+    allocator.alloc("fresh")
+    after_alloc = send(waves[1])
+    sync, _ = dec.decode(enc.encode(TagSync(*allocator.snapshot())))
+    applied = peer.apply_snapshot(sync.epoch, sync.next_value, sync.entries)
+    after_sync = send(waves[2])
+    n = len(pairs)
     out["dictionary"] = {
-        "first_pass_misses": m1 - m0,
-        "second_pass_hits": h2 - h1,
-        "post_epoch_misses": m3 - m2,
-        "epoch_resend_ok": (first, second, third) == tuple(waves)
-        and (m1 - m0) == len(pairs)
-        and (h2 - h1) == len(pairs)
-        and (m3 - m2) == len(pairs),
+        "first_pass_misses": first[2],
+        "post_alloc_hits": after_alloc[1],
+        "post_sync_hits": after_sync[1],
+        "resend_as_reference_ok": first == (True, 0, n)
+        and after_alloc == (True, n, 0)
+        and applied
+        and after_sync == (True, n, 0),
     }
 
     # -- one cluster's wire accounting ------------------------------------
@@ -383,6 +392,7 @@ def results():
     wire_trace = build_trace(wire_world, PARITY_REQUESTS, users=2_000, seed=11)
     # Scope the fastpath block to this run alone (the micro-bench arms
     # above share the process-wide counters).
+    counters = fastpath.counters
     counters.reset()
     cluster = Cluster(wire_world, shards=2)
     cluster.run_trace(wire_trace, wave_size=WAVE)
@@ -423,8 +433,8 @@ class TestWireBench:
         # The parity workload was adversarial, not vacuous.
         assert parity["denials"] > 0
 
-    def test_label_dictionary_epoch_guard(self, results):
-        assert results["dictionary"]["epoch_resend_ok"] is True
+    def test_label_pairs_stay_references_across_tag_changes(self, results):
+        assert results["dictionary"]["resend_as_reference_ok"] is True
 
     def test_wire_counters_flow_into_snapshot(self, results):
         fp = results["fastpath"]
@@ -464,9 +474,11 @@ class TestWireBench:
             f"{results['speedup_encode_decode']:.2f}x",
             f"bytes ratio (pickle/binary):    "
             f"{results['bytes_ratio']:.1f}x fewer bytes",
-            f"label dictionary: {results['dictionary']['second_pass_hits']} "
-            f"hits on re-send, epoch guard "
-            f"{'ok' if results['dictionary']['epoch_resend_ok'] else 'BROKEN'}",
+            f"label pairs: {results['dictionary']['first_pass_misses']} "
+            f"defined, then {results['dictionary']['post_alloc_hits']} + "
+            f"{results['dictionary']['post_sync_hits']} references after a "
+            f"tag allocation and a TagSync "
+            f"{'ok' if results['dictionary']['resend_as_reference_ok'] else 'BROKEN'}",
             f"cluster wire: {results['cluster_wire']['frames']} frames, "
             f"{results['cluster_wire']['bytes_per_request']:.1f} B/req",
             "parity: "

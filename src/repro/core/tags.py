@@ -86,22 +86,10 @@ class TagAllocator:
         #: and advanced by :meth:`apply_snapshot`.  Cluster shards use it
         #: for epoch-stamped invalidation of the replicated tag namespace:
         #: a snapshot older than what a shard already applied is stale and
-        #: must be ignored (see repro.osim.rpc.TagSync).
+        #: must be ignored (see repro.osim.rpc.TagSync).  Nothing else
+        #: needs to hear of an epoch change: no value is ever reused, so a
+        #: label built from allocated tags keeps its meaning for good.
         self.epoch = 0
-        #: Epoch-change listeners (the wire codec's label-dictionary
-        #: guard above all): called with the new epoch after every local
-        #: allocation and every applied snapshot, so a per-connection
-        #: label dictionary can stop referencing entries defined under a
-        #: now-stale view of the tag namespace and re-send definitions.
-        self._epoch_listeners: list = []
-
-    def add_epoch_listener(self, listener) -> None:
-        """Register ``listener(epoch)`` to run after every epoch bump."""
-        self._epoch_listeners.append(listener)
-
-    def _notify_epoch(self) -> None:
-        for listener in self._epoch_listeners:
-            listener(self.epoch)
 
     def alloc(self, name: str = "") -> Tag:
         """Return a fresh, never-before-seen tag."""
@@ -114,7 +102,6 @@ class TagAllocator:
         tag = Tag(value, name)
         self._allocated[value] = tag
         self.epoch += 1
-        self._notify_epoch()
         return tag
 
     # -- cluster replication (repro.osim.cluster) ---------------------------
@@ -148,7 +135,6 @@ class TagAllocator:
         if next_value > self._next:
             self._next = next_value
         self.epoch = epoch
-        self._notify_epoch()
         return True
 
     def lookup(self, value: int) -> Tag | None:

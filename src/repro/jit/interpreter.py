@@ -229,36 +229,38 @@ def build_handler_table(method: Method, program: Program) -> dict[str, list]:
                 def h(regs, ctx, r=ops[0], instr=instr):
                     stats = ctx.stats
                     stats.read_barriers += 1
+                    header = regs[r].header
                     flavor = instr.flavor
                     if flavor is BarrierFlavor.STATIC_OUT:
                         stats.space_checks += 1
-                        if ctx.labeled(regs[r].header):
+                        if ctx.labeled(header):
                             raise RegionViolation(_OUT_OF_REGION_MSG)
                     elif flavor is BarrierFlavor.STATIC_IN:
                         stats.label_checks += 1
                         cached_check_flow(
-                            regs[r].header.labels, ctx.thread.labels,
+                            header.labels, ctx.thread.labels,
                             stats, context="IR read",
                         )
                     else:
-                        ctx.interp._barrier(instr, regs[r].header, is_read=True)
+                        ctx.interp._barrier(instr, header, is_read=True)
             elif op is Opcode.WRITEBAR:
                 def h(regs, ctx, r=ops[0], instr=instr):
                     stats = ctx.stats
                     stats.write_barriers += 1
+                    header = regs[r].header
                     flavor = instr.flavor
                     if flavor is BarrierFlavor.STATIC_OUT:
                         stats.space_checks += 1
-                        if ctx.labeled(regs[r].header):
+                        if ctx.labeled(header):
                             raise RegionViolation(_OUT_OF_REGION_MSG)
                     elif flavor is BarrierFlavor.STATIC_IN:
                         stats.label_checks += 1
                         cached_check_flow(
-                            ctx.thread.labels, regs[r].header.labels,
+                            ctx.thread.labels, header.labels,
                             stats, context="IR write",
                         )
                     else:
-                        ctx.interp._barrier(instr, regs[r].header, is_read=False)
+                        ctx.interp._barrier(instr, header, is_read=False)
             elif op is Opcode.ALLOCBAR:
                 def h(regs, ctx, r=ops[0], instr=instr):
                     ctx.stats.alloc_barriers += 1
@@ -484,38 +486,42 @@ class Interpreter:
                     self.statics[ops[0]] = regs[ops[1]]
                 elif op is Opcode.READBAR:
                     barrier_stats.read_barriers += 1
+                    # A null register faults here, before any flavor's
+                    # check is counted.
+                    header = regs[ops[0]].header
                     flavor = instr.flavor
                     if flavor is static_out:
                         # compiled-in out-of-region variant: one membership
                         # test against the labeled object space.
                         barrier_stats.space_checks += 1
-                        if labeled(regs[ops[0]].header):
-                            self._static_violation(flavor)
+                        if labeled(header):
+                            raise RegionViolation(_OUT_OF_REGION_MSG)
                     elif flavor is static_in:
                         # compiled-in in-region variant: label comparison,
                         # answered from the flow-verdict memo.
                         barrier_stats.label_checks += 1
                         cached_check_flow(
-                            regs[ops[0]].header.labels, thread.labels,
+                            header.labels, thread.labels,
                             barrier_stats, context="IR read",
                         )
                     else:
-                        self._barrier(instr, regs[ops[0]].header, is_read=True)
+                        self._barrier(instr, header, is_read=True)
                 elif op is Opcode.WRITEBAR:
                     barrier_stats.write_barriers += 1
+                    header = regs[ops[0]].header
                     flavor = instr.flavor
                     if flavor is static_out:
                         barrier_stats.space_checks += 1
-                        if labeled(regs[ops[0]].header):
-                            self._static_violation(flavor)
+                        if labeled(header):
+                            raise RegionViolation(_OUT_OF_REGION_MSG)
                     elif flavor is static_in:
                         barrier_stats.label_checks += 1
                         cached_check_flow(
-                            thread.labels, regs[ops[0]].header.labels,
+                            thread.labels, header.labels,
                             barrier_stats, context="IR write",
                         )
                     else:
-                        self._barrier(instr, regs[ops[0]].header, is_read=False)
+                        self._barrier(instr, header, is_read=False)
                 elif op is Opcode.ALLOCBAR:
                     barrier_stats.alloc_barriers += 1
                     flavor = instr.flavor
@@ -661,9 +667,6 @@ class Interpreter:
                 f"method needs cloning or dynamic barriers"
             )
         return expected
-
-    def _static_violation(self, flavor: Optional[BarrierFlavor]) -> None:
-        raise RegionViolation(_OUT_OF_REGION_MSG)
 
     def _barrier(self, instr: Instr, header: Any, is_read: bool) -> None:
         stats = self.vm.barriers.stats

@@ -47,8 +47,8 @@ Bookkeeping once per block
     the function's ``finally`` flushes them all.  A raise stays exact: the
     ``except`` finds the raising line by ``tb_lineno`` in a per-line table
     built at code generation and takes back what the block never reached
-    (and, for a header load that faults, what the interpreter had not yet
-    counted at that point).
+    (and, for a header load that faults, the barrier's dispatch and check,
+    which the interpreter counts only once the header is loaded).
 
 Guards and deoptimization
     Compiled code is entered through the code cache, whose key *is* the
@@ -336,11 +336,9 @@ _COUNTERS = (
     ("_sc", "_stats", "space_checks"),
     ("_na", "_hs", "allocations"),
 )
-#: A raise takes back counts by column: the ``_COUNTERS``, then ``_fm``,
-#: the label checks the inline memo probe did not answer.
-_COLUMNS = tuple(name for name, _, _ in _COUNTERS) + ("_fm",)
+#: A raise takes back counts by column, one per ``_COUNTERS`` entry.
+_COLUMNS = tuple(name for name, _, _ in _COUNTERS)
 _COLUMN = {name: i for i, name in enumerate(_COLUMNS)}
-_FM = _COLUMN["_fm"]
 
 _TERMINATORS = (Opcode.RET, Opcode.JMP, Opcode.BR)
 
@@ -485,14 +483,12 @@ class _Codegen:
         check = "_lc" if variant_in else "_sc"
         self.count(check)
         # The header load can fault (a null register).  The interpreter
-        # has then counted the barrier but not what comes after the load:
-        # a dynamic barrier's dispatch and check, or the memo's answer to
-        # a static in-region check.  The line that loads it takes those
+        # has then counted the barrier but not its dispatch or check,
+        # which come after the load; the line that loads it takes those
         # back.
+        fault = {check: 1}
         if flavor is BarrierFlavor.DYNAMIC:
-            fault = {"_dd": 1, check: 1}
-        else:
-            fault = {"_fm": -1} if variant_in else None
+            fault["_dd"] = 1
         labels = f"{self.R(reg)}.header.labels"
         if variant_in:
             # The verdict memo answers an allowed flow inline; a miss or a
@@ -700,7 +696,7 @@ class _Codegen:
                 body.append((f"{_COLUMNS[col]} += {n}", None))
         ends = [start for start, _ in units[1:]] + [len(self.lines)]
         for (start, reached), end in zip(units, ends):
-            row = (*map(operator.sub, total, reached), 0)
+            row = tuple(map(operator.sub, total, reached))
             shared = row if any(row) else None
             for text, fault in self.lines[start:end]:
                 if fault:
@@ -798,8 +794,9 @@ def _take_back(ctx: Any, unreached: dict, error: BaseException) -> None:
         if n:
             target = owners[owner]
             setattr(target, field, getattr(target, field) - n)
-    # The flush adds ``_lc - _fm`` memo hits.
-    hits = row[_COLUMN["_lc"]] - row[_FM]
+    # The flush adds ``_lc - _fm`` memo hits; no check it takes back was
+    # answered either way.
+    hits = row[_COLUMN["_lc"]]
     ctx.stats.flow_cache_hits -= hits
     fastpath.counters.verdict_hits -= hits
 

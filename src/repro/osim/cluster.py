@@ -290,7 +290,6 @@ class Cluster:
                 servers=servers,
                 serve=lambda wave: [servers[sid].handle(m) for sid, m in wave],
                 report=lambda: tuple(servers[i].report() for i in sorted(servers)),
-                allocators=[server.kernel.tags for server in servers.values()],
             )
 
         self.pool = Pool(boot, hosts, fork=executor == "multiprocess", seed=seed)
@@ -360,9 +359,9 @@ class Cluster:
         ``next_value`` it last acknowledged).  Safe because tag values
         are never reused and ``apply_snapshot`` ignores entries already
         present — a delta applies to exactly the same state as the full
-        snapshot would.  Also invalidates every parent-side label
-        dictionary (the epoch guard), since the frame may introduce tags
-        the peers' dictionaries predate."""
+        snapshot would.  The wire dictionaries need no invalidation: a
+        label pair they already carry names the same tags after any
+        number of syncs, because no tag value is ever reused."""
         epoch, next_value, entries = allocator.snapshot()
         wave = []
         for spec in self.specs:
@@ -373,7 +372,6 @@ class Cluster:
         for ack in acks:
             if ack.applied:
                 self._tag_hwm[ack.shard_id] = next_value
-        self.pool.bump_label_epoch()
         return acks
 
     def sync_caps(self, principals) -> list:

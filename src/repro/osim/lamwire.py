@@ -22,38 +22,32 @@ The two wave shapes the executors ship — ``[(shard_id, ShardRequest),
 A codec installs the message registry when it is built, so every wave,
 the first included, takes its wave encoding.
 
-**Per-connection dictionaries.**  Both endpoints of a connection keep a
-pair of synchronized dictionaries, populated in-band:
+**A per-connection value dictionary.**  Both endpoints of a connection
+keep one synchronized dictionary, populated in-band: strings, small
+byte payloads, whole
+:class:`~repro.osim.kernel.Sqe`/:class:`~repro.osim.kernel.Cqe`
+entries (and whole uniform *batches* of them: a request's ``sqes``
+tuple is one entry), bare :class:`~repro.core.labels.Label` objects and
+(secrecy, integrity) :class:`~repro.core.labels.LabelPair`\\ s are
+defined once (``DEF id value``) and thereafter referenced by a varint
+id (``REF id``).  A steady-state Zipfian workload repeats a small set
+of operations, so whole request bodies collapse to ~2-byte references
+and the decoder returns the *same cached object* — zero construction,
+zero re-interning.  Labels need no guard against tag-namespace changes:
+they are immutable and the trusted allocator never reuses a tag value,
+so a label or pair decoded once means the same thing for the life of
+the connection.  The codec counts the label pairs it sends as
+references and in full as ``label_dict_hits``/``label_dict_misses``.
 
-* a *value dictionary* — strings, small byte payloads, whole
-  :class:`~repro.osim.kernel.Sqe`/:class:`~repro.osim.kernel.Cqe`
-  entries (and whole uniform *batches* of them: a request's ``sqes``
-  tuple is one entry), and bare :class:`~repro.core.labels.Label`
-  objects are defined once (``DEF id value``) and thereafter referenced
-  by a varint id (``REF id``).  A steady-state Zipfian workload repeats
-  a small set of operations, so whole request bodies collapse to ~2-byte
-  references and the decoder returns the *same cached object* — zero
-  construction, zero re-interning.
-* a *label dictionary* — each (secrecy, integrity)
-  :class:`~repro.core.labels.LabelPair` is transmitted once and then
-  referenced by a 16-bit id, **guarded by the tag-allocator epoch**:
-  the codec registers an epoch listener on every bound
-  :class:`~repro.core.tags.TagAllocator`, and any allocation or applied
-  snapshot invalidates the encoder's entries, forcing the next use of
-  each pair to re-send its full definition (`LPDEF`).  Definitions are
-  self-contained, so the guard is pure conservatism — a decoder is
-  always correct — but it means no id is ever dereferenced across a
-  change of the tag namespace it was defined under.
-
-Dictionaries are strictly per-connection, per-direction state: the
+The dictionary is strictly per-connection, per-direction state: the
 ``DEF`` frames that populate the decoder travel in the same FIFO stream
 as the ``REF`` frames that use them, so in-order delivery (guaranteed by
 the ``multiprocessing`` pipes underneath) is the only synchronization.
-They are deliberately *not* registered with
+It is deliberately *not* registered with
 :func:`repro.core.fastpath.register_cache`: clearing one endpoint of a
-connection mid-stream would desynchronize the pair.  (Encoder-side
-resets alone are harmless — definitions carry explicit ids — which is
-also why the epoch guard can invalidate unilaterally.)
+connection mid-stream would desynchronize the pair.  A frame that is
+never sent rolls its encoder back (:meth:`BinaryWireCodec.rollback`),
+so no later frame references a definition the peer never saw.
 
 Byte payloads are copied into the frame's one ``bytearray`` whatever
 their size (small ``bytes`` also go through the value dictionary);
@@ -90,10 +84,9 @@ MAX_FRAME_PAYLOAD = 1 << 28
 #: (a repeated write payload becomes a 2-byte reference).
 DICT_BYTES_MAX = 64
 
-#: Entry caps.  Past the cap the encoder stops defining and falls back to
+#: Entry cap.  Past the cap the encoder stops defining and falls back to
 #: inline encoding; decode stays correct either way.
 VALUE_DICT_CAP = 1 << 16
-LABEL_DICT_CAP = 1 << 16
 
 # Wire type tags (one byte).  32+ are the RPC message classes.
 T_NONE = 0
@@ -108,9 +101,7 @@ T_LIST = 8
 T_DICT = 9
 T_REF = 10
 T_DEF = 11
-T_LPREF = 13
-T_LPDEF = 14
-T_LPRAW = 15
+T_LABELPAIR = 12
 T_LABEL = 16
 T_SQE = 17
 T_CQE = 18
@@ -211,11 +202,11 @@ def _message_registry() -> dict:
 
 class BinaryWireCodec:
     """One endpoint of a binary-wire connection: a stateful encoder
-    (value + label dictionaries keyed by content) paired with a stateful
-    decoder (the same dictionaries keyed by id, populated from in-band
-    ``DEF``/``LPDEF`` frames).  One instance serves both directions of
-    one connection; the two directions' id spaces are independent
-    because each direction is (this encoder → peer decoder).
+    (the value dictionary keyed by content) paired with a stateful
+    decoder (the same dictionary keyed by id, populated from in-band
+    ``DEF`` frames).  One instance serves both directions of one
+    connection; the two directions' id spaces are independent because
+    each direction is (this encoder → peer decoder).
 
     The encoder streams into one ``bytearray`` per frame
     (``self._buf``), header included.  Not reentrant — one codec per
@@ -226,24 +217,16 @@ class BinaryWireCodec:
 
     def __init__(self) -> None:
         # Encoder state: content -> id.  Key spaces are disjoint by
-        # construction (str, bytes, Label, and ("S"/"C", ...)-prefixed
-        # tuples for Sqe/Cqe entries and batches).
+        # construction (str, bytes, Label, LabelPair, and tuples for
+        # Sqe/Cqe entries and batches).
         self._evals: dict = {}
-        self._elp: dict[LabelPair, tuple[int, int]] = {}
-        self._next_lp = 0
         # Decoder state: id -> decoded object.
         self._dvals: dict[int, object] = {}
-        self._dlp: dict[int, LabelPair] = {}
-        #: Monotonic label-dictionary epoch: bumped by every bound
-        #: allocator's epoch change (and manually via
-        #: :meth:`bump_label_epoch`).  Encoder entries remember the epoch
-        #: they were defined under; a mismatch forces re-definition.
-        self.label_epoch = 0
-        #: This encoder's label-dictionary traffic (the process-wide
-        #: totals are ``counters.label_dict_hits``/``_misses``).
+        #: This encoder's label pairs sent as references and in full
+        #: (the process-wide totals are ``counters.label_dict_hits``/
+        #: ``_misses``).
         self.label_dict_hits = 0
         self.label_dict_misses = 0
-        self._bound: list = []
         self._buf: Optional[bytearray] = None
         self._enc = {
             type(None): self._enc_none,
@@ -277,9 +260,7 @@ class BinaryWireCodec:
         dec[T_DICT] = self._dec_dict
         dec[T_REF] = self._dec_ref
         dec[T_DEF] = self._dec_def
-        dec[T_LPREF] = self._dec_lpref
-        dec[T_LPDEF] = self._dec_lpdef
-        dec[T_LPRAW] = self._dec_lpraw
+        dec[T_LABELPAIR] = self._dec_labelpair
         dec[T_LABEL] = self._dec_label
         dec[T_SQE] = self._dec_sqe
         dec[T_CQE] = self._dec_cqe
@@ -296,23 +277,6 @@ class BinaryWireCodec:
         self._dec = dec
         self._req_cls = ShardRequest
         self._resp_cls = ShardResponse
-
-    # -- epoch guard ----------------------------------------------------
-
-    def bind_allocator(self, allocator) -> None:
-        """Guard the label dictionary with ``allocator``'s epoch: any
-        local allocation or applied snapshot invalidates every encoder
-        entry (next use re-sends its definition)."""
-        allocator.add_epoch_listener(self._on_allocator_epoch)
-        self._bound.append(allocator)
-
-    def _on_allocator_epoch(self, epoch: int) -> None:
-        self.label_epoch += 1
-
-    def bump_label_epoch(self) -> None:
-        """Manual invalidation for endpoints without a local allocator to
-        bind (the cluster driver bumps on every ``sync_tags``)."""
-        self.label_epoch += 1
 
     # -- framing --------------------------------------------------------
 
@@ -345,13 +309,11 @@ class BinaryWireCodec:
 
     def rollback(self, mark: int) -> None:
         """Forget what the encoder defined since ``mark`` (a
-        :meth:`checkpoint`): value ids from ``mark`` on are dropped, and
-        every label pair is re-defined on its next use, since its id may
-        be one the peer never saw."""
+        :meth:`checkpoint`): value ids from ``mark`` on are dropped, so
+        each of those values is defined again on its next use."""
         evals = self._evals
         while len(evals) > mark:
             evals.popitem()  # ids are assigned in insertion order
-        self.label_epoch += 1
 
     def decode(self, buf: bytes) -> tuple[object, bytes]:
         """Decode one frame; returns ``(message, remainder)`` so callers
@@ -394,10 +356,8 @@ class BinaryWireCodec:
             "wire": self.name,
             "value_dict_entries": len(self._evals),
             "decoded_value_entries": len(self._dvals),
-            "label_dict_entries": len(self._elp),
             "label_dict_hits": self.label_dict_hits,
             "label_dict_misses": self.label_dict_misses,
-            "label_epoch": self.label_epoch,
         }
 
     # -- messages -------------------------------------------------------
@@ -832,34 +792,17 @@ class BinaryWireCodec:
 
     def _enc_labelpair(self, pair: LabelPair) -> None:
         buf = self._buf
-        entry = self._elp.get(pair)
-        epoch = self.label_epoch
-        if entry is not None and entry[1] == epoch:
+        eid = self._evals.get(pair)
+        if eid is not None:
             counters.label_dict_hits += 1
             self.label_dict_hits += 1
-            pair_id = entry[0]
-            buf.append(T_LPREF)
-            buf.append(pair_id >> 8)
-            buf.append(pair_id & 0xFF)
+            buf.append(T_REF)
+            _w_uvarint(buf, eid)
             return
         counters.label_dict_misses += 1
         self.label_dict_misses += 1
-        if entry is not None:
-            # Epoch-stale: re-send the definition under the entry's
-            # existing id (the decoder overwrites in place).
-            pair_id = entry[0]
-        elif self._next_lp < LABEL_DICT_CAP:
-            pair_id = self._next_lp
-            self._next_lp += 1
-        else:
-            buf.append(T_LPRAW)
-            self._raw_label(pair.secrecy)
-            self._raw_label(pair.integrity)
-            return
-        self._elp[pair] = (pair_id, epoch)
-        buf.append(T_LPDEF)
-        buf.append(pair_id >> 8)
-        buf.append(pair_id & 0xFF)
+        self._define(pair)
+        buf.append(T_LABELPAIR)
         self._raw_label(pair.secrecy)
         self._raw_label(pair.integrity)
 
@@ -951,16 +894,7 @@ class BinaryWireCodec:
         self._dvals[eid] = obj
         return obj, pos
 
-    def _dec_lpref(self, buf, pos: int):
-        return self._dlp[(buf[pos] << 8) | buf[pos + 1]], pos + 2
-
-    def _dec_lpdef(self, buf, pos: int):
-        pair_id = (buf[pos] << 8) | buf[pos + 1]
-        pair, pos = self._dec_lpraw(buf, pos + 2)
-        self._dlp[pair_id] = pair
-        return pair, pos
-
-    def _dec_lpraw(self, buf, pos: int):
+    def _dec_labelpair(self, buf, pos: int):
         secrecy, pos = self._dec_label(buf, pos)
         integrity, pos = self._dec_label(buf, pos)
         return LabelPair(secrecy, integrity), pos

@@ -3,10 +3,8 @@
 The cluster's shard hosts (:mod:`repro.osim.cluster`) and the parallel
 scheduler's group hosts (:mod:`repro.osim.psched`) both run on it.  A
 *host* is what ``boot(worker_id)`` returns: an object with
-``serve(request) -> reply``, ``report() -> tuple`` (the per-shard
-reports of its :class:`~repro.osim.rpc.WorkerReport`), and
-``allocators`` (the tag allocators whose epochs guard the connection's
-label dictionary).
+``serve(request) -> reply`` and ``report() -> tuple`` (the per-shard
+reports of its :class:`~repro.osim.rpc.WorkerReport`).
 
 The pool owns everything around the hosts: fork and pipe set-up, one
 :class:`~repro.osim.lamwire.BinaryWireCodec` per connection, the ready
@@ -78,8 +76,6 @@ def _worker_main(
     try:
         wseed = seed_worker_rng(seed, worker_id)
         host = boot(worker_id)
-        for allocator in host.allocators:
-            codec.bind_allocator(allocator)
         # The fork inherited the parent's process-global counters and
         # boot added to them; zero them so the report covers only this
         # worker's requests (reports sum cleanly across the pool).
@@ -134,8 +130,6 @@ class Pool:
         self.bytes_on_wire = 0
         if not fork:
             self.host = boot(0)
-            for allocator in self.host.allocators:
-                self.codecs[0].bind_allocator(allocator)
             self._base = fastpath.counters.snapshot()
             return
         import multiprocessing  # fork hosts only: keep it off start-up
@@ -210,15 +204,11 @@ class Pool:
             raise RuntimeError("; ".join(failures))
         return replies
 
-    def bump_label_epoch(self) -> None:
-        for codec in self.codecs:
-            codec.bump_label_epoch()
-
     def wire_stats(self) -> dict:
         """This pool's frames and payload bytes, both directions, and its
         parent-side codecs' dictionary statistics, summed.  The label
-        dictionary counts are the parent-side encoders': with forked
-        workers that is the request direction only."""
+        pair counts are the parent-side encoders': with forked workers
+        that is the request direction only."""
         stats: dict = {
             "wire": BinaryWireCodec.name,
             "connections": self.size,
@@ -227,9 +217,7 @@ class Pool:
         }
         for codec in self.codecs:
             for key, value in codec.stats().items():
-                if key == "label_epoch":  # in lockstep, not additive
-                    stats[key] = max(stats.get(key, 0), value)
-                elif key != "wire":
+                if key != "wire":
                     stats[key] = stats.get(key, 0) + value
         return stats
 

@@ -231,9 +231,7 @@ class ParallelScheduler:
                     results.append(result)
                 return results
 
-            return SimpleNamespace(
-                serve=serve, report=tuple, allocators=[kernel.tags]
-            )
+            return SimpleNamespace(serve=serve, report=tuple)
 
         self.pool = Pool(boot, hosts, fork=executor == "fork", seed=seed)
 

@@ -177,7 +177,7 @@ SPECS: tuple[BenchSpec, ...] = (
             "parity.workers_4.binary.traffic_parity",
             "parity.workers_8.binary.audit_parity",
             "parity.workers_8.binary.traffic_parity",
-            "dictionary.epoch_resend_ok",
+            "dictionary.resend_as_reference_ok",
         ),
         tolerance=0.30,
     ),

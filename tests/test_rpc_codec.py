@@ -12,10 +12,12 @@ Second, the lamwire binary codec is lossless over its schema and refuses
 everything outside it: hypothesis drives decode(encode(m)) == m over
 random labels, capability sets, sqes/cqes, byte payloads of every size
 and buffer type, messages, and executor wave shapes (including re-sends
-through the per-connection dictionaries and tag-allocator epoch bumps
-that force label-definition re-sends), off-schema values raise
+through the per-connection value dictionary, label pairs re-sent as
+references across tag allocations and applied ``TagSync`` frames, and
+inline values once the dictionary is full), off-schema values raise
 :class:`WireError` at encode (and a refused frame leaves its connection
-in step), malformed frames raise it at decode, and a
+in step), malformed frames raise it at decode, and so does any one-byte
+edit of a frame captured from a cluster run, and a
 sharded cluster merges to the same bytes over the in-process loopback
 and over forked workers' pipes.  Delta replication (TagSync high-water
 marks, CapSync unchanged-principal omission), per-cluster wire
@@ -24,6 +26,7 @@ accounting and the TrafficLog merge ride along.
 
 from __future__ import annotations
 
+import functools
 import pickle
 
 import pytest
@@ -319,58 +322,79 @@ class TestCodecEquivalence:
 
     @given(
         st.lists(
-            st.one_of(st.integers(0, 3), st.just("bump")),
+            st.one_of(st.integers(0, 3), st.sampled_from(["alloc", "sync"])),
             min_size=1,
             max_size=24,
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_label_dictionary_survives_epoch_bumps(self, script):
-        """Interleave label-bearing sends with allocator epoch bumps:
-        every decode must equal the encoded wave regardless of where the
-        bumps land (stale entries are re-sent under their existing id)."""
+    def test_label_pairs_survive_tag_changes(self, script):
+        """Interleave label-bearing sends with tag allocations and applied
+        ``TagSync`` frames: every decode equals the encoded wave, and each
+        pair is defined by its first send and referenced by every later
+        one, since no tag value is ever reused."""
         allocator = TagAllocator(first=500)
+        peer = TagAllocator(first=500)
         pool = [
             LabelPair(Label.of(allocator.alloc(f"z{i}"))) for i in range(4)
         ]
         enc, dec = BinaryWireCodec(), BinaryWireCodec()
-        enc.bind_allocator(allocator)
-        salt = 0
-        for step in script:
-            if step == "bump":
+        sent: set = set()
+        for salt, step in enumerate(script):
+            if step == "alloc":
                 allocator.alloc(f"fresh{salt}")
-                salt += 1
-                continue
-            # The salt keeps each batch tuple distinct so the encode
-            # reaches the label encoder instead of the batch dictionary.
-            wave = (Sqe("socket", pool[step], salt),)
-            salt += 1
-            out, _ = dec.decode(enc.encode(wave))
-            assert out == wave
+            elif step == "sync":
+                sync, _ = dec.decode(enc.encode(TagSync(*allocator.snapshot())))
+                peer.apply_snapshot(sync.epoch, sync.next_value, sync.entries)
+            else:
+                # The salt keeps each batch tuple distinct so the encode
+                # reaches the pair encoder instead of the batch dictionary.
+                wave = (Sqe("socket", pool[step], salt),)
+                hits = enc.label_dict_hits
+                out, _ = dec.decode(enc.encode(wave))
+                assert out == wave
+                assert enc.label_dict_hits - hits == (step in sent)
+                sent.add(step)
 
-    def test_epoch_bump_forces_definition_resend(self):
-        allocator = TagAllocator(first=500)
-        pool = [
-            LabelPair(Label.of(allocator.alloc(f"z{i}"))) for i in range(3)
-        ]
-        enc, dec = BinaryWireCodec(), BinaryWireCodec()
-        enc.bind_allocator(allocator)
-        waves = [
-            tuple(Sqe("socket", p, salt) for p in pool) for salt in range(3)
-        ]
-        m0 = counters.label_dict_misses
-        dec.decode(enc.encode(waves[0]))
-        assert counters.label_dict_misses - m0 == len(pool)
-        h0 = counters.label_dict_hits
-        dec.decode(enc.encode(waves[1]))
-        assert counters.label_dict_hits - h0 == len(pool)
-        allocator.alloc("bump")
-        m1 = counters.label_dict_misses
-        out, _ = dec.decode(enc.encode(waves[2]))
-        assert counters.label_dict_misses - m1 == len(pool)
-        assert out == waves[2]
-        # One allocator epoch change arrived since bind.
-        assert enc.stats()["label_epoch"] == 1
+    def test_pair_is_a_reference_after_tag_allocation_and_tag_sync(self):
+        """A pair sent to a shard is sent again after the shard allocates
+        a tag and again after it applies a ``TagSync``: the shard decodes
+        the same pair each time, and the re-sends are references."""
+        world = UserWorld(gateways=4, keys=4)
+        world.ensure_built()
+        cluster = Cluster(world, shards=1)
+        server = cluster.servers[0]
+        decoded: list = []
+        serve = cluster.pool.host.serve
+
+        def spy(wave):
+            decoded.extend(message for _, message in wave)
+            return serve(wave)
+
+        cluster.pool.host.serve = spy
+        taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
+
+        def send(principal):
+            before = cluster.wire_stats()
+            decoded.clear()
+            acks = cluster.sync_caps(((principal, taint, CapabilitySet.EMPTY),))
+            assert all(ack.applied for ack in acks)
+            ((name, labels, _),) = decoded[0].principals
+            assert (name, labels) == (principal, taint)
+            after = cluster.wire_stats()
+            return tuple(
+                after[key] - before[key]
+                for key in ("label_dict_hits", "label_dict_misses")
+            )
+
+        assert send("gw0") == (0, 1)
+        server.kernel.tags.alloc("fresh")
+        assert send("gw1") == (1, 0)
+        allocator = TagAllocator()
+        for i in range(server.kernel.tags.epoch + 1):
+            allocator.alloc(f"zone{i}")
+        assert all(ack.applied for ack in cluster.sync_tags(allocator))
+        assert send("gw2") == (1, 0)
 
     def test_counters_count_frames_and_bytes(self):
         msg = ShardRequest(1, "gw0", (Sqe("read", 3, 16),))
@@ -396,8 +420,6 @@ class TestCodecEquivalence:
 
 
 class _EchoHost:
-    allocators = ()
-
     def serve(self, request):
         return request
 
@@ -463,6 +485,107 @@ class TestRefusedFrames:
             assert [proc.exitcode for proc in pool._procs] == [0, 0]
         finally:
             pool.shutdown()
+
+
+# --------------------------------------------------- the full dictionary
+
+
+class TestFullDictionary:
+    def test_values_past_the_cap_travel_inline(self, monkeypatch):
+        """Past ``VALUE_DICT_CAP`` the encoder stops defining: strings,
+        small bytes, labels, label pairs and sqe batches are sent inline,
+        still decode equal, and the dictionary stays at the cap."""
+        cap = 16
+        monkeypatch.setattr(lamwire, "VALUE_DICT_CAP", cap)
+        values = []
+        for i in range(cap):
+            tag = Tag(1000 + i, f"c{i}")
+            values += [
+                f"s{i}",
+                bytes([i]) * 3,
+                Label.of(tag),
+                LabelPair(Label.of(tag), Label.of(Tag(2000 + i, f"i{i}"))),
+                (Sqe("read", i, 16), Sqe("lseek", i, 0)),
+            ]
+        enc, dec = BinaryWireCodec(), BinaryWireCodec()
+        for _ in range(2):  # fills the dictionary, then runs past it
+            for value in values:
+                assert dec.decode(enc.encode(value)) == (value, b"")
+                assert enc.stats()["value_dict_entries"] <= cap
+        assert enc.stats()["value_dict_entries"] == cap
+        assert dec.stats()["decoded_value_entries"] == cap
+        # Every pair past the cap was sent in full, on both passes.
+        stats = enc.stats()
+        assert stats["label_dict_hits"] + stats["label_dict_misses"] == 2 * cap
+        assert stats["label_dict_misses"] > cap
+
+
+# ----------------------------------------------------- mutated frames
+
+
+@functools.lru_cache(maxsize=None)
+def _cluster_frames() -> tuple:
+    """Every frame one in-process cluster run sends, in order: a
+    ``CapSync`` carrying a tainted pair, then a trace with writes and
+    tainted requests.  The in-process pool's one codec encodes them all,
+    so a fresh codec decodes them in the same order."""
+    world = UserWorld(gateways=4, keys=4)
+    world.ensure_built()
+    trace = build_trace(
+        world, 24, users=1_000, seed=5, write_fraction=0.3,
+        tainted_fraction=0.25,
+    )
+    taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
+    frames: list = []
+    tally = Pool._tally
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            Pool, "_tally", lambda pool, frame: tally(pool, frames.append(frame) or frame)
+        )
+        cluster = Cluster(world, shards=2)
+        cluster.sync_caps((("gw0", taint, CapabilitySet.EMPTY),))
+        cluster.run_trace(trace, wave_size=8)
+        cluster.shutdown()
+    return tuple(frames)
+
+
+class TestMutatedFrames:
+    """Decode fails closed on hostile input: one edit anywhere in a real
+    frame — a flipped bit, an overwritten, inserted or deleted byte —
+    decodes or raises :class:`WireError`, and nothing else."""
+
+    def test_capture_spans_sync_and_trace(self):
+        dec = BinaryWireCodec()
+        waves = [dec.decode(frame)[0] for frame in _cluster_frames()][::2]
+        sent = [type(message).__name__ for wave in waves for _, message in wave]
+        assert sent == ["CapSync"] * 2 + ["ShardRequest"] * 24
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_edit_raises_only_wire_error(self, data):
+        frames = _cluster_frames()
+        index = data.draw(st.integers(0, len(frames) - 1), label="frame")
+        frame = bytearray(frames[index])
+        edit = data.draw(
+            st.sampled_from(["flip", "overwrite", "insert", "delete"]),
+            label="edit",
+        )
+        pos = data.draw(st.integers(0, len(frame) - 1), label="pos")
+        if edit == "flip":
+            frame[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        elif edit == "overwrite":
+            frame[pos] = data.draw(st.integers(0, 255), label="byte")
+        elif edit == "insert":
+            frame.insert(pos, data.draw(st.integers(0, 255), label="byte"))
+        else:
+            del frame[pos]
+        codec = BinaryWireCodec()
+        for earlier in frames[:index]:
+            codec.decode(earlier)
+        try:
+            codec.decode(bytes(frame))
+        except WireError:
+            pass
 
 
 # ------------------------------------------------------- delta replication

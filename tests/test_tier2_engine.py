@@ -327,14 +327,14 @@ def _loop_chain_src(nblocks: int) -> str:
 
 
 def _observe(source, config=JITConfig.STATIC, policy=None, certified=(),
-             spy=None, unanswered=0, **compile_kw):
+             spy=None, **compile_kw):
     """Compile and run on a fresh VM; return every cross-tier observable
     plus the interpreter (for engine inspection).  ``certified`` marks
     methods certified; ``spy(engine)`` runs before the program does.
 
     Every label check is answered by the verdict memo (a hit) or goes to
-    ``check_flow`` (a miss), except one whose object's header cannot be
-    read: ``unanswered`` is how many of those the run expects."""
+    ``check_flow`` (a miss); a barrier whose object's header cannot be
+    read faults before it counts a check."""
     _reset_id_counters()
     program, _ = Compiler(config, **compile_kw).compile(source)
     if certified:
@@ -356,9 +356,7 @@ def _observe(source, config=JITConfig.STATIC, policy=None, certified=(),
         exc = type(error).__name__
     audit = tuple(str(entry) for entry in kernel.audit.entries())
     stats = vm.barriers.stats
-    assert stats.label_checks - (
-        stats.flow_cache_hits + stats.flow_cache_misses
-    ) == unanswered
+    assert stats.flow_cache_hits + stats.flow_cache_misses == stats.label_checks
     return {
         "result": result,
         "exc": exc,
@@ -1171,6 +1169,28 @@ entry:
 """
 
 
+#: A read barrier on null inside a region and a write barrier on null
+#: outside one: each header load faults before the barrier's check.
+NULL_BARRIERS_SRC = """
+class Gen { fa }
+
+region method work(b) secrecy(s) {
+entry:
+  const n, null
+  getfield t, n, fa
+  ret
+}
+
+method main() {
+entry:
+  const n, null
+  call _, work, n
+  const k, 1
+  putfield n, fa, k
+  ret k
+}
+"""
+
 def _eager(fusion):
     return TierPolicy(invocation_threshold=1, backedge_threshold=2,
                       deopt_recompile_threshold=1, fusion=fusion)
@@ -1212,18 +1232,35 @@ class TestRaiseMidBlock:
     @pytest.mark.parametrize("fusion", [True, False])
     @pytest.mark.parametrize("config", [JITConfig.STATIC, JITConfig.DYNAMIC])
     def test_header_load_faults_in_a_region(self, config, fusion):
-        # work's static in-region check is counted, then its header load
-        # faults before the memo answers: two checks answered neither way.
-        # Under the dynamic config, probe's dynamic barrier in work2
-        # faults before its dispatch and check are counted.
-        cold = _observe(NULL_IN_REGION_SRC, config=config, inline=False,
-                        unanswered=2)
+        # Each null header load faults before its barrier counts a
+        # dispatch or a check, whatever the barrier's flavor.
+        cold = _observe(NULL_IN_REGION_SRC, config=config, inline=False)
         hot = _observe(NULL_IN_REGION_SRC, config=config, inline=False,
-                       unanswered=2, policy=_eager(fusion))
+                       policy=_eager(fusion))
         _equivalent(cold, hot)
         faults = [line for line in cold["audit"]
                   if "suppressed AttributeError" in line]
         assert len(faults) >= 2, cold["audit"]
+
+    @pytest.mark.parametrize("dispatch_table", [False, True])
+    @pytest.mark.parametrize("config", [JITConfig.STATIC, JITConfig.DYNAMIC])
+    def test_null_barrier_counts_only_the_barrier(self, config, dispatch_table):
+        # The switch loop, the handler tables and compiled code count a
+        # barrier whose header load faults the same way, whatever its
+        # flavor: the barrier itself, no dispatch, no check.
+        with fastpath.configured(dispatch_table=dispatch_table):
+            runs = [
+                _observe(NULL_BARRIERS_SRC, config=config, inline=False,
+                         policy=policy)
+                for policy in (None, _eager(True))
+            ]
+        for run in runs:
+            assert run["exc"] == "AttributeError"
+            assert run["enforcement"] == {
+                "read_barriers": 1, "write_barriers": 1, "alloc_barriers": 0,
+                "dynamic_dispatches": 0, "label_checks": 0, "space_checks": 0,
+            }
+        assert runs[1]["interp"]._tier2.compiles >= 2
 
 
 class TestCompilerWiring:
