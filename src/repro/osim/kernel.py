@@ -847,7 +847,10 @@ class Kernel:
           which may close an fd, reuse its number or empty the memo
           (unlink, mkdir), so the records are dropped before it.  lseek
           keeps its full ``SYSCALL_WORK`` charge and its
-          ``syscall:lseek`` fault site.
+          ``syscall:lseek`` fault site;
+        * read and write counts, replayed ``file_permission`` hooks, memo
+          hits and modeled work are added once per batch, in a ``finally``:
+          a raising entry or a crash leaves the totals of the entries run.
         """
         self._count("submit")
         self._require_alive(task)
@@ -866,9 +869,7 @@ class Kernel:
             record = records[fd] = [file, getattr(file.inode, "pipe", None), 0]
             return record
 
-        # Summed here and added once, in the ``finally``: a raising entry
-        # or a crash leaves the totals sequential issue would.
-        work = hits = 0
+        work = hits = reads = writes = 0
         cqes: list[Cqe] = []
         try:
             for sqe in sqes:
@@ -898,7 +899,10 @@ class Kernel:
                                 EINVAL,
                                 "write takes (fd, data)" if write else "read takes (fd[, count])",
                             )
-                        counts[op] += 1
+                        if write:
+                            writes += 1
+                        else:
+                            reads += 1
                         work += batch_work[op]
                         record = records.get(fd) or resolve(fd)
                         file, pipe, proved = record
@@ -910,7 +914,6 @@ class Kernel:
                         else:
                             # The proof replayed, then _transfer's data
                             # step inline: a call per entry costs the loop.
-                            hook_calls["file_permission"] += 1
                             hits += 1
                             if file.inode.itype is InodeType.DEVICE:
                                 result = len(arg) if write else b"\0" * max(arg, 0)
@@ -939,7 +942,14 @@ class Kernel:
                     cqes.append(Cqe(op, result, 0))
         finally:
             self._extra_work(work)
-            _fp_counters.hookchain_hits += hits
+            if reads:
+                counts["read"] += reads
+            if writes:
+                counts["write"] += writes
+            if hits:
+                # One file_permission hook per replayed proof.
+                hook_calls["file_permission"] += hits
+                _fp_counters.hookchain_hits += hits
         return cqes
 
     def sys_lseek(self, task: Task, fd: int, offset: int) -> int:

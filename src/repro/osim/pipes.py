@@ -17,10 +17,10 @@ failure semantics differ from every other object in the system:
 The cooperative scheduler (:mod:`repro.osim.sched`) adds *blocking* read
 variants on top of this substrate without weakening either property:
 
-* ``version`` is a monotonic event counter bumped by **every** write
-  attempt (delivered, label-dropped, or capacity-dropped) and by close.
-  A parked reader re-attempts its read only when the version moved, so
-  the scheduler's wakeup pattern is a function of writer *activity*
+* :meth:`Channel.bump` runs on **every** write attempt (delivered,
+  label-dropped, or capacity-dropped) and on close, before the label
+  verdict, and hands every reader parked on the pipe back to its
+  scheduler, so the wakeup pattern is a function of writer *activity*
   alone — never of label verdicts.  A reader whose labels forbid the
   pipe therefore parks, wakes, and re-parks in exactly the same pattern
   as a reader of an empty pipe.
@@ -62,7 +62,28 @@ def freeze(data) -> bytes:
     return data if type(data) is bytes else bytes(data)
 
 
-class Pipe:
+class Channel:
+    """What a blocked reader waits on: a pipe, or one socket endpoint."""
+
+    def __init__(self) -> None:
+        #: Bumped on *every* write attempt and close, whatever the verdict.
+        self.version = 0
+        #: Parked reader -> the wake list of the scheduler that parked
+        #: it; empty outside :meth:`Scheduler.run`.
+        self.waiters: dict = {}
+
+    def bump(self) -> None:
+        """Count one writer event and hand every parked reader back to
+        its scheduler.  Callers bump before any label verdict, so which
+        readers wake, and when, cannot encode a check."""
+        self.version += 1
+        if self.waiters:
+            for thread, woken in self.waiters.items():
+                woken.append(thread)
+            self.waiters.clear()
+
+
+class Pipe(Channel):
     """One pipe: a labeled inode plus a bounded message queue."""
 
     def __init__(
@@ -70,6 +91,7 @@ class Pipe:
         labels: LabelPair = LabelPair.EMPTY,
         capacity: int = DEFAULT_PIPE_CAPACITY,
     ) -> None:
+        super().__init__()
         self.inode = Inode(InodeType.PIPE, labels)
         self.inode.pipe = self  # type: ignore[attr-defined]
         self.capacity = capacity
@@ -79,10 +101,6 @@ class Pipe:
         #: bench harness, which play the role of an omniscient observer.
         #: O(1) state: a counter, never a log of the dropped payloads.
         self.dropped = 0
-        #: Write-activity counter for the scheduler's wake scan.  Bumped
-        #: on *every* write attempt and on close, independent of the label
-        #: verdict, so parking/wakeup behavior cannot encode a check.
-        self.version = 0
         #: Explicit hangup flag; see module docstring.
         self.closed = False
 
@@ -90,7 +108,7 @@ class Pipe:
         """Write a message.  Always appears to succeed (returns len(data));
         the message is silently dropped when the label check fails, the
         buffer is full, or the pipe has been hung up."""
-        self.version += 1
+        self.bump()
         if not lsm.pipe_write_allowed(task, self.inode):
             self.dropped += 1
             return len(data)
@@ -115,7 +133,7 @@ class Pipe:
         readers, so it is mediated exactly like a write: a closer whose
         labels forbid the pipe drops the hangup silently.  The version
         bumps either way, keeping wakeup patterns verdict-independent."""
-        self.version += 1
+        self.bump()
         if not lsm.pipe_write_allowed(task, self.inode):
             self.dropped += 1
             return

@@ -25,17 +25,22 @@ the cases observationally identical:
   data and the channel is not hung up — **whatever the reason** the
   attempt came back empty.  The scheduler never asks the security module
   anything; it cannot tell a denial from an empty queue.
-* A parked reader is woken by the channel's ``version`` counter, which
-  writers bump on **every** write attempt and on close, delivered or
-  dropped (see :mod:`repro.osim.pipes`).  Wakeups are therefore a
-  function of writer *activity* alone.  On wake the reader re-attempts
-  the full syscall — same hooks, same counters — and re-parks if it is
-  still empty-handed.
+* A parked reader sits on its channel's wait list, and writers empty
+  that list on **every** write attempt and on close, delivered or
+  dropped, before any label verdict (:meth:`~repro.osim.pipes.Channel.bump`).
+  Wakeups are therefore a function of writer *activity* alone.  On wake
+  the reader re-attempts the full syscall — same hooks, same counters —
+  and re-parks if it is still empty-handed.
 
 A denied reader thus parks, wakes, retries, and re-parks in exactly the
 same pattern, with exactly the same syscall and hook counts, as a reader
 of a genuinely empty pipe fed by the same writer (regression-tested in
 ``tests/test_osim_sched.py``).
+
+A wake pass runs only after a bump handed a thread back or a ``kill``
+ran (``sys_kill`` is the only writer of pending signals); it requeues the
+woken threads in park order.  No thread stays on a wait list after
+:meth:`Scheduler.run` returns or raises.
 
 Termination follows the kernel's discipline: a generator finishing (or
 being killed) exits the task, which drops fd references but never hangs
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import types
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from ..core import CapabilitySet, LabelPair
@@ -120,7 +126,7 @@ class _Thread:
         "throw_exc",
         "pending_op",
         "wait_obj",
-        "seen_version",
+        "park_seq",
     )
 
     def __init__(self, task: Task, gen: Generator) -> None:
@@ -132,7 +138,10 @@ class _Thread:
         #: (set when a parked thread wakes).
         self.pending_op: Optional[tuple] = None
         self.wait_obj: object = None
-        self.seen_version: int = 0
+        self.park_seq = 0
+
+
+_park_order = attrgetter("park_seq")
 
 
 class Scheduler:
@@ -141,7 +150,13 @@ class Scheduler:
     def __init__(self, kernel: "Kernel", trace: bool = False) -> None:
         self.kernel = kernel
         self._runq: deque[_Thread] = deque()
-        self._parked: list[_Thread] = []
+        #: Parked threads in park order (an insertion-ordered set).
+        self._parked: dict[_Thread, None] = {}
+        #: Threads a channel bump handed back since the last wake pass.
+        self._woken: list[_Thread] = []
+        self._park_seq = 0
+        #: ``syscall_counts["kill"]`` at the last signal rescan.
+        self._kills = 0
         self.steps = 0
         #: Tasks still parked when :meth:`run` gave up (no writer can
         #: ever wake them).  Deliberately *not* an error: a reader of a
@@ -186,24 +201,26 @@ class Scheduler:
         steps were not enough — a livelock backstop for tests.
         """
         self.stuck = []
+        runq, parked, woken = self._runq, self._parked, self._woken
+        counts = self.kernel.syscall_counts
+        self._kills = counts.get("kill", 0)
         try:
-            while self._runq or self._parked:
-                self._wake_ready()
-                if not self._runq:
+            while runq or parked:
+                if woken or counts.get("kill", 0) != self._kills:
+                    self._wake_ready()
+                if not runq:
                     # Nobody runnable and nobody woke: every parked thread
                     # is waiting on a channel no runnable writer can touch.
-                    self.stuck = [t.task for t in self._parked]
-                    for thread in self._parked:
-                        thread.gen.close()
-                    self._parked.clear()
+                    self.stuck = [t.task for t in parked]
+                    self._drop_parked()
                     break
                 if self.steps >= max_steps:
                     raise RuntimeError(
                         f"scheduler exceeded {max_steps} steps "
-                        f"({len(self._runq)} runnable, {len(self._parked)} parked)"
+                        f"({len(runq)} runnable, {len(parked)} parked)"
                     )
                 self.steps += 1
-                self._step(self._runq.popleft())
+                self._step(runq.popleft())
         except BaseException as exc:
             # A KernelCrash (simulated power loss, repro.osim.faults) — or
             # any other non-syscall failure — takes the whole machine down:
@@ -213,35 +230,43 @@ class Scheduler:
             # crashes) and the exception propagates to the harness, which
             # calls Kernel.crash()/remount().  SyscallError never reaches
             # here: _complete routes it into the issuing generator.
-            for thread in list(self._runq) + self._parked:
+            for thread in runq:
                 thread.gen.close()
-            self._runq.clear()
-            self._parked.clear()
+            runq.clear()
+            self._drop_parked()
             raise exc
         return self.stuck
 
-    def _wake_ready(self) -> None:
-        """Move parked threads whose wait channel saw activity (or whose
-        task got a fatal signal) back to the run queue, preserving park
-        order."""
-        still_parked: list[_Thread] = []
+    def _drop_parked(self) -> None:
+        """Close every parked thread and take it off its wait list."""
         for thread in self._parked:
-            # This scan runs before every step, over every parked thread,
-            # and almost none of them has a signal pending.
-            signals = thread.task.pending_signals
-            signaled = bool(signals) and any(
-                signum in _FATAL_SIGNALS for signum, _ in signals
-            )
-            if signaled or thread.wait_obj.version != thread.seen_version:
-                if self.trace is not None:
-                    self.trace.append(("wake", thread.task.tid))
-                thread.pending_op, thread.wait_obj = (
-                    (None, None) if signaled else (thread.pending_op, None)
-                )
-                self._runq.append(thread)
-            else:
-                still_parked.append(thread)
-        self._parked = still_parked
+            thread.wait_obj.waiters.pop(thread, None)
+            thread.gen.close()
+        self._parked.clear()
+        self._woken.clear()
+
+    def _wake_ready(self) -> None:
+        """Move the threads their channels handed back (and, after a
+        ``kill``, every parked thread whose task got a fatal signal) to
+        the run queue in park order."""
+        woken = self._woken
+        kills = self.kernel.syscall_counts.get("kill", 0)
+        if kills != self._kills:
+            self._kills = kills
+            for thread in self._parked:
+                if any(signum in _FATAL_SIGNALS for signum, _ in thread.task.pending_signals):
+                    # A thread a bump handed back is in ``woken`` already.
+                    if thread.wait_obj.waiters.pop(thread, None) is not None:
+                        woken.append(thread)
+        woken.sort(key=_park_order)
+        parked, runq, trace = self._parked, self._runq, self.trace
+        for thread in woken:
+            del parked[thread]
+            thread.wait_obj = None
+            if trace is not None:
+                trace.append(("wake", thread.task.tid))
+            runq.append(thread)
+        woken.clear()
 
     def _step(self, thread: _Thread) -> None:
         task = thread.task
@@ -370,13 +395,15 @@ class Scheduler:
             self._park(thread, op, socket)
 
     def _park(self, thread: _Thread, op: tuple, wait_obj) -> None:
-        """Put the thread to sleep until ``wait_obj.version`` moves.  The
-        attempt it just made ran the full syscall (hooks and all); on
-        wake it will run the full syscall again — parking adds no
-        security-relevant observable."""
+        """Put the thread to sleep on ``wait_obj``'s wait list until the
+        channel's next bump.  The attempt it just made ran the full
+        syscall (hooks and all); on wake it will run the full syscall
+        again — parking adds no security-relevant observable."""
         thread.pending_op = op
         thread.wait_obj = wait_obj
-        thread.seen_version = wait_obj.version
-        self._parked.append(thread)
+        self._park_seq += 1
+        thread.park_seq = self._park_seq
+        self._parked[thread] = None
+        wait_obj.waiters[thread] = self._woken
         if self.trace is not None:
             self.trace.append(("park", thread.task.tid))

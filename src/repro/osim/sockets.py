@@ -17,10 +17,11 @@ network".  The simulated network therefore consists of:
 Loopback connections between two labeled sockets model trusted channels
 between labeled threads of different processes.
 
-Like pipes, sockets carry a ``version`` event counter (bumped by every
-send attempt toward the endpoint and by close) so the cooperative
-scheduler's blocking ``recv`` can park and wake without its wakeup
-pattern ever depending on a label verdict.
+Like pipes, socket endpoints are :class:`~repro.osim.pipes.Channel`
+objects: every send attempt toward an endpoint, and a close of either
+end, bumps it before any delivery verdict, waking every receiver parked
+on it.  The cooperative scheduler's blocking ``recv`` can thus park and
+wake without its wakeup pattern ever depending on a label verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core import LabelPair
 from .filesystem import Inode, InodeType
-from .pipes import freeze
+from .pipes import Channel, freeze
 from .task import ENOENT, EPIPE, SyscallError
 
 if TYPE_CHECKING:
@@ -146,17 +147,15 @@ class TrafficLog(list):
         return merged
 
 
-class Socket:
+class Socket(Channel):
     """A connected or listening socket endpoint."""
 
     def __init__(self, labels: LabelPair = LabelPair.EMPTY) -> None:
+        super().__init__()
         self.inode = Inode(InodeType.SOCKET, labels)
         self.inode.socket = self  # type: ignore[attr-defined]
         self.peer: Optional["Socket"] = None
         self.rx: deque[bytes] = deque()
-        #: Receive-side event counter: bumped by every send attempt toward
-        #: this endpoint (delivered or silently dropped) and by close.
-        self.version = 0
         self.closed = False
 
     def connect(self, other: "Socket") -> None:
@@ -172,11 +171,11 @@ class Socket:
             raise SyscallError(EPIPE, "socket not connected")
         # Delivery into the peer is a flow from this socket to the peer
         # socket's label; mismatched endpoint labels drop silently, like
-        # pipes, to avoid signaling.  The peer's version bumps either way
-        # so blocked receivers wake on activity, never on verdicts.
+        # pipes, to avoid signaling.  The peer bumps either way so blocked
+        # receivers wake on activity, never on verdicts.
         from ..core import can_flow
 
-        self.peer.version += 1
+        self.peer.bump()
         if not self.peer.closed and can_flow(self.inode.labels, self.peer.inode.labels):
             self.peer.rx.append(freeze(data))
         return len(data)
@@ -191,9 +190,9 @@ class Socket:
         """Hang up this endpoint.  Both sides' blocked receivers wake: the
         closer stops receiving, the peer sees the connection end."""
         self.closed = True
-        self.version += 1
+        self.bump()
         if self.peer is not None:
-            self.peer.version += 1
+            self.peer.bump()
 
     @property
     def hungup(self) -> bool:

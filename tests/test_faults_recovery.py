@@ -209,6 +209,79 @@ class TestInjectionSemantics:
         assert [cqes[1].result, cqes[3].result] == [b"bc", b"de"]
         assert k.syscall_counts["lseek"] == 1
 
+    @staticmethod
+    def _batch_world(reads_only: bool):
+        """A task holding one file open read-write, and a batch of replayed
+        reads (and writes) on it with one bad-fd read in the middle."""
+        from repro.osim import Sqe
+
+        kernel = Kernel()
+        kernel.defer_work = True
+        task = kernel.spawn_task("t")
+        fd = kernel.sys_open(task, "/tmp/f", "w+")
+        kernel.sys_write(task, fd, b"0123456789" * 4)
+        kernel.sys_lseek(task, fd, 0)
+        read, bad = Sqe("read", fd, 2), Sqe("read", fd + 9, 2)
+        if reads_only:
+            sqes = [read, read, read, bad, read, read]
+        else:
+            write = Sqe("write", fd, b"w")
+            sqes = [read, write, read, write, bad, read, write, read]
+        return kernel, task, sqes
+
+    @staticmethod
+    def _totals(kernel):
+        from repro.core import fastpath
+
+        return {
+            "syscalls": dict(kernel.syscall_counts),
+            "file_permission": kernel.security.hook_calls["file_permission"],
+            "deferred": kernel.deferred_work,
+            "hits": fastpath.counters.hookchain_hits,
+        }
+
+    @pytest.mark.parametrize(
+        "reads_only, nth",
+        [(True, nth) for nth in range(1, 8)] + [(False, nth) for nth in range(1, 10)],
+    )
+    def test_submit_crash_keeps_the_counts_of_the_entries_that_ran(self, reads_only, nth):
+        """A crash at the ``nth`` entry boundary leaves exactly the totals
+        of a batch of the ``nth - 1`` entries before it (past the last
+        entry, nothing fires): the per-batch sums reach the counters even
+        when the batch never completes."""
+        from repro.core import fastpath
+
+        crashed, task, sqes = self._batch_world(reads_only)
+        crashed.install_faults(FaultPlan.crash_at("submit.boundary", nth))
+        fastpath.counters.reset()
+        if nth <= len(sqes):
+            with pytest.raises(KernelCrash):
+                crashed.sys_submit(task, sqes)
+        else:
+            crashed.sys_submit(task, sqes)
+        after_crash = self._totals(crashed)
+
+        clean, task, sqes = self._batch_world(reads_only)
+        fastpath.counters.reset()
+        clean.sys_submit(task, sqes[: nth - 1])
+        assert after_crash == self._totals(clean)
+
+    def test_submit_crash_at_the_fourth_read(self):
+        from repro.core import fastpath
+
+        kernel, task, sqes = self._batch_world(reads_only=True)
+        before = dict(kernel.syscall_counts)
+        fp_before = kernel.security.hook_calls["file_permission"]
+        work_before = kernel.deferred_work
+        kernel.install_faults(FaultPlan.crash_at("submit.boundary", 4))
+        fastpath.counters.reset()
+        with pytest.raises(KernelCrash):
+            kernel.sys_submit(task, sqes)
+        assert kernel.syscall_counts["read"] - before.get("read", 0) == 3
+        assert kernel.security.hook_calls["file_permission"] - fp_before == 3
+        assert kernel.deferred_work - work_before == 280
+        assert fastpath.counters.hookchain_hits == 2
+
     def test_crash_discards_volatile_state_not_disk(self, k):
         task, tag, inode = _labeled_file(k)
         k.install_faults(FaultPlan())

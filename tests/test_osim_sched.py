@@ -8,6 +8,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Label, LabelPair
 from repro.osim import (
@@ -15,6 +17,7 @@ from repro.osim import (
     Kernel,
     LaminarSecurityModule,
     SIGKILL,
+    SIGTERM,
     Scheduler,
     SyscallError,
     fork,
@@ -25,6 +28,7 @@ from repro.osim import (
     yield_,
 )
 from repro.osim.kernel import Sqe
+from repro.osim.sched import DEFAULT_MAX_STEPS
 
 
 def make_pipe_pair(kernel, labels=None):
@@ -616,3 +620,383 @@ class TestWakeRule:
             "got": {0: b"x0", 1: b"m1", 2: b"x2"},
             "exit_codes": [0, 0, 0],
         }
+
+
+# -- the wait lists against the scan they replaced ---------------------------
+
+
+class ScanningScheduler(Scheduler):
+    """Reference wake rule: before every step, test every parked thread
+    in park order and wake it if its channel's ``version`` moved since it
+    parked or its task has a fatal signal pending.  This is the scan the
+    channel wait lists replaced; it never touches a wait list and always
+    records a trace."""
+
+    def run(self, max_steps=DEFAULT_MAX_STEPS):
+        self.stuck = []
+        self._sleepers = []
+        while self._runq or self._sleepers:
+            self._wake_ready()
+            if not self._runq:
+                self.stuck = [thread.task for thread, _ in self._sleepers]
+                for thread, _ in self._sleepers:
+                    thread.gen.close()
+                self._sleepers = []
+                break
+            if self.steps >= max_steps:
+                raise RuntimeError(f"scheduler exceeded {max_steps} steps")
+            self.steps += 1
+            self._step(self._runq.popleft())
+        return self.stuck
+
+    def _wake_ready(self):
+        still = []
+        for thread, seen in self._sleepers:
+            fatal = any(signum in (SIGKILL, SIGTERM) for signum, _ in thread.task.pending_signals)
+            if fatal or thread.wait_obj.version != seen:
+                self.trace.append(("wake", thread.task.tid))
+                thread.wait_obj = None
+                self._runq.append(thread)
+            else:
+                still.append((thread, seen))
+        self._sleepers = still
+
+    def _park(self, thread, op, wait_obj):
+        thread.pending_op = op
+        thread.wait_obj = wait_obj
+        self._sleepers.append((thread, wait_obj.version))
+        self.trace.append(("park", thread.task.tid))
+
+
+def _action(pipes: int):
+    pipe = st.integers(0, pipes - 1)
+    return st.one_of(
+        st.tuples(st.just("write"), pipe),
+        st.tuples(st.just("close"), pipe),
+        st.tuples(st.just("send")),
+        st.tuples(st.just("hangup")),
+        st.tuples(st.just("yield")),
+        st.tuples(st.just("submit"), pipe, pipe),
+        st.tuples(st.just("kill"), st.integers(0, 7), st.sampled_from([SIGKILL, 1])),
+    )
+
+
+@st.composite
+def small_worlds(draw):
+    """2–3 pipes (pipe 0 secrecy-labeled), one socket pair, 2–5 readers
+    (channel index ``pipes`` is the socket) and 1–3 writers, each reader
+    and writer drawn with or without the secret tag."""
+    pipes = draw(st.integers(2, 3), label="pipes")
+    readers = draw(
+        st.lists(
+            st.tuples(st.integers(0, pipes), st.booleans(), st.integers(1, 3)),
+            min_size=2,
+            max_size=5,
+        ),
+        label="readers",
+    )
+    writers = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(_action(pipes), min_size=1, max_size=6)),
+            min_size=1,
+            max_size=3,
+        ),
+        label="writers",
+    )
+    secret_socket = draw(st.booleans(), label="secret_socket")
+    return pipes, readers, writers, secret_socket
+
+
+def _run_world(world, scheduler_class):
+    """Build ``world`` on a fresh kernel, run it under ``scheduler_class``
+    and return every observable the wake rule could change."""
+    pipes, reader_specs, writer_specs, secret_socket = world
+    kernel = Kernel(LaminarSecurityModule())
+    owner = kernel.spawn_task("owner")
+    tag, _ = kernel.sys_alloc_tag(owner, "secret")
+    secret = LabelPair(Label.of(tag))
+    setup = kernel.spawn_task("plumber")
+    ends = [kernel.sys_pipe(setup, labels=secret if i == 0 else None) for i in range(pipes)]
+    channels = [setup.lookup_fd(rfd).inode.pipe for rfd, _ in ends]
+    sock_a = kernel.sys_socket(setup, labels=secret if secret_socket else None)
+    sock_b = kernel.sys_socket(setup)
+    sock_a.connect(sock_b)
+    channels += [sock_a, sock_b]
+
+    readers = [
+        kernel.spawn_task(f"r{i}", labels=secret if labeled else LabelPair.EMPTY)
+        for i, (_, labeled, _) in enumerate(reader_specs)
+    ]
+    writers = [
+        kernel.spawn_task(f"w{i}", labels=secret if labeled else LabelPair.EMPTY)
+        for i, (labeled, _) in enumerate(writer_specs)
+    ]
+    victims = readers + writers
+    got = {task.name: [] for task in readers}
+    errors = {task.name: [] for task in writers}
+
+    def reader_body(op, reads, out):
+        def body(task):
+            for _ in range(reads):
+                try:
+                    data = yield op
+                except SyscallError as exc:
+                    out.append(exc.errno)
+                    return
+                out.append(data)
+                if not data:
+                    return
+
+        return body
+
+    def writer_body(program, wfds, out):
+        def body(task):
+            for n, (kind, *args) in enumerate(program):
+                payload = b"%s.%d" % (task.name.encode(), n)
+                try:
+                    if kind == "write":
+                        yield syscall("write", wfds[args[0]], payload)
+                    elif kind == "close":
+                        yield syscall("close", wfds[args[0]])
+                    elif kind == "send":
+                        yield syscall("send", sock_a, payload)
+                    elif kind == "hangup":
+                        sock_a.close()
+                        yield yield_()
+                    elif kind == "yield":
+                        yield yield_()
+                    elif kind == "submit":
+                        i, j = args
+                        cqes = yield submit(
+                            [Sqe("write", wfds[i], payload), Sqe("write", wfds[j], payload)]
+                        )
+                        out.append([c.errno for c in cqes])
+                    else:
+                        victim, signum = args
+                        yield syscall("kill", victims[victim % len(victims)].tid, signum)
+                except SyscallError as exc:
+                    out.append(exc.errno)
+
+        return body
+
+    sched = scheduler_class(kernel, trace=True)
+    for task, (channel, _, reads) in zip(readers, reader_specs):
+        if channel == pipes:
+            op = recv_blocking(sock_b)
+        else:
+            op = read_blocking(kernel.share_fd(setup, ends[channel][0], task))
+        sched.spawn(reader_body(op, reads, got[task.name]), task=task)
+    for task, (_, program) in zip(writers, writer_specs):
+        wfds = [kernel.share_fd(setup, wfd, task) for _, wfd in ends]
+        sched.spawn(writer_body(program, wfds, errors[task.name]), task=task)
+    for rfd, wfd in ends:
+        kernel.sys_close(setup, rfd)
+        kernel.sys_close(setup, wfd)
+    stuck = sched.run()
+    names = {task.tid: task.name for task in victims}
+    return {
+        "trace": [(event, names[tid]) for event, tid in sched.trace],
+        "steps": sched.steps,
+        "stuck": [task.name for task in stuck],
+        "got": got,
+        "errors": errors,
+        "exit_codes": [task.exit_code for task in victims],
+        "syscalls": dict(kernel.syscall_counts),
+        "hooks": dict(kernel.security.hook_calls),
+        "waiting": [len(channel.waiters) for channel in channels],
+    }
+
+
+class TestWakeOrderDifferential:
+    """The wait lists wake exactly the threads the per-step scan woke, in
+    the same order, at the same step, in worlds with shared pipes,
+    label-dropped writes, two-write batches, hangups and signals."""
+
+    @given(world=small_worlds())
+    @settings(max_examples=150, deadline=None)
+    def test_wait_lists_match_the_scan(self, world):
+        lists = _run_world(world, Scheduler)
+        scan = _run_world(world, ScanningScheduler)
+        assert lists == scan
+        assert lists["waiting"] == [0] * len(lists["waiting"])
+
+    def test_shared_pipe_wakes_both_readers_in_park_order(self):
+        world = (
+            2,
+            [(1, False, 1), (1, False, 1), (0, False, 1)],
+            [(False, [("yield",), ("write", 1), ("write", 1), ("close", 0)])],
+            False,
+        )
+        result = _run_world(world, Scheduler)
+        assert result == _run_world(world, ScanningScheduler)
+        wakes = [who for event, who in result["trace"] if event == "wake"]
+        assert wakes == ["r0", "r1", "r2"]
+        assert result["got"] == {"r0": [b"w0.1"], "r1": [b"w0.2"], "r2": [b""]}
+
+
+# -- no parked thread outlives its park --------------------------------------
+
+
+def _pipe_of(task, fd):
+    return task.fd_table[fd].inode.pipe
+
+
+class TestWaitListHygiene:
+    """Every wait list is empty once :meth:`Scheduler.run` returns or
+    raises, whatever became of the threads parked on it."""
+
+    def test_served_readers_leave_no_entry(self, kernel):
+        reader, r, writer, w = make_pipe_pair(kernel)
+        pipe = _pipe_of(reader, r)
+        seen = []
+
+        def read_body(task):
+            for _ in range(2):
+                yield read_blocking(r)
+
+        def write_body(task):
+            yield yield_()
+            seen.append(len(pipe.waiters))
+            yield syscall("write", w, b"a")
+            yield syscall("write", w, b"b")
+
+        sched = Scheduler(kernel)
+        sched.spawn(read_body, task=reader)
+        sched.spawn(write_body, task=writer)
+        assert sched.run() == []
+        assert seen == [1]
+        assert pipe.waiters == {}
+
+    def test_stuck_readers_leave_no_entry(self, kernel):
+        reader, r, writer, w = make_pipe_pair(kernel)
+        pipe = _pipe_of(reader, r)
+        a = kernel.sys_socket(kernel.init_task)
+        b = kernel.sys_socket(kernel.init_task)
+        a.connect(b)
+
+        def read_body(task):
+            yield read_blocking(r)
+
+        def recv_body(task):
+            yield recv_blocking(b)
+
+        sched = Scheduler(kernel)
+        sched.spawn(read_body, task=reader)
+        recver = sched.spawn(recv_body)
+        assert sched.run() == [reader, recver]
+        assert pipe.waiters == {} and a.waiters == {} and b.waiters == {}
+
+    def test_killed_reader_leaves_its_list_when_it_wakes(self, kernel):
+        reader, r, writer, w = make_pipe_pair(kernel)
+        pipe = _pipe_of(reader, r)
+        other = kernel.spawn_task("other")
+        r2 = kernel.share_fd(reader, r, other)
+        seen = []
+
+        def read_body(task):
+            yield read_blocking(r)
+
+        def read_other(task):
+            yield read_blocking(r2)
+
+        def kill_body(task):
+            yield yield_()
+            seen.append(len(pipe.waiters))
+            yield syscall("kill", reader.tid, SIGKILL)
+            # The wake pass before this step took the victim off the list.
+            seen.append(sorted(t.task.name for t in pipe.waiters))
+            yield syscall("write", w, b"x")
+
+        sched = Scheduler(kernel)
+        sched.spawn(read_body, task=reader)
+        sched.spawn(read_other, task=other)
+        sched.spawn(kill_body, task=writer)
+        assert sched.run() == []
+        assert seen == [2, ["other"]]
+        assert reader.exit_code == 128 + SIGKILL
+        assert pipe.waiters == {}
+
+    def test_raise_leaves_no_entry_and_the_scheduler_runs_again(self, kernel):
+        reader, r, writer, w = make_pipe_pair(kernel)
+        pipe = _pipe_of(reader, r)
+        other = kernel.spawn_task("other")
+        r2 = kernel.share_fd(reader, r, other)
+
+        def read_body(fd):
+            def body(task):
+                yield read_blocking(fd)
+
+            return body
+
+        def crash_body(task):
+            yield yield_()
+            # A bump hands the first reader back; the same step then
+            # fails, so the handed-over reader never reaches a wake pass.
+            kernel.sys_write(task, w, b"x")
+            raise ValueError("boom")
+
+        sched = Scheduler(kernel)
+        sched.spawn(read_body(r), task=reader)
+        sched.spawn(read_body(r2), task=other)
+        sched.spawn(crash_body, task=writer)
+        with pytest.raises(ValueError, match="boom"):
+            sched.run()
+        assert pipe.waiters == {}
+        # Nothing of the failed run is left to wake.
+        late = kernel.spawn_task("late")
+        r3 = kernel.share_fd(reader, r, late)
+        sched.spawn(read_body(r3), task=late)
+        assert sched.run() == []
+        assert late.exit_code == 0
+
+    def test_max_steps_leaves_no_entry(self, kernel):
+        reader, r, writer, w = make_pipe_pair(kernel)
+        pipe = _pipe_of(reader, r)
+
+        def read_body(task):
+            yield read_blocking(r)
+
+        def forever(task):
+            while True:
+                yield yield_()
+
+        sched = Scheduler(kernel)
+        sched.spawn(read_body, task=reader)
+        sched.spawn(forever, task=writer)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            sched.run(max_steps=10)
+        assert pipe.waiters == {}
+
+    def test_second_scheduler_never_sees_the_first_ones_threads(self, kernel):
+        """psched's ``run_group`` shape: one fresh scheduler per group on
+        one kernel.  A reader the first run left stuck on a pipe is not
+        woken, traced or requeued when the second run writes it."""
+        reader, r, writer, w = make_pipe_pair(kernel)
+        pipe = _pipe_of(reader, r)
+        late = kernel.spawn_task("late")
+        r2 = kernel.share_fd(reader, r, late)
+        got = []
+
+        def first_body(task):
+            got.append((yield read_blocking(r)))
+
+        def late_body(task):
+            got.append((yield read_blocking(r2)))
+
+        def write_body(task):
+            yield yield_()
+            yield syscall("write", w, b"for-late")
+
+        first = Scheduler(kernel, trace=True)
+        first.spawn(first_body, task=reader)
+        assert first.run() == [reader]
+        first_trace = list(first.trace)
+
+        second = Scheduler(kernel, trace=True)
+        second.spawn(late_body, task=late)
+        second.spawn(write_body, task=writer)
+        assert second.run() == []
+        assert got == [b"for-late"]
+        assert {tid for _, tid in second.trace} == {late.tid, writer.tid}
+        assert first.trace == first_trace
+        assert pipe.waiters == {}
