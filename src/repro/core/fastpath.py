@@ -28,14 +28,14 @@ Layers (each a boolean on :data:`flags`):
     The kernel's permission memo (:mod:`repro.osim.hookchain`): an
     allowed LSM-checked walk of a directory prefix, and an allowed
     ``file_permission`` check on a held file, are recorded under the
-    task's label epoch and replayed as one dict hit (hook counters are
+    task's label pair and replayed as one dict hit (hook counters are
     replayed too, so the observable record is identical).  Entries are
     revalidated against the recorded inodes' label identities and
-    emptied by the kernel on unlink, directory creation, module install,
-    crash, remount and replication, so no stale allow is replayed.
-    :func:`configure` and :func:`clear_caches` leave the memo alone:
-    its entries hold the inode and label objects themselves, which an
-    intern-table flush cannot change.
+    emptied by the kernel on unlink, module install, crash and remount,
+    so no stale allow is replayed.  :func:`configure` and
+    :func:`clear_caches` leave the memo alone: its entries hold the
+    inode and label objects themselves, which an intern-table flush
+    cannot change.
 
 All layers are pure performance: verdicts, audit entries, and violation
 counts are identical with every combination of switches (asserted by
@@ -47,12 +47,10 @@ unconditionally) from *executed* set algebra — the work the caches
 elide.  ``counters.set_ops`` is the ablation's primary metric.
 
 The tier-2 template JIT (:mod:`repro.jit.tier2`) is not a flag here — it
-is enabled per-program via ``Compiler(tier="jit")`` — but its code cache
-registers a :func:`register_cache` hook: every :func:`configure` /
-:func:`clear_caches` bumps the tier-2 code epoch, discarding compiled
-bodies whose baked-in assumptions (interned label identities, cache-layer
-switches) may no longer hold.  Its ``tier2_*`` counters live here so the
-benchmark snapshots carry them.
+is enabled per-program via ``Compiler(tier="jit")`` — and its code cache
+outlives :func:`configure` / :func:`clear_caches`: compiled bodies read
+no switch and probe the verdict memo by label value.  Its ``tier2_*``
+counters live here so the benchmark snapshots carry them.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ class FastPathCounters:
     #: Tier-2 engine traffic (:mod:`repro.jit.tier2`): template
     #: compilations, entries into compiled bodies (call + OSR), entry-guard
     #: misses (deopts), per-context clone compilations, and whole-cache
-    #: invalidations from shape/epoch changes.  Surfaced here so every
+    #: invalidations from program shape changes.  Surfaced here so every
     #: ``BENCH_*.json`` snapshot carries the per-tier hit/deopt story.
     tier2_compiles: int = 0
     tier2_entries: int = 0
@@ -114,11 +112,11 @@ class FastPathCounters:
     hookchain_hits: int = 0
     hookchain_deopts: int = 0
     #: Wire data plane (:mod:`repro.osim.lamwire`), process-wide:
-    #: frames encoded and their total payload bytes, and label-dictionary
-    #: traffic (a hit ships a 16-bit id instead of the full label pair
-    #: and skips re-interning on the far side; a miss re-sends the
-    #: definition — including epoch-forced re-sends after tag-allocator
-    #: changes).
+    #: frames encoded and their total payload bytes, and label-pair
+    #: traffic through the value dictionary (a hit ships a varint
+    #: reference instead of the pair and skips re-interning on the far
+    #: side; a miss ships the pair in full and, while the dictionary has
+    #: room, defines it for later frames).
     bytes_on_wire: int = 0
     frames: int = 0
     label_dict_hits: int = 0

@@ -22,10 +22,12 @@ class Principal:
     """Mutable security state of one principal.
 
     The mutability lives here, in one audited place; labels and capability
-    sets themselves stay immutable, so observers can safely cache references.
+    sets themselves stay immutable, so observers can safely cache references
+    and key memos on the label pair itself: a label change needs no
+    version counter to retire what was proved under the old pair.
     """
 
-    __slots__ = ("name", "_labels", "_caps", "label_epoch")
+    __slots__ = ("name", "_labels", "_caps")
 
     def __init__(
         self,
@@ -36,11 +38,6 @@ class Principal:
         self.name = name
         self._labels = labels
         self._caps = caps
-        #: Monotonic counter bumped on every label change.  The kernel's
-        #: permission memo (:mod:`repro.osim.hookchain`) keys its entries
-        #: on this, so a ``set_task_label``/TCB label write implicitly
-        #: retires any walk or held-file proof made under the old labels.
-        self.label_epoch = 0
 
     # -- read side --------------------------------------------------------
 
@@ -68,7 +65,6 @@ class Principal:
         old = self._labels.get(label_type)
         check_label_change(old, new, self._caps, context=f"{self.name} {label_type.value}")
         self._labels = self._labels.replacing(label_type, new)
-        self.label_epoch += 1
 
     def set_labels_unchecked(self, pair: LabelPair) -> None:
         """Set both labels without capability checks.
@@ -78,7 +74,6 @@ class Principal:
         kernel's ``drop_label_tcb`` path invoked by the trusted TCB thread.
         """
         self._labels = pair
-        self.label_epoch += 1
 
     # -- capability management ---------------------------------------------
 

@@ -373,12 +373,14 @@ class Interpreter:
             # IR passes mutate methods in place but never *during* a run,
             # so validating once per entry suffices: if the program's shape
             # changed since the caches were built, rebuild them lazily.
-            stamp = self.program.shape_stamp()
-            if stamp != self.program.exec_tables_stamp:
-                self.program.exec_tables.clear()
-                self.program.exec_tables_stamp = stamp
-            if engine is not None:
-                engine.validate(stamp)
+            program = self.program
+            stamp = program.shape_stamp()
+            if stamp != program.caches_stamp:
+                program.caches_stamp = stamp
+                program.exec_tables.clear()
+                if program.tier2.cache:
+                    fastpath.counters.tier2_invalidations += 1
+                program.tier2.reset()
         method = self.program.method(method_name)
         return self._call(method, list(args))
 

@@ -283,18 +283,15 @@ class Tier2State:
 
     It lives on the program, so every interpreter over the program counts
     into the same profiles and runs the same compiled variants.  It is
-    valid for one ``(shape stamp, code epoch)`` pair; :meth:`reset` empties
-    every table in place when that pair moves.
+    valid for the program's :attr:`Program.caches_stamp`; :meth:`reset`
+    empties every table in place when the program's shape moves.
     """
 
     __slots__ = (
-        "meta", "cache", "profiles", "variants", "backedges", "uncompilable",
-        "links",
+        "cache", "profiles", "variants", "backedges", "uncompilable", "links",
     )
 
     def __init__(self) -> None:
-        #: (shape stamp, fastpath code epoch) the tables are valid for.
-        self.meta: tuple = (-1, -1)
         #: (method name, context key) -> CompiledMethod.
         self.cache: dict = {}
         #: method name -> MethodProfile (invocations, back-edges, deopts).
@@ -309,8 +306,7 @@ class Tier2State:
         #: call sites read: the variant once it is compiled, else None.
         self.links: dict = {}
 
-    def reset(self, meta: tuple) -> None:
-        self.meta = meta
+    def reset(self) -> None:
         self.cache.clear()
         self.profiles.clear()
         self.variants.clear()
@@ -334,15 +330,15 @@ class Program:
         #: pure interpretation.  It lives on the program because the tier
         #: choice is a property of the compiled unit, not of one VM.
         self.tier_policy: Any = None
-        #: Shared execution caches, validated against :meth:`shape_stamp`:
-        #: per-method handler tables (tier 1, see
+        #: Shared execution caches: per-method handler tables (tier 1, see
         #: :func:`repro.jit.interpreter.build_handler_table`) and tier-2
         #: compiled code with its profiles (:class:`Tier2State`).  Both are
         #: kept here so every :class:`~repro.jit.interpreter.Interpreter`
         #: over the same program shares one copy of the "compiled"
-        #: artifacts.
+        #: artifacts, and both are valid for ``caches_stamp``, the
+        #: :meth:`shape_stamp` they were filled at.
         self.exec_tables: dict[str, dict[str, list]] = {}
-        self.exec_tables_stamp: int = -1
+        self.caches_stamp: int = -1
         #: How many per-method handler tables were ever built for this
         #: program (the build-once regression test reads this).
         self.table_builds: int = 0

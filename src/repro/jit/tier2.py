@@ -80,12 +80,14 @@ Linked call sites
 
 Cache invalidation
     The tier-2 state is validated per :meth:`Interpreter.run` against the
-    program's shape stamp (IR passes mutate methods in place) and a
-    module-wide *code epoch* bumped by every
-    :func:`repro.core.fastpath.clear_caches` /
-    :func:`~repro.core.fastpath.configure` — compiled bodies bake interned
-    label identities and cache-layer assumptions, so a fastpath
-    reconfiguration discards them, their links and the profiles wholesale.
+    program's shape stamp, with the handler tables (IR passes mutate
+    methods in place): a moved stamp discards compiled bodies, their
+    links and the profiles wholesale.  Nothing else does.  A
+    :func:`repro.core.fastpath.configure` or
+    :func:`~repro.core.fastpath.clear_caches` leaves the code cache
+    alone: compiled bodies read no switch, and their baked label pairs
+    are used by value — as cache and verdict-memo keys and as the labels
+    of fresh objects — never by identity.
 """
 
 from __future__ import annotations
@@ -121,21 +123,6 @@ _OUT_KEY = ("out",)
 
 #: Labeled-statics barriers: tier 2 declines any method carrying one.
 _STATIC_BARRIERS = frozenset({Opcode.SREADBAR, Opcode.SWRITEBAR})
-
-# -- code epoch ---------------------------------------------------------------
-
-#: Bumped whenever the fastpath caches flush: compiled bodies bake interned
-#: LabelPair identities and cache-layer assumptions, so they die with them.
-_CODE_EPOCH = 1
-
-
-def _bump_code_epoch() -> None:
-    global _CODE_EPOCH
-    _CODE_EPOCH += 1
-
-
-fastpath.register_cache(_bump_code_epoch)
-
 
 # -- policy / profile ---------------------------------------------------------
 
@@ -861,18 +848,6 @@ class Tier2Engine:
         self.entries = 0
         self.deopts = 0
         self.osr_entries = 0
-
-    # -- cache validity ---------------------------------------------------
-
-    def validate(self, stamp: int) -> None:
-        """Discard compiled code and profiles when the program shape or the
-        fastpath code epoch moved (called once per ``Interpreter.run``)."""
-        meta = (stamp, _CODE_EPOCH)
-        state = self.state
-        if state.meta != meta:
-            if state.cache:
-                fastpath.counters.tier2_invalidations += 1
-            state.reset(meta)
 
     # -- profiling + dispatch ---------------------------------------------
 

@@ -28,17 +28,18 @@ image with its own LSM, filesystem, and audit log, fronted by a
   frames and bytes.
 * The shared namespaces replicate by epoch-stamped frames —
   :meth:`Cluster.sync_tags` (interned-tag namespace) and
-  :meth:`Cluster.sync_caps` (capability stores) — and every applied
-  ``CapSync`` empties the receiving kernel's permission memo, so no
-  verdict recorded under the pre-replication state is replayed.  Both
-  planes are **delta-encoded** against a per-peer high-water mark: a
-  shard that already acknowledged tag values below ``v`` is never sent
-  them again, and a principal whose (labels, capabilities) state is
-  unchanged since the last applied ``CapSync`` is omitted from the next
-  one.  Deltas change bytes only, never outcomes: ``apply_snapshot``
-  ignores already-present entries and an empty ``CapSync`` still
-  empties the memo, so the merged observables stay byte-identical to the
-  full-broadcast protocol.
+  :meth:`Cluster.sync_caps` (capability stores).  A principal rebuilt
+  by a ``CapSync`` keeps no verdict proved under its old labels: the
+  receiving kernel's permission memo keys every entry on the task's
+  label pair.  Both planes are **delta-encoded** against a per-peer
+  high-water mark: a shard that already acknowledged tag values below
+  ``v`` is never sent them again, and a principal whose (labels,
+  capabilities) state is unchanged since the last applied ``CapSync``
+  is omitted from the next one.  Deltas change bytes only, never
+  outcomes: ``apply_snapshot`` ignores already-present entries and an
+  empty ``CapSync`` still advances the shard's replication epoch, so
+  the merged observables stay byte-identical to the full-broadcast
+  protocol.
 * Observables merge deterministically: every request carries a
   router-assigned global sequence number; :meth:`Cluster.merged_audit`
   and :meth:`Cluster.merged_traffic` reassemble the per-shard deltas in
@@ -378,9 +379,10 @@ class Cluster:
         """Ship principal security state — (name, LabelPair,
         CapabilitySet) triples — to every shard, **delta-encoded**: a
         principal whose state matches what the shard last applied is
-        omitted.  The frame itself is always sent (even empty): each
-        applied ``CapSync`` empties the shard's permission memo, and that
-        must not depend on how much state happened to change."""
+        omitted.  The frame itself is always sent (even empty), so every
+        shard advances its replication epoch and acknowledges every sync:
+        which shards apply a sync, and at what epoch, must not depend on
+        how much state happened to change."""
         self._sync_epoch += 1
         principals = tuple(principals)
         wave = []

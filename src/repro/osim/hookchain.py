@@ -7,20 +7,26 @@ server re-touching the same paths and descriptors runs the same hook
 sequences over and over; this engine records each allowed sequence once
 and replays it as a dict hit.  It holds two kinds of plain entry:
 
-* **walk entries** — keyed ``(tid, label_epoch, start, head)``, where
-  ``start`` is the cwd inode of a relative walk (``None`` for an absolute
-  one) and ``head`` is the path text before its last ``/``.  The entry
-  holds the ``(inode, labels)`` of every directory the walk checked with
-  ``inode_permission`` plus the directory it reached, so a hit also
-  skips re-resolving the path.  A path whose last piece is ``""`` or
-  ``"."`` is never memoized: :meth:`Filesystem.split` drops that piece,
-  so ``head`` would not name the directories walked.
-* **held-file entries** — keyed ``(tid, label_epoch, inode, write)``;
-  the entry is the inode's labels when ``file_permission`` allowed the
-  access.  ``sys_read``/``sys_write`` use :meth:`replay_fd` /
-  :meth:`profile_fd`, and so does ``sys_submit`` for the first read and
-  the first write of each descriptor in a batch; later entries of the
-  batch replay that proof from the batch's own descriptor record.
+* **walk entries** — keyed ``(labels, start, head)``, where ``labels``
+  is the task's label pair, ``start`` is the cwd inode of a relative
+  walk (``None`` for an absolute one) and ``head`` is the path text
+  before its last ``/``.  The entry holds the ``(inode, labels)`` of
+  every directory the walk checked with ``inode_permission`` plus the
+  directory it reached, so a hit also skips re-resolving the path.  A
+  path whose last piece is ``""`` or ``"."`` is never memoized:
+  :meth:`Filesystem.split` drops that piece, so ``head`` would not name
+  the directories walked.
+* **held-file entries** — keyed ``(labels, inode, write)``; the entry is
+  the inode's labels when ``file_permission`` allowed the access.
+  ``sys_read``/``sys_write`` use :meth:`replay_fd` / :meth:`profile_fd`,
+  and so does ``sys_submit`` for the first read and the first write of
+  each descriptor in a batch; later entries of the batch replay that
+  proof from the batch's own descriptor record.
+
+No task identity is in a key: a replayable hook's verdict is a function
+of the two label pairs alone, so a proof made by one task is replayed
+for every task at the same pair, including one spawned later or one
+that returns to a pair it held before.
 
 Soundness rests on four rules:
 
@@ -30,12 +36,14 @@ Soundness rests on four rules:
 * only allowed runs are recorded — denials and ENOENT re-run the full
   hooks every time, so audit entries and denial counters never depend
   on the memo either;
-* the task's ``label_epoch`` is in every key, so a task label change
-  makes its old entries unreachable;
+* the task's label pair is in every key, so a task label change (a
+  ``set_task_label``, a region's kernel sync, a principal rebuilt by
+  cluster replication) reaches only entries proved under the new pair;
 * :meth:`invalidate` empties the engine on every other event that can
-  change a verdict or a walk: unlink, directory creation, security
-  module install, crash, remount, cluster replication, and the rename
-  of a corrupt capability file.
+  change a verdict or a walk: unlink, security module install, crash,
+  remount, and the rename of a corrupt capability file.  Creating a
+  name needs no invalidation: it cannot change a recorded walk, and a
+  walk that missed it (ENOENT) was never recorded.
 
 Entries are recorded only for hooks :func:`chain_bakeable_hooks` names as
 pure functions of the two labels, and only while
@@ -123,7 +131,7 @@ class HookChainEngine:
         if not (self.files_ok and fastpath.flags.path_walk_cache):
             return False
         inode = file.inode
-        key = (task.tid, task.security.label_epoch, inode, write)
+        key = (task.security.labels, inode, write)
         labels = self.files.get(key)
         if labels is None:
             return False
@@ -143,4 +151,4 @@ class HookChainEngine:
         if len(files) >= MAX_ENTRIES:
             files.clear()
         inode = file.inode
-        files[(task.tid, task.security.label_epoch, inode, write)] = inode.labels
+        files[(task.security.labels, inode, write)] = inode.labels

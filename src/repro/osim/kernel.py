@@ -219,8 +219,8 @@ class Kernel:
     def __init__(self, security: Optional[SecurityModule] = None) -> None:
         self.security = security if security is not None else LaminarSecurityModule()
         #: Replication clock: the newest cluster replication event this
-        #: kernel has applied (epoch-stamped invalidation — stale events
-        #: are rejected).  0 means "never replicated".
+        #: kernel has applied (stale events are rejected).  0 means
+        #: "never replicated".
         self.replication_epoch = 0
         #: Simulated-work accounting mode.  ``False`` (default): syscalls
         #: burn their ``SYSCALL_WORK`` busy loops inline, exactly as
@@ -401,17 +401,16 @@ class Kernel:
         """Note that a cluster replication event (capability stores,
         principal labels, tag namespace) has landed on this shard.
 
-        Epoch-stamped invalidation: an event not newer than what this
-        kernel already applied returns ``False`` and changes nothing, so
-        re-delivered or reordered replication frames are harmless.  A
-        fresh event empties the permission memo: replication may have
-        rebuilt a principal whose ``label_epoch`` restarts at a value an
-        entry was recorded under, so no verdict proved before it may be
-        replayed after it."""
+        Epoch-stamped: an event not newer than what this kernel already
+        applied returns ``False`` and changes nothing, so re-delivered or
+        reordered replication frames are harmless.  A fresh event leaves
+        the permission memo alone: a principal rebuilt at another label
+        pair only reaches entries proved under that pair, which is in
+        every key, and capabilities never enter a replayable hook's
+        verdict."""
         if epoch <= self.replication_epoch:
             return False
         self.replication_epoch = epoch
-        self.hookchain.invalidate()
         return True
 
     def _require_alive(self, task: Task) -> None:
@@ -434,18 +433,19 @@ class Kernel:
 
         An allowed walk is recorded in the permission memo
         (:mod:`repro.osim.hookchain`) and replayed from it — hook counts
-        included — until a traversed directory is relabeled, the task's
-        labels change, or the memo is invalidated.  Only a path whose last
-        piece names an entry is memoized: :meth:`Filesystem.split` drops a
-        final ``""`` or ``"."``, so for ``/tmp/d/`` the text before the
-        last ``/`` does not name the directories walked."""
+        included — for every task at the same label pair, until a
+        traversed directory is relabeled or the memo is invalidated.
+        Only a path whose last piece names an entry is memoized:
+        :meth:`Filesystem.split` drops a final ``""`` or ``"."``, so for
+        ``/tmp/d/`` the text before the last ``/`` does not name the
+        directories walked."""
         cwd = task.cwd
         relative = cwd is not None and not path.startswith("/")
         head, _, name = path.rpartition("/")
         memo = self.hookchain
         key = None
         if name and name != ".":
-            key = (task.tid, task.security.label_epoch, cwd if relative else None, head)
+            key = (task.security.labels, cwd if relative else None, head)
             directory = memo.lookup_path(key)
             if directory is not None:
                 return directory, name
@@ -636,7 +636,6 @@ class Kernel:
         inode = Inode(itype, labels, mode)
         self._journaled_link(parent, name, inode)
         if itype is InodeType.DIRECTORY:
-            self.hookchain.invalidate()
             return 0
         file = File(inode, OpenMode.READ | OpenMode.WRITE)
         return task.install_fd(file)
@@ -845,7 +844,7 @@ class Kernel:
           memo it keeps no denial, nothing on a pipe, and nothing while
           switched off.  Any other entry runs its whole ``sys_*`` body,
           which may close an fd, reuse its number or empty the memo
-          (unlink, mkdir), so the records are dropped before it.  lseek
+          (unlink), so the records are dropped before it.  lseek
           keeps its full ``SYSCALL_WORK`` charge and its
           ``syscall:lseek`` fault site;
         * read and write counts, replayed ``file_permission`` hooks, memo

@@ -20,8 +20,10 @@ deterministic:
   namespace) and :class:`CapSync` (capability stores / principal
   security fields), both epoch-stamped: a shard rejects any sync frame
   not newer than what it already applied, so re-delivery and reordering
-  are harmless, and every applied ``CapSync`` empties the kernel's
-  permission memo so no verdict is replayed across replication lag.
+  are harmless.  No verdict is replayed across replication lag: the
+  kernel's permission memo keys every entry on the task's label pair,
+  so a principal rebuilt at new labels reaches none proved at its old
+  ones.
 * **Deterministic observables** — :func:`capture` runs one unit of work
   (a request here, a task group in :mod:`repro.osim.psched`) and returns
   the audit and traffic *deltas* it produced, the traffic stamped with a

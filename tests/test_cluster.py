@@ -267,15 +267,19 @@ class TestReplication:
         acks = cluster.sync_tags(coordinator)
         assert all(not a.applied for a in acks)
 
-    def test_cap_sync_invalidates_memo_and_rejects_stale(self, world):
+    def test_cap_sync_keeps_memo_and_rejects_stale(self, world):
+        """An applied sync advances every shard's replication epoch and
+        leaves its permission memo alone (a rebuilt principal's pair is
+        in every key); a stale one changes nothing."""
         cluster = Cluster(world, shards=2)
         kernels = [s.kernel for s in cluster.servers.values()]
         assert all(k.hookchain.walks for k in kernels)  # warmed by boot
+        memos = [(dict(k.hookchain.walks), dict(k.hookchain.files)) for k in kernels]
         acks = cluster.sync_caps([])
         assert all(a.applied for a in acks)
         after = [k.replication_epoch for k in kernels]
         assert after == [a.epoch for a in acks]
-        assert not any(k.hookchain.walks or k.hookchain.files for k in kernels)
+        assert [(k.hookchain.walks, k.hookchain.files) for k in kernels] == memos
         # A reordered older frame changes nothing.
         for k in kernels:
             k.sys_stat(k.init_task, "/tmp")

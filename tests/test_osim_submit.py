@@ -390,10 +390,11 @@ class TestVectoredIO:
             kernel.sys_lseek(task, fd, -1)
 
 
-class TestSubmitMemoEpochs:
-    """``sys_submit`` probes the kernel's held-file memo: a verdict
-    proved before a replication event landed must be unreachable
-    afterwards, whichever path replays it."""
+class TestSubmitMemoKeys:
+    """``sys_submit`` probes the kernel's held-file memo, whose keys carry
+    the task's label pair: a verdict proved before a replication event
+    rebuilt the principal at another pair must be unreachable afterwards,
+    whichever path replays it."""
 
     def _booted(self):
         Inode._ino_counter = itertools.count(1)
@@ -402,13 +403,11 @@ class TestSubmitMemoEpochs:
         fd = kernel.sys_open(task, "/tmp/m", "w+")
         return kernel, task, fd
 
-    def test_memo_keys_carry_task_and_label_epoch(self):
+    def test_memo_keys_carry_the_label_pair(self):
         kernel, task, fd = self._booted()
         kernel.sys_submit(task, [Sqe("write", fd, b"x")])
         inode = task.lookup_fd(fd).inode
-        assert kernel.hookchain.files == {
-            (task.tid, task.security.label_epoch, inode, True): inode.labels
-        }
+        assert kernel.hookchain.files == {(task.labels, inode, True): inode.labels}
         # Each kernel owns its memo: the same verdict proved on another
         # kernel never lands in this one.
         other, task2, fd2 = self._booted()
@@ -420,14 +419,13 @@ class TestSubmitMemoEpochs:
         """A verdict recorded before a capability-store replication event
         must not replay after it.
 
-        The sharp case: replication *rebuilds* the principal's security
-        field from the wire image, so the rebuilt ``label_epoch`` restarts
-        at exactly the value the entry was recorded under, and the inode's
-        label object is untouched — neither the epoch in the key nor the
-        identity re-check can catch the change.  Only
-        ``apply_replication`` emptying the memo keeps the stale allow
-        unreachable, for the held-file entries ``sys_submit`` and
-        ``sys_write`` share and for the walk entries ``stat`` uses."""
+        Replication *rebuilds* the principal's security field from the
+        wire image, and the inode's label object is untouched, so the
+        identity re-check cannot catch the change.  The rebuilt pair in
+        the key does: the memo keeps every entry across the event, and
+        none of them answers for the rebuilt principal, for the held-file
+        entries ``sys_submit`` and ``sys_write`` share and for the walk
+        entries ``stat`` uses."""
         from repro.core import CapabilitySet
         from repro.core.principal import Principal
 
@@ -461,17 +459,16 @@ class TestSubmitMemoEpochs:
         # Replication lands: the authoritative capability store says gw is
         # now tainted with a secrecy tag it cannot shed and carries an
         # integrity tag the admin-labeled root does not.  The sync path
-        # materializes a fresh Principal from the frame — label_epoch
-        # restarts at 0, colliding with the epoch the memo recorded.
+        # materializes a fresh Principal from the frame.
         secret, trusted = kernel.tags.alloc("s"), kernel.tags.alloc("t")
-        assert task.security.label_epoch == 0
         task.security = Principal(
             task.name,
             LabelPair(Label.of(secret), Label.of(trusted)),
             CapabilitySet.EMPTY,
         )
-        assert task.security.label_epoch == 0  # the collision
+        recorded = dict(kernel.hookchain.walks), dict(kernel.hookchain.files)
         assert kernel.apply_replication(1)
+        assert (kernel.hookchain.walks, kernel.hookchain.files) == recorded
 
         denials = len(kernel.audit.denials())
         assert run() == EACCES
@@ -482,11 +479,12 @@ class TestSubmitMemoEpochs:
         kernel, task, fd = self._booted()
         assert kernel.apply_replication(3)
         kernel.sys_submit(task, [Sqe("write", fd, b"x")])
-        assert kernel.hookchain.files
+        recorded = dict(kernel.hookchain.files)
+        assert recorded
         assert not kernel.apply_replication(3)  # re-delivered frame
         assert not kernel.apply_replication(1)  # reordered older frame
         assert kernel.replication_epoch == 3
-        assert kernel.hookchain.files  # a rejected frame invalidates nothing
         assert kernel.apply_replication(4)
         assert kernel.replication_epoch == 4
-        assert not kernel.hookchain.files
+        # Neither a rejected nor an applied frame touches the memo.
+        assert kernel.hookchain.files == recorded

@@ -11,7 +11,8 @@ only change *when* set algebra runs, never what any check decides.
 
 A second property does the same for the kernel's permission memo: random
 syscall sequences over a tree with a secret directory, with paths spelled
-several ways, run with ``path_walk_cache`` on and off.
+several ways, by tasks of which two share each label pair, run with
+``path_walk_cache`` on and off.
 """
 
 from __future__ import annotations
@@ -184,11 +185,17 @@ OS_PATHS = (
     "/tmp/pub",
     "/tmp/pub/new",
     "/tmp/pub/sub",
+    "/tmp/pub/sub/x",
+    "/tmp/pub/sub/y",
     "/tmp/secret",
     "/tmp/secret/f",
     "/tmp/secret/new",
     "/tmp",
 )
+
+
+#: The directory the ``remake`` op unlinks and recreates (empty at boot).
+REMADE = "/tmp/pub/sub"
 
 
 def _spell(path: str, how: int) -> str:
@@ -210,24 +217,30 @@ def _spell(path: str, how: int) -> str:
 #: invalidate the memo, so sequences replay entries between invalidations.
 os_op = st.sampled_from(
     ["stat", "stat", "stat", "open", "open", "read", "write", "submit",
-     "submit", "unlink", "mkdir", "chdir", "set_label", "relabel", "replicate"]
+     "submit", "unlink", "mkdir", "remake", "remake", "chdir", "set_label",
+     "relabel", "replicate"]
 )
 os_operations = st.lists(
     st.tuples(
         os_op,
-        st.integers(min_value=0, max_value=2),  # task
+        st.integers(min_value=0, max_value=3),  # task
         st.integers(min_value=0, max_value=len(OS_PATHS) - 1),
         st.integers(min_value=0, max_value=11),  # spelling / mode / label
     ),
-    min_size=1,
+    # Ten ops at least: a stale replay needs a walk, the event, and a
+    # second walk by a task at the first one's pair.
+    min_size=10,
     max_size=40,
 )
 
 
 def _run_os_trace(ops) -> tuple:
     """Execute ``ops`` on a fresh kernel: an owner holding both
-    capabilities for tag ``s``, a task at ``{S(s)}`` and an unlabeled
-    guest, over a tree where ``/tmp/secret`` and its file are ``{S(s)}``."""
+    capabilities for tag ``s``, two tasks at ``{S(s)}`` (forked from the
+    owner, so each can move between the two pairs) and an unlabeled
+    guest at the owner's pair, over a tree where ``/tmp/secret`` and its
+    file are ``{S(s)}``.  Memo entries are keyed on the label pair, so
+    each task replays proofs another task made."""
     from repro.core.principal import Principal
     from repro.osim import Sqe, SyscallError
     from repro.osim.filesystem import Inode
@@ -238,6 +251,7 @@ def _run_os_trace(ops) -> tuple:
     tag, _ = kernel.sys_alloc_tag(owner, "s")
     secret = LabelPair(Label.of(tag))
     kernel.sys_mkdir(owner, "/tmp/pub")
+    kernel.sys_mkdir(owner, REMADE)
     kernel.sys_write(owner, kernel.sys_open(owner, "/tmp/pub/a", "w"), b"public")
     kernel.sys_mkdir_labeled(owner, "/tmp/secret", secret)
     high = kernel.sys_fork(owner)
@@ -245,7 +259,9 @@ def _run_os_trace(ops) -> tuple:
     kernel.sys_write(
         high, kernel.sys_create_file_labeled(high, "/tmp/secret/f", secret), b"hidden"
     )
-    tasks = [owner, high, kernel.spawn_task("guest")]
+    twin = kernel.sys_fork(owner)
+    kernel.sys_set_task_label(twin, LabelType.SECRECY, Label.of(tag))
+    tasks = [owner, high, kernel.spawn_task("guest"), twin]
     fds: dict[int, list] = {t.tid: [] for t in tasks}
     epoch = 0
     trace: list = []
@@ -279,6 +295,22 @@ def _run_os_trace(ops) -> tuple:
             record(kind, lambda: kernel.sys_unlink(task, path))
         elif kind == "mkdir":
             record(kind, lambda: kernel.sys_mkdir(task, path))
+        elif kind == "remake":
+            # The empty directory on the walked path to /tmp/pub/sub/x,
+            # unlinked and recreated at the other label: walks through
+            # the new inode must not replay what was proved through the
+            # old one.
+            try:
+                inode = kernel.fs.resolve(REMADE)
+            except SyscallError:
+                continue
+            if inode.children:
+                continue
+            labels = LabelPair.EMPTY if inode.labels == secret else secret
+            record(kind, lambda: (
+                kernel.sys_unlink(task, REMADE),
+                kernel.sys_mkdir_labeled(task, REMADE, labels),
+            ))
         elif kind == "chdir":
             record(kind, lambda: kernel.sys_chdir(task, path))
         elif kind == "set_label":
@@ -291,7 +323,7 @@ def _run_os_trace(ops) -> tuple:
             except SyscallError:
                 continue
             inode.labels = secret if x % 2 else LabelPair.EMPTY
-        else:  # replicate: a rebuilt principal whose label epoch restarts
+        else:  # replicate: a principal rebuilt at either pair
             task.security = Principal(
                 task.name, secret if x % 2 else LabelPair.EMPTY, task.capabilities
             )

@@ -8,8 +8,8 @@ code raises part-way through a block, the guard/deopt protocol
 (opposite-context calls fall back to the interpreter and materialize
 clones — never :class:`StaleCompilationError`), linked call sites and
 the check that every compiled variant runs only under its own context
-key, code-cache invalidation on IR mutation and fastpath
-reconfiguration, and the CLI surface (``lamc run --tier2``,
+key, code-cache invalidation on IR mutation (and none on a fastpath
+flush or reconfiguration), and the CLI surface (``lamc run --tier2``,
 ``lamc disasm --tiers``).
 """
 
@@ -328,17 +328,23 @@ def _loop_chain_src(nblocks: int) -> str:
 
 def _observe(source, config=JITConfig.STATIC, policy=None, certified=(),
              spy=None, **compile_kw):
-    """Compile and run on a fresh VM; return every cross-tier observable
-    plus the interpreter (for engine inspection).  ``certified`` marks
-    methods certified; ``spy(engine)`` runs before the program does.
+    """Compile ``source`` and run it with :func:`_run_observed`.
+    ``certified`` marks methods certified."""
+    program, _ = Compiler(config, **compile_kw).compile(source)
+    if certified:
+        program.certified_methods = frozenset(certified)
+    return _run_observed(program, policy, spy)
+
+
+def _run_observed(program, policy=None, spy=None):
+    """Run ``program`` on a fresh VM; return every cross-tier observable
+    plus the interpreter (for engine inspection).  ``spy(engine)`` runs
+    before the program does.
 
     Every label check is answered by the verdict memo (a hit) or goes to
     ``check_flow`` (a miss); a barrier whose object's header cannot be
     read faults before it counts a check."""
     _reset_id_counters()
-    program, _ = Compiler(config, **compile_kw).compile(source)
-    if certified:
-        program.certified_methods = frozenset(certified)
     kernel = Kernel(LaminarSecurityModule())
     vm = LaminarVM(kernel)
     if program.tags:
@@ -596,21 +602,6 @@ class TestBlockDispatch:
 
 
 class TestGuardsAndInvalidation:
-    def test_fastpath_reconfigure_invalidates_code_cache(self):
-        _reset_id_counters()
-        program, _ = compile_source(LOOP_SRC, JITConfig.STATIC)
-        vm = LaminarVM(Kernel(LaminarSecurityModule()))
-        interp = Interpreter(program, vm, tier2=HOT)
-        first = interp.run("main")
-        assert program.tier2.cache
-        before = fastpath.counters.tier2_invalidations
-        # Any reconfiguration flushes caches and bumps the code epoch:
-        # compiled bodies bake interned labels and layer assumptions.
-        fastpath.configure(**fastpath.flags.as_dict())
-        second = interp.run("main")
-        assert second == first
-        assert fastpath.counters.tier2_invalidations == before + 1
-
     def test_ir_mutation_invalidates_and_recompiles(self):
         from repro.jit.ir import Instr, Opcode
 
@@ -657,6 +648,56 @@ class TestGuardsAndInvalidation:
         assert interp._tier2 is None
         interp.run("main")
         assert not program.tier2.cache
+
+
+#: Programs compiled hot and rerun after fastpath flushes: a loop, a
+#: helper called in and out of a region (labeled allocations in the
+#: region), and a region body whose violations land in the audit log.
+FLUSHED_PROGRAMS = {
+    "loop": (LOOP_SRC, JITConfig.STATIC),
+    "dual_context": (DUAL_CONTEXT_SRC, JITConfig.DYNAMIC),
+    "violating_region": (VIOLATING_SRC, JITConfig.STATIC),
+}
+
+#: Switches for the rerun: all on (the flush alone), then each one off.
+FLUSHES = {
+    "all_on": {},
+    "no_label_interning": {"label_interning": False},
+    "no_flow_verdict_cache": {"flow_verdict_cache": False},
+    "no_dispatch_table": {"dispatch_table": False},
+}
+
+
+class TestCompiledCodeSurvivesFastpathFlushes:
+    """Compiled bodies read no fastpath switch and use their baked label
+    pairs by value, so neither ``clear_caches()`` nor a reconfiguration
+    touches the code cache: a hot program rerun after one matches an
+    untiered run under the same switches and compiles and discards
+    nothing."""
+
+    @pytest.mark.parametrize("flush", sorted(FLUSHES))
+    @pytest.mark.parametrize("name", sorted(FLUSHED_PROGRAMS))
+    def test_hot_program_reruns_unchanged(self, name, flush):
+        source, config = FLUSHED_PROGRAMS[name]
+        program, _ = Compiler(config).compile(source)
+        for _ in range(10):
+            compiles = fastpath.counters.tier2_compiles
+            _run_observed(program, HOT)
+            if fastpath.counters.tier2_compiles == compiles:
+                break
+        cache = dict(program.tier2.cache)
+        assert cache
+        compiles = fastpath.counters.tier2_compiles
+        invalidations = fastpath.counters.tier2_invalidations
+        with fastpath.configured(**FLUSHES[flush]):
+            fastpath.clear_caches()
+            hot = _run_observed(program, HOT)
+            assert fastpath.counters.tier2_compiles == compiles
+            assert fastpath.counters.tier2_invalidations == invalidations
+            assert program.tier2.cache == cache
+            assert hot["interp"]._tier2.entries > 0
+            cold = _observe(source, config)
+        _equivalent(cold, hot)
 
 
 #: perfbench ``vm``'s four programs at its sizes (``perfbench/wl_vm.py``).
