@@ -22,7 +22,6 @@ between the VFS and the security module.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Iterator, Optional
 
@@ -48,7 +47,9 @@ XATTR_INTEGRITY = "security.laminar.integrity"
 BLOCK_SIZE = 64
 
 
-class InodeType(enum.Enum):
+class InodeType:
+    """Inode kinds: plain ``str`` constants, as ``sys_stat`` reports them."""
+
     REGULAR = "regular"
     DIRECTORY = "directory"
     PIPE = "pipe"
@@ -107,7 +108,7 @@ class Inode:
         return self.itype is InodeType.DIRECTORY
 
     def __repr__(self) -> str:
-        return f"Inode(ino={self.ino}, {self.itype.value}, labels={self.labels!r})"
+        return f"Inode(ino={self.ino}, {self.itype}, labels={self.labels!r})"
 
 
 def encode_label(label: Label) -> bytes:

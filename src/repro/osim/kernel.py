@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from ..core import (
@@ -48,7 +47,7 @@ from .filesystem import (
     OpenMode,
 )
 from .hookchain import HookChainEngine
-from .lsm import LaminarSecurityModule, Mask, SecurityModule
+from .lsm import LaminarSecurityModule, Mask, SecurityModule, Tally
 from .pipes import Pipe
 from .sockets import Network, Socket
 from .task import (
@@ -69,21 +68,38 @@ TCB_TAG = Tag(0, "tcb")
 
 def call_syscall(fn, task: Task, args: tuple) -> object:
     """``fn(task, *args)``, where a call of the wrong arity fails with
-    ``EINVAL`` like any other bad syscall argument instead of letting a
-    ``TypeError`` escape to whoever drives the caller.  A well-formed call
-    pays only the ``try``: the signature is consulted after a failure, to
-    tell a wrong arity (raised before the body runs) from a ``TypeError``
-    raised inside the body, which propagates."""
+    ``EINVAL`` like any other bad syscall argument, instead of letting a
+    ``TypeError`` escape.  A well-formed call pays only the ``try``."""
     try:
         return fn(task, *args)
     except TypeError:
-        try:
-            inspect.signature(fn).bind(task, *args)
-        except TypeError:
-            raise SyscallError(
-                EINVAL, f"{fn.__name__} takes different arguments"
-            ) from None
-        raise
+        raise arity_error(fn, task, args) from None
+
+
+def arity_error(fn, task: Task, args) -> SyscallError:
+    """Call while handling a ``TypeError`` from ``fn(task, *args)``.  The
+    ``EINVAL`` error if the arguments do not fit ``fn`` (the call failed
+    before the body ran); else the body raised, and its error is re-raised."""
+    try:
+        inspect.signature(fn).bind(task, *args)
+    except TypeError:
+        return SyscallError(EINVAL, f"{fn.__name__} takes different arguments")
+    raise  # the handled TypeError, from inside the body
+
+
+class SyscallTable(dict):
+    """One kernel's bound ``sys_`` methods by name, each looked up on first
+    use and kept; any other name raises ``EINVAL`` and is not kept."""
+
+    def __init__(self, kernel: "Kernel") -> None:
+        self._kernel = kernel
+
+    def __missing__(self, name: object):
+        fn = isinstance(name, str) and getattr(self._kernel, f"sys_{name}", None)
+        if not fn:
+            raise SyscallError(EINVAL, f"no such syscall {name!r}")
+        self[name] = fn
+        return fn
 
 
 class Mapping:
@@ -250,7 +266,7 @@ class Kernel:
         self.tasks: dict[int, Task] = {}
         self._tid_counter = itertools.count(1)
         self._pgid_counter = itertools.count(1)
-        self.syscall_counts: Counter[str] = Counter()
+        self.syscall_counts = Tally()
         #: Machine-wide audit log (TCB-internal; see repro.core.audit).
         self.audit = AuditLog()
         self.security.audit = self.audit
@@ -264,13 +280,8 @@ class Kernel:
             name: max(0, work - self.SYSCALL_ENTRY_WORK)
             for name, work in self.SYSCALL_WORK.items()
         }
-        #: op -> bound sys_* method, for batch entries sys_submit does not
-        #: run inline.  These run their full bodies (including their own
-        #: ``_count``), so equivalence with sequential issue is by
-        #: construction; only read/write shave the entry share.
-        self._submit_generic = {
-            op: getattr(self, f"sys_{op}") for op in self.SUBMIT_GENERIC_OPS
-        }
+        #: Every ``sys_`` call by name, resolved once (:class:`SyscallTable`).
+        self.syscalls = SyscallTable(self)
         self._install_base_tree()
 
     def set_security_module(self, security: SecurityModule) -> None:
@@ -794,27 +805,17 @@ class Kernel:
     # -- batched submission (io_uring-style) ---------------------------------
 
     #: Data-plane opcodes sys_submit executes through the ordinary sys_*
-    #: bodies.  Control-plane calls (label/capability changes, fork, exec,
-    #: exit, kill) are deliberately NOT batchable: excluding them
+    #: bodies (including their own ``_count``), so equivalence with the
+    #: same calls made one by one holds by construction; only read/write
+    #: shave the entry share.  Control-plane calls (label/capability changes, fork,
+    #: exec, exit, kill) are deliberately NOT batchable: excluding them
     #: guarantees no entry of a batch can change the submitting task's
     #: aliveness or labels, which is what lets the batch hoist
     #: ``_require_alive`` and replay per-descriptor permission proofs.
-    SUBMIT_GENERIC_OPS = (
-        "open",
-        "creat",
-        "close",
-        "stat",
-        "unlink",
-        "mkdir",
-        "chdir",
-        "pipe",
-        "socket",
-        "send",
-        "recv",
-        "transmit",
-        "readv",
-        "writev",
-    )
+    SUBMIT_GENERIC_OPS = frozenset((
+        "open", "creat", "close", "stat", "unlink", "mkdir", "chdir",
+        "pipe", "socket", "send", "recv", "transmit", "readv", "writev",
+    ))
     #: Every opcode a batch entry may name.
     SUBMIT_OPS = frozenset(("read", "write", "lseek", *SUBMIT_GENERIC_OPS))
 
@@ -834,17 +835,18 @@ class Kernel:
         * ``_require_alive`` is hoisted (sound: no batchable op changes
           aliveness);
         * read, write and lseek entries run inline against a per-batch
-          descriptor record: the fd's file, its pipe, and the permissions
-          the batch has proved on it.  The first read and the first write
-          of a descriptor run the body of ``sys_read``/``sys_write``
-          (:meth:`_transfer`); later ones replay its allowed
-          ``file_permission`` verdict, still counting the hook per entry.
-          This is the held-file memo's rule (:mod:`repro.osim.hookchain`)
-          at batch scope — no batchable op changes a label — and like the
-          memo it keeps no denial, nothing on a pipe, and nothing while
-          switched off.  Any other entry runs its whole ``sys_*`` body,
-          which may close an fd, reuse its number or empty the memo
-          (unlink), so the records are dropped before it.  lseek
+          descriptor record: the fd's file, its pipe, whether it is a
+          device, and the permissions the batch has proved on it.  The
+          first read and the first write of a descriptor run the body of
+          ``sys_read``/``sys_write`` (:meth:`_transfer`); later ones
+          replay its allowed ``file_permission`` verdict, still counting
+          the hook per entry.  This is the held-file memo's rule
+          (:mod:`repro.osim.hookchain`) at batch scope — no batchable op
+          changes a label — and like the memo it keeps no denial, nothing
+          on a pipe, and nothing while switched off.  Any other entry runs
+          its whole ``sys_*`` body (from :attr:`syscalls`), which may close
+          an fd, reuse its number or empty the memo (unlink), so the
+          records are dropped before it.  lseek
           keeps its full ``SYSCALL_WORK`` charge and its
           ``syscall:lseek`` fault site;
         * read and write counts, replayed ``file_permission`` hooks, memo
@@ -858,14 +860,18 @@ class Kernel:
         batch_work = self._batch_work
         fs_read = self.fs.read
         fs_write = self.fs.write
+        generic = self.SUBMIT_GENERIC_OPS
+        syscalls = self.syscalls
         hook_calls = self.security.hook_calls
         memo_on = self.hookchain.files_ok and fastpath.flags.path_walk_cache
-        #: fd -> [file, pipe, Mask bits proved this batch]
+        #: fd -> [file, pipe, Mask bits proved this batch, is a device]
         records: dict = {}
 
         def resolve(fd) -> list:
             file = task.lookup_fd(fd)
-            record = records[fd] = [file, getattr(file.inode, "pipe", None), 0]
+            inode = file.inode
+            device = inode.itype is InodeType.DEVICE
+            record = records[fd] = [file, getattr(inode, "pipe", None), 0, device]
             return record
 
         work = hits = reads = writes = 0
@@ -904,7 +910,7 @@ class Kernel:
                             reads += 1
                         work += batch_work[op]
                         record = records.get(fd) or resolve(fd)
-                        file, pipe, proved = record
+                        file, pipe, proved, device = record
                         mask = Mask.WRITE if write else Mask.READ
                         if not proved & mask:
                             result = self._transfer(task, file, write, arg)
@@ -914,7 +920,7 @@ class Kernel:
                             # The proof replayed, then _transfer's data
                             # step inline: a call per entry costs the loop.
                             hits += 1
-                            if file.inode.itype is InodeType.DEVICE:
+                            if device:
                                 result = len(arg) if write else b"\0" * max(arg, 0)
                             elif write:
                                 result = fs_write(file, arg)
@@ -928,9 +934,9 @@ class Kernel:
                         self._count("lseek")
                         file = (records.get(fd) or resolve(fd))[0]
                         result = self._seek(file, offset)
-                    elif type(op) is str and op in self._submit_generic:
+                    elif type(op) is str and op in generic:
                         records.clear()
-                        result = call_syscall(self._submit_generic[op], task, sqe.args)
+                        result = call_syscall(syscalls[op], task, sqe.args)
                     else:
                         raise SyscallError(
                             EINVAL, f"op {op!r} is not batchable via sys_submit"
@@ -988,7 +994,7 @@ class Kernel:
         self.security.inode_getattr(task, inode)
         return {
             "ino": inode.ino,
-            "type": inode.itype.value,
+            "type": inode.itype,
             "size": inode.size,
             "mode": inode.mode,
             "nlink": inode.nlink,

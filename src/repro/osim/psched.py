@@ -104,7 +104,7 @@ class GroupResult:
     stats: dict = field(default_factory=dict)
 
 
-def _counter_delta(after: Counter, before: dict) -> tuple:
+def _counter_delta(after: dict, before: dict) -> tuple:
     return tuple(
         sorted(
             (name, count - before.get(name, 0))

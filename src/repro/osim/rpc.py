@@ -302,8 +302,7 @@ class ShardServer:
             try:
                 if type(sqe.op) is not str or sqe.op not in kernel.SUBMIT_OPS:
                     raise SyscallError(EINVAL, f"op {sqe.op!r} is not batchable")
-                fn = getattr(kernel, f"sys_{sqe.op}")
-                result = call_syscall(fn, task, sqe.args)
+                result = call_syscall(kernel.syscalls[sqe.op], task, sqe.args)
             except SyscallError as exc:
                 cqes.append(Cqe(sqe.op, None, exc.errno))
             else:

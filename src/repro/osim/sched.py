@@ -12,7 +12,9 @@ operation descriptors (built by :func:`syscall`, :func:`read_blocking`,
 receive each operation's result via ``gen.send``; a failing syscall is
 thrown into the generator as :class:`~repro.osim.task.SyscallError`.
 The scheduler is strictly round-robin: one operation per scheduling
-step, re-enqueue at the tail.
+step, re-enqueue at the tail, calling the kernel from the step's own frame.
+A malformed op fails only its task, with ``EINVAL``; a ``TypeError`` from
+inside a syscall body ends :meth:`Scheduler.run`.
 
 Blocking without a timing channel
 ---------------------------------
@@ -56,7 +58,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from ..core import CapabilitySet, LabelPair
-from .kernel import call_syscall
+from .kernel import arity_error
 from .task import EINVAL, SyscallError, Task
 
 if TYPE_CHECKING:
@@ -149,6 +151,7 @@ class Scheduler:
 
     def __init__(self, kernel: "Kernel", trace: bool = False) -> None:
         self.kernel = kernel
+        self._syscalls = kernel.syscalls
         self._runq: deque[_Thread] = deque()
         #: Parked threads in park order (an insertion-ordered set).
         self._parked: dict[_Thread, None] = {}
@@ -228,8 +231,8 @@ class Scheduler:
             # a real process teardown would not, but leaving them open
             # would leak ResourceWarnings across the sweep's thousands of
             # crashes) and the exception propagates to the harness, which
-            # calls Kernel.crash()/remount().  SyscallError never reaches
-            # here: _complete routes it into the issuing generator.
+            # calls Kernel.crash()/remount().  A kernel call's SyscallError
+            # never reaches here: _step throws it into the issuing body.
             for thread in runq:
                 thread.gen.close()
             runq.clear()
@@ -283,116 +286,101 @@ class Scheduler:
             # code); nothing further to run.
             thread.gen.close()
             return
-        if self.trace is not None:
-            self.trace.append(("run", task.tid))
-        if thread.pending_op is not None:
-            op, thread.pending_op = thread.pending_op, None
-            self._dispatch(thread, op)
-            return
-        try:
-            if thread.throw_exc is not None:
-                exc, thread.throw_exc = thread.throw_exc, None
-                op = thread.gen.throw(exc)
-            else:
-                value, thread.send_value = thread.send_value, None
-                op = thread.gen.send(value)
-        except StopIteration as stop:
-            if task.alive:
-                code = stop.value if isinstance(stop.value, int) else 0
-                self.kernel.sys_exit(task, code)
-            if self.trace is not None:
-                self.trace.append(("exit", task.tid))
-            return
-        self._dispatch(thread, op)
-
-    # -- op dispatch ---------------------------------------------------------
-
-    def _dispatch(self, thread: _Thread, op: tuple) -> None:
+        trace = self.trace
+        if trace is not None:
+            trace.append(("run", task.tid))
+        op = thread.pending_op
+        if op is not None:
+            thread.pending_op = None
+        else:
+            thrown = thread.throw_exc
+            try:
+                if thrown is None:
+                    value, thread.send_value = thread.send_value, None
+                    op = thread.gen.send(value)
+                else:
+                    thread.throw_exc = None
+                    op = thread.gen.throw(thrown)
+            except StopIteration as stop:
+                if task.alive:
+                    self.kernel.sys_exit(task, stop.value if isinstance(stop.value, int) else 0)
+                self._end(thread)
+                return
         try:
             kind, a, b = op
         except (TypeError, ValueError):
             kind = None
-        if kind == "read_blocking":
-            self._do_read_blocking(thread, op, a, b)
-        elif kind == "recv_blocking":
-            self._do_recv_blocking(thread, op, a)
-        elif kind == "syscall":
-            self._do_syscall(thread, a, b)
+        if kind == "syscall":
+            try:
+                fn = self._syscalls[a]
+            except (SyscallError, TypeError):  # unknown, or unhashable
+                thread.throw_exc = SyscallError(EINVAL, f"no such syscall {a!r}")
+            else:
+                try:
+                    thread.send_value = fn(task, *b)
+                except SyscallError as exc:
+                    thread.throw_exc = exc
+                except TypeError:
+                    thread.throw_exc = arity_error(fn, task, b)
+                if not task.alive:  # the call ended its task
+                    self._end(thread)
+                    return
+        elif kind == "read_blocking":
+            try:
+                data = self._syscalls["read"](task, a, b)
+            except SyscallError as exc:
+                thread.throw_exc = exc
+            else:
+                pipe = getattr(task.fd_table[a].inode, "pipe", None)
+                if not data and pipe is not None and not pipe.closed:
+                    self._park(thread, op, pipe)
+                    return
+                thread.send_value = data
         elif kind == "submit":
-            self._complete(thread, self.kernel.sys_submit, thread.task, a)
+            try:
+                thread.send_value = self._syscalls["submit"](task, a)
+            except SyscallError as exc:
+                thread.throw_exc = exc
+            if not task.alive:
+                self._end(thread)
+                return
+        elif kind == "recv_blocking":
+            try:
+                data = self._syscalls["recv"](task, a)
+            except SyscallError as exc:
+                thread.throw_exc = exc
+            else:
+                if not data and not a.hungup:
+                    self._park(thread, op, a)
+                    return
+                thread.send_value = data
         elif kind == "fork":
             self._do_fork(thread, a, b)
-        elif kind == "yield":
-            self._runq.append(thread)
-        else:
+        elif kind != "yield":
             thread.throw_exc = SyscallError(EINVAL, f"bad scheduler op {op!r}")
-            self._runq.append(thread)
+        self._runq.append(thread)
 
-    def _complete(self, thread: _Thread, fn, *args) -> object:
-        """Run a kernel call, routing the result or error back into the
-        generator, and re-enqueue (unless the call ended the task)."""
-        try:
-            result = fn(*args)
-        except SyscallError as exc:
-            thread.throw_exc = exc
-            result = None
-        else:
-            thread.send_value = result
-        if thread.task.alive:
-            self._runq.append(thread)
-        else:
-            thread.gen.close()
-            if self.trace is not None:
-                self.trace.append(("exit", thread.task.tid))
-        return result
-
-    def _do_syscall(self, thread: _Thread, name: str, args: tuple) -> None:
-        fn = getattr(self.kernel, f"sys_{name}", None)
-        if fn is None:
-            thread.throw_exc = SyscallError(EINVAL, f"no such syscall {name!r}")
-            self._runq.append(thread)
-            return
-        self._complete(thread, call_syscall, fn, thread.task, args)
+    def _end(self, thread: _Thread) -> None:
+        """Close a thread whose task has exited, and trace the exit."""
+        thread.gen.close()
+        if self.trace is not None:
+            self.trace.append(("exit", thread.task.tid))
 
     def _do_fork(self, thread: _Thread, body, caps_subset) -> None:
+        """``sys_fork``, then admit ``body(child)``.  A body that makes no
+        generator has the child reaped and the parent thrown ``EINVAL``."""
         try:
             child = self.kernel.sys_fork(thread.task, caps_subset)
         except SyscallError as exc:
             thread.throw_exc = exc
-        else:
+            return
+        gen = body(child)
+        if isinstance(gen, types.GeneratorType):
             thread.send_value = child
-            self._runq.append(_Thread(child, body(child)))
-        self._runq.append(thread)
-
-    def _do_read_blocking(
-        self, thread: _Thread, op: tuple, fd: int, count: int
-    ) -> None:
-        task = thread.task
-        try:
-            data = self.kernel.sys_read(task, fd, count)
-        except SyscallError as exc:
-            thread.throw_exc = exc
-            self._runq.append(thread)
-            return
-        pipe = getattr(task.fd_table[fd].inode, "pipe", None)
-        if data or pipe is None or pipe.closed:
-            thread.send_value = data
-            self._runq.append(thread)
+            self._runq.append(_Thread(child, gen))
         else:
-            self._park(thread, op, pipe)
-
-    def _do_recv_blocking(self, thread: _Thread, op: tuple, socket) -> None:
-        try:
-            data = self.kernel.sys_recv(thread.task, socket)
-        except SyscallError as exc:
-            thread.throw_exc = exc
-            self._runq.append(thread)
-            return
-        if data or socket.hungup:
-            thread.send_value = data
-            self._runq.append(thread)
-        else:
-            self._park(thread, op, socket)
+            self.kernel.sys_exit(child)
+            thread.throw_exc = SyscallError(EINVAL, f"fork body {body!r} makes no generator")
 
     def _park(self, thread: _Thread, op: tuple, wait_obj) -> None:
         """Put the thread to sleep on ``wait_obj``'s wait list until the

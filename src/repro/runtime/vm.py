@@ -258,11 +258,10 @@ class LaminarVM:
     def syscall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Issue a system call as the current thread, synchronizing the
         kernel task's labels/capabilities with the current security region
-        first (the lazy sync of Section 4.4)."""
+        first (the lazy sync of Section 4.4).  An unknown name fails with ``EINVAL``."""
         thread = self.current_thread
         self._ensure_kernel_sync(thread)
-        method = getattr(self.kernel, f"sys_{name}")
-        return method(thread.task, *args, **kwargs)
+        return self.kernel.syscalls[name](thread.task, *args, **kwargs)
 
     def _ensure_kernel_sync(self, thread: SimThread) -> None:
         if not thread.frames:

@@ -13,13 +13,16 @@ from repro.core import (
 )
 from repro.osim import (
     EACCES,
+    EINVAL,
     Kernel,
     LaminarSecurityModule,
     Mask,
     NullSecurityModule,
+    Pipe,
     SyscallError,
     TCB_TAG,
 )
+from repro.osim.lsm import Tally
 
 
 @pytest.fixture
@@ -550,3 +553,94 @@ class TestPathWalkCache:
             k.sys_stat(task, "/tmp/wc6/f")
             k.sys_stat(task, "/tmp/wc6/f")
             assert fastpath.counters.walk_hits == before
+
+
+class TestSyscallTable:
+    def test_resolves_a_name_once_and_keeps_it(self, k):
+        table = k.syscalls
+        assert "lseek" not in table
+        fn = table["lseek"]
+        assert fn == k.sys_lseek and table["lseek"] is fn
+        assert dict(table) == {"lseek": fn}
+
+    @pytest.mark.parametrize("name", ["teleport", "", 5, None])
+    def test_unknown_or_non_str_name_is_einval_and_not_kept(self, k, name):
+        with pytest.raises(SyscallError) as e:
+            k.syscalls[name]
+        assert e.value.errno == EINVAL
+        assert name not in k.syscalls
+
+    def test_vm_syscall_of_an_unknown_name_is_einval(self, vm):
+        with pytest.raises(SyscallError) as e:
+            vm.syscall("teleport")
+        assert e.value.errno == EINVAL
+
+
+class TestTallies:
+    def test_missing_name_reads_zero_and_is_not_stored(self, k):
+        for tally in (k.syscall_counts, k.security.hook_calls, k.security.denials):
+            assert isinstance(tally, Tally)
+            assert tally["never"] == 0 and "never" not in tally
+
+    def test_counts_as_a_plain_dict(self, k):
+        task = k.spawn_task("p")
+        k.sys_stat(task, "/tmp")
+        k.sys_stat(task, "/tmp")
+        assert k.syscall_counts == {"stat": 2}
+        assert k.security.hook_calls["inode_getattr"] == 2
+        k.security.reset_counters()
+        assert k.security.hook_calls == {} and k.security.denials == {}
+
+
+class TestInodeTypeText:
+    """What ``sys_stat`` reports as an inode's type and what an ``Inode``
+    repr prints are audit text that crosses shards and merges: both read
+    as they did when ``InodeType`` was an ``Enum``."""
+
+    def test_stat_reports_every_inode_type(self, k):
+        owner = k.spawn_task("owner")
+        k.sys_close(owner, k.sys_create_file_labeled(owner, "/tmp/f", LabelPair.EMPTY))
+        tmp = k.fs.resolve("/tmp")
+        k.fs.link_child(tmp, "fifo", Pipe(LabelPair.EMPTY).inode)
+        k.fs.link_child(tmp, "sock", k.sys_socket(owner).inode)
+        types = {
+            path: k.sys_stat(owner, path)["type"]
+            for path in ("/tmp/f", "/tmp", "/tmp/fifo", "/tmp/sock", "/dev/null")
+        }
+        assert types == {
+            "/tmp/f": "regular",
+            "/tmp": "directory",
+            "/tmp/fifo": "pipe",
+            "/tmp/sock": "socket",
+            "/dev/null": "device",
+        }
+        assert {type(t) for t in types.values()} == {str}
+
+    def test_denial_audit_lines_are_unchanged(self, k):
+        owner = k.spawn_task("owner")
+        tag, _ = k.sys_alloc_tag(owner, "s")
+        secret = LabelPair(Label.of(tag))
+        k.sys_mkdir_labeled(owner, "/tmp/vault", secret)
+        k.sys_close(owner, k.sys_create_file_labeled(owner, "/tmp/f", secret))
+        spy = k.spawn_task("spy")
+        hi = k.spawn_task("hi", labels=secret)
+        sock = k.sys_socket(owner)
+        for call in (
+            lambda: k.sys_open(spy, "/tmp/f", "r"),
+            lambda: k.sys_stat(spy, "/tmp/vault/x"),
+            lambda: k.sys_send(hi, sock, b"x"),
+            lambda: k.sys_transmit(hi, b"x"),
+        ):
+            with pytest.raises(SyscallError):
+                call()
+        pad = "[lsm] denial            "
+        assert [str(entry) for entry in k.audit] == [
+            f"#000001 {pad} inode_permission: spy{{S{{}},I{{}}}} may not read "
+            "Inode(ino=11, regular, labels={S{s},I{}})",
+            f"#000002 {pad} inode_permission: spy{{S{{}},I{{}}}} may not read "
+            "Inode(ino=10, directory, labels={S{s},I{}})",
+            f"#000003 {pad} socket_sendmsg: hi{{S{{s}},I{{}}}} may not send on "
+            f"Inode(ino={sock.inode.ino}, socket, labels={{S{{}},I{{}}}})",
+            f"#000004 {pad} socket_sendmsg: hi{{S{{s}},I{{}}}} may not send on "
+            "Inode(ino=2, device, labels={S{},I{}})",
+        ]

@@ -5,6 +5,7 @@ hook counts)."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -14,12 +15,17 @@ from hypothesis import strategies as st
 from repro.core import Label, LabelPair
 from repro.osim import (
     EINVAL,
+    EIO,
+    FaultKind,
+    FaultPlan,
+    FaultRule,
     Kernel,
     LaminarSecurityModule,
     SIGKILL,
     SIGTERM,
     Scheduler,
     SyscallError,
+    Task,
     fork,
     read_blocking,
     recv_blocking,
@@ -27,7 +33,7 @@ from repro.osim import (
     syscall,
     yield_,
 )
-from repro.osim.kernel import Sqe
+from repro.osim.kernel import Sqe, call_syscall
 from repro.osim.sched import DEFAULT_MAX_STEPS
 
 
@@ -258,6 +264,35 @@ class TestForkExitKill:
         assert not child.alive and child.exit_code == 0
         assert child.tid not in kernel.tasks  # reaped at exit
 
+    def test_fork_of_a_non_generator_body_fails_only_the_parent(self, kernel):
+        """The child is reaped through ``sys_exit``, the parent gets
+        ``EINVAL`` and carries on, and so does every other task."""
+        caught, got = [], []
+
+        def parent_body(task):
+            try:
+                yield fork(lambda child: 42)
+            except SyscallError as exc:
+                caught.append(exc.errno)
+            yield yield_()
+
+        def other(task):
+            for n in range(3):
+                got.append(n)
+                yield yield_()
+
+        before = dict(kernel.tasks)
+        sched = Scheduler(kernel)
+        parent = sched.spawn(parent_body, name="p")
+        sched.spawn(other)
+        assert sched.run() == []
+        assert caught == [EINVAL]
+        assert got == [0, 1, 2]
+        assert not parent.alive and parent.exit_code == 0
+        assert kernel.tasks == before  # the child is not left live
+        assert kernel.syscall_counts["fork"] == 1
+        assert kernel.syscall_counts["exit"] == 3  # child, parent, other
+
     def test_kill_terminates_at_next_step(self, kernel):
         progress = []
 
@@ -447,12 +482,19 @@ class TestMalformedOps:
         ("teleport", None, None),  # unknown kind
         ("syscall", "read"),  # not an (kind, a, b) triple
         42,
+        syscall("teleport"),  # no such syscall
+        ("syscall", 5, ()),  # a name that is not a str
+        ("syscall", ["read"], ()),  # an unhashable name
+        ("syscall", "read", 5),  # arguments that are not iterable
     ]
 
     @pytest.mark.parametrize(
         "op",
         BAD_OPS,
-        ids=["read-0", "lseek-3", "open-0", "unknown-kind", "pair", "int"],
+        ids=[
+            "read-0", "lseek-3", "open-0", "unknown-kind", "pair", "int",
+            "no-such-call", "int-name", "list-name", "int-args",
+        ],
     )
     def test_bad_op_fails_only_its_task(self, kernel, op):
         caught, got = [], []
@@ -481,6 +523,71 @@ class TestMalformedOps:
         assert kernel.syscall_counts["read"] == 1
         assert kernel.syscall_counts["open"] == 1
         assert kernel.syscall_counts["lseek"] == 1
+
+
+class TestKernelCallFailures:
+    """How a kernel call's failure reaches the task that made it."""
+
+    def test_type_error_inside_a_body_propagates_after_one_run(self, kernel):
+        """A ``TypeError`` raised inside a syscall body is not a bad
+        argument list: it leaves :meth:`Scheduler.run` (closing every
+        other thread), and the body ran exactly once."""
+        closed = []
+
+        def body(task):
+            fd = yield syscall("open", "/tmp/f", "w")
+            yield syscall("write", fd, 5)  # len(5) fails inside sys_write
+
+        def other(task):
+            try:
+                while True:
+                    yield yield_()
+            finally:
+                closed.append(task.name)
+
+        sched = Scheduler(kernel)
+        sched.spawn(body)
+        sched.spawn(other, name="other")
+        with pytest.raises(TypeError, match="len"):
+            sched.run()
+        assert closed == ["other"]
+        assert kernel.syscall_counts["write"] == 1
+        assert kernel.security.hook_calls["file_permission"] == 1
+
+    def test_syscall_that_ends_its_task_records_one_exit(self, kernel):
+        after = []
+
+        def body(task):
+            yield syscall("exit", 3)
+            after.append(True)
+
+        sched = Scheduler(kernel, trace=True)
+        task = sched.spawn(body)
+        assert sched.run() == []
+        assert after == []
+        assert task.exit_code == 3 and task.tid not in kernel.tasks
+        assert sched.trace == [("run", task.tid), ("exit", task.tid)]
+        assert kernel.syscall_counts["exit"] == 1
+
+    def test_submit_error_is_thrown_into_its_task(self, kernel):
+        kernel.install_faults(
+            FaultPlan([FaultRule("syscall:submit", FaultKind.EIO, nth=1)])
+        )
+        seen = []
+
+        def body(task):
+            try:
+                yield submit([Sqe("stat", "/tmp")])
+            except SyscallError as exc:
+                seen.append(exc.errno)
+            cqes = yield submit([Sqe("stat", "/tmp")])
+            seen.append([c.errno for c in cqes])
+
+        sched = Scheduler(kernel)
+        task = sched.spawn(body)
+        assert sched.run() == []
+        assert seen == [EIO, [0]]
+        assert task.exit_code == 0
 
 
 def _trace(spec: str) -> list[tuple[str, str]]:
@@ -668,9 +775,38 @@ class ScanningScheduler(Scheduler):
         self.trace.append(("park", thread.task.tid))
 
 
-def _action(pipes: int):
+def _forked(task):
+    yield yield_()
+    return 5
+
+
+#: Ops no well-formed body yields, as functions of a writer's write fds.
+#: Each fails only its own task, except the last two: their ``TypeError``
+#: comes from inside a kernel body and ends the run.
+_ODD_OPS = (
+    lambda wfds: syscall("teleport"),
+    lambda wfds: ("syscall", 5, ()),
+    lambda wfds: ("syscall", ["write"], ()),
+    lambda wfds: ("syscall", "close", 5),  # arguments not iterable
+    lambda wfds: syscall("lseek", wfds[0]),  # too few arguments
+    lambda wfds: syscall("write", wfds[0], b"x", 1),  # too many
+    lambda wfds: syscall("close", 99),  # EBADF from the body
+    lambda wfds: read_blocking(99),
+    lambda wfds: submit([Sqe("teleport"), Sqe("write", wfds[0], b"s"), Sqe("read", 99)]),
+    lambda wfds: ("teleport", None, None),
+    lambda wfds: ("syscall", "read"),
+    lambda wfds: 42,
+    lambda wfds: fork(lambda task: 42),  # a body that makes no generator
+    lambda wfds: fork(_forked),
+    lambda wfds: syscall("exit", 7),  # ends its own task
+    lambda wfds: syscall("write", wfds[0], 5),
+    lambda wfds: submit(5),
+)
+
+
+def _action(pipes: int, odd: bool = False):
     pipe = st.integers(0, pipes - 1)
-    return st.one_of(
+    actions = [
         st.tuples(st.just("write"), pipe),
         st.tuples(st.just("close"), pipe),
         st.tuples(st.just("send")),
@@ -678,14 +814,18 @@ def _action(pipes: int):
         st.tuples(st.just("yield")),
         st.tuples(st.just("submit"), pipe, pipe),
         st.tuples(st.just("kill"), st.integers(0, 7), st.sampled_from([SIGKILL, 1])),
-    )
+    ]
+    if odd:
+        actions.append(st.tuples(st.just("odd"), st.integers(0, len(_ODD_OPS) - 1)))
+    return st.one_of(*actions)
 
 
 @st.composite
-def small_worlds(draw):
+def small_worlds(draw, odd: bool = False):
     """2–3 pipes (pipe 0 secrecy-labeled), one socket pair, 2–5 readers
     (channel index ``pipes`` is the socket) and 1–3 writers, each reader
-    and writer drawn with or without the secret tag."""
+    and writer drawn with or without the secret tag.  With ``odd``,
+    writers also yield ops from :data:`_ODD_OPS`."""
     pipes = draw(st.integers(2, 3), label="pipes")
     readers = draw(
         st.lists(
@@ -697,7 +837,7 @@ def small_worlds(draw):
     )
     writers = draw(
         st.lists(
-            st.tuples(st.booleans(), st.lists(_action(pipes), min_size=1, max_size=6)),
+            st.tuples(st.booleans(), st.lists(_action(pipes, odd), min_size=1, max_size=6)),
             min_size=1,
             max_size=3,
         ),
@@ -707,9 +847,19 @@ def small_worlds(draw):
     return pipes, readers, writers, secret_socket
 
 
+def _plain(value):
+    """A result as comparable data: a task by name, completions as tuples."""
+    if isinstance(value, Task):
+        return value.name
+    if isinstance(value, list):
+        return [(c.op, c.result, c.errno) for c in value]
+    return value
+
+
 def _run_world(world, scheduler_class):
     """Build ``world`` on a fresh kernel, run it under ``scheduler_class``
-    and return every observable the wake rule could change."""
+    and return every observable the wake rule or the dispatch could
+    change."""
     pipes, reader_specs, writer_specs, secret_socket = world
     kernel = Kernel(LaminarSecurityModule())
     owner = kernel.spawn_task("owner")
@@ -733,7 +883,7 @@ def _run_world(world, scheduler_class):
     ]
     victims = readers + writers
     got = {task.name: [] for task in readers}
-    errors = {task.name: [] for task in writers}
+    results = {task.name: [] for task in writers}
 
     def reader_body(op, reads, out):
         def body(task):
@@ -753,27 +903,27 @@ def _run_world(world, scheduler_class):
         def body(task):
             for n, (kind, *args) in enumerate(program):
                 payload = b"%s.%d" % (task.name.encode(), n)
+                if kind == "write":
+                    op = syscall("write", wfds[args[0]], payload)
+                elif kind == "close":
+                    op = syscall("close", wfds[args[0]])
+                elif kind == "send":
+                    op = syscall("send", sock_a, payload)
+                elif kind == "hangup":
+                    sock_a.close()
+                    op = yield_()
+                elif kind == "yield":
+                    op = yield_()
+                elif kind == "submit":
+                    i, j = args
+                    op = submit([Sqe("write", wfds[i], payload), Sqe("write", wfds[j], payload)])
+                elif kind == "odd":
+                    op = _ODD_OPS[args[0]](wfds)
+                else:
+                    victim, signum = args
+                    op = syscall("kill", victims[victim % len(victims)].tid, signum)
                 try:
-                    if kind == "write":
-                        yield syscall("write", wfds[args[0]], payload)
-                    elif kind == "close":
-                        yield syscall("close", wfds[args[0]])
-                    elif kind == "send":
-                        yield syscall("send", sock_a, payload)
-                    elif kind == "hangup":
-                        sock_a.close()
-                        yield yield_()
-                    elif kind == "yield":
-                        yield yield_()
-                    elif kind == "submit":
-                        i, j = args
-                        cqes = yield submit(
-                            [Sqe("write", wfds[i], payload), Sqe("write", wfds[j], payload)]
-                        )
-                        out.append([c.errno for c in cqes])
-                    else:
-                        victim, signum = args
-                        yield syscall("kill", victims[victim % len(victims)].tid, signum)
+                    out.append(_plain((yield op)))
                 except SyscallError as exc:
                     out.append(exc.errno)
 
@@ -788,21 +938,34 @@ def _run_world(world, scheduler_class):
         sched.spawn(reader_body(op, reads, got[task.name]), task=task)
     for task, (_, program) in zip(writers, writer_specs):
         wfds = [kernel.share_fd(setup, wfd, task) for _, wfd in ends]
-        sched.spawn(writer_body(program, wfds, errors[task.name]), task=task)
+        sched.spawn(writer_body(program, wfds, results[task.name]), task=task)
     for rfd, wfd in ends:
         kernel.sys_close(setup, rfd)
         kernel.sys_close(setup, wfd)
-    stuck = sched.run()
+    raised = None
+    try:
+        stuck = sched.run()
+    except TypeError as exc:  # from inside a kernel body: ends the run
+        stuck, raised = [], repr(exc)
+    # A forked child is not named: tids are allocated alike in both runs.
     names = {task.tid: task.name for task in victims}
     return {
-        "trace": [(event, names[tid]) for event, tid in sched.trace],
+        "trace": [(event, names.get(tid, tid)) for event, tid in sched.trace],
         "steps": sched.steps,
         "stuck": [task.name for task in stuck],
+        "raised": raised,
         "got": got,
-        "errors": errors,
+        "results": results,
         "exit_codes": [task.exit_code for task in victims],
         "syscalls": dict(kernel.syscall_counts),
         "hooks": dict(kernel.security.hook_calls),
+        "denials": dict(kernel.security.denials),
+        # Pipe and socket inodes number from a process-wide counter.
+        "audit": [
+            re.sub(r"ino=\d+, (pipe|socket)", r"ino=?, \1", str(entry))
+            for entry in kernel.audit
+        ],
+        "live": sorted(kernel.tasks),
         "waiting": [len(channel.waiters) for channel in channels],
     }
 
@@ -832,6 +995,147 @@ class TestWakeOrderDifferential:
         wakes = [who for event, who in result["trace"] if event == "wake"]
         assert wakes == ["r0", "r1", "r2"]
         assert result["got"] == {"r0": [b"w0.1"], "r1": [b"w0.2"], "r2": [b""]}
+
+
+# -- the flat step against the dispatch chain it replaced --------------------
+
+
+class ChainScheduler(Scheduler):
+    """Reference dispatch: each step goes ``_dispatch`` → ``_do_syscall``
+    (a ``getattr`` of ``sys_<name>`` per call) → ``_complete`` →
+    :func:`~repro.osim.kernel.call_syscall`, one frame per stage, as
+    before :meth:`Scheduler._step` carried out its ops itself.  Parking,
+    waking and ``sys_fork`` with its child's admission are inherited."""
+
+    def _step(self, thread):
+        task = thread.task
+        for signum, _sender in task.pending_signals:
+            if signum in (SIGKILL, SIGTERM):
+                thread.gen.close()
+                if task.alive:
+                    self.kernel.sys_exit(task, 128 + signum)
+                if self.trace is not None:
+                    self.trace.append(("killed", task.tid))
+                return
+        if not task.alive:
+            thread.gen.close()
+            return
+        if self.trace is not None:
+            self.trace.append(("run", task.tid))
+        if thread.pending_op is not None:
+            op, thread.pending_op = thread.pending_op, None
+            self._dispatch(thread, op)
+            return
+        try:
+            if thread.throw_exc is not None:
+                exc, thread.throw_exc = thread.throw_exc, None
+                op = thread.gen.throw(exc)
+            else:
+                value, thread.send_value = thread.send_value, None
+                op = thread.gen.send(value)
+        except StopIteration as stop:
+            if task.alive:
+                code = stop.value if isinstance(stop.value, int) else 0
+                self.kernel.sys_exit(task, code)
+            if self.trace is not None:
+                self.trace.append(("exit", task.tid))
+            return
+        self._dispatch(thread, op)
+
+    def _dispatch(self, thread, op):
+        try:
+            kind, a, b = op
+        except (TypeError, ValueError):
+            kind = None
+        if kind == "read_blocking":
+            self._do_read_blocking(thread, op, a, b)
+        elif kind == "recv_blocking":
+            self._do_recv_blocking(thread, op, a)
+        elif kind == "syscall":
+            self._do_syscall(thread, a, b)
+        elif kind == "submit":
+            self._complete(thread, self.kernel.sys_submit, thread.task, a)
+        elif kind == "fork":
+            self._do_fork(thread, a, b)
+        elif kind == "yield":
+            self._runq.append(thread)
+        else:
+            thread.throw_exc = SyscallError(EINVAL, f"bad scheduler op {op!r}")
+            self._runq.append(thread)
+
+    def _complete(self, thread, fn, *args):
+        try:
+            result = fn(*args)
+        except SyscallError as exc:
+            thread.throw_exc = exc
+        else:
+            thread.send_value = result
+        if thread.task.alive:
+            self._runq.append(thread)
+        else:
+            thread.gen.close()
+            if self.trace is not None:
+                self.trace.append(("exit", thread.task.tid))
+
+    def _do_syscall(self, thread, name, args):
+        fn = getattr(self.kernel, f"sys_{name}", None)
+        if fn is None:
+            thread.throw_exc = SyscallError(EINVAL, f"no such syscall {name!r}")
+            self._runq.append(thread)
+            return
+        self._complete(thread, call_syscall, fn, thread.task, args)
+
+    def _do_read_blocking(self, thread, op, fd, count):
+        task = thread.task
+        try:
+            data = self.kernel.sys_read(task, fd, count)
+        except SyscallError as exc:
+            thread.throw_exc = exc
+            self._runq.append(thread)
+            return
+        pipe = getattr(task.fd_table[fd].inode, "pipe", None)
+        if data or pipe is None or pipe.closed:
+            thread.send_value = data
+            self._runq.append(thread)
+        else:
+            self._park(thread, op, pipe)
+
+    def _do_fork(self, thread, body, caps_subset):
+        super()._do_fork(thread, body, caps_subset)
+        self._runq.append(thread)
+
+    def _do_recv_blocking(self, thread, op, socket):
+        try:
+            data = self.kernel.sys_recv(thread.task, socket)
+        except SyscallError as exc:
+            thread.throw_exc = exc
+            self._runq.append(thread)
+            return
+        if data or socket.hungup:
+            thread.send_value = data
+            self._runq.append(thread)
+        else:
+            self._park(thread, op, socket)
+
+
+class TestDispatchDifferential:
+    """The flat step does what the dispatch chain did: the same trace,
+    steps, results, errnos, syscall and hook counts, denials and audit,
+    in the wake-order worlds plus ops no well-formed body yields."""
+
+    @given(world=small_worlds(odd=True))
+    @settings(max_examples=150, deadline=None)
+    def test_flat_step_matches_the_chain(self, world):
+        assert _run_world(world, Scheduler) == _run_world(world, ChainScheduler)
+
+    @pytest.mark.parametrize("index", range(len(_ODD_OPS)))
+    def test_each_odd_op_matches_the_chain(self, index):
+        program = [("write", 0), ("odd", index), ("write", 1), ("close", 0), ("close", 1)]
+        world = (2, [(0, True, 2), (1, False, 2), (2, False, 1)], [(True, program)], False)
+        flat = _run_world(world, Scheduler)
+        assert flat == _run_world(world, ChainScheduler)
+        # Only the two ops that raise inside a kernel body end the run.
+        assert (flat["raised"] is not None) == (index >= len(_ODD_OPS) - 2)
 
 
 # -- no parked thread outlives its park --------------------------------------
