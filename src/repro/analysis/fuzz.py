@@ -57,9 +57,8 @@ from ..osim import Kernel
 from ..osim.faults import FaultPlan, KernelCrash
 from ..osim.kernel import Sqe
 from ..osim.persistence import grant_persistent, login
-from ..osim.psched import GroupHandle, run_group
+from ..osim.psched import GroupHandle, merge_groups, run_group
 from ..osim.recovery import check_recovery_invariants
-from ..osim.rpc import merge_audit
 from ..osim.sched import read_blocking, submit, syscall, yield_
 from ..osim.task import SyscallError, _ERRNO_NAMES
 from .secretswap import MODES, _reset_id_counters, collect_observables
@@ -766,26 +765,14 @@ def public_tree(kernel: Kernel, start: str = "/") -> tuple:
 
 def _merge_results(results) -> dict:
     """Deterministic merge of per-group observables in global group
-    order (the psched discipline: audit re-stamped 1..n, traffic in
-    stamp order), plus the fuzz extensions: op logs, per-group public
-    subtrees, scheduler traces, and coarse timing buckets."""
-    traffic: list = []
-    denials: Counter = Counter()
-    hooks: Counter = Counter()
-    for r in results:
-        traffic.extend(r.traffic)
-        denials.update(dict(r.denials))
-        hooks.update(dict(r.hooks))
-    traffic.sort(key=lambda item: item[0][0])
+    order (the psched merge, :func:`~repro.osim.psched.merge_groups`),
+    plus the fuzz extensions: op logs, per-group public subtrees,
+    scheduler traces, and coarse timing buckets."""
     return {
-        "audit": tuple(merge_audit(r.audit for r in results)),
-        "traffic": tuple(payload for _, payload in traffic),
-        "denials": tuple(sorted(denials.items())),
-        "hooks": tuple(sorted(hooks.items())),
+        **merge_groups(results),
         "steps": tuple(r.steps for r in results),
         "timing_buckets": tuple(r.deferred // TIMING_BUCKET for r in results),
         "sched": tuple(r.sched_trace for r in results),
-        "stuck": tuple((r.group, r.stuck) for r in results if r.stuck),
         "oplogs": tuple(r.stats.get("oplog", ()) for r in results),
         "pipe_drops": tuple(r.stats.get("pipe_drops", 0) for r in results),
         "group_fs": tuple(r.stats.get("group_fs", ()) for r in results),
@@ -826,14 +813,13 @@ def diff_observables(a: dict, b: dict, limit: int = 200) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _boot(world, *, faults: Optional[FaultPlan] = None, worker_id: int = 0):
+def _boot(world, *, faults: Optional[FaultPlan] = None):
     """Boot one kernel replica from clean process-global state: install
     the fault plan *before* build so a recording run's crossing numbers
     cover build-time sites too, then build the world with boot work
     deferred and drained (boot cost is not service time)."""
     _fresh_run_state()
     kernel = Kernel(world.security_module())
-    kernel.net.transmitted.worker_id = worker_id
     if faults is not None:
         kernel.install_faults(faults)
     kernel.defer_work = True
@@ -861,9 +847,7 @@ def run_replicated(
     by_group: dict = {}
     caps_fs: tuple = ()
     for wid in range(workers):
-        kernel, handles = _boot(
-            world, faults=record if wid == 0 else None, worker_id=wid
-        )
+        kernel, handles = _boot(world, faults=record if wid == 0 else None)
         for g in range(plan.group_count):
             if g % workers == wid:
                 by_group[g] = run_group(

@@ -41,17 +41,18 @@ image with its own LSM, filesystem, and audit log, fronted by a
   the merged observables stay byte-identical to the full-broadcast
   protocol.
 * Observables merge deterministically: every request carries a
-  router-assigned global sequence number; :meth:`Cluster.merged_audit`
-  and :meth:`Cluster.merged_traffic` reassemble the per-shard deltas in
-  stamp order, which makes cluster-mode audit and traffic byte-identical
-  to :func:`replay_single` running the same routed trace on one kernel,
-  whatever the wave size.
+  router-assigned global sequence number, and the responses are kept in
+  that order; :meth:`Cluster.merged_audit` and
+  :meth:`Cluster.merged_traffic` concatenate the per-request deltas in
+  it (:func:`~repro.osim.rpc.merge_audit`,
+  :func:`~repro.osim.rpc.merge_traffic`), which makes cluster-mode audit
+  and traffic byte-identical to :func:`replay_single` running the same
+  routed trace on one kernel, whatever the wave size.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -67,6 +68,8 @@ from .rpc import (
     TagSync,
     WorkerReport,
     merge_audit,
+    merge_traffic,
+    sum_counts,
 )
 from .sockets import TrafficLog
 
@@ -247,6 +250,8 @@ class Cluster:
         self.seed = seed
         self.specs = make_specs(shards, topology)
         self.router = LabelAwareRouter(self.specs)
+        #: Every response so far, in global sequence order: requests are
+        #: numbered before dispatch and replies come back in wave order.
         self.responses: list = []
         self._next_seq = 1
         self._sync_epoch = 0
@@ -328,7 +333,7 @@ class Cluster:
     ) -> list:
         """Route and execute a trace.  Requests are numbered by the
         router's global sequence *before* dispatch — the logical clock the
-        merge sorts on — then dispatched in waves of ``wave_size`` (by
+        merge orders by — then dispatched in waves of ``wave_size`` (by
         default one wave for the whole trace).  The wave size decides
         *when* frames flush, never what is in them or in what order, so
         merged audit and traffic are byte-identical for every wave size,
@@ -411,24 +416,23 @@ class Cluster:
         global-sequence order, re-stamp 1..n, render.  A pure function of
         the routed trace — byte-identical across executors and to the
         single-kernel replay of the same trace."""
-        return merge_audit(
-            r.audit for r in sorted(self.responses, key=lambda r: r.seq)
-        )
+        return merge_audit(r.audit for r in self.responses)
 
     def worker_logs(self) -> list[TrafficLog]:
-        """Rebuild each shard's traffic log from the stamped deltas in its
-        responses (ordered by global sequence, as shipped)."""
+        """Each shard's traffic log, rebuilt from the traffic deltas of
+        its responses in global-sequence order."""
         logs: dict[int, TrafficLog] = {}
-        for resp in sorted(self.responses, key=lambda r: r.seq):
-            log = logs.setdefault(
-                resp.shard_id, TrafficLog(worker_id=resp.shard_id)
-            )
-            for stamp, payload in resp.traffic:
-                log.append_stamped(stamp, payload)
+        for resp in self.responses:
+            logs.setdefault(resp.shard_id, TrafficLog()).extend(resp.traffic)
         return [logs[sid] for sid in sorted(logs)]
 
     def merged_traffic(self) -> TrafficLog:
-        return TrafficLog.merge(self.worker_logs())
+        """Every response's traffic delta in global-sequence order, kept
+        in a capped :class:`TrafficLog` like the single-kernel log it is
+        compared to: the same payloads retained, the same totals."""
+        log = TrafficLog()
+        log.extend(merge_traffic(r.traffic for r in self.responses))
+        return log
 
     def wire_stats(self) -> dict:
         """Data-plane accounting for this cluster's connections alone:
@@ -451,23 +455,13 @@ class Cluster:
     def aggregate(self) -> dict:
         """Cross-worker totals: fastpath counters, per-opcode syscall
         counts, LSM hook counts, denials, audit volume, deferred work."""
-        fastpath_total: Counter = Counter()
-        syscalls: Counter = Counter()
-        hooks: Counter = Counter()
-        denials: Counter = Counter()
-        audit_entries = 0
-        for report in self.shutdown():
-            fastpath_total.update(report.fastpath_counters)
-            for shard in report.shards:
-                syscalls.update(shard.syscall_counts)
-                hooks.update(shard.hook_calls)
-                denials.update(shard.denials)
-                audit_entries += shard.audit_len
+        reports = self.shutdown()
+        shards = [shard for report in reports for shard in report.shards]
         return {
-            "fastpath": dict(fastpath_total),
-            "syscalls": dict(syscalls),
-            "hooks": dict(hooks),
-            "denials": dict(denials),
-            "audit_entries": audit_entries,
+            "fastpath": sum_counts(r.fastpath_counters for r in reports),
+            "syscalls": sum_counts(s.syscall_counts for s in shards),
+            "hooks": sum_counts(s.hook_calls for s in shards),
+            "denials": sum_counts(s.denials for s in shards),
+            "audit_entries": sum(s.audit_len for s in shards),
             "deferred_work": sum(r.deferred for r in self.responses),
         }

@@ -82,9 +82,24 @@ def arity_error(fn, task: Task, args) -> SyscallError:
     before the body ran); else the body raised, and its error is re-raised."""
     try:
         inspect.signature(fn).bind(task, *args)
-    except TypeError:
-        return SyscallError(EINVAL, f"{fn.__name__} takes different arguments")
+    except TypeError:  # the arguments do not fit, or ``fn`` is not callable
+        name = getattr(fn, "__name__", repr(fn))
+        return SyscallError(EINVAL, f"{name} takes different arguments")
     raise  # the handled TypeError, from inside the body
+
+
+def _wrong_mode(write: bool) -> SyscallError:
+    """The ``EBADF`` of an access the descriptor was not opened for."""
+    return SyscallError(EBADF, f"fd not open for {'writing' if write else 'reading'}")
+
+
+def _pipe_end(file: File, write: bool) -> Optional[Pipe]:
+    """The pipe behind ``file`` (``None`` for any other inode), refusing
+    the wrong end with ``EBADF`` before any pipe hook runs."""
+    pipe = getattr(file.inode, "pipe", None)
+    if pipe is not None and not (file.writable() if write else file.readable()):
+        raise _wrong_mode(write)
+    return pipe
 
 
 class SyscallTable(dict):
@@ -581,8 +596,7 @@ class Kernel:
         self._require_alive(task)
         if not task.security.holds(cap):
             raise SyscallError(EPERM, f"{task.name} does not hold {cap!r}")
-        file = task.lookup_fd(fd)
-        pipe: Pipe | None = getattr(file.inode, "pipe", None)
+        pipe = _pipe_end(task.lookup_fd(fd), True)
         if pipe is None:
             raise SyscallError(EINVAL, "write_capability requires a pipe fd")
         if not self.security.pipe_write_allowed(task, pipe.inode):
@@ -598,8 +612,7 @@ class Kernel:
         empty pipe, by design)."""
         self._count("read_capability")
         self._require_alive(task)
-        file = task.lookup_fd(fd)
-        pipe: Pipe | None = getattr(file.inode, "pipe", None)
+        pipe = _pipe_end(task.lookup_fd(fd), False)
         if pipe is None:
             raise SyscallError(EINVAL, "read_capability requires a pipe fd")
         if not self.security.pipe_read_allowed(task, pipe.inode):
@@ -734,14 +747,17 @@ class Kernel:
         can be."""
         pipe: Pipe | None = getattr(file.inode, "pipe", None)
         if pipe is not None:
-            if write:
+            # ``_pipe_end`` inline: the wrong end fails before any hook.
+            if write and file.mode & OpenMode.WRITE:
                 return pipe.write(task, arg, self.security)
-            return pipe.read(task, self.security)
+            if not write and file.mode & OpenMode.READ:
+                return pipe.read(task, self.security)
+            raise _wrong_mode(write)
         if not self.hookchain.replay_fd(task, file, write):
             self.security.file_permission(task, file, Mask.WRITE if write else Mask.READ)
             self.hookchain.profile_fd(task, file, write)
         if not (file.writable() if write else file.readable()):
-            raise SyscallError(EBADF, f"fd not open for {'writing' if write else 'reading'}")
+            raise _wrong_mode(write)
         if file.inode.itype is InodeType.DEVICE:
             return len(arg) if write else b"\0" * max(arg, 0)
         return self.fs.write(file, arg) if write else self.fs.read(file, arg)
@@ -756,13 +772,13 @@ class Kernel:
         self._extra_work(self.VECTOR_SEGMENT_WORK * max(0, len(counts) - 1))
         self._require_alive(task)
         file = task.lookup_fd(fd)
-        pipe: Pipe | None = getattr(file.inode, "pipe", None)
+        pipe = _pipe_end(file, False)
         if pipe is not None:
             security = self.security
             return [pipe.read(task, security) for _ in counts]
         self.security.file_permission(task, file, Mask.READ)
         if not file.readable():
-            raise SyscallError(EBADF, "fd not open for reading")
+            raise _wrong_mode(False)
         if file.inode.itype is InodeType.DEVICE:
             return [b"\0" * max(count, 0) for count in counts]
         read = self.fs.read
@@ -776,13 +792,13 @@ class Kernel:
         self._extra_work(self.VECTOR_SEGMENT_WORK * max(0, len(buffers) - 1))
         self._require_alive(task)
         file = task.lookup_fd(fd)
-        pipe: Pipe | None = getattr(file.inode, "pipe", None)
+        pipe = _pipe_end(file, True)
         if pipe is not None:
             security = self.security
             return sum(pipe.write(task, data, security) for data in buffers)
         self.security.file_permission(task, file, Mask.WRITE)
         if not file.writable():
-            raise SyscallError(EBADF, "fd not open for writing")
+            raise _wrong_mode(True)
         if file.inode.itype is InodeType.DEVICE:
             return sum(len(data) for data in buffers)
         write = self.fs.write

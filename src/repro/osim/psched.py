@@ -21,15 +21,17 @@ reinvented:
   embed task names, labels, and inode numbers — therefore compare
   byte-for-byte across workers and against the single-process replay.
 * **Deterministic merge.**  Each group's audit and traffic deltas are
-  captured around its run by :func:`repro.osim.rpc.capture` and stamped
-  with the group's global index (the ``(stamp, worker, local)`` triples
-  of :class:`~repro.osim.sockets.TrafficLog`); the parent merges them in
-  global group order with :func:`repro.osim.rpc.merge_audit`, the merge
-  :meth:`repro.osim.cluster.Cluster.merged_audit` uses.  Because groups are
-  fd-disjoint, a group's observables are independent of which other
-  groups ran before it on the same kernel image — so the merged record
-  is byte-identical to :func:`replay_cooperative` running every group
-  sequentially on one kernel.
+  captured around its run by :func:`repro.osim.rpc.capture`;
+  :func:`merge_groups` concatenates them in global group order with
+  :func:`repro.osim.rpc.merge_audit` and
+  :func:`repro.osim.rpc.merge_traffic`, the merges
+  :class:`repro.osim.cluster.Cluster` uses, and sums the counter deltas.
+  :meth:`ParallelScheduler.observables` and lamfuzz both merge through
+  it.  Because groups are fd-disjoint, a group's observables are
+  independent of which other groups ran before it on the same kernel
+  image — so the merged record is byte-identical to
+  :func:`replay_cooperative` running every group sequentially on one
+  kernel.
 * **Per-worker seeding.**  Forked workers inherit the parent's RNG
   state; each worker reseeds under the deterministic rule of
   :func:`repro.osim.pool.worker_seed`, so repeated runs are
@@ -49,7 +51,6 @@ built at world-build time may use any task created there.)
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -59,7 +60,7 @@ from typing import Callable, Optional
 from .kernel import Kernel
 from .lsm import LaminarSecurityModule
 from .pool import Pool
-from .rpc import WorkerReport, capture, merge_audit
+from .rpc import WorkerReport, capture, merge_audit, merge_traffic, sum_counts
 from .sched import DEFAULT_MAX_STEPS, Scheduler
 
 
@@ -89,7 +90,7 @@ class GroupResult:
     steps: int
     #: (kind value, subsystem, principal, detail) audit delta tuples.
     audit: tuple = ()
-    #: ((stamp, worker, local), payload) traffic delta pairs.
+    #: The payloads the group transmitted, in order.
     traffic: tuple = ()
     #: Sorted (hook name, count) denial-counter delta.
     denials: tuple = ()
@@ -130,10 +131,7 @@ def run_group(
     handle.spawn(sched)
     denials_before = dict(kernel.security.denials)
     hooks_before = dict(kernel.security.hook_calls)
-    # The group's global index is the merge stamp.
-    stuck, audit, traffic, deferred = capture(
-        kernel, index + 1, sched.run, max_steps
-    )
+    stuck, audit, traffic, deferred = capture(kernel, sched.run, max_steps)
     return GroupResult(
         group=index,
         worker=worker,
@@ -150,14 +148,29 @@ def run_group(
     )
 
 
-def boot_world(world, *, worker_id: int = 0, defer_work: bool = False):
+def merge_groups(results: list) -> dict:
+    """The one merge of group observables, in the order given (global
+    group order): the audit re-stamped 1..n, the traffic concatenated
+    with every payload kept, the denial and hook-call deltas summed into
+    sorted (name, count) pairs, and the groups left with stuck tasks."""
+    denials = sum_counts(dict(r.denials) for r in results)
+    hooks = sum_counts(dict(r.hooks) for r in results)
+    return {
+        "audit": tuple(merge_audit(r.audit for r in results)),
+        "traffic": merge_traffic(r.traffic for r in results),
+        "denials": tuple(sorted(denials.items())),
+        "hooks": tuple(sorted(hooks.items())),
+        "stuck": tuple((r.group, r.stuck) for r in results if r.stuck),
+    }
+
+
+def boot_world(world, *, defer_work: bool = False):
     """Boot one kernel image and build the (replicated) world onto it.
     Build-time simulated work is always deferred and drained — boot cost
     is not service time."""
     make_security = getattr(world, "security_module", None)
     security = make_security() if make_security is not None else LaminarSecurityModule()
     kernel = Kernel(security)
-    kernel.net.transmitted.worker_id = worker_id
     kernel.defer_work = True
     handles = list(world.build(kernel))
     kernel.drain_deferred_work()
@@ -211,9 +224,7 @@ class ParallelScheduler:
             the results of groups ``worker_id, worker_id + hosts, ...`` in
             global order.  Each result names the worker the static
             partition ``group % workers`` assigns, inline too."""
-            kernel, handles = boot_world(
-                world, worker_id=worker_id, defer_work=defer_work
-            )
+            kernel, handles = boot_world(world, defer_work=defer_work)
 
             def serve(max_steps: int) -> list[GroupResult]:
                 results = []
@@ -256,56 +267,26 @@ class ParallelScheduler:
 
     # -- deterministic observable merge --------------------------------------
 
-    def merged_audit(self) -> list[str]:
-        """Concatenate per-group audit deltas in global group order and
-        re-stamp 1..n — byte-identical across executors and worker counts
-        (and to the sequential replay) because groups are fd-disjoint."""
-        return merge_audit(r.audit for r in self.results)
-
-    def merged_traffic(self) -> list:
-        """Transmitted payloads in canonical ``(stamp, worker, local)``
-        order; the stamp is the group index, so the order is a pure
-        function of the trace."""
-        entries: list[tuple] = []
-        for result in self.results:
-            entries.extend(result.traffic)
-        entries.sort(key=lambda item: item[0][0])
-        return [payload for _, payload in entries]
-
     def observables(self) -> dict:
         """The equivalence currency for the parallel ≡ cooperative tests:
         everything here must be identical across executors, worker
         counts, and repeated runs."""
-        denials: Counter = Counter()
-        hooks: Counter = Counter()
-        for result in self.results:
-            denials.update(dict(result.denials))
-            hooks.update(dict(result.hooks))
+        results = self.results
         return {
-            "audit": tuple(self.merged_audit()),
-            "traffic": tuple(self.merged_traffic()),
-            "denials": tuple(sorted(denials.items())),
-            "hooks": tuple(sorted(hooks.items())),
-            "pipe_drops": sum(
-                r.stats.get("pipe_drops", 0) for r in self.results
-            ),
-            "ops": sum(r.stats.get("ops", 0) for r in self.results),
-            "steps": sum(r.steps for r in self.results),
-            "stuck": tuple(
-                (r.group, r.stuck) for r in self.results if r.stuck
-            ),
+            **merge_groups(results),
+            "pipe_drops": sum(r.stats.get("pipe_drops", 0) for r in results),
+            "ops": sum(r.stats.get("ops", 0) for r in results),
+            "steps": sum(r.steps for r in results),
         }
 
     def aggregate(self) -> dict:
         """Cross-worker totals (fastpath counters above all) for the
         benchmark snapshot."""
-        totals: Counter = Counter()
-        for report in self.shutdown():
-            totals.update(report.fastpath_counters)
+        reports = self.shutdown()
         return {
-            "fastpath": dict(totals),
+            "fastpath": sum_counts(r.fastpath_counters for r in reports),
             "deferred_work": sum(r.deferred for r in self.results),
-            "seeds": {r.worker_id: r.seed for r in self.shutdown()},
+            "seeds": {r.worker_id: r.seed for r in reports},
         }
 
 

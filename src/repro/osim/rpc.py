@@ -26,12 +26,15 @@ deterministic:
   ones.
 * **Deterministic observables** — :func:`capture` runs one unit of work
   (a request here, a task group in :mod:`repro.osim.psched`) and returns
-  the audit and traffic *deltas* it produced, the traffic stamped with a
-  caller-chosen global number (the router's sequence number for a
-  request).  :func:`merge_audit` concatenates deltas in that global
-  order and re-stamps them, so the merged record is a pure function of
-  the trace (byte-identical to a single-kernel replay), never of worker
-  timing.
+  the audit and traffic *deltas* it produced: audit entries without
+  sequence numbers, and the transmitted payloads in order.  Every merger
+  already knows each unit's global position (the router's sequence
+  number for a request, the group index for a group), so the one merge
+  is concatenation in that order: :func:`merge_audit` re-stamps the
+  audit 1..n, :func:`merge_traffic` joins the payloads, and
+  :func:`sum_counts` adds the counters.  The merged record is a pure
+  function of the trace (byte-identical to a single-kernel replay),
+  never of worker timing.
 """
 
 from __future__ import annotations
@@ -49,15 +52,16 @@ if TYPE_CHECKING:
     from .task import Task
 
 
-def capture(kernel: Kernel, stamp: int, fn: Callable, *args) -> tuple:
+def capture(kernel: Kernel, fn: Callable, *args) -> tuple:
     """Run ``fn(*args)`` on ``kernel`` and return ``(result, audit,
     traffic, deferred)``: the call's audit delta as (kind value,
     subsystem, principal, detail) tuples — sequence numbers are assigned
-    at merge time — its transmitted-payload delta as ((stamp, worker,
-    local), payload) pairs under ``stamp``, and the simulated work it
-    accrued (``Kernel.defer_work`` mode)."""
+    at merge time — the payloads it transmitted, in order, and the
+    simulated work it accrued (``Kernel.defer_work`` mode).  The caller
+    knows the unit's global position, which is all the merge needs.  The
+    payloads are read back from the kernel's capped traffic log, so a
+    unit that transmits more than the log retains ships only its tail."""
     log = kernel.net.transmitted
-    log.stamp = stamp
     audit_entries = kernel.audit._entries
     audit_before = len(audit_entries)
     traffic_before = log.total_messages
@@ -67,7 +71,7 @@ def capture(kernel: Kernel, stamp: int, fn: Callable, *args) -> tuple:
         for e in audit_entries[audit_before:]
     )
     delta = log.total_messages - traffic_before
-    traffic = tuple(log.stamped_tail(delta)) if delta else ()
+    traffic = tuple(log[-delta:]) if delta else ()
     return result, audit, traffic, kernel.drain_deferred_work()
 
 
@@ -82,6 +86,23 @@ def merge_audit(deltas) -> list[str]:
             chain.from_iterable(deltas), 1
         )
     ]
+
+
+def merge_traffic(deltas) -> tuple:
+    """Concatenate traffic deltas (each as :func:`capture` returns it) in
+    the given global order — the canonical merged traffic, every payload
+    kept."""
+    return tuple(chain.from_iterable(deltas))
+
+
+def sum_counts(tallies) -> dict:
+    """Sum ``name -> count`` dicts across units or workers; names keep
+    the order they were first seen in."""
+    total: dict = {}
+    for tally in tallies:
+        for name, count in tally.items():
+            total[name] = total.get(name, 0) + count
+    return total
 
 
 # --------------------------------------------------------------- messages
@@ -104,9 +125,9 @@ class ShardResponse:
 
     ``audit`` holds the request's audit delta as (kind value, subsystem,
     principal, detail) tuples — sequence numbers are assigned at merge
-    time.  ``traffic`` holds the request's transmitted-payload delta as
-    (stamp-triple, payload) pairs.  ``deferred`` is the simulated-work
-    balance the request accrued (``Kernel.defer_work`` mode)."""
+    time.  ``traffic`` holds the payloads the request transmitted, in
+    order.  ``deferred`` is the simulated-work balance the request
+    accrued (``Kernel.defer_work`` mode)."""
 
     seq: int
     shard_id: int
@@ -201,9 +222,8 @@ class ShardServer:
         The shard's identity and trust tier (see
         :data:`repro.osim.cluster.TIER_CAPACITY`).
     kernel:
-        The booted kernel.  Its traffic log is tagged with this shard's
-        id, and any simulated work accrued during boot is drained (boot
-        cost is not service time).
+        The booted kernel.  Any simulated work accrued during boot is
+        drained (boot cost is not service time).
     tasks:
         principal name -> :class:`Task`, the shard's principal registry.
     work_ns:
@@ -237,7 +257,6 @@ class ShardServer:
         self.tasks = tasks
         self.work_ns = work_ns
         self.mediation = mediation
-        kernel.net.transmitted.worker_id = shard_id
         kernel.drain_deferred_work()
 
     # -- request execution --------------------------------------------------
@@ -263,9 +282,7 @@ class ShardServer:
         raise ValueError(f"unroutable message {type(message).__name__}")
 
     def execute(self, request: ShardRequest) -> ShardResponse:
-        cqes, audit, traffic, deferred = capture(
-            self.kernel, request.seq, self._run, request
-        )
+        cqes, audit, traffic, deferred = capture(self.kernel, self._run, request)
         if self.work_ns and deferred:
             time.sleep(deferred * self.work_ns * 1e-9)
         return ShardResponse(

@@ -367,20 +367,28 @@ class Scheduler:
             self.trace.append(("exit", thread.task.tid))
 
     def _do_fork(self, thread: _Thread, body, caps_subset) -> None:
-        """``sys_fork``, then admit ``body(child)``.  A body that makes no
-        generator has the child reaped and the parent thrown ``EINVAL``."""
+        """``sys_fork``, then admit ``body(child)``.  A body that cannot be
+        called with the child, or makes no generator, has the child reaped
+        and the parent thrown ``EINVAL``; a ``TypeError`` from inside a
+        plain function's body ends :meth:`run`, like one from a syscall
+        body."""
         try:
             child = self.kernel.sys_fork(thread.task, caps_subset)
         except SyscallError as exc:
             thread.throw_exc = exc
             return
-        gen = body(child)
-        if isinstance(gen, types.GeneratorType):
-            thread.send_value = child
-            self._runq.append(_Thread(child, gen))
+        try:
+            gen = body(child)
+        except TypeError:
+            error = arity_error(body, child, ())
         else:
-            self.kernel.sys_exit(child)
-            thread.throw_exc = SyscallError(EINVAL, f"fork body {body!r} makes no generator")
+            if isinstance(gen, types.GeneratorType):
+                thread.send_value = child
+                self._runq.append(_Thread(child, gen))
+                return
+            error = SyscallError(EINVAL, f"fork body {body!r} makes no generator")
+        self.kernel.sys_exit(child)
+        thread.throw_exc = error
 
     def _park(self, thread: _Thread, op: tuple, wait_obj) -> None:
         """Put the thread to sleep on ``wait_obj``'s wait list until the

@@ -10,9 +10,10 @@ network".  The simulated network therefore consists of:
 * :class:`Network` — the unlabeled outside world.  Sending to a remote host
   is a flow from the task to an empty-labeled destination, so any secrecy
   taint blocks it (unless declassified first).
-* :class:`TrafficLog` — the capped log of what reached the network.  In
-  a cluster each shard keeps one, and :meth:`TrafficLog.merge` joins
-  them with one stable sort on their stamps.
+* :class:`TrafficLog` — the capped log of what reached the network.  A
+  multi-kernel run ships each unit's payloads in the order they were
+  transmitted and concatenates them in unit order
+  (:func:`repro.osim.rpc.merge_traffic`).
 
 Loopback connections between two labeled sockets model trusted channels
 between labeled threads of different processes.
@@ -27,7 +28,6 @@ wake without its wakeup pattern ever depending on a label verdict.
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from ..core import LabelPair
@@ -43,8 +43,6 @@ if TYPE_CHECKING:
 #: omniscient observer; totals keep counting past it).
 DEFAULT_TRAFFIC_LOG_CAP = 4096
 
-_stamp_key = itemgetter(0)
-
 
 class TrafficLog(list):
     """A capped, resettable append-only log of observed payloads.
@@ -56,95 +54,34 @@ class TrafficLog(list):
     lists, iteration, indexing) but retains at most ``cap`` recent
     payloads, trimming in amortized O(1) chunks, while ``total_messages``
     and ``total_bytes`` keep exact machine-wide totals.
-
-    In a sharded cluster every worker has its own log; entries carry a
-    ``(stamp, worker_id, local_seq)`` triple — ``stamp`` is the router's
-    global request sequence number, set by the executor before each
-    request runs — and :meth:`merge` reassembles the per-worker logs into
-    one canonical order (stamp, then worker, then local order).  Because
-    the stamp is assigned at routing time, the merged order is a pure
-    function of the request trace, never of worker scheduling, which is
-    what lets cluster-mode traffic compare byte-for-byte against a
-    single-kernel replay.
     """
 
-    def __init__(
-        self, cap: int = DEFAULT_TRAFFIC_LOG_CAP, worker_id: int = 0
-    ) -> None:
+    def __init__(self, cap: int = DEFAULT_TRAFFIC_LOG_CAP) -> None:
         super().__init__()
         self.cap = cap
         self.total_messages = 0
         self.total_bytes = 0
-        #: Which cluster worker this log belongs to (0 standalone).
-        self.worker_id = worker_id
-        #: Current global stamp; the cluster executor sets it to the
-        #: request's router-assigned sequence number before dispatch.
-        self.stamp = 0
-        #: Per-entry (stamp, worker_id, local_seq), parallel to the
-        #: retained payloads and trimmed with them.
-        self.stamps: list[tuple[int, int, int]] = []
 
     def append(self, payload) -> None:  # type: ignore[override]
-        self.append_stamped(
-            (self.stamp, self.worker_id, self.total_messages + 1), payload
-        )
-
-    def append_stamped(self, stamp: tuple[int, int, int], payload) -> None:
-        """Append a payload under an externally produced stamp triple —
-        how the cluster driver rebuilds a worker's log from the stamped
-        deltas shipped in shard responses."""
         self.total_messages += 1
         self.total_bytes += len(payload)
-        self.stamps.append(tuple(stamp))
         list.append(self, payload)
         # Trim in blocks so append stays amortized O(1): deleting from the
         # front of a list is O(n), so do it once per `cap` appends.
         if list.__len__(self) > 2 * self.cap:
-            excess = list.__len__(self) - self.cap
-            del self[:excess]
-            del self.stamps[:excess]
+            del self[: list.__len__(self) - self.cap]
+
+    def extend(self, payloads) -> None:  # type: ignore[override]
+        """Append each payload in order: retention and totals as if they
+        had been transmitted one by one."""
+        for payload in payloads:
+            self.append(payload)
 
     def reset(self) -> None:
         """Drop retained payloads and zero the totals (benchmark arms)."""
         del self[:]
-        self.stamps.clear()
         self.total_messages = 0
         self.total_bytes = 0
-
-    def stamped(self) -> list[tuple[tuple[int, int, int], object]]:
-        """Retained entries with their stamps (merge-ready form)."""
-        return list(zip(self.stamps, list(self)))
-
-    def stamped_tail(
-        self, delta: int
-    ) -> list[tuple[tuple[int, int, int], object]]:
-        """The last ``delta`` retained entries with stamps — O(delta),
-        unlike ``stamped()[-delta:]``, which materialized the whole log
-        on every per-request delta ship."""
-        if delta <= 0:
-            return []
-        return list(zip(self.stamps[-delta:], self[-delta:]))
-
-    @classmethod
-    def merge(cls, logs: "list[TrafficLog]", cap: int = DEFAULT_TRAFFIC_LOG_CAP) -> "TrafficLog":
-        """Deterministically merge per-worker logs.
-
-        Canonical order: by (global stamp, worker_id, local sequence).
-        The result is independent of the order ``logs`` are given in and
-        of how requests interleaved across workers in wall-clock time —
-        two runs of the same routed trace merge identically.  One stable
-        sort of the inputs' stamped entries: equal stamps keep input
-        order."""
-        entries = [entry for log in logs for entry in log.stamped()]
-        entries.sort(key=_stamp_key)
-        merged = cls(cap=cap)
-        for _, payload in entries:
-            merged.append(payload)
-        # The merged view reports the union totals, not its own appends
-        # (retention trimming on the inputs must not change the totals).
-        merged.total_messages = sum(log.total_messages for log in logs)
-        merged.total_bytes = sum(log.total_bytes for log in logs)
-        return merged
 
 
 class Socket(Channel):

@@ -20,9 +20,9 @@ from repro.osim import (
     EACCES,
     EINVAL,
     LaminarSecurityModule,
+    DEFAULT_TRAFFIC_LOG_CAP,
     ShardSpec,
     Sqe,
-    TrafficLog,
     boot_shard,
     render_audit,
     replay_single,
@@ -223,34 +223,36 @@ class TestTrafficMerge:
         assert list(merged) == list(reference)
         assert merged.total_messages == reference.total_messages
         assert merged.total_bytes == reference.total_bytes
+        # Each payload left from exactly one shard.
+        logs = cluster.worker_logs()
+        assert sorted(p for log in logs for p in log) == sorted(merged)
+        assert sum(log.total_bytes for log in logs) == merged.total_bytes
         # The omniscient-observer property survives sharding: no secret
         # payload ever reached the unlabeled network.
         assert all(b"exfil" not in bytes(p) for p in merged)
 
-    def test_merge_is_order_independent(self, world):
-        trace = world.trace(30)
+    def test_merged_traffic_past_the_retention_cap(self, world):
+        """More payloads than a TrafficLog retains: the cluster's merged
+        log is still the single-kernel log, in the payloads it keeps and
+        in its exact totals."""
+        trace = [
+            ClusterRequest(
+                f"clerk{k % 4}",
+                LabelPair.EMPTY,
+                tuple(Sqe("transmit", b"b%d.%d" % (k, i)) for i in range(100)),
+            )
+            for k in range(90)
+        ]
         cluster = Cluster(world, shards=4)
         cluster.run_trace(trace)
-        logs = cluster.worker_logs()
-        shuffled = list(logs)
-        random.Random(0).shuffle(shuffled)
-        assert list(TrafficLog.merge(logs)) == list(TrafficLog.merge(shuffled))
-
-    def test_merge_canonical_order_stamps(self):
-        a = TrafficLog(worker_id=1)
-        b = TrafficLog(worker_id=2)
-        # Interleaved global stamps, appended in per-worker arrival order.
-        a.stamp = 5
-        a.append(b"a5")
-        b.stamp = 2
-        b.append(b"b2")
-        a.stamp = 2
-        a.append(b"a2-late")
-        merged = TrafficLog.merge([a, b])
-        # Canonical order: stamp first, then worker, then local order —
-        # worker 1's stamp-2 entry precedes worker 2's.
-        assert list(merged) == [b"a2-late", b"b2", b"a5"]
-        assert merged.total_messages == 3
+        single, _ = replay_single(world, trace)
+        merged = cluster.merged_traffic()
+        reference = single.kernel.net.transmitted
+        assert reference.total_messages == 9_000 > 2 * DEFAULT_TRAFFIC_LOG_CAP
+        assert len(reference) < reference.total_messages  # trimmed
+        assert list(merged) == list(reference)
+        assert merged.total_messages == reference.total_messages
+        assert merged.total_bytes == reference.total_bytes
 
 
 class TestReplication:

@@ -4,7 +4,7 @@ transfer (Section 5.2 "Pipes" and Section 4.4 "write_capability")."""
 import pytest
 
 from repro.core import Capability, CapabilitySet, CapType, Label, LabelPair, LabelType
-from repro.osim import Kernel, LaminarSecurityModule, Pipe, SyscallError
+from repro.osim import EBADF, Kernel, LaminarSecurityModule, Pipe, Sqe, SyscallError
 
 
 @pytest.fixture
@@ -67,6 +67,61 @@ class TestPipeDataPath:
         for i in range(5):
             assert k.sys_write(task, wfd, b"x") == 1
         assert len(pipe) == 2 and pipe.dropped == 3
+
+
+def _submitted(k, task, sqe):
+    """One batch entry, its errno raised like a direct call's."""
+    [cqe] = k.sys_submit(task, [sqe])
+    if cqe.errno:
+        raise SyscallError(cqe.errno, f"{sqe.op} failed")
+    return cqe.result
+
+
+#: Every way to read a pipe's write end or write its read end.
+_WRONG_END = {
+    "read": lambda k, t, r, w, cap: k.sys_read(t, w),
+    "readv": lambda k, t, r, w, cap: k.sys_readv(t, w, [4, 4]),
+    "read_capability": lambda k, t, r, w, cap: k.sys_read_capability(t, w),
+    "submit read": lambda k, t, r, w, cap: _submitted(k, t, Sqe("read", w)),
+    "write": lambda k, t, r, w, cap: k.sys_write(t, r, b"x"),
+    "writev": lambda k, t, r, w, cap: k.sys_writev(t, r, [b"x", b"y"]),
+    "write_capability": lambda k, t, r, w, cap: k.sys_write_capability(t, cap, r),
+    "submit write": lambda k, t, r, w, cap: _submitted(k, t, Sqe("write", r, b"x")),
+}
+
+
+class TestPipeEndModes:
+    """A pipe end is used only the way it was opened: a read of the
+    write end or a write to the read end is ``EBADF`` before any pipe
+    hook runs, as for a file opened the other way."""
+
+    @pytest.mark.parametrize("entry", sorted(_WRONG_END))
+    def test_wrong_end_is_ebadf_and_changes_nothing(self, k, entry):
+        task = k.spawn_task("p")
+        tag, _ = k.sys_alloc_tag(task)
+        cap = Capability(tag, CapType.PLUS)
+        rfd, wfd = k.sys_pipe(task)
+        k.sys_write(task, wfd, b"hello")
+        k.sys_write_capability(task, cap, wfd)
+        pipe = task.fd_table[rfd].inode.pipe
+
+        def state():
+            return (
+                list(pipe.messages),
+                list(pipe.cap_messages),
+                pipe.dropped,
+                pipe.version,
+                dict(k.security.hook_calls),
+            )
+
+        before = state()
+        with pytest.raises(SyscallError) as refused:
+            _WRONG_END[entry](k, task, rfd, wfd, cap)
+        assert refused.value.errno == EBADF
+        assert state() == before
+        # The right ends still carry what was queued.
+        assert k.sys_read(task, rfd) == b"hello"
+        assert k.sys_read_capability(task, rfd) == cap
 
 
 class TestCapabilityTransfer:

@@ -239,6 +239,10 @@ class TestBlockingIO:
         assert caught == [2]  # ENOENT
 
 
+def _takes_no_child():
+    yield yield_()
+
+
 class TestForkExitKill:
     def test_fork_schedules_child_body(self, kernel):
         seen = []
@@ -267,11 +271,33 @@ class TestForkExitKill:
     def test_fork_of_a_non_generator_body_fails_only_the_parent(self, kernel):
         """The child is reaped through ``sys_exit``, the parent gets
         ``EINVAL`` and carries on, and so does every other task."""
+        self._fork_fails_only_the_parent(kernel, lambda child: 42)
+
+    @pytest.mark.parametrize("body", [42, _takes_no_child], ids=["int", "no-arg"])
+    def test_fork_of_a_body_that_cannot_take_the_child(self, kernel, body):
+        """A body the child cannot be passed to fails like one that makes
+        no generator, instead of ending the run."""
+        self._fork_fails_only_the_parent(kernel, body)
+
+    def test_type_error_inside_a_fork_body_ends_the_run(self, kernel):
+        def body(child):
+            raise TypeError("from inside the body")
+
+        def parent_body(task):
+            yield fork(body)
+
+        sched = Scheduler(kernel)
+        sched.spawn(parent_body, name="p")
+        with pytest.raises(TypeError, match="from inside the body"):
+            sched.run()
+
+    @staticmethod
+    def _fork_fails_only_the_parent(kernel, body):
         caught, got = [], []
 
         def parent_body(task):
             try:
-                yield fork(lambda child: 42)
+                yield fork(body)
             except SyscallError as exc:
                 caught.append(exc.errno)
             yield yield_()
@@ -797,7 +823,12 @@ _ODD_OPS = (
     lambda wfds: ("syscall", "read"),
     lambda wfds: 42,
     lambda wfds: fork(lambda task: 42),  # a body that makes no generator
+    lambda wfds: fork(42),  # a body that cannot be called
+    lambda wfds: fork(_takes_no_child),  # nor called with the child
     lambda wfds: fork(_forked),
+    lambda wfds: syscall("read", wfds[0]),  # EBADF: a pipe's write end
+    lambda wfds: read_blocking(wfds[1]),
+    lambda wfds: submit([Sqe("read", wfds[0]), Sqe("readv", wfds[1], [2])]),
     lambda wfds: syscall("exit", 7),  # ends its own task
     lambda wfds: syscall("write", wfds[0], 5),
     lambda wfds: submit(5),

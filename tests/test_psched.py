@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.bench.workloads import OSServerWorld
 from repro.core import Label, LabelPair
-from repro.osim import Kernel, LaminarSecurityModule
+from repro.analysis.fuzz import _merge_results
+from repro.osim import DEFAULT_TRAFFIC_LOG_CAP, Kernel, LaminarSecurityModule, Sqe
 from repro.osim.psched import (
     GroupHandle,
     ParallelScheduler,
@@ -27,7 +28,7 @@ from repro.osim.psched import (
     run_group,
 )
 from repro.osim.pool import seed_worker_rng, worker_seed
-from repro.osim.sched import read_blocking, syscall, yield_
+from repro.osim.sched import read_blocking, submit, syscall, yield_
 
 
 # =========================================================================
@@ -102,11 +103,58 @@ def test_audit_text_restamped_in_global_group_order():
     world = OSServerWorld(users=3, requests=10, chunks=2, chunk_size=16)
     ps = ParallelScheduler(world, workers=3, executor="fork")
     ps.run()
-    audit = ps.merged_audit()
+    audit = ps.observables()["audit"]
     assert [int(line[1:7]) for line in audit] == list(range(1, len(audit) + 1))
     # Group order, not worker arrival order: user0's denials come first.
     assert "pcli0" in audit[0] and "pcli2" in audit[-1]
     ps.shutdown()
+
+
+class BeaconWorld:
+    """Groups of one task each transmitting 3,000 distinct payloads in
+    one batch: 9,000 in all, more than a TrafficLog ever retains."""
+
+    group_count = 3
+    beats = 3_000
+
+    def build(self, kernel):
+        handles = []
+        for g in range(self.group_count):
+            task = kernel.spawn_task(f"beacon{g}")
+            sqes = [Sqe("transmit", b"g%d.%d" % (g, i)) for i in range(self.beats)]
+
+            def body(task, sqes=sqes):
+                yield submit(sqes)
+
+            def spawn(sched, body=body, task=task):
+                sched.spawn(body, task=task)
+
+            handles.append(GroupHandle(f"beacon{g}", spawn))
+        return handles
+
+    def expected(self) -> tuple:
+        return tuple(
+            b"g%d.%d" % (g, i)
+            for g in range(self.group_count)
+            for i in range(self.beats)
+        )
+
+
+def test_merged_traffic_keeps_every_payload_past_the_cap():
+    """The group merge concatenates the groups' payloads uncapped, in
+    group order, under either executor, and so does lamfuzz's merge."""
+    world = BeaconWorld()
+    expected = world.expected()
+    assert len(expected) > 2 * DEFAULT_TRAFFIC_LOG_CAP
+    merged = {}
+    for executor in ("inline", "fork"):
+        ps = ParallelScheduler(world, workers=2, executor=executor)
+        ps.run()
+        ps.shutdown()
+        merged[executor] = ps.observables()
+        assert merged[executor]["traffic"] == expected
+        assert _merge_results(ps.results)["traffic"] == expected
+    assert merged["inline"] == merged["fork"]
 
 
 def test_worker_failure_is_reported_not_hung():

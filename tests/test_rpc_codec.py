@@ -20,8 +20,8 @@ in step), malformed frames raise it at decode, and so does any one-byte
 edit of a frame captured from a cluster run, and a
 sharded cluster merges to the same bytes over the in-process loopback
 and over forked workers' pipes.  Delta replication (TagSync high-water
-marks, CapSync unchanged-principal omission), per-cluster wire
-accounting and the TrafficLog merge ride along.
+marks, CapSync unchanged-principal omission) and per-cluster wire
+accounting ride along.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from repro.core.tags import Tag, TagAllocator
 from repro.osim import (
     BinaryWireCodec,
     Cluster,
+    ClusterRequest,
     Cqe,
     Sqe,
-    TrafficLog,
     WireError,
 )
 from repro.osim import lamwire
@@ -526,15 +526,20 @@ class TestFullDictionary:
 @functools.lru_cache(maxsize=None)
 def _cluster_frames() -> tuple:
     """Every frame one in-process cluster run sends, in order: a
-    ``CapSync`` carrying a tainted pair, then a trace with writes and
-    tainted requests.  The in-process pool's one codec encodes them all,
-    so a fresh codec decodes them in the same order."""
+    ``CapSync`` tainting gateway ``gw0``, then a trace with writes,
+    tainted requests and one heartbeat transmit per gateway ``gw0..2``
+    (delivered, except ``gw0``'s, which is denied).  The in-process
+    pool's one codec encodes them all, so a fresh codec decodes them in
+    the same order."""
     world = UserWorld(gateways=4, keys=4)
     world.ensure_built()
     trace = build_trace(
         world, 24, users=1_000, seed=5, write_fraction=0.3,
         tainted_fraction=0.25,
     )
+    for i in range(3):
+        beat = Sqe("transmit", b"beat%d" % i)
+        trace.insert(6 * i + 3, ClusterRequest(f"gw{i}", LabelPair.EMPTY, (beat,)))
     taint = LabelPair(Label.of(Tag(world.tag_values[0], "zone0")))
     frames: list = []
     tally = Pool._tally
@@ -556,9 +561,15 @@ class TestMutatedFrames:
 
     def test_capture_spans_sync_and_trace(self):
         dec = BinaryWireCodec()
-        waves = [dec.decode(frame)[0] for frame in _cluster_frames()][::2]
-        sent = [type(message).__name__ for wave in waves for _, message in wave]
-        assert sent == ["CapSync"] * 2 + ["ShardRequest"] * 24
+        decoded = [dec.decode(frame)[0] for frame in _cluster_frames()]
+        sent = [type(message).__name__ for wave in decoded[::2] for _, message in wave]
+        assert sent == ["CapSync"] * 2 + ["ShardRequest"] * 27
+        # Replies carry traffic: two delivered heartbeats, and a denial
+        # in place of the tainted gateway's.
+        replies = [r for wave in decoded[1::2] for r in wave if isinstance(r, ShardResponse)]
+        assert [r.traffic for r in replies if r.traffic] == [(b"beat1",), (b"beat2",)]
+        sends = [e[3] for r in replies for e in r.audit if e[2] == "socket_sendmsg"]
+        assert len(sends) == 1 and sends[0].startswith("gw0{S{zone0}")
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -714,44 +725,3 @@ class TestClusterWireParity:
         # Both directions of both waves: sync and trace.
         assert first["frames"] == 4
         assert first["label_dict_misses"] > 0
-
-
-# ------------------------------------------------------ TrafficLog merge
-
-
-class TestTrafficLogMerge:
-    def _logs(self):
-        logs = []
-        for wid in range(3):
-            log = TrafficLog()
-            for i in range(5):
-                # Interleaved stamps across workers.
-                log.append_stamped(
-                    (i * 3 + wid, wid, i), f"p{wid}{i}".encode()
-                )
-            logs.append(log)
-        return logs
-
-    def test_merge_is_stamp_ordered_with_union_totals(self):
-        logs = self._logs()
-        merged = TrafficLog.merge(logs)
-        expected = [
-            payload
-            for _, payload in sorted(
-                pair for log in logs for pair in log.stamped_tail(len(log))
-            )
-        ]
-        assert list(merged) == expected
-        assert merged.total_messages == sum(
-            log.total_messages for log in logs
-        )
-
-    def test_stamped_tail_returns_last_delta_in_append_order(self):
-        log = TrafficLog()
-        for i in range(6):
-            log.append_stamped((i, 1, i), f"m{i}".encode())
-        assert log.stamped_tail(2) == [
-            ((4, 1, 4), b"m4"),
-            ((5, 1, 5), b"m5"),
-        ]
-        assert log.stamped_tail(0) == []
