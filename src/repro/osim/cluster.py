@@ -82,6 +82,9 @@ TIER_CAPACITY: dict[str, Optional[int]] = {
     "central": 0,
 }
 
+#: A request this many secrecy tags wide, or wider, fits unbounded tiers only.
+_WIDE = 1 + max(cap for cap in TIER_CAPACITY.values() if cap is not None)
+
 
 class RoutingError(Exception):
     """No shard's trust tier can hold the request's labels."""
@@ -144,9 +147,15 @@ class LabelAwareRouter:
             raise ValueError("router needs at least one shard")
         #: Routing decisions: (principal, labels, shard_id) in order.
         self.trace: list[tuple[str, LabelPair, int]] = []
+        #: The eligible shards of each secrecy width up to ``_WIDE``,
+        #: listed once: tier capacities are fixed.
+        self._by_width = [
+            [s for s in self.specs if (cap := TIER_CAPACITY[s.tier]) is None or w <= cap]
+            for w in range(_WIDE + 1)
+        ]
 
     def eligible(self, labels: LabelPair) -> list[ShardSpec]:
-        return [spec for spec in self.specs if tier_can_hold(spec.tier, labels)]
+        return list(self._by_width[min(len(labels.secrecy), _WIDE)])
 
     @staticmethod
     def route_key(principal: str, labels: LabelPair) -> int:
@@ -156,7 +165,7 @@ class LabelAwareRouter:
         return key
 
     def route(self, principal: str, labels: LabelPair) -> ShardSpec:
-        shards = self.eligible(labels)
+        shards = self._by_width[min(len(labels.secrecy), _WIDE)]
         if not shards:
             raise RoutingError(
                 f"no shard tier can hold {labels!r} "
@@ -325,9 +334,6 @@ class Cluster:
 
     # -- request plane ------------------------------------------------------
 
-    def route(self, request: ClusterRequest) -> ShardSpec:
-        return self.router.route(request.principal, request.labels)
-
     def run_trace(
         self, trace: Sequence[ClusterRequest], wave_size: Optional[int] = None
     ) -> list:
@@ -340,17 +346,14 @@ class Cluster:
         including for denied requests (denied ≡ empty is per-request,
         not per-wave)."""
         size = wave_size or len(trace) or 1
+        route = self.router.route
         responses: list = []
         for start in range(0, len(trace), size):
             wave = []
             for req in trace[start : start + size]:
-                spec = self.router.route(req.principal, req.labels)
-                wave.append(
-                    (
-                        spec.shard_id,
-                        ShardRequest(self._next_seq, req.principal, tuple(req.sqes)),
-                    )
-                )
+                spec = route(req.principal, req.labels)
+                request = ShardRequest(self._next_seq, req.principal, tuple(req.sqes))
+                wave.append((spec.shard_id, request))
                 self._next_seq += 1
             responses.extend(self.submit_wave(wave))
         self.responses.extend(responses)

@@ -841,10 +841,9 @@ class Kernel:
         Semantics are io_uring's: entries execute in order, each entry
         completes with a result or an errno (``EINVAL`` for an entry of
         the wrong arity), and a failure does not abort the batch.  The
-        security record — audit entries, denial counters,
-        LSM hook counts, per-opcode syscall counts — is byte-identical to
-        issuing the same calls sequentially (property-tested); only the
-        *overhead* differs:
+        security record — audit entries, denial counters, LSM hook counts,
+        per-opcode syscall counts — is byte-identical to issuing the same
+        calls sequentially (property-tested); only the *overhead* differs:
 
         * the user→kernel crossing (``SYSCALL_ENTRY_WORK``) is paid once
           per batch, not once per read or write entry;
@@ -859,15 +858,16 @@ class Kernel:
           the hook per entry.  This is the held-file memo's rule
           (:mod:`repro.osim.hookchain`) at batch scope — no batchable op
           changes a label — and like the memo it keeps no denial, nothing
-          on a pipe, and nothing while switched off.  Any other entry runs
-          its whole ``sys_*`` body (from :attr:`syscalls`), which may close
-          an fd, reuse its number or empty the memo (unlink), so the
-          records are dropped before it.  lseek
-          keeps its full ``SYSCALL_WORK`` charge and its
-          ``syscall:lseek`` fault site;
-        * read and write counts, replayed ``file_permission`` hooks, memo
-          hits and modeled work are added once per batch, in a ``finally``:
-          a raising entry or a crash leaves the totals of the entries run.
+          on a pipe, and nothing while switched off.  An lseek crosses
+          its ``syscall:lseek`` fault site before it is counted and keeps
+          its full ``SYSCALL_WORK`` charge.  Any other entry runs its
+          whole ``sys_*`` body (from :attr:`syscalls`), which may close an
+          fd, reuse its number or empty the memo (unlink), so the records
+          are dropped before it;
+        * read, write and lseek counts, replayed ``file_permission``
+          hooks, memo hits and modeled work are added once per batch, in
+          a ``finally``: a raising entry or a crash leaves the totals of
+          the entries run.
         """
         self._count("submit")
         self._require_alive(task)
@@ -882,15 +882,7 @@ class Kernel:
         memo_on = self.hookchain.files_ok and fastpath.flags.path_walk_cache
         #: fd -> [file, pipe, Mask bits proved this batch, is a device]
         records: dict = {}
-
-        def resolve(fd) -> list:
-            file = task.lookup_fd(fd)
-            inode = file.inode
-            device = inode.itype is InodeType.DEVICE
-            record = records[fd] = [file, getattr(inode, "pipe", None), 0, device]
-            return record
-
-        work = hits = reads = writes = 0
+        work = hits = reads = writes = seeks = 0
         cqes: list[Cqe] = []
         try:
             for sqe in sqes:
@@ -916,16 +908,14 @@ class Kernel:
                         elif len(args) == 1 and not write:
                             fd, arg = args[0], -1
                         else:
-                            raise SyscallError(
-                                EINVAL,
-                                "write takes (fd, data)" if write else "read takes (fd[, count])",
-                            )
+                            usage = "write takes (fd, data)" if write else "read takes (fd[, count])"
+                            raise SyscallError(EINVAL, usage)
                         if write:
                             writes += 1
                         else:
                             reads += 1
                         work += batch_work[op]
-                        record = records.get(fd) or resolve(fd)
+                        record = records.get(fd) or self._fd_record(records, task, fd)
                         file, pipe, proved, device = record
                         mask = Mask.WRITE if write else Mask.READ
                         if not proved & mask:
@@ -946,32 +936,47 @@ class Kernel:
                         args = sqe.args
                         if len(args) != 2:
                             raise SyscallError(EINVAL, "lseek takes (fd, offset)")
+                        if faults is not None:
+                            self._fault_gate("syscall:lseek")
+                        seeks += 1
                         fd, offset = args
-                        self._count("lseek")
-                        file = (records.get(fd) or resolve(fd))[0]
-                        result = self._seek(file, offset)
+                        record = records.get(fd) or self._fd_record(records, task, fd)
+                        if record[1] is not None:
+                            raise SyscallError(EINVAL, "cannot seek a pipe")
+                        if offset < 0:
+                            raise SyscallError(EINVAL, f"negative offset {offset}")
+                        record[0].offset = result = offset
                     elif type(op) is str and op in generic:
                         records.clear()
                         result = call_syscall(syscalls[op], task, sqe.args)
                     else:
-                        raise SyscallError(
-                            EINVAL, f"op {op!r} is not batchable via sys_submit"
-                        )
+                        raise SyscallError(EINVAL, f"op {op!r} is not batchable via sys_submit")
                 except SyscallError as exc:
                     cqes.append(Cqe(op, None, exc.errno))
                 else:
                     cqes.append(Cqe(op, result, 0))
         finally:
-            self._extra_work(work)
+            self._extra_work(work + seeks * self.SYSCALL_WORK["lseek"])
             if reads:
                 counts["read"] += reads
             if writes:
                 counts["write"] += writes
+            if seeks:
+                counts["lseek"] += seeks
             if hits:
                 # One file_permission hook per replayed proof.
                 hook_calls["file_permission"] += hits
                 _fp_counters.hookchain_hits += hits
         return cqes
+
+    @staticmethod
+    def _fd_record(records: dict, task: Task, fd) -> list:
+        """Look ``fd`` up and file its :meth:`sys_submit` batch record."""
+        file = task.lookup_fd(fd)
+        inode = file.inode
+        device = inode.itype is InodeType.DEVICE
+        records[fd] = record = [file, getattr(inode, "pipe", None), 0, device]
+        return record
 
     def sys_lseek(self, task: Task, fd: int, offset: int) -> int:
         """Reposition an open file description (absolute offsets only).
@@ -981,10 +986,7 @@ class Kernel:
         read/write time, exactly as in Linux."""
         self._count("lseek")
         self._require_alive(task)
-        return self._seek(task.lookup_fd(fd), offset)
-
-    @staticmethod
-    def _seek(file: File, offset: int) -> int:
+        file = task.lookup_fd(fd)
         if getattr(file.inode, "pipe", None) is not None:
             raise SyscallError(EINVAL, "cannot seek a pipe")
         if offset < 0:

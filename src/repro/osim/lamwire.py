@@ -379,9 +379,9 @@ class BinaryWireCodec:
         return enc_msg
 
     def _message_decoder(self, cls, names: tuple):
-        """Slot-direct decoder for a frozen message dataclass: the wire
-        carries every field positionally and peers are trusted, so skip
-        the generated ``__init__`` (and its frozen-guard indirection)."""
+        """Slot-direct decoder for a message dataclass: the wire carries
+        every field positionally and peers are trusted, so skip the
+        generated ``__init__`` (and a frozen class's guard)."""
         new = cls.__new__
         dec_value = self._dec_value
 
@@ -596,22 +596,26 @@ class BinaryWireCodec:
                 pos += 1
             else:
                 seq, pos = _r_uvarint(buf, pos)
-            tag = buf[pos]
-            if tag == T_REF and buf[pos + 1] < 0x80:
+            if buf[pos] == T_REF and buf[pos + 1] < 0x80:
                 principal = dvals[buf[pos + 1]]
                 pos += 2
+            elif buf[pos] == T_REF and buf[pos + 2] < 0x80:
+                principal = dvals[buf[pos + 1] - 0x80 | buf[pos + 2] << 7]
+                pos += 3
             else:
                 principal, pos = dec_value(buf, pos)
-            tag = buf[pos]
-            if tag == T_REF and buf[pos + 1] < 0x80:
+            if buf[pos] == T_REF and buf[pos + 1] < 0x80:
                 sqes = dvals[buf[pos + 1]]
                 pos += 2
+            elif buf[pos] == T_REF and buf[pos + 2] < 0x80:
+                sqes = dvals[buf[pos + 1] - 0x80 | buf[pos + 2] << 7]
+                pos += 3
             else:
                 sqes, pos = dec_value(buf, pos)
             req = new(RQ)
-            _OSA(req, "seq", seq)
-            _OSA(req, "principal", principal)
-            _OSA(req, "sqes", sqes)
+            req.seq = seq
+            req.principal = principal
+            req.sqes = sqes
             items[i] = (shard_id, req)
         return items, pos
 
@@ -687,10 +691,12 @@ class BinaryWireCodec:
                 pos += 1
             else:
                 shard_id, pos = _r_uvarint(buf, pos)
-            tag = buf[pos]
-            if tag == T_REF and buf[pos + 1] < 0x80:
+            if buf[pos] == T_REF and buf[pos + 1] < 0x80:
                 cqes = dvals[buf[pos + 1]]
                 pos += 2
+            elif buf[pos] == T_REF and buf[pos + 2] < 0x80:
+                cqes = dvals[buf[pos + 1] - 0x80 | buf[pos + 2] << 7]
+                pos += 3
             else:
                 cqes, pos = dec_value(buf, pos)
             if buf[pos] == T_TUPLE and not buf[pos + 1]:
@@ -709,12 +715,12 @@ class BinaryWireCodec:
             else:
                 deferred, pos = _r_uvarint(buf, pos)
             resp = new(RS)
-            _OSA(resp, "seq", seq)
-            _OSA(resp, "shard_id", shard_id)
-            _OSA(resp, "cqes", cqes)
-            _OSA(resp, "audit", audit)
-            _OSA(resp, "traffic", traffic)
-            _OSA(resp, "deferred", deferred)
+            resp.seq = seq
+            resp.shard_id = shard_id
+            resp.cqes = cqes
+            resp.audit = audit
+            resp.traffic = traffic
+            resp.deferred = deferred
             items[i] = resp
         return items, pos
 

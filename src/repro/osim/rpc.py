@@ -56,23 +56,24 @@ def capture(kernel: Kernel, fn: Callable, *args) -> tuple:
     """Run ``fn(*args)`` on ``kernel`` and return ``(result, audit,
     traffic, deferred)``: the call's audit delta as (kind value,
     subsystem, principal, detail) tuples — sequence numbers are assigned
-    at merge time — the payloads it transmitted, in order, and the
+    at merge time — every payload it transmitted, in order (through the
+    traffic log's ``tap``, whatever the capped log retains), and the
     simulated work it accrued (``Kernel.defer_work`` mode).  The caller
-    knows the unit's global position, which is all the merge needs.  The
-    payloads are read back from the kernel's capped traffic log, so a
-    unit that transmits more than the log retains ships only its tail."""
+    knows the unit's global position, which is all the merge needs.
+    Captures do not nest."""
     log = kernel.net.transmitted
     audit_entries = kernel.audit._entries
     audit_before = len(audit_entries)
-    traffic_before = log.total_messages
-    result = fn(*args)
-    audit = tuple(
+    log.tap = tap = []
+    try:
+        result = fn(*args)
+    finally:
+        log.tap = None
+    audit = () if len(audit_entries) == audit_before else tuple(
         (e.kind.value, e.subsystem, e.principal, e.detail)
         for e in audit_entries[audit_before:]
     )
-    delta = log.total_messages - traffic_before
-    traffic = tuple(log[-delta:]) if delta else ()
-    return result, audit, traffic, kernel.drain_deferred_work()
+    return result, audit, tuple(tap), kernel.drain_deferred_work()
 
 
 def merge_audit(deltas) -> list[str]:
@@ -108,18 +109,19 @@ def sum_counts(tallies) -> dict:
 # --------------------------------------------------------------- messages
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShardRequest:
     """One routed request: run ``sqes`` as a ``sys_submit`` batch under
     the named principal.  ``seq`` is the router's global sequence number
-    — the logical clock every observable merge keys on."""
+    — the logical clock every observable merge keys on.  Slotted, not
+    frozen, like :class:`ShardResponse`: both are built per request."""
 
     seq: int
     principal: str
     sqes: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShardResponse:
     """Completion of one :class:`ShardRequest`.
 
@@ -285,14 +287,7 @@ class ShardServer:
         cqes, audit, traffic, deferred = capture(self.kernel, self._run, request)
         if self.work_ns and deferred:
             time.sleep(deferred * self.work_ns * 1e-9)
-        return ShardResponse(
-            seq=request.seq,
-            shard_id=self.shard_id,
-            cqes=tuple(cqes),
-            audit=audit,
-            traffic=traffic,
-            deferred=deferred,
-        )
+        return ShardResponse(request.seq, self.shard_id, tuple(cqes), audit, traffic, deferred)
 
     def _run(self, request: ShardRequest) -> list[Cqe]:
         task = self.tasks.get(request.principal)
@@ -301,7 +296,7 @@ class ShardServer:
         try:
             if self.mediation == "flume":
                 return self._execute_flume(task, request.sqes)
-            return self.kernel.sys_submit(task, list(request.sqes))
+            return self.kernel.sys_submit(task, request.sqes)
         except SyscallError as exc:
             return [Cqe("submit", None, exc.errno)]
 

@@ -53,7 +53,8 @@ class TrafficLog(list):
     alive.  ``TrafficLog`` keeps the list API (equality against plain
     lists, iteration, indexing) but retains at most ``cap`` recent
     payloads, trimming in amortized O(1) chunks, while ``total_messages``
-    and ``total_bytes`` keep exact machine-wide totals.
+    and ``total_bytes`` keep exact machine-wide totals.  A ``tap`` list
+    (:func:`repro.osim.rpc.capture` sets one) also gets every payload.
     """
 
     def __init__(self, cap: int = DEFAULT_TRAFFIC_LOG_CAP) -> None:
@@ -61,11 +62,14 @@ class TrafficLog(list):
         self.cap = cap
         self.total_messages = 0
         self.total_bytes = 0
+        self.tap: Optional[list] = None
 
     def append(self, payload) -> None:  # type: ignore[override]
         self.total_messages += 1
         self.total_bytes += len(payload)
         list.append(self, payload)
+        if self.tap is not None:
+            self.tap.append(payload)
         # Trim in blocks so append stays amortized O(1): deleting from the
         # front of a list is O(n), so do it once per `cap` appends.
         if list.__len__(self) > 2 * self.cap:

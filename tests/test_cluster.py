@@ -254,6 +254,23 @@ class TestTrafficMerge:
         assert merged.total_messages == reference.total_messages
         assert merged.total_bytes == reference.total_bytes
 
+    def test_one_request_past_the_retention_cap(self, world):
+        """One request transmits more payloads than a TrafficLog retains:
+        its response still ships every one of them, so the merged log
+        equals the single-kernel log in payloads and exact totals."""
+        beats = tuple(Sqe("transmit", b"one.%d" % i) for i in range(9_000))
+        trace = [ClusterRequest("clerk1", LabelPair.EMPTY, beats)]
+        cluster = Cluster(world, shards=2)
+        (response,) = cluster.run_trace(trace)
+        assert response.traffic == tuple(sqe.args[0] for sqe in beats)
+        single, _ = replay_single(world, trace)
+        merged = cluster.merged_traffic()
+        reference = single.kernel.net.transmitted
+        assert reference.total_messages == 9_000
+        assert list(merged) == list(reference)
+        assert merged.total_messages == reference.total_messages
+        assert merged.total_bytes == reference.total_bytes
+
 
 class TestReplication:
     def test_tag_sync_applies_then_rejects_stale(self, world):

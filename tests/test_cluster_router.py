@@ -42,6 +42,46 @@ topology_strategy = st.lists(
 ).map(",".join)
 
 
+#: Every topology the cluster tests build, plus each tier alone.
+TOPOLOGIES = (
+    "edge", "shuffle", "central", "edge,shuffle", "shuffle,central",
+    "edge,edge,shuffle,central", "edge,edge,shuffle,shuffle,central",
+)
+
+
+class TestRoutingTable:
+    @staticmethod
+    def _labels(width: int) -> LabelPair:
+        return LabelPair(Label.of(*(Tag(v, f"t{v}") for v in range(1, width + 1))))
+
+    def test_eligible_matches_the_tier_filter(self):
+        """The router's per-width table lists exactly the shards
+        ``tier_can_hold`` admits, in spec order, for every secrecy width
+        0–4 on every topology."""
+        for topology in TOPOLOGIES:
+            specs = make_specs(2 * len(topology.split(",")), topology)
+            router = LabelAwareRouter(specs)
+            for width in range(5):
+                labels = self._labels(width)
+                want = [s for s in specs if tier_can_hold(s.tier, labels)]
+                assert router.eligible(labels) == want, (topology, width)
+
+    def test_eligible_hands_out_a_copy(self):
+        """A caller that mutates what ``eligible()`` returned changes
+        neither the next answer nor where the router sends a request."""
+        router = LabelAwareRouter(make_specs(4, "edge,edge,shuffle,central"))
+        for width in range(4):
+            labels = self._labels(width)
+            first = router.eligible(labels)
+            shard = router.route("gw0", labels).shard_id
+            first.clear()
+            first.append("junk")
+            assert router.eligible(labels) == [
+                s for s in router.specs if tier_can_hold(s.tier, labels)
+            ]
+            assert router.route("gw0", labels).shard_id == shard
+
+
 class TestTierInvariant:
     @settings(max_examples=120, deadline=None)
     @given(

@@ -50,6 +50,11 @@ def _labeled_file(kernel, path="/tmp/secret", data=b"x" * 100):
     return task, tag, kernel.fs.root.children["tmp"].children[name]
 
 
+#: The crash tests' batch shapes and their entry counts
+#: (``TestInjectionSemantics._batch_world``).
+_BATCH_SHAPES = {"reads": 6, "mixed": 8, "cluster": 10}
+
+
 class TestFaultPlan:
     def test_nth_fires_exactly_once(self):
         plan = FaultPlan([FaultRule("s", FaultKind.EIO, nth=3)])
@@ -210,9 +215,12 @@ class TestInjectionSemantics:
         assert k.syscall_counts["lseek"] == 1
 
     @staticmethod
-    def _batch_world(reads_only: bool):
-        """A task holding one file open read-write, and a batch of replayed
-        reads (and writes) on it with one bad-fd read in the middle."""
+    def _batch_world(shape: str):
+        """A task holding one file open read-write and a pipe, and a batch
+        of :data:`_BATCH_SHAPES` on the file: replayed reads with one
+        bad-fd read in the middle, reads and writes likewise, or a
+        cluster request's lseek/read pairs with a write, an lseek on a
+        bad fd, one on the pipe and one to a negative offset."""
         from repro.osim import Sqe
 
         kernel = Kernel()
@@ -221,12 +229,18 @@ class TestInjectionSemantics:
         fd = kernel.sys_open(task, "/tmp/f", "w+")
         kernel.sys_write(task, fd, b"0123456789" * 4)
         kernel.sys_lseek(task, fd, 0)
+        pipe_r, _ = kernel.sys_pipe(task)
         read, bad = Sqe("read", fd, 2), Sqe("read", fd + 9, 2)
-        if reads_only:
-            sqes = [read, read, read, bad, read, read]
-        else:
-            write = Sqe("write", fd, b"w")
-            sqes = [read, write, read, write, bad, read, write, read]
+        write, seek = Sqe("write", fd, b"w"), Sqe("lseek", fd, 0)
+        sqes = {
+            "reads": [read, read, read, bad, read, read],
+            "mixed": [read, write, read, write, bad, read, write, read],
+            "cluster": [
+                seek, read, seek, read, write, Sqe("lseek", fd + 9, 0),
+                Sqe("lseek", pipe_r, 0), Sqe("lseek", fd, -1), seek, read,
+            ],
+        }[shape]
+        assert len(sqes) == _BATCH_SHAPES[shape]
         return kernel, task, sqes
 
     @staticmethod
@@ -241,17 +255,17 @@ class TestInjectionSemantics:
         }
 
     @pytest.mark.parametrize(
-        "reads_only, nth",
-        [(True, nth) for nth in range(1, 8)] + [(False, nth) for nth in range(1, 10)],
+        "shape, nth",
+        [(shape, nth) for shape, n in _BATCH_SHAPES.items() for nth in range(1, n + 2)],
     )
-    def test_submit_crash_keeps_the_counts_of_the_entries_that_ran(self, reads_only, nth):
+    def test_submit_crash_keeps_the_counts_of_the_entries_that_ran(self, shape, nth):
         """A crash at the ``nth`` entry boundary leaves exactly the totals
         of a batch of the ``nth - 1`` entries before it (past the last
         entry, nothing fires): the per-batch sums reach the counters even
         when the batch never completes."""
         from repro.core import fastpath
 
-        crashed, task, sqes = self._batch_world(reads_only)
+        crashed, task, sqes = self._batch_world(shape)
         crashed.install_faults(FaultPlan.crash_at("submit.boundary", nth))
         fastpath.counters.reset()
         if nth <= len(sqes):
@@ -261,7 +275,7 @@ class TestInjectionSemantics:
             crashed.sys_submit(task, sqes)
         after_crash = self._totals(crashed)
 
-        clean, task, sqes = self._batch_world(reads_only)
+        clean, task, sqes = self._batch_world(shape)
         fastpath.counters.reset()
         clean.sys_submit(task, sqes[: nth - 1])
         assert after_crash == self._totals(clean)
@@ -269,7 +283,7 @@ class TestInjectionSemantics:
     def test_submit_crash_at_the_fourth_read(self):
         from repro.core import fastpath
 
-        kernel, task, sqes = self._batch_world(reads_only=True)
+        kernel, task, sqes = self._batch_world("reads")
         before = dict(kernel.syscall_counts)
         fp_before = kernel.security.hook_calls["file_permission"]
         work_before = kernel.deferred_work

@@ -286,6 +286,42 @@ class TestSubmitBasics:
         )
         assert kernel._batch_work["close"] == 0  # mostly crossing cost
 
+    def test_a_tuple_batch_runs_as_a_list(self):
+        """A shard hands a request's ``sqes`` tuple to ``sys_submit`` as it
+        is: completions, counters, audit and modeled work equal those of
+        the same cluster-shaped entries given as a list, and the
+        completions and security record equal sequential calls'."""
+        ops = [
+            ("lseek", ("plain", 0)), ("read", ("plain", 4)),
+            ("lseek", ("plain", 2)), ("read", ("plain", 4)),
+            ("write", ("plain", b"zz")), ("lseek", ("pr", 0)),
+            ("lseek", ("plain", -1)), ("lseek", (99, 0)),
+            ("stat", ("/tmp/eq/secret",)), ("lseek", ("plain", 0)),
+            ("read", ("plain", 8)),
+        ]
+        runs = []
+        for container in (tuple, list, None):
+            kernel = fresh_kernel()
+            kernel.defer_work = True
+            task, fds = build_scenario(kernel)
+            resolved = _resolve(ops, fds)
+            hits = fastpath.counters.hookchain_hits
+            if container is None:
+                cqes = run_sequential(kernel, task, resolved)
+            else:
+                cqes = kernel.sys_submit(task, container(Sqe(op, *args) for op, args in resolved))
+            runs.append((
+                cqes, observables(kernel), kernel.deferred_work,
+                fastpath.counters.hookchain_hits - hits,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == runs[2][:2]
+        cqes, seen, _, hits = runs[0]
+        assert [c.errno for c in cqes] == [0, 0, 0, 0, 0, EINVAL, EINVAL, EBADF, EACCES, 0, 0]
+        assert cqes[-1].result == b"012345zz"
+        # Two replayed reads, and the stat's walk replayed from the memo.
+        assert seen["syscalls"]["lseek"] == 6 and hits == 3
+
 
 class TestMalformedEntries:
     """An entry of the wrong arity (one decoded off the wire, say)

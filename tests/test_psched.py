@@ -157,6 +157,23 @@ def test_merged_traffic_keeps_every_payload_past_the_cap():
     assert merged["inline"] == merged["fork"]
 
 
+def test_a_group_past_the_cap_keeps_every_payload():
+    """Each group alone transmits more than the kernel's TrafficLog
+    retains: every payload still reaches the merged traffic, in order,
+    under either executor."""
+    world = BeaconWorld()
+    world.group_count, world.beats = 2, 9_000
+    expected = world.expected()
+    merged = {}
+    for executor in ("inline", "fork"):
+        ps = ParallelScheduler(world, workers=2, executor=executor)
+        ps.run()
+        ps.shutdown()
+        merged[executor] = ps.observables()
+        assert merged[executor]["traffic"] == expected
+    assert merged["inline"] == merged["fork"]
+
+
 def test_worker_failure_is_reported_not_hung():
     class Broken:
         group_count = 1

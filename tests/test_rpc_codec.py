@@ -520,6 +520,117 @@ class TestFullDictionary:
         assert stats["label_dict_misses"] > cap
 
 
+# ---------------------------------------------------- wave reference ids
+
+
+def _uvarint(n: int, width: int = 1) -> bytes:
+    """``n`` as an unsigned LEB128 varint of at least ``width`` bytes (a
+    wider one than ``n`` needs is an over-long encoding)."""
+    out = bytearray()
+    while n > 0x7F or len(out) + 1 < width:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _int(n: int) -> bytes:
+    """A non-negative ``T_INT`` value (zigzag: ``2n``)."""
+    return bytes([T_INT]) + _uvarint(n << 1)
+
+
+def _str(text: str) -> bytes:
+    data = text.encode()
+    return bytes([T_STR]) + _uvarint(len(data)) + data
+
+
+class TestWaveReferenceIds:
+    """The wave decoders read a reference id of one or two bytes inline
+    and pass any other value to the generic decoder.  Whatever the width
+    of the id in the principal, sqes or cqes position, a wave item
+    decodes to what the same bytes decode to through the generic message
+    path, or fails as it does: an over-long id, an undefined one and a
+    frame cut inside the id included."""
+
+    FIELDS = ("principal", "sqes", "cqes")
+    #: Dictionary bases: a principal is defined at base, a sqes batch at
+    #: base + 1 and a cqes batch at base + 2.
+    BASES = (5, 300, 20_000)
+    #: case -> (base, the id's bytes).  Nothing is defined at 999..1001.
+    CASES = {
+        "one-byte": (5, _uvarint),
+        "two-byte": (300, _uvarint),
+        "three-byte": (20_000, _uvarint),
+        "over-long": (5, lambda eid: _uvarint(eid, width=2)),
+        "undefined": (999, _uvarint),
+        "cut": (300, lambda eid: _uvarint(eid)[:1]),
+    }
+
+    @staticmethod
+    def _values(base: int) -> tuple:
+        return f"p{base}", (Sqe("read", 3, 16),), (Cqe("read", b"ok", 0),)
+
+    @classmethod
+    def _codec(cls) -> BinaryWireCodec:
+        """A decoder whose dictionary holds each base's three values,
+        defined by one hand-built frame of ``DEF id value`` entries."""
+        defs = b""
+        for base in cls.BASES:
+            sqes = bytes([T_TUPLE, 1, lamwire.T_SQE]) + _str("read") + b"\x02" + _int(3) + _int(16)
+            cqes = (
+                bytes([T_TUPLE, 1, lamwire.T_CQE]) + _str("read")
+                + bytes([lamwire.T_BYTES, 2]) + b"ok" + b"\x00"
+            )
+            for offset, value in enumerate((_str(f"p{base}"), sqes, cqes)):
+                defs += bytes([lamwire.T_DEF]) + _uvarint(base + offset) + value
+        payload = bytes([lamwire.T_LIST]) + _uvarint(3 * len(cls.BASES)) + defs
+        codec = BinaryWireCodec()
+        values, _ = codec.decode(HEADER.pack(len(payload)) + payload)
+        assert values == [v for base in cls.BASES for v in cls._values(base)]
+        return codec
+
+    @staticmethod
+    def _decode(codec, payload: bytes):
+        try:
+            return codec.decode(HEADER.pack(len(payload)) + payload)[0]
+        except WireError:
+            return WireError
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_inline_ids_decode_as_the_generic_path(self, field, case):
+        base, spell = self.CASES[case]
+        index = self.FIELDS.index(field)
+        # Every other field references a valid one-byte id.
+        refs = [bytes([T_REF]) + _uvarint(5 + i) for i in range(3)]
+        refs[index] = bytes([T_REF]) + spell(base + index)
+        req_tag = BinaryWireCodec().encode(ShardRequest(0, "", ()))[HEADER.size]
+        resp_tag = BinaryWireCodec().encode(ShardResponse(0, 0, ()))[HEADER.size]
+        if field == "cqes":  # seq 7, shard 2, then cqes, audit, traffic, deferred 9
+            fields, at = refs[2:], 0
+            inline = bytes([lamwire.T_RWAVE, 1, 1, 7, 2])
+            generic = bytes([lamwire.T_RWAVE, 1, 0, resp_tag]) + _int(7) + _int(2)
+            tails = (bytes([T_TUPLE, 0, T_TUPLE, 0, 9]), bytes([T_TUPLE, 0, T_TUPLE, 0]) + _int(9))
+        else:  # shard 2, seq 7, then principal, sqes
+            fields, at = refs[:2], index
+            inline = bytes([lamwire.T_WAVE, 1, 1, 2, 7])
+            generic = bytes([lamwire.T_WAVE, 1, 0, T_TUPLE, 2]) + _int(2) + bytes([req_tag]) + _int(7)
+            tails = (b"", b"")
+        if case == "cut":  # the frame ends inside the field's id
+            fields, tails = fields[: at + 1], (b"", b"")
+        codec = self._codec()
+        got = self._decode(codec, inline + b"".join(fields) + tails[0])
+        want = self._decode(codec, generic + b"".join(fields) + tails[1])
+        assert got == want
+        if case in ("undefined", "cut"):
+            assert got is WireError
+            return
+        got, want = (got[0], want[0]) if field == "cqes" else (got[0][1], want[0][1])
+        assert getattr(got, field) == self._values(base)[index]
+        # Both paths return the dictionary's own object.
+        assert getattr(got, field) is getattr(want, field)
+
+
 # ----------------------------------------------------- mutated frames
 
 
@@ -530,11 +641,12 @@ def _cluster_frames() -> tuple:
     tainted requests and one heartbeat transmit per gateway ``gw0..2``
     (delivered, except ``gw0``'s, which is denied).  The in-process
     pool's one codec encodes them all, so a fresh codec decodes them in
-    the same order."""
-    world = UserWorld(gateways=4, keys=4)
+    the same order.  The run defines more than 128 dictionary entries,
+    so its later frames carry two-byte reference ids too."""
+    world = UserWorld(gateways=4, keys=16)
     world.ensure_built()
     trace = build_trace(
-        world, 24, users=1_000, seed=5, write_fraction=0.3,
+        world, 64, users=1_000, seed=5, write_fraction=0.3,
         tainted_fraction=0.25,
     )
     for i in range(3):
@@ -562,8 +674,9 @@ class TestMutatedFrames:
     def test_capture_spans_sync_and_trace(self):
         dec = BinaryWireCodec()
         decoded = [dec.decode(frame)[0] for frame in _cluster_frames()]
+        assert dec.stats()["decoded_value_entries"] > 128
         sent = [type(message).__name__ for wave in decoded[::2] for _, message in wave]
-        assert sent == ["CapSync"] * 2 + ["ShardRequest"] * 27
+        assert sent == ["CapSync"] * 2 + ["ShardRequest"] * 67
         # Replies carry traffic: two delivered heartbeats, and a denial
         # in place of the tainted gateway's.
         replies = [r for wave in decoded[1::2] for r in wave if isinstance(r, ShardResponse)]
